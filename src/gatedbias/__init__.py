@@ -8,81 +8,4 @@ MLP ablation), and a filtered-ranking evaluation battery with counterfactual
 and placebo checks.
 """
 
-from .backbone import (BackboneTrainConfig, EmbeddingTable, load_embeddings,
-                       save_embeddings, train_backbone)
-from .bias_head import (BiasHead, BiasVector, HeadTrainConfig, PatientNodeHead,
-                        compute_bias, compute_bias_patientnode, personalized_scores,
-                        train_head, train_patientnode)
-from .config import PipelineConfig, load_config
-from .errors import CheckpointError, ConfigError, PipelineError, TripleParseError
-from .evaluator import (ALIGNMENT_K, AlignedSet, EvalReport, RankTable,
-                        aligned_set, alignment_at_k, alignment_delta_test,
-                        compute_rank_table, counterfactual_responsiveness,
-                        filtered_rank, placebo_validation, ranking_metrics)
-from .kg_store import (AttributeUniverse, GateMatrix, RelationGrouping, TripleStore,
-                       build_gates, build_universe, load_grouping, load_triples,
-                       make_grouping)
-from .pipeline import run_compare, run_eval, run_pipeline
-from .profile_builder import (InteractionLog, ProfileFeatures, aggregate_population,
-                              build_profile, load_interactions, normalize_features,
-                              shuffle_features, user_preference)
-from .synth import SynthParams, generate
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALIGNMENT_K",
-    "AlignedSet",
-    "AttributeUniverse",
-    "BackboneTrainConfig",
-    "BiasHead",
-    "BiasVector",
-    "CheckpointError",
-    "ConfigError",
-    "EmbeddingTable",
-    "EvalReport",
-    "GateMatrix",
-    "HeadTrainConfig",
-    "InteractionLog",
-    "PatientNodeHead",
-    "PipelineConfig",
-    "PipelineError",
-    "ProfileFeatures",
-    "RankTable",
-    "RelationGrouping",
-    "SynthParams",
-    "TripleParseError",
-    "TripleStore",
-    "aggregate_population",
-    "aligned_set",
-    "alignment_at_k",
-    "alignment_delta_test",
-    "build_gates",
-    "build_profile",
-    "build_universe",
-    "compute_bias",
-    "compute_bias_patientnode",
-    "compute_rank_table",
-    "counterfactual_responsiveness",
-    "filtered_rank",
-    "generate",
-    "load_config",
-    "load_embeddings",
-    "load_grouping",
-    "load_interactions",
-    "load_triples",
-    "make_grouping",
-    "normalize_features",
-    "personalized_scores",
-    "placebo_validation",
-    "ranking_metrics",
-    "run_compare",
-    "run_eval",
-    "run_pipeline",
-    "save_embeddings",
-    "shuffle_features",
-    "train_backbone",
-    "train_head",
-    "train_patientnode",
-    "user_preference",
-]

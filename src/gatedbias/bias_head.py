@@ -76,13 +76,6 @@ def new_head(gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
     )
 
 
-def _group_dots(gates: GateMatrix, w: np.ndarray, f: ProfileFeatures, tails: np.ndarray) -> np.ndarray:
-    """<w, g(t) * f> for each tail, summed in ascending column order."""
-    owners, cols = gates.gather_rows(tails)
-    terms = (w * f.values)[cols]
-    return np.bincount(owners, weights=terms, minlength=len(tails))
-
-
 def compute_bias(head: BiasHead, gates_a: GateMatrix, gates_b: GateMatrix,
                  f_a: ProfileFeatures, f_b: ProfileFeatures) -> BiasVector:
     """One sparse pass over gate nonzeros; entities with empty rows get exactly 0."""
@@ -262,14 +255,6 @@ class PatientNodeHead:
     def bias_for(self, emb: np.ndarray) -> np.ndarray:
         z = emb @ self.w1.T + self.b1
         return np.maximum(z, 0.0) @ self.w2 + self.b2
-
-
-def hidden_for_budget(dim: int, budget: int) -> int:
-    """Largest hidden width with parameter count d*h + 2h + 1 <= budget."""
-    h = (budget - 1) // (dim + 2)
-    if h < 1:
-        raise ValueError(f"budget {budget} too small for dim {dim}")
-    return h
 
 
 def new_patientnode(dim: int, hidden: int, seed: int) -> PatientNodeHead:

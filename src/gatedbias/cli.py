@@ -5,9 +5,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
 
 from .config import METHODS, load_config
-from .errors import CheckpointError, ConfigError, PipelineError, TripleParseError
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
 from .synth import SynthParams, generate
 
@@ -30,29 +30,15 @@ def _add_eval_overrides(p: argparse.ArgumentParser) -> None:
                    help="override eval.seeds (comma separated)")
 
 
-def _apply_overrides(cfg, args) -> None:
+def _load_config(args):
+    """The config file with the override flags that are set merged in, then
+    validated once by the config parser."""
+    keys = ("ks", "percentile_p", "epsilon", "n_shuffles", "seeds")
+    evals = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    overrides = {"eval": evals} if evals else {}
     if args.method is not None:
-        cfg.method = args.method
-    if args.ks is not None:
-        if not args.ks or any(k < 1 for k in args.ks):
-            raise ConfigError("--ks entries must be >= 1")
-        cfg.eval.ks = args.ks
-    if args.percentile_p is not None:
-        if not 0 < args.percentile_p <= 100:
-            raise ConfigError("--percentile-p must be in (0, 100]")
-        cfg.eval.percentile_p = args.percentile_p
-    if args.epsilon is not None:
-        if args.epsilon < 0:
-            raise ConfigError("--epsilon must be >= 0")
-        cfg.eval.epsilon = args.epsilon
-    if args.n_shuffles is not None:
-        if args.n_shuffles < 1:
-            raise ConfigError("--n-shuffles must be >= 1")
-        cfg.eval.n_shuffles = args.n_shuffles
-    if args.seeds is not None:
-        if not args.seeds:
-            raise ConfigError("--seeds must list at least one seed")
-        cfg.eval.seeds = args.seeds
+        overrides["method"] = args.method
+    return load_config(args.config, overrides)
 
 
 def _print_aggregate(report: dict) -> None:
@@ -69,8 +55,7 @@ def _print_aggregate(report: dict) -> None:
 
 
 def cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     report = run_pipeline(cfg, args.out)
     _print_aggregate(report)
     print(f"report written to {args.out}/report.json")
@@ -96,8 +81,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     comparison = run_compare(cfg, args.out)
     print(format_comparison(comparison), end="")
     print(f"comparison written to {args.out}/compare.json")
@@ -105,8 +89,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     report = run_eval(cfg, args.out)
     _print_aggregate(report)
     print(f"report written to {args.out}/report.json")
@@ -158,12 +141,12 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # the package's own error types subclass ValueError or RuntimeError
     try:
         return args.func(args)
-    except (ConfigError, TripleParseError, CheckpointError, PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError, RuntimeError, KeyError) as exc:
+        if args.verbose:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -138,7 +138,10 @@ def _resolve(path: str | None, base_dir: str) -> str | None:
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base_dir, path))
 
 
-def load_config(path: str) -> PipelineConfig:
+def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
+    """Parse and validate the YAML file at path. Each overrides entry replaces
+    the file's top-level value, or for a mapping is merged one level into it;
+    the merged mapping is validated as a whole."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -148,6 +151,10 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"config: {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config: {path} must contain a mapping at top level")
+    for key, value in (overrides or {}).items():
+        node = raw.get(key)
+        merge = isinstance(value, dict) and isinstance(node, dict)
+        raw[key] = {**node, **value} if merge else value
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,16 +237,37 @@ class EvalContext:
     head: BiasHead
     bias: BiasVector
     ranks_adapted: RankTable
-    percentile_p: int = 70
-    _queries: list[tuple[int, int]] = field(default=None, repr=False)
-    _filters: list[np.ndarray] = field(default=None, repr=False)
 
-    def queries(self) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
-        if self._queries is None:
-            test = self.store.test
-            self._queries = [(int(h), int(r)) for h, r, _ in test]
-            self._filters = query_filters(self.store, "test")
-        return self._queries, self._filters
+
+@dataclass
+class Alignment:
+    """Per-query Alignment@10 of the base and the adapted scorer over the
+    test queries, against the aligned set of the real-feature bias."""
+
+    aligned: AlignedSet
+    queries: list[tuple[int, int]]
+    filters: list[np.ndarray]
+    base_pq: np.ndarray
+    adapted_pq: np.ndarray
+
+
+def _adapted_scores(table: EmbeddingTable, values: np.ndarray):
+    return lambda h, r: table.score_all_tails(h, r) + values
+
+
+def measure_alignment(ctx: EvalContext, percentile_p: int) -> Alignment:
+    """Base and adapted alignment of one trained head, measured once and
+    shared by the sign-flip test and the placebo check."""
+    aligned = aligned_set(ctx.bias, percentile_p)
+    queries = [(int(h), int(r)) for h, r, _ in ctx.store.test]
+    filters = query_filters(ctx.store, "test")
+    base_pq = alignment_per_query(queries, filters, ctx.table.score_all_tails,
+                                  aligned, ALIGNMENT_K)
+    adapted_pq = alignment_per_query(queries, filters,
+                                     _adapted_scores(ctx.table, ctx.bias.values),
+                                     aligned, ALIGNMENT_K)
+    return Alignment(aligned=aligned, queries=queries, filters=filters,
+                     base_pq=base_pq, adapted_pq=adapted_pq)
 
 
 @dataclass
@@ -295,28 +316,20 @@ class PlaceboResult:
     per_shuffle: list[float]
 
 
-def placebo_validation(ctx: EvalContext, n_shuffles: int, seed: int) -> PlaceboResult:
+def placebo_validation(ctx: EvalContext, alignment: Alignment, n_shuffles: int,
+                       seed: int) -> PlaceboResult:
     """ΔAlignment@10 with real features vs feature-shuffled reruns.
 
-    The aligned set is computed once from the real-feature bias and frozen;
-    each shuffle permutes both groups' feature vectors, recomputes the bias
-    with the trained head fixed, and re-measures the delta against the same
-    base scorer and mask. Ratio is real / shuffled-mean, absent when the
-    denominator is numerically zero.
+    The aligned set, queries and base and real per-query alignment come from
+    measure_alignment and stay frozen; each shuffle permutes both groups'
+    feature vectors, recomputes the bias with the trained head fixed, and
+    re-measures the delta against the same base alignment and mask. Ratio is
+    real / shuffled-mean, absent when the denominator is numerically zero.
     """
     if n_shuffles < 1:
         raise ValueError("n_shuffles must be >= 1")
-    aligned = aligned_set(ctx.bias, ctx.percentile_p)
-    queries, filters = ctx.queries()
-    base_fn = ctx.table.score_all_tails
-
-    def adapted_fn(values: np.ndarray):
-        return lambda h, r: ctx.table.score_all_tails(h, r) + values
-
-    base_pq = alignment_per_query(queries, filters, base_fn, aligned, ALIGNMENT_K)
-    real_pq = alignment_per_query(queries, filters, adapted_fn(ctx.bias.values),
-                                  aligned, ALIGNMENT_K)
-    real_delta = float(real_pq.mean() - base_pq.mean())
+    base_mean = alignment.base_pq.mean()
+    real_delta = float(alignment.adapted_pq.mean() - base_mean)
 
     rng = np.random.default_rng(seed)
     shuffle_seeds = rng.integers(0, 2**63 - 1, size=(n_shuffles, 2))
@@ -325,9 +338,10 @@ def placebo_validation(ctx: EvalContext, n_shuffles: int, seed: int) -> PlaceboR
         f_a = shuffle_features(ctx.f_a, int(shuffle_seeds[s, 0]))
         f_b = shuffle_features(ctx.f_b, int(shuffle_seeds[s, 1]))
         bias_s = compute_bias(ctx.head, ctx.gates_a, ctx.gates_b, f_a, f_b)
-        pq = alignment_per_query(queries, filters, adapted_fn(bias_s.values),
-                                 aligned, ALIGNMENT_K)
-        per_shuffle.append(float(pq.mean() - base_pq.mean()))
+        pq = alignment_per_query(alignment.queries, alignment.filters,
+                                 _adapted_scores(ctx.table, bias_s.values),
+                                 alignment.aligned, ALIGNMENT_K)
+        per_shuffle.append(float(pq.mean() - base_mean))
     shuffled_mean = float(np.mean(per_shuffle))
     ratio = real_delta / shuffled_mean if abs(shuffled_mean) >= 1e-12 else None
     return PlaceboResult(real_delta=real_delta, shuffled_delta_mean=shuffled_mean,

@@ -315,9 +315,6 @@ class GateMatrix:
     def row(self, t: int) -> np.ndarray:
         return self.indices[self.indptr[t]:self.indptr[t + 1]]
 
-    def rows(self) -> list[np.ndarray]:
-        return [self.row(t) for t in range(self.num_entities)]
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """G @ v with per-row summation in ascending column order."""
         if v.shape[0] != self.num_columns:

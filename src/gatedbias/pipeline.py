@@ -1,6 +1,8 @@
 """End-to-end orchestration: data → backbone → gates → profiles → head → eval.
 
 Each stage failure is re-raised as a PipelineError tagged with the stage name.
+`run` and `eval` share one body and differ only in where the backbone and the
+per-seed heads come from: `run` trains and saves them, `eval` loads them.
 Runs are reproducible from (config, seeds): the backbone is trained once per
 run, and per-seed variation enters only through head training and the
 shuffle/permutation seeds.
@@ -23,8 +25,8 @@ from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_ba
 from .config import DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
 from .evaluator import ALIGNMENT_K, EvalContext, EvalReport
-from .kg_store import (GateMatrix, TripleStore, build_gates, build_universe,
-                       load_grouping, load_triples)
+from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
+                       load_triples)
 from .profile_builder import build_profile, load_interactions
 
 log = logging.getLogger(__name__)
@@ -64,43 +66,30 @@ def task_train_store(store: TripleStore, grouping) -> TripleStore:
     return dataclasses.replace(store, train=store.train[mask])
 
 
-@dataclasses.dataclass
-class PreparedData:
-    store: TripleStore
-    interactions_path: str | None
-    grouping_path: str | None
-    dataset_dir: str | None  # set when generated synthetically
-
-
-def prepare_data(cfg: PipelineConfig, out_dir: str) -> PreparedData:
-    if cfg.data.synthetic is not None:
-        params = synth.SynthParams(**cfg.data.synthetic)
-        dataset_dir = os.path.join(out_dir, "dataset")
-        synth.generate(params, dataset_dir)
-        store = load_triples(os.path.join(dataset_dir, "triples"))
-        return PreparedData(
-            store=store,
-            interactions_path=os.path.join(dataset_dir, "interactions.tsv"),
-            grouping_path=os.path.join(dataset_dir, "grouping.yaml"),
-            dataset_dir=dataset_dir,
-        )
-    store = load_triples(cfg.data.triples_dir)
-    return PreparedData(
-        store=store,
-        interactions_path=cfg.data.interactions_path,
-        grouping_path=cfg.data.grouping_path,
-        dataset_dir=None,
+def materialize_data(cfg: PipelineConfig, out_dir: str) -> DataConfig:
+    """The dataset as file paths; a synthetic one is first written to out_dir/dataset."""
+    if cfg.data.synthetic is None:
+        return cfg.data
+    dataset_dir = os.path.join(out_dir, "dataset")
+    synth.generate(synth.SynthParams(**cfg.data.synthetic), dataset_dir)
+    return DataConfig(
+        triples_dir=os.path.join(dataset_dir, "triples"),
+        interactions_path=os.path.join(dataset_dir, "interactions.tsv"),
+        grouping_path=os.path.join(dataset_dir, "grouping.yaml"),
     )
 
 
-def _obtain_backbone(cfg: PipelineConfig, store: TripleStore, out_dir: str) -> EmbeddingTable:
-    if cfg.backbone_load:
-        return load_embeddings(cfg.backbone_load,
-                               expected_entities=store.num_entities,
-                               expected_relations=store.num_relations)
-    table = train_backbone(store, cfg.backbone)
-    save_embeddings(table, os.path.join(out_dir, "backbone.kge"))
-    return table
+def _obtain_backbone(cfg: PipelineConfig, store: TripleStore, out_dir: str,
+                     train: bool) -> EmbeddingTable:
+    path = cfg.backbone_load or os.path.join(out_dir, "backbone.kge")
+    if train and not cfg.backbone_load:
+        table = train_backbone(store, cfg.backbone)
+        save_embeddings(table, path)
+        return table
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no backbone checkpoint at {path}; run the pipeline first")
+    return load_embeddings(path, expected_entities=store.num_entities,
+                           expected_relations=store.num_relations)
 
 
 def _cr_entries(tag: str, result: evaluator.CRResult | None) -> dict:
@@ -110,13 +99,26 @@ def _cr_entries(tag: str, result: evaluator.CRResult | None) -> dict:
 
 
 def run_pipeline(cfg: PipelineConfig, out_dir: str) -> dict:
-    """Run every stage for the configured method, write report.json and
-    ranks.tsv under out_dir, and return the report as a dict."""
+    """Train the backbone and the per-seed heads, save them under out_dir,
+    evaluate, write report.json and ranks.tsv, and return the report."""
+    return _run(cfg, out_dir, train=True)
+
+
+def run_eval(cfg: PipelineConfig, out_dir: str) -> dict:
+    """Re-evaluate from the checkpoints in out_dir without training anything."""
+    return _run(cfg, out_dir, train=False)
+
+
+def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
+    """One body for run and eval. With train, the backbone (unless
+    backbone.load is set) and the per-seed heads are trained and saved;
+    without, they are loaded: the backbone from backbone.load or
+    out_dir/backbone.kge, the heads from their per-seed checkpoints."""
     os.makedirs(out_dir, exist_ok=True)
 
     with _stage("data"):
-        data = prepare_data(cfg, out_dir)
-        store = data.store
+        data = materialize_data(cfg, out_dir)
+        store = load_triples(data.triples_dir)
         grouping = None
         if cfg.method == "gatedbias":
             if data.grouping_path is None:
@@ -130,10 +132,9 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> dict:
         head_store = store if grouping is None else task_train_store(store, grouping)
 
     with _stage("backbone"):
-        table = _obtain_backbone(cfg, store, out_dir)
+        table = _obtain_backbone(cfg, store, out_dir, train)
         if not table.frozen:
             raise RuntimeError("backbone table is not frozen after load/train")
-        backbone_checksum = table.checksum()
 
     gates_a = gates_b = None
     f_a = f_b = None
@@ -160,180 +161,40 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str) -> dict:
     with _stage("evaluate"):
         base_ranks = None
         for run_seed in cfg.eval.seeds:
+            head_cfg = dataclasses.replace(cfg.head, seed=cfg.head.seed + run_seed)
+            battery: dict = {}
             if cfg.method == "base":
                 if base_ranks is None:
                     base_ranks = evaluator.compute_rank_table(store, table, None)
                 ranks = base_ranks
-                metrics = evaluator.ranking_metrics(ranks, cfg.eval.ks)
-                seed_metrics = {**metrics, "param_count": 0}
             elif cfg.method == "patientnode":
-                head_cfg = dataclasses.replace(cfg.head, seed=cfg.head.seed + run_seed)
-                # lambda1/lambda2 regularize the gated head's weight vectors;
-                # the MLP ablation trains unregularized so the comparison is
-                # capacity against capacity, not penalty against penalty
-                pn = bias_head.train_patientnode(head_store, table, head_cfg,
-                                                 hidden=cfg.patientnode_hidden,
-                                                 lambda1=0.0, lambda2=0.0)
-                bias_head.save_patientnode(
-                    pn, head_cfg, os.path.join(out_dir, f"patientnode_seed{run_seed}.json"))
-                bias = bias_head.compute_bias_patientnode(pn, table)
-                ranks = evaluator.compute_rank_table(store, table, bias.values)
-                metrics = evaluator.ranking_metrics(ranks, cfg.eval.ks)
-                param_count = pn.param_count
-                seed_metrics = {**metrics, "param_count": pn.param_count}
-            else:
-                head_cfg = dataclasses.replace(cfg.head, seed=cfg.head.seed + run_seed)
-                head = bias_head.train_head(head_store, table, gates_a, gates_b,
-                                            f_a, f_b, head_cfg)
-                bias_head.save_head(head, head_cfg, gates_a, gates_b,
-                                    os.path.join(out_dir, f"head_seed{run_seed}.json"))
-                param_count = head.param_count
-                seed_metrics = _evaluate_gated_seed(
-                    cfg, store, table, gates_a, gates_b, f_a, f_b, head, run_seed)
-                ranks = seed_metrics.pop("_ranks")
-            per_seed.append(seed_metrics)
-            for i in range(len(ranks)):
-                rank_rows.append((run_seed,
-                                  store.entity_vocab.label(int(ranks.heads[i])),
-                                  store.relation_vocab.label(int(ranks.rels[i])),
-                                  store.entity_vocab.label(int(ranks.true_tails[i])),
-                                  int(ranks.ranks[i])))
-
-    report = {
-        "artifact": "gatedbias-run",
-        "method": cfg.method,
-        "config": cfg.to_dict(),
-        "backbone_checksum": backbone_checksum,
-        "query_checksum": query_checksum(store),
-        "dataset": {
-            "num_entities": store.num_entities,
-            "num_relations": store.num_relations,
-            "train": int(store.train.shape[0]),
-            "valid": int(store.valid.shape[0]),
-            "test": int(store.test.shape[0]),
-        },
-        "universes": universes_info,
-        "param_count": param_count,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "report": EvalReport(seeds=list(cfg.eval.seeds), per_seed=per_seed).to_dict(),
-    }
-    _write_report(report, rank_rows, out_dir)
-    return report
-
-
-def _evaluate_gated_seed(cfg, store, table, gates_a, gates_b, f_a, f_b, head, run_seed) -> dict:
-    """Ranking metrics plus the personalization battery for one trained head."""
-    bias = bias_head.compute_bias(head, gates_a, gates_b, f_a, f_b)
-    ranks = evaluator.compute_rank_table(store, table, bias.values)
-    metrics = evaluator.ranking_metrics(ranks, cfg.eval.ks)
-
-    aligned = evaluator.aligned_set(bias, cfg.eval.percentile_p)
-    queries = [(int(h), int(r)) for h, r, _ in store.test]
-    filters = evaluator.query_filters(store)
-    base_pq = evaluator.alignment_per_query(
-        queries, filters, table.score_all_tails, aligned, ALIGNMENT_K)
-    adapted_pq = evaluator.alignment_per_query(
-        queries, filters, lambda h, r: table.score_all_tails(h, r) + bias.values,
-        aligned, ALIGNMENT_K)
-    delta, p_value = evaluator.alignment_delta_test(
-        float(base_pq.mean()), float(adapted_pq.mean()),
-        np.stack([base_pq, adapted_pq], axis=1), seed=run_seed)
-
-    ctx = EvalContext(store=store, table=table, gates_a=gates_a, gates_b=gates_b,
-                      f_a=f_a, f_b=f_b, head=head, bias=bias, ranks_adapted=ranks,
-                      percentile_p=cfg.eval.percentile_p)
-    cr_a = evaluator.counterfactual_responsiveness(ctx, "A", cfg.eval.epsilon)
-    cr_b = evaluator.counterfactual_responsiveness(ctx, "B", cfg.eval.epsilon)
-    placebo = evaluator.placebo_validation(ctx, cfg.eval.n_shuffles, seed=run_seed)
-
-    out = {
-        **metrics,
-        f"alignment@{ALIGNMENT_K}_base": float(base_pq.mean()),
-        f"alignment@{ALIGNMENT_K}_adapted": float(adapted_pq.mean()),
-        f"alignment@{ALIGNMENT_K}_delta": delta,
-        "alignment_p_value": p_value,
-        **_cr_entries("A", cr_a),
-        **_cr_entries("B", cr_b),
-        "placebo_real_delta": placebo.real_delta,
-        "placebo_shuffled_delta": placebo.shuffled_delta_mean,
-        "placebo_ratio": placebo.ratio,
-        "aligned_set_size": len(aligned),
-        "param_count": head.param_count,
-        "_ranks": ranks,
-    }
-    return out
-
-
-def _write_report(report: dict, rank_rows: list[tuple], out_dir: str) -> None:
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "ranks.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("seed\thead\trelation\ttrue_tail\trank\n")
-        for row in rank_rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
-
-
-def run_eval(cfg: PipelineConfig, out_dir: str) -> dict:
-    """Re-evaluate from saved checkpoints in out_dir, without retraining.
-
-    The backbone comes from backbone.kge (or the configured load path) and the
-    per-seed heads from their checkpoint files; metrics are recomputed fresh.
-    """
-    with _stage("data"):
-        data = prepare_data(cfg, out_dir)
-        store = data.store
-
-    with _stage("backbone"):
-        path = cfg.backbone_load or os.path.join(out_dir, "backbone.kge")
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"no backbone checkpoint at {path}; run the pipeline first")
-        table = load_embeddings(path, expected_entities=store.num_entities,
-                                expected_relations=store.num_relations)
-
-    if cfg.method == "base":
-        return run_pipeline(cfg, out_dir)
-
-    per_seed: list[dict] = []
-    rank_rows: list[tuple] = []
-    param_count = 0
-    universes_info = None
-
-    if cfg.method == "gatedbias":
-        with _stage("gates"):
-            grouping = load_grouping(data.grouping_path, store)
-            grouping.validate_for_personalization()
-            uni_a = build_universe(store, grouping, "A", cap=cfg.gates.cap_a)
-            uni_b = build_universe(store, grouping, "B", cap=cfg.gates.cap_b)
-            gates_a = build_gates(store, uni_a)
-            gates_b = build_gates(store, uni_b)
-            universes_info = {
-                "size_a": len(uni_a), "size_b": len(uni_b),
-                "checksum_a": uni_a.checksum(), "checksum_b": uni_b.checksum(),
-            }
-        with _stage("profiles"):
-            log_data = load_interactions(data.interactions_path, store)
-            f_a = build_profile(log_data, gates_a, cfg.profile.scale_alpha, cfg.profile.cap_tau)
-            f_b = build_profile(log_data, gates_b, cfg.profile.scale_alpha, cfg.profile.cap_tau)
-
-    with _stage("evaluate"):
-        for run_seed in cfg.eval.seeds:
-            if cfg.method == "patientnode":
                 ckpt = os.path.join(out_dir, f"patientnode_seed{run_seed}.json")
-                pn, _ = bias_head.load_patientnode(ckpt, expected_dim=table.dim)
+                if train:
+                    # lambda1/lambda2 regularize the gated head's weight vectors;
+                    # the MLP ablation trains unregularized so the comparison is
+                    # capacity against capacity, not penalty against penalty
+                    pn = bias_head.train_patientnode(head_store, table, head_cfg,
+                                                     hidden=cfg.patientnode_hidden,
+                                                     lambda1=0.0, lambda2=0.0)
+                    bias_head.save_patientnode(pn, head_cfg, ckpt)
+                else:
+                    pn, _ = bias_head.load_patientnode(ckpt, expected_dim=table.dim)
+                param_count = pn.param_count
                 bias = bias_head.compute_bias_patientnode(pn, table)
                 ranks = evaluator.compute_rank_table(store, table, bias.values)
-                metrics = evaluator.ranking_metrics(ranks, cfg.eval.ks)
-                param_count = pn.param_count
-                seed_metrics = {**metrics, "param_count": pn.param_count}
             else:
                 ckpt = os.path.join(out_dir, f"head_seed{run_seed}.json")
-                head, _ = bias_head.load_head(ckpt, gates_a, gates_b)
+                if train:
+                    head = bias_head.train_head(head_store, table, gates_a, gates_b,
+                                                f_a, f_b, head_cfg)
+                    bias_head.save_head(head, head_cfg, gates_a, gates_b, ckpt)
+                else:
+                    head, _ = bias_head.load_head(ckpt, gates_a, gates_b)
                 param_count = head.param_count
-                seed_metrics = _evaluate_gated_seed(
+                ranks, battery = _evaluate_gated_seed(
                     cfg, store, table, gates_a, gates_b, f_a, f_b, head, run_seed)
-                ranks = seed_metrics.pop("_ranks")
-            per_seed.append(seed_metrics)
+            per_seed.append({**evaluator.ranking_metrics(ranks, cfg.eval.ks), **battery,
+                             "param_count": param_count})
             for i in range(len(ranks)):
                 rank_rows.append((run_seed,
                                   store.entity_vocab.label(int(ranks.heads[i])),
@@ -342,7 +203,7 @@ def run_eval(cfg: PipelineConfig, out_dir: str) -> dict:
                                   int(ranks.ranks[i])))
 
     report = {
-        "artifact": "gatedbias-eval",
+        "artifact": "gatedbias-run" if train else "gatedbias-eval",
         "method": cfg.method,
         "config": cfg.to_dict(),
         "backbone_checksum": table.checksum(),
@@ -363,6 +224,46 @@ def run_eval(cfg: PipelineConfig, out_dir: str) -> dict:
     return report
 
 
+def _evaluate_gated_seed(cfg, store, table, gates_a, gates_b, f_a, f_b, head,
+                         run_seed) -> tuple[evaluator.RankTable, dict]:
+    """Adapted ranks plus the personalization battery for one trained head."""
+    bias = bias_head.compute_bias(head, gates_a, gates_b, f_a, f_b)
+    ranks = evaluator.compute_rank_table(store, table, bias.values)
+    ctx = EvalContext(store=store, table=table, gates_a=gates_a, gates_b=gates_b,
+                      f_a=f_a, f_b=f_b, head=head, bias=bias, ranks_adapted=ranks)
+    alignment = evaluator.measure_alignment(ctx, cfg.eval.percentile_p)
+    base_mean = float(alignment.base_pq.mean())
+    adapted_mean = float(alignment.adapted_pq.mean())
+    delta, p_value = evaluator.alignment_delta_test(
+        base_mean, adapted_mean,
+        np.stack([alignment.base_pq, alignment.adapted_pq], axis=1), seed=run_seed)
+    cr_a = evaluator.counterfactual_responsiveness(ctx, "A", cfg.eval.epsilon)
+    cr_b = evaluator.counterfactual_responsiveness(ctx, "B", cfg.eval.epsilon)
+    placebo = evaluator.placebo_validation(ctx, alignment, cfg.eval.n_shuffles, seed=run_seed)
+    return ranks, {
+        f"alignment@{ALIGNMENT_K}_base": base_mean,
+        f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,
+        f"alignment@{ALIGNMENT_K}_delta": delta,
+        "alignment_p_value": p_value,
+        **_cr_entries("A", cr_a),
+        **_cr_entries("B", cr_b),
+        "placebo_real_delta": placebo.real_delta,
+        "placebo_shuffled_delta": placebo.shuffled_delta_mean,
+        "placebo_ratio": placebo.ratio,
+        "aligned_set_size": len(alignment.aligned),
+    }
+
+
+def _write_report(report: dict, rank_rows: list[tuple], out_dir: str) -> None:
+    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    with open(os.path.join(out_dir, "ranks.tsv"), "w", encoding="utf-8") as fh:
+        fh.write("seed\thead\trelation\ttrue_tail\trank\n")
+        for row in rank_rows:
+            fh.write("\t".join(str(x) for x in row) + "\n")
+
+
 def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
     """Run base, patientnode and gatedbias under identical data and seeds.
 
@@ -372,18 +273,8 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
     identical across methods.
     """
     os.makedirs(out_dir, exist_ok=True)
-    data_cfg = cfg.data
-    if cfg.data.synthetic is not None:
-        params = synth.SynthParams(**cfg.data.synthetic)
-        dataset_dir = os.path.join(out_dir, "dataset")
-        with _stage("data"):
-            synth.generate(params, dataset_dir)
-        data_cfg = DataConfig(
-            triples_dir=os.path.join(dataset_dir, "triples"),
-            interactions_path=os.path.join(dataset_dir, "interactions.tsv"),
-            grouping_path=os.path.join(dataset_dir, "grouping.yaml"),
-            synthetic=None,
-        )
+    with _stage("data"):
+        data_cfg = materialize_data(cfg, out_dir)
 
     reports = {}
     backbone_load = cfg.backbone_load

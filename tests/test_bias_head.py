@@ -5,8 +5,8 @@ import pytest
 
 from gatedbias.bias_head import (BiasHead, HeadTrainConfig, compute_bias,
                                  compute_bias_patientnode, head_loss_and_grad,
-                                 hidden_for_budget, load_head, load_patientnode,
-                                 new_head, new_patientnode, patientnode_loss_and_grad,
+                                 load_head, load_patientnode, new_head, new_patientnode,
+                                 patientnode_loss_and_grad,
                                  personalized_scores, save_head, save_patientnode,
                                  train_head, train_patientnode)
 from gatedbias.errors import CheckpointError
@@ -350,11 +350,6 @@ def test_patientnode_zero_output_layer_gives_zero_bias():
 def test_patientnode_param_count_and_budget():
     head = new_patientnode(dim=32, hidden=16, seed=0)
     assert head.param_count == 32 * 16 + 16 + 16 + 1  # = 545
-    assert hidden_for_budget(32, 545) == 16
-    h = hidden_for_budget(32, 800)
-    assert 32 * h + 2 * h + 1 <= 800 < 32 * (h + 1) + 2 * (h + 1) + 1
-    with pytest.raises(ValueError, match="budget"):
-        hidden_for_budget(32, 10)
 
 
 def test_patientnode_gradient_matches_finite_differences():

@@ -65,7 +65,8 @@ def test_run_writes_artifacts(run_out):
 
 def test_run_overrides_method_and_seeds(cfg_path, tmp_path, capsys):
     out = str(tmp_path / "base_run")
-    rc = main(["run", cfg_path, "--out", out, "--method", "base", "--seeds", "0,1"])
+    rc = main(["run", cfg_path, "--out", out, "--method", "base", "--seeds", "0,1",
+               "--ks", "1,5", "--epsilon", "0.25", "--percentile-p", "80", "--n-shuffles", "3"])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "method: base" in stdout
@@ -75,6 +76,9 @@ def test_run_overrides_method_and_seeds(cfg_path, tmp_path, capsys):
         report = json.load(fh)
     assert report["method"] == "base"
     assert report["report"]["seeds"] == [0, 1]
+    assert report["config"]["method"] == "base"
+    assert report["config"]["eval"] == {"ks": [1, 5], "percentile_p": 80, "epsilon": 0.25,
+                                        "n_shuffles": 3, "seeds": [0, 1]}
     assert not os.path.exists(os.path.join(out, "head_seed0.json"))
 
 
@@ -104,16 +108,35 @@ def test_compare_writes_comparison(cfg_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,fragment", [
-    (["--seeds", ""], "at least one seed"),
-    (["--ks", "0"], "--ks entries"),
-    (["--percentile-p", "0"], "--percentile-p"),
-    (["--epsilon", "-1"], "--epsilon"),
-    (["--n-shuffles", "0"], "--n-shuffles"),
+    (["--seeds", ""], "eval.seeds"),
+    (["--ks", "0"], "eval.ks"),
+    (["--percentile-p", "0"], "eval.percentile_p"),
+    (["--epsilon", "-1"], "eval.epsilon"),
+    (["--n-shuffles", "0"], "eval.n_shuffles"),
 ])
 def test_override_validation(cfg_path, tmp_path, capsys, flags, fragment):
     rc = main(["run", cfg_path, "--out", str(tmp_path)] + flags)
     assert rc == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_stage_error_traceback_only_under_verbose(cfg_path, tmp_path, capsys, monkeypatch,
+                                                  verbose):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("gatedbias.pipeline.train_backbone", broken)
+    rc = main(["-v"] * verbose + ["run", cfg_path, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: [backbone] boom"
+    if verbose:
+        assert "Traceback" in err and "ValueError: boom" in err
+    else:
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            ["error: [backbone] boom"]
 
 
 def test_bad_config_file(tmp_path, capsys):

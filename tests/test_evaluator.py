@@ -8,8 +8,9 @@ from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, EvalContext, EvalRepor
                                  RankTable, aligned_set, alignment_at_k,
                                  alignment_delta_test, alignment_per_query,
                                  compute_rank_table, counterfactual_responsiveness,
-                                 filtered_rank, mean_stderr, placebo_validation,
-                                 query_filters, ranking_metrics, topk_filtered)
+                                 filtered_rank, mean_stderr, measure_alignment,
+                                 placebo_validation, query_filters, ranking_metrics,
+                                 topk_filtered)
 from helpers import (gates_from_dense, make_features, make_head, random_table,
                      store_from_labels)
 
@@ -418,7 +419,7 @@ def placebo_context(w_a=3.0):
 
 def test_placebo_constant_features_give_ratio_one():
     ctx = placebo_context()
-    res = placebo_validation(ctx, n_shuffles=3, seed=0)
+    res = placebo_validation(ctx, measure_alignment(ctx, 70), n_shuffles=3, seed=0)
     # the target entity enters the top-10 only under the real bias
     assert res.real_delta == 1.0 / ALIGNMENT_K
     assert res.per_shuffle == [res.real_delta] * 3
@@ -429,7 +430,7 @@ def test_placebo_constant_features_give_ratio_one():
 def test_placebo_zero_bias_has_no_ratio(caplog):
     ctx = placebo_context(w_a=0.0)
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        res = placebo_validation(ctx, n_shuffles=2, seed=0)
+        res = placebo_validation(ctx, measure_alignment(ctx, 70), n_shuffles=2, seed=0)
     assert res.real_delta == 0.0
     assert res.shuffled_delta_mean == 0.0
     assert res.ratio is None
@@ -438,7 +439,7 @@ def test_placebo_zero_bias_has_no_ratio(caplog):
 def test_placebo_validation_errors():
     ctx = placebo_context()
     with pytest.raises(ValueError, match="n_shuffles"):
-        placebo_validation(ctx, n_shuffles=0, seed=0)
+        placebo_validation(ctx, measure_alignment(ctx, 70), n_shuffles=0, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from gatedbias.config import config_from_dict
 from gatedbias.errors import PipelineError
 from gatedbias.kg_store import load_grouping, load_triples, make_grouping
-from gatedbias.pipeline import (format_comparison, query_checksum, run_compare,
-                                run_eval, run_pipeline, task_train_store)
+from gatedbias.pipeline import (METHOD_ORDER, format_comparison, query_checksum,
+                                run_compare, run_eval, run_pipeline, task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate
 
 
@@ -137,13 +137,29 @@ def test_ranks_tsv_layout(gated_run, store):
     assert int(rank) >= 1
 
 
-def test_run_eval_reproduces_run_pipeline(gated_run, data_dir):
-    out, report, _, ranks_bytes = gated_run
-    eval_report = run_eval(tiny_cfg(data_dir), out)
+def _refuse_training(*args, **kwargs):
+    raise AssertionError("eval must not train")
+
+
+@pytest.mark.parametrize("method", METHOD_ORDER)
+def test_run_eval_reproduces_run_pipeline(method, data_dir, tmp_path, monkeypatch):
+    out = str(tmp_path)
+    report = run_pipeline(tiny_cfg(data_dir, method), out)
+    with open(os.path.join(out, "backbone.kge"), "rb") as fh:
+        backbone_bytes = fh.read()
+    with open(os.path.join(out, "ranks.tsv"), "rb") as fh:
+        ranks_bytes = fh.read()
+
+    for target in ("gatedbias.pipeline.train_backbone", "gatedbias.bias_head.train_head",
+                   "gatedbias.bias_head.train_patientnode"):
+        monkeypatch.setattr(target, _refuse_training)
+    eval_report = run_eval(tiny_cfg(data_dir, method), out)
     assert eval_report["artifact"] == "gatedbias-eval"
     drop = ("timestamp", "artifact")
     assert {k: v for k, v in report.items() if k not in drop} == \
            {k: v for k, v in eval_report.items() if k not in drop}
+    with open(os.path.join(out, "backbone.kge"), "rb") as fh:
+        assert fh.read() == backbone_bytes
     with open(os.path.join(out, "ranks.tsv"), "rb") as fh:
         assert fh.read() == ranks_bytes
 
