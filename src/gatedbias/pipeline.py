@@ -24,7 +24,7 @@ from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
 from .config import DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
-from .evaluator import ALIGNMENT_K, EvalContext, EvalReport
+from .evaluator import ALIGNMENT_K, EvalContext, EvalReport, QuerySet
 from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
                        load_triples)
 from .profile_builder import build_profile, load_interactions
@@ -44,12 +44,13 @@ def _stage(name: str):
         raise PipelineError(name, str(exc)) from exc
 
 
-def query_checksum(store: TripleStore) -> str:
+def query_checksum(queries: QuerySet) -> str:
     """Digest of the test queries and their filter sets (fairness contract)."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(store.test, dtype=np.int64).tobytes())
-    for filt in evaluator.query_filters(store):
-        h.update(np.ascontiguousarray(filt, dtype=np.int64).tobytes())
+    triples = np.column_stack([queries.heads, queries.rels, queries.true_tails])
+    h.update(triples.astype(np.int64).tobytes())
+    for i in range(len(queries)):
+        h.update(queries.filter(i).astype(np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -66,12 +67,25 @@ def task_train_store(store: TripleStore, grouping) -> TripleStore:
     return dataclasses.replace(store, train=store.train[mask])
 
 
-def materialize_data(cfg: PipelineConfig, out_dir: str) -> DataConfig:
-    """The dataset as file paths; a synthetic one is first written to out_dir/dataset."""
+def materialize_data(cfg: PipelineConfig, out_dir: str, write: bool = True) -> DataConfig:
+    """The dataset as file paths. A synthetic one lives in out_dir/dataset:
+    written there with write, else read as an earlier run wrote it."""
     if cfg.data.synthetic is None:
         return cfg.data
     dataset_dir = os.path.join(out_dir, "dataset")
-    synth.generate(synth.SynthParams(**cfg.data.synthetic), dataset_dir)
+    params = synth.SynthParams(**cfg.data.synthetic)
+    if write:
+        synth.generate(params, dataset_dir)
+    else:
+        manifest = os.path.join(dataset_dir, "manifest.json")
+        if not os.path.exists(manifest):
+            raise FileNotFoundError(f"no synthetic dataset at {dataset_dir}; "
+                                    "run the pipeline first")
+        with open(manifest, encoding="utf-8") as fh:
+            written = json.load(fh)["params"]
+        if written != vars(params):
+            raise ValueError(f"{dataset_dir} was generated with {written}, "
+                             f"not with data.synthetic {vars(params)}")
     return DataConfig(
         triples_dir=os.path.join(dataset_dir, "triples"),
         interactions_path=os.path.join(dataset_dir, "interactions.tsv"),
@@ -117,7 +131,7 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
     os.makedirs(out_dir, exist_ok=True)
 
     with _stage("data"):
-        data = materialize_data(cfg, out_dir)
+        data = materialize_data(cfg, out_dir, write=train)
         store = load_triples(data.triples_dir)
         grouping = None
         if cfg.method == "gatedbias":
@@ -159,13 +173,14 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
     param_count = 0
 
     with _stage("evaluate"):
+        queries = evaluator.query_set(store)
         base_ranks = None
         for run_seed in cfg.eval.seeds:
             head_cfg = dataclasses.replace(cfg.head, seed=cfg.head.seed + run_seed)
             battery: dict = {}
             if cfg.method == "base":
                 if base_ranks is None:
-                    base_ranks = evaluator.compute_rank_table(store, table, None)
+                    base_ranks = evaluator.compute_rank_table(queries, table)[0]
                 ranks = base_ranks
             elif cfg.method == "patientnode":
                 ckpt = os.path.join(out_dir, f"patientnode_seed{run_seed}.json")
@@ -178,10 +193,14 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
                                                      lambda1=0.0, lambda2=0.0)
                     bias_head.save_patientnode(pn, head_cfg, ckpt)
                 else:
-                    pn, _ = bias_head.load_patientnode(ckpt, expected_dim=table.dim)
+                    pn, trained_cfg = bias_head.load_patientnode(ckpt, expected_dim=table.dim)
+                    _check_head_config(ckpt, trained_cfg, head_cfg)
+                    if pn.hidden != cfg.patientnode_hidden:
+                        raise ValueError(f"{ckpt} has {pn.hidden} hidden units; the config "
+                                         f"says head.patientnode_hidden: {cfg.patientnode_hidden}")
                 param_count = pn.param_count
                 bias = bias_head.compute_bias_patientnode(pn, table)
-                ranks = evaluator.compute_rank_table(store, table, bias.values)
+                ranks = evaluator.compute_rank_table(queries, table, [bias.values])[0]
             else:
                 ckpt = os.path.join(out_dir, f"head_seed{run_seed}.json")
                 if train:
@@ -189,10 +208,11 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
                                                 f_a, f_b, head_cfg)
                     bias_head.save_head(head, head_cfg, gates_a, gates_b, ckpt)
                 else:
-                    head, _ = bias_head.load_head(ckpt, gates_a, gates_b)
+                    head, trained_cfg = bias_head.load_head(ckpt, gates_a, gates_b)
+                    _check_head_config(ckpt, trained_cfg, head_cfg)
                 param_count = head.param_count
                 ranks, battery = _evaluate_gated_seed(
-                    cfg, store, table, gates_a, gates_b, f_a, f_b, head, run_seed)
+                    cfg, queries, table, gates_a, gates_b, f_a, f_b, head, run_seed)
             per_seed.append({**evaluator.ranking_metrics(ranks, cfg.eval.ks), **battery,
                              "param_count": param_count})
             for i in range(len(ranks)):
@@ -207,7 +227,7 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
         "method": cfg.method,
         "config": cfg.to_dict(),
         "backbone_checksum": table.checksum(),
-        "query_checksum": query_checksum(store),
+        "query_checksum": query_checksum(queries),
         "dataset": {
             "num_entities": store.num_entities,
             "num_relations": store.num_relations,
@@ -224,22 +244,37 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
     return report
 
 
-def _evaluate_gated_seed(cfg, store, table, gates_a, gates_b, f_a, f_b, head,
+def _check_head_config(path: str, trained: bias_head.HeadTrainConfig,
+                       expected: bias_head.HeadTrainConfig) -> None:
+    """Eval reports the config's head section, so it must be the one the
+    checkpoint was trained with, seed included."""
+    diffs = [f"{f.name} {getattr(trained, f.name)!r} (config: {getattr(expected, f.name)!r})"
+             for f in dataclasses.fields(expected)
+             if getattr(trained, f.name) != getattr(expected, f.name)]
+    if diffs:
+        raise ValueError(f"{path} was trained with other head settings: {', '.join(diffs)}")
+
+
+def _evaluate_gated_seed(cfg, queries, table, gates_a, gates_b, f_a, f_b, head,
                          run_seed) -> tuple[evaluator.RankTable, dict]:
-    """Adapted ranks plus the personalization battery for one trained head."""
+    """Adapted ranks plus the personalization battery for one trained head:
+    one rank sweep for the adapted and both counterfactual biases, one
+    alignment sweep for the base, adapted and placebo biases."""
     bias = bias_head.compute_bias(head, gates_a, gates_b, f_a, f_b)
-    ranks = evaluator.compute_rank_table(store, table, bias.values)
-    ctx = EvalContext(store=store, table=table, gates_a=gates_a, gates_b=gates_b,
-                      f_a=f_a, f_b=f_b, head=head, bias=bias, ranks_adapted=ranks)
-    alignment = evaluator.measure_alignment(ctx, cfg.eval.percentile_p)
+    ctx = EvalContext(gates_a=gates_a, gates_b=gates_b, f_a=f_a, f_b=f_b, head=head, bias=bias)
+    cr_bias = [evaluator.counterfactual_bias(ctx, g, cfg.eval.epsilon) for g in ("A", "B")]
+    ranks, ranks_a, ranks_b = evaluator.compute_rank_table(
+        queries, table, [bias.values, *(b.values for b in cr_bias)])
+    alignment = evaluator.measure_alignment(ctx, queries, table, cfg.eval.percentile_p,
+                                            cfg.eval.n_shuffles, seed=run_seed)
     base_mean = float(alignment.base_pq.mean())
     adapted_mean = float(alignment.adapted_pq.mean())
     delta, p_value = evaluator.alignment_delta_test(
         base_mean, adapted_mean,
         np.stack([alignment.base_pq, alignment.adapted_pq], axis=1), seed=run_seed)
-    cr_a = evaluator.counterfactual_responsiveness(ctx, "A", cfg.eval.epsilon)
-    cr_b = evaluator.counterfactual_responsiveness(ctx, "B", cfg.eval.epsilon)
-    placebo = evaluator.placebo_validation(ctx, alignment, cfg.eval.n_shuffles, seed=run_seed)
+    cr_a = evaluator.counterfactual_responsiveness(bias, "A", ranks, ranks_a)
+    cr_b = evaluator.counterfactual_responsiveness(bias, "B", ranks, ranks_b)
+    placebo = evaluator.placebo_validation(alignment)
     return ranks, {
         f"alignment@{ALIGNMENT_K}_base": base_mean,
         f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,

@@ -37,6 +37,30 @@ def store_from_labels(train, valid=(), test=()):
                        test=te, known_tails=known)
 
 
+def random_store(rng, n_entities, n_relations, n_train, n_test, n_valid=0):
+    """TripleStore of uniformly drawn triples; known_tails is rebuilt by hand
+    from the train and valid draws."""
+    ev, rv = Vocab(), Vocab()
+    for i in range(n_entities):
+        ev.add(f"e{i}")
+    for r in range(n_relations):
+        rv.add(f"r{r}")
+
+    def draw(n):
+        return np.column_stack([rng.integers(0, n_entities, n),
+                                rng.integers(0, n_relations, n),
+                                rng.integers(0, n_entities, n)]).astype(np.int64).reshape(-1, 3)
+
+    train, test = draw(n_train), draw(n_test)
+    valid = draw(n_valid)
+    known = {}
+    for h, r, t in [*train.tolist(), *valid.tolist()]:
+        known.setdefault((h, r), set()).add(t)
+    known = {k: np.array(sorted(v), dtype=np.int64) for k, v in known.items()}
+    return TripleStore(entity_vocab=ev, relation_vocab=rv, train=train, valid=valid,
+                       test=test, known_tails=known)
+
+
 def gates_from_dense(dense, group="A", attrs=None):
     """GateMatrix built row by row from a dense 0/1 membership matrix."""
     dense = np.asarray(dense)

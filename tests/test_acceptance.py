@@ -19,12 +19,11 @@ import pytest
 from gatedbias import bias_head, evaluator
 from gatedbias.cli import main as cli_main
 from gatedbias.config import config_from_dict, load_config
-from gatedbias.kg_store import (TripleStore, Vocab, build_gates, build_universe,
-                                make_grouping)
+from gatedbias.kg_store import build_gates, build_universe, make_grouping
 from gatedbias.pipeline import run_compare, run_pipeline
 from gatedbias.synth import SynthParams, generate
 from helpers import (central_difference, make_features, make_head,
-                     random_gates, random_table, store_from_labels)
+                     random_gates, random_store, random_table, store_from_labels)
 
 
 @contextmanager
@@ -85,28 +84,6 @@ def aggregate_mean(report, key):
 # 1. constant-bias invariance
 # ---------------------------------------------------------------------------
 
-def random_store(rng, n_entities, n_relations, n_train, n_test):
-    ev, rv = Vocab(), Vocab()
-    for i in range(n_entities):
-        ev.add(f"e{i}")
-    for r in range(n_relations):
-        rv.add(f"r{r}")
-
-    def draw(n):
-        return np.column_stack([rng.integers(0, n_entities, n),
-                                rng.integers(0, n_relations, n),
-                                rng.integers(0, n_entities, n)]).astype(np.int64)
-
-    train, test = draw(n_train), draw(n_test)
-    known = {}
-    for h, r, t in train.tolist():
-        known.setdefault((h, r), set()).add(t)
-    known = {k: np.array(sorted(v), dtype=np.int64) for k, v in known.items()}
-    return TripleStore(entity_vocab=ev, relation_vocab=rv, train=train,
-                       valid=np.empty((0, 3), dtype=np.int64), test=test,
-                       known_tails=known)
-
-
 def test_c1_constant_bias_invariance():
     with criterion("1 constant-bias invariance"):
         t0 = time.perf_counter()
@@ -114,10 +91,11 @@ def test_c1_constant_bias_invariance():
         store = random_store(rng, n_entities=100, n_relations=4,
                              n_train=400, n_test=200)
         table = random_table(rng, 100, 4, 16)
-        base = evaluator.compute_rank_table(store, table, None)
-        for c in (-5.0, 0.3, 10.0):
-            shifted = evaluator.compute_rank_table(store, table, np.full(100, c))
-            assert np.array_equal(shifted.ranks, base.ranks), f"c={c}"
+        queries = evaluator.query_set(store)
+        base, *shifted = evaluator.compute_rank_table(
+            queries, table, [np.zeros(100), *(np.full(100, c) for c in (-5.0, 0.3, 10.0))])
+        for c, ranks in zip((-5.0, 0.3, 10.0), shifted):
+            assert np.array_equal(ranks.ranks, base.ranks), f"c={c}"
         assert time.perf_counter() - t0 < 5.0
 
 

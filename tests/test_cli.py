@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+import yaml
 
 from gatedbias.cli import main
 from gatedbias.config import save_config
@@ -87,6 +88,24 @@ def test_eval_reuses_run_directory(cfg_path, run_out, capsys):
     assert "report written to" in capsys.readouterr().out
     with open(os.path.join(run_out, "report.json"), encoding="utf-8") as fh:
         assert json.load(fh)["artifact"] == "gatedbias-eval"
+
+
+def test_eval_refuses_heads_trained_with_other_epochs(cfg_path, tmp_path, capsys):
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    paths = {}
+    for epochs in (2, 7):
+        raw["head"]["epochs"] = epochs
+        paths[epochs] = str(tmp_path / f"epochs{epochs}.yaml")
+        save_config(raw, paths[epochs])
+    out = str(tmp_path / "run")
+    assert main(["run", paths[2], "--out", out, "--n-shuffles", "1"]) == 0
+    capsys.readouterr()
+    assert main(["eval", paths[7], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "[evaluate]" in err and "epochs 2 (config: 7)" in err
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["artifact"] == "gatedbias-run"
 
 
 def test_eval_without_checkpoints_fails(cfg_path, tmp_path, capsys):

@@ -5,14 +5,14 @@ import pytest
 
 from gatedbias.bias_head import BiasVector, compute_bias
 from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, EvalContext, EvalReport,
-                                 RankTable, aligned_set, alignment_at_k,
-                                 alignment_delta_test, alignment_per_query,
-                                 compute_rank_table, counterfactual_responsiveness,
-                                 filtered_rank, mean_stderr, measure_alignment,
-                                 placebo_validation, query_filters, ranking_metrics,
-                                 topk_filtered)
+                                 RankTable, aligned_set, alignment_delta_test,
+                                 compute_rank_table, counterfactual_bias,
+                                 counterfactual_responsiveness, mean_stderr,
+                                 measure_alignment, placebo_validation, query_set,
+                                 ranking_metrics)
 from helpers import (gates_from_dense, make_features, make_head, random_table,
                      store_from_labels)
+from oracles import alignment_at_k, alignment_per_query, filtered_rank, topk_filtered
 
 
 def zero_table(n_entities, n_relations=1, dim=4):
@@ -22,7 +22,7 @@ def zero_table(n_entities, n_relations=1, dim=4):
 
 
 # ---------------------------------------------------------------------------
-# filtered_rank / topk_filtered
+# filtered_rank / topk_filtered (the per-query oracles of the engine)
 # ---------------------------------------------------------------------------
 
 def test_filtered_rank_top_scorer():
@@ -89,7 +89,7 @@ def test_compute_rank_table_matches_manual_loop():
     table = random_table(rng, store.num_entities, store.num_relations, 4)
     bias = rng.standard_normal(store.num_entities)
 
-    got = compute_rank_table(store, table, bias_values=bias)
+    got, = compute_rank_table(query_set(store), table, [bias])
 
     for i, (h, r, t) in enumerate(store.test):
         scores = table.score_all_tails(int(h), int(r)) + bias
@@ -106,17 +106,21 @@ def test_compute_rank_table_matches_manual_loop():
 def test_compute_rank_table_empty_split_raises():
     store = store_from_labels(train=[("a", "r", "b")])
     table = zero_table(store.num_entities)
-    with pytest.raises(ValueError, match="no triples"):
-        compute_rank_table(store, table)
+    with pytest.raises(ValueError, match="no test triples"):
+        compute_rank_table(query_set(store), table)
 
 
 def test_query_filters_order_and_content():
     store = store_from_labels(train=[("a", "r", "b"), ("a", "r", "c")],
                               test=[("a", "r", "d"), ("b", "r", "a")])
-    filters = query_filters(store, "test")
-    assert filters[0].tolist() == sorted([store.entity_vocab.id("b"),
-                                          store.entity_vocab.id("c")])
-    assert filters[1].size == 0
+    queries = query_set(store)
+    assert len(queries) == 2
+    assert queries.filter(0).tolist() == sorted([store.entity_vocab.id("b"),
+                                                 store.entity_vocab.id("c")])
+    assert queries.filter(1).size == 0
+    assert queries.filter_indptr.tolist() == [0, 2, 2]
+    assert queries.filter_indices.dtype == np.int32
+    assert queries.true_tails.tolist() == store.test[:, 2].tolist()
 
 
 def rank_table_of(ranks):
@@ -315,6 +319,23 @@ def test_alignment_delta_test_validation():
 # counterfactual responsiveness
 # ---------------------------------------------------------------------------
 
+def gated_setup(store, head, ga, gb, f_a, f_b):
+    """Context, queries, zero backbone and adapted ranks of one trained head."""
+    table = zero_table(store.num_entities)
+    bias = compute_bias(head, ga, gb, f_a, f_b)
+    ctx = EvalContext(gates_a=ga, gates_b=gb, f_a=f_a, f_b=f_b, head=head, bias=bias)
+    queries = query_set(store)
+    ranks, = compute_rank_table(queries, table, [bias.values])
+    return ctx, queries, table, ranks
+
+
+def cr_of(setup, group, epsilon):
+    ctx, queries, table, ranks = setup
+    after, = compute_rank_table(queries, table,
+                                [counterfactual_bias(ctx, group, epsilon).values])
+    return counterfactual_responsiveness(ctx.bias, group, ranks, after)
+
+
 def crossing_context():
     """Two test tails with bias from different groups: t_in (A, bias 1.0) sits
     behind t_out (B, bias 2.0), so boosting A can flip the order."""
@@ -331,35 +352,26 @@ def crossing_context():
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(dense_b, group="B")
     head = make_head([2.0], [4.0])
-    f_a = make_features(ga, [0.5])
-    f_b = make_features(gb, [0.5])
-    table = zero_table(n)
-    bias = compute_bias(head, ga, gb, f_a, f_b)
-    ranks = compute_rank_table(store, table, bias.values)
-    return EvalContext(store=store, table=table, gates_a=ga, gates_b=gb,
-                       f_a=f_a, f_b=f_b, head=head, bias=bias, ranks_adapted=ranks)
+    return gated_setup(store, head, ga, gb, make_features(ga, [0.5]), make_features(gb, [0.5]))
 
 
 def test_cr_zero_epsilon_is_exactly_zero():
-    ctx = crossing_context()
-    res = counterfactual_responsiveness(ctx, "A", 0.0)
+    res = cr_of(crossing_context(), "A", 0.0)
     assert res.cr == 0.0
     assert res.pct_improved == 0.0
     assert res.n_in == 1 and res.n_out == 1
 
 
 def test_cr_negative_when_boost_flips_the_order():
-    ctx = crossing_context()
     # bias(t_in) goes 1.0 -> 2.5, overtaking t_out at 2.0
-    res = counterfactual_responsiveness(ctx, "A", 1.5)
+    res = cr_of(crossing_context(), "A", 1.5)
     assert res.cr == -2.0  # in-group delta -1, out-group delta +1
     assert res.pct_improved == 1.0
 
 
 def test_cr_other_group_unmoved_scores_zero():
-    ctx = crossing_context()
     # boosting B only widens an existing lead; no rank crosses
-    res = counterfactual_responsiveness(ctx, "B", 1.5)
+    res = cr_of(crossing_context(), "B", 1.5)
     assert res.cr == 0.0
 
 
@@ -373,23 +385,20 @@ def test_cr_one_sided_split_returns_none(caplog):
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(np.zeros((n, 1)), group="B")
     head = make_head([1.0], [0.0])
-    f_a, f_b = make_features(ga, [0.5]), make_features(gb, [0.0])
-    table = zero_table(n)
-    bias = compute_bias(head, ga, gb, f_a, f_b)
-    ranks = compute_rank_table(store, table, bias.values)
-    ctx = EvalContext(store=store, table=table, gates_a=ga, gates_b=gb,
-                      f_a=f_a, f_b=f_b, head=head, bias=bias, ranks_adapted=ranks)
+    setup = gated_setup(store, head, ga, gb, make_features(ga, [0.5]), make_features(gb, [0.0]))
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        assert counterfactual_responsiveness(ctx, "A", 0.1) is None
+        assert cr_of(setup, "A", 0.1) is None
     assert "undefined" in caplog.text
 
 
 def test_cr_validation():
-    ctx = crossing_context()
+    ctx, _, _, ranks = crossing_context()
     with pytest.raises(ValueError, match="group"):
-        counterfactual_responsiveness(ctx, "C", 0.1)
+        counterfactual_bias(ctx, "C", 0.1)
+    with pytest.raises(ValueError, match="group"):
+        counterfactual_responsiveness(ctx.bias, "C", ranks, ranks)
     with pytest.raises(ValueError, match="epsilon"):
-        counterfactual_responsiveness(ctx, "A", -0.1)
+        counterfactual_bias(ctx, "A", -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +417,14 @@ def placebo_context(w_a=3.0):
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(np.zeros((n, 2)), group="B")
     head = make_head([w_a, 0.0], [0.0, 0.0])
-    f_a = make_features(ga, [0.4, 0.4])
-    f_b = make_features(gb, [0.25, 0.25])
-    table = zero_table(n)
-    bias = compute_bias(head, ga, gb, f_a, f_b)
-    ranks = compute_rank_table(store, table, bias.values)
-    return EvalContext(store=store, table=table, gates_a=ga, gates_b=gb,
-                       f_a=f_a, f_b=f_b, head=head, bias=bias, ranks_adapted=ranks)
+    ctx, queries, table, _ = gated_setup(store, head, ga, gb, make_features(ga, [0.4, 0.4]),
+                                         make_features(gb, [0.25, 0.25]))
+    return ctx, queries, table
 
 
 def test_placebo_constant_features_give_ratio_one():
-    ctx = placebo_context()
-    res = placebo_validation(ctx, measure_alignment(ctx, 70), n_shuffles=3, seed=0)
+    ctx, queries, table = placebo_context()
+    res = placebo_validation(measure_alignment(ctx, queries, table, 70, n_shuffles=3, seed=0))
     # the target entity enters the top-10 only under the real bias
     assert res.real_delta == 1.0 / ALIGNMENT_K
     assert res.per_shuffle == [res.real_delta] * 3
@@ -428,18 +433,19 @@ def test_placebo_constant_features_give_ratio_one():
 
 
 def test_placebo_zero_bias_has_no_ratio(caplog):
-    ctx = placebo_context(w_a=0.0)
+    ctx, queries, table = placebo_context(w_a=0.0)
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        res = placebo_validation(ctx, measure_alignment(ctx, 70), n_shuffles=2, seed=0)
+        res = placebo_validation(measure_alignment(ctx, queries, table, 70, n_shuffles=2,
+                                                   seed=0))
     assert res.real_delta == 0.0
     assert res.shuffled_delta_mean == 0.0
     assert res.ratio is None
 
 
 def test_placebo_validation_errors():
-    ctx = placebo_context()
+    ctx, queries, table = placebo_context()
     with pytest.raises(ValueError, match="n_shuffles"):
-        placebo_validation(ctx, measure_alignment(ctx, 70), n_shuffles=0, seed=0)
+        measure_alignment(ctx, queries, table, 70, n_shuffles=0, seed=0)
 
 
 # ---------------------------------------------------------------------------

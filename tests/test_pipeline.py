@@ -1,14 +1,18 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from gatedbias.config import config_from_dict
 from gatedbias.errors import PipelineError
+from gatedbias.evaluator import query_set
 from gatedbias.kg_store import load_grouping, load_triples, make_grouping
+from gatedbias.profile_builder import load_interactions
 from gatedbias.pipeline import (METHOD_ORDER, format_comparison, query_checksum,
                                 run_compare, run_eval, run_pipeline, task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate
@@ -164,6 +168,101 @@ def test_run_eval_reproduces_run_pipeline(method, data_dir, tmp_path, monkeypatc
         assert fh.read() == ranks_bytes
 
 
+@pytest.mark.parametrize("method,field,trained,configured", [
+    ("gatedbias", "epochs", 2, 7),
+    ("gatedbias", "seed", 0, 5),
+    ("patientnode", "epochs", 2, 7),
+    ("patientnode", "patientnode_hidden", 4, 6),
+])
+def test_run_eval_refuses_heads_trained_with_other_settings(method, field, trained, configured,
+                                                            data_dir, tmp_path):
+    head = {"batch_size": 64, "learning_rate": 0.1, "epochs": 2, "patientnode_hidden": 4}
+    run_pipeline(tiny_cfg(data_dir, method, head={**head, field: trained}), str(tmp_path))
+    with pytest.raises(PipelineError) as exc:
+        run_eval(tiny_cfg(data_dir, method, head={**head, field: configured}), str(tmp_path))
+    assert exc.value.stage == "evaluate"
+    assert field in str(exc.value) and str(configured) in str(exc.value)
+
+
+def synthetic_cfg(method="gatedbias"):
+    return config_from_dict({
+        "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5,
+                               "n_users": 10, "seed": 0}},
+        "backbone": {"dim": 8, "epochs": 2, "learning_rate": 0.5, "batch_size": 64},
+        "head": {"batch_size": 64, "learning_rate": 0.1, "epochs": 2},
+        "eval": {"seeds": [0], "n_shuffles": 2},
+        "method": method,
+    })
+
+
+def test_run_eval_reads_the_synthetic_dataset_of_the_run(tmp_path):
+    out = str(tmp_path / "run")
+    report = run_pipeline(synthetic_cfg(), out)
+    dataset = os.path.join(out, "dataset")
+
+    def snapshot():
+        files = {}
+        for root, _, names in os.walk(dataset):
+            for name in names:
+                path = os.path.join(root, name)
+                with open(path, "rb") as fh:
+                    files[path] = (fh.read(), os.stat(path).st_mtime_ns)
+        return files
+
+    before = snapshot()
+    eval_report = run_eval(synthetic_cfg(), out)
+    assert snapshot() == before
+    drop = ("timestamp", "artifact")
+    assert {k: v for k, v in report.items() if k not in drop} == \
+           {k: v for k, v in eval_report.items() if k not in drop}
+
+    other = dataclasses.replace(synthetic_cfg(), data=dataclasses.replace(
+        synthetic_cfg().data, synthetic={**synthetic_cfg().data.synthetic, "seed": 1}))
+    with pytest.raises(PipelineError) as exc:
+        run_eval(other, out)
+    assert exc.value.stage == "data" and "generated with" in str(exc.value)
+    assert snapshot() == before
+
+    shutil.rmtree(dataset)
+    with pytest.raises(PipelineError) as exc:
+        run_eval(synthetic_cfg(), out)
+    assert exc.value.stage == "data"
+    assert "run the pipeline first" in str(exc.value)
+
+
+def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
+    crlf = str(tmp_path / "crlf")
+    shutil.copytree(data_dir, crlf)
+    for rel in ("triples/train.tsv", "triples/valid.tsv", "triples/test.tsv",
+                "interactions.tsv"):
+        path = os.path.join(crlf, rel)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert b"\r" not in data
+        with open(path, "wb") as fh:
+            fh.write(data.replace(b"\n", b"\r\n"))
+
+    lf_store = load_triples(os.path.join(data_dir, "triples"))
+    crlf_store = load_triples(os.path.join(crlf, "triples"))
+    assert crlf_store.entity_vocab.labels() == lf_store.entity_vocab.labels()
+    assert crlf_store.relation_vocab.labels() == lf_store.relation_vocab.labels()
+    lf_log = load_interactions(os.path.join(data_dir, "interactions.tsv"), lf_store)
+    crlf_log = load_interactions(os.path.join(crlf, "interactions.tsv"), crlf_store)
+    assert crlf_log.users() == lf_log.users()
+    assert all(np.array_equal(crlf_log.interactions[u], lf_log.interactions[u])
+               for u in lf_log.users())
+
+    _, report, _, ranks_bytes = gated_run
+    again = run_pipeline(tiny_cfg(crlf), str(tmp_path / "out"))
+    drop = ("timestamp", "config")
+    assert {k: v for k, v in again.items() if k not in drop} == \
+           {k: v for k, v in report.items() if k not in drop}
+    assert {k: v for k, v in again["config"].items() if k != "data"} == \
+           {k: v for k, v in report["config"].items() if k != "data"}
+    with open(str(tmp_path / "out" / "ranks.tsv"), "rb") as fh:
+        assert fh.read() == ranks_bytes
+
+
 def test_run_eval_without_checkpoints(data_dir, tmp_path):
     with pytest.raises(PipelineError) as exc:
         run_eval(tiny_cfg(data_dir), str(tmp_path))
@@ -208,12 +307,17 @@ def test_task_train_store_keeps_task_relations(store, data_dir, caplog):
 
 
 def test_query_checksum_tracks_queries(store):
-    qc = query_checksum(store)
-    assert qc == query_checksum(store)
+    qc = query_checksum(query_set(store))
+    assert qc == query_checksum(query_set(store))
     fewer = dataclasses.replace(store, test=store.test[:-1])
     reordered = dataclasses.replace(store, test=store.test[::-1].copy())
-    assert query_checksum(fewer) != qc
-    assert query_checksum(reordered) != qc
+    assert query_checksum(query_set(fewer)) != qc
+    assert query_checksum(query_set(reordered)) != qc
+    # the digest layout: test triples as int64, then every filter as int64
+    digest = hashlib.sha256(store.test.astype(np.int64).tobytes())
+    for h, r, _ in store.test.tolist():
+        digest.update(store.known_tails.get((h, r), np.empty(0, np.int64)).tobytes())
+    assert qc == digest.hexdigest()
 
 
 def test_gatedbias_requires_profile_inputs(data_dir, tmp_path):
