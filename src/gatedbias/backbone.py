@@ -22,6 +22,8 @@ _HEADER = struct.Struct("<4sQQQ")
 
 @dataclass
 class BackboneTrainConfig:
+    """Backbone trainer settings; config_from_dict checks their ranges."""
+
     dim: int = 32
     epochs: int = 200
     learning_rate: float = 0.05
@@ -29,15 +31,6 @@ class BackboneTrainConfig:
     negatives_per_positive: int = 1
     margin: float = 1.0
     seed: int = 0
-
-    def validate(self) -> None:
-        for name in ("dim", "learning_rate", "batch_size", "negatives_per_positive", "margin"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"backbone config: {name} must be positive")
-        if self.epochs < 0:  # epochs=0 is the documented no-op training case
-            raise ValueError("backbone config: epochs must be >= 0")
-        if self.seed < 0:
-            raise ValueError("backbone config: seed must be an unsigned int")
 
 
 class EmbeddingTable:
@@ -118,7 +111,6 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
     Deterministic given cfg.seed; returns a frozen table. Internal math runs
     in float64, storage is float32.
     """
-    cfg.validate()
     if store.train.shape[0] == 0:
         raise ValueError("cannot train backbone on an empty train split")
 

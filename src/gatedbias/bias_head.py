@@ -4,13 +4,15 @@ The gated head holds per-group weight vectors and scalar gates; its per-entity
 bias is alpha_A * <w_A, g_A(t) * f_A> + alpha_B * <w_B, g_B(t) * f_B>,
 precomputed in one sparse pass. Training minimizes a pairwise hinge loss with
 L1/L2 regularization, touching only the head parameters. A profile-agnostic
-MLP head (PatientNode) is provided as an ablation.
+MLP head (PatientNode) is provided as an ablation; both heads share one SGD
+loop and one checkpoint format, which binds a head to its backbone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +35,6 @@ class BiasHead:
     def param_count(self) -> int:
         return len(self.w_a) + len(self.w_b) + 2
 
-    def copy(self) -> "BiasHead":
-        return BiasHead(self.w_a.copy(), self.w_b.copy(), self.alpha_a, self.alpha_b)
-
 
 @dataclass
 class BiasVector:
@@ -48,6 +47,8 @@ class BiasVector:
 
 @dataclass
 class HeadTrainConfig:
+    """Head trainer settings; config_from_dict checks their ranges."""
+
     batch_size: int = 4096
     learning_rate: float = 1e-3
     epochs: int = 5
@@ -55,15 +56,6 @@ class HeadTrainConfig:
     lambda2: float = 1e-4
     negatives_per_positive: int = 1
     seed: int = 0
-
-    def validate(self) -> None:
-        for name in ("batch_size", "learning_rate", "epochs", "negatives_per_positive"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"head config: {name} must be positive")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("head config: lambdas must be >= 0")
-        if self.seed < 0:
-            raise ValueError("head config: seed must be an unsigned int")
 
 
 def new_head(gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
@@ -88,24 +80,6 @@ def compute_bias(head: BiasHead, gates_a: GateMatrix, gates_b: GateMatrix,
     return BiasVector(values=contrib_a + contrib_b, contrib_a=contrib_a, contrib_b=contrib_b)
 
 
-def personalized_scores(table: EmbeddingTable, bias: BiasVector, h: int, r: int) -> np.ndarray:
-    """s'(h, r, t) = backbone score + bias, for every candidate tail t."""
-    scores = table.score_all_tails(h, r)
-    if bias.values.shape[0] != scores.shape[0]:
-        raise ValueError(
-            f"bias length {bias.values.shape[0]} != entity count {scores.shape[0]}"
-        )
-    return scores + bias.values
-
-
-@dataclass
-class HeadGrads:
-    w_a: np.ndarray
-    w_b: np.ndarray
-    alpha_a: float
-    alpha_b: float
-
-
 def head_loss_and_grad(
     head: BiasHead,
     table: EmbeddingTable,
@@ -119,8 +93,9 @@ def head_loss_and_grad(
     t_neg: np.ndarray,
     lambda1: float,
     lambda2: float,
-) -> tuple[float, HeadGrads]:
-    """Batch hinge loss (margin 1) plus regularizers, with analytic gradients.
+) -> tuple[float, BiasHead]:
+    """Batch hinge loss (margin 1) plus regularizers, with analytic gradients
+    returned as a BiasHead of the same shape.
 
     The hinge term is averaged over pairs; regularizers enter at full strength.
     L1 subgradient at zero is taken as 0.
@@ -167,7 +142,7 @@ def head_loss_and_grad(
         g += lambda1 * np.sign(w) + 2.0 * lambda2 * w
         return g
 
-    grads = HeadGrads(
+    grads = BiasHead(
         w_a=grad_w(gates_a, f_a, head.w_a, head.alpha_a, "a_pos", "a_neg"),
         w_b=grad_w(gates_b, f_b, head.w_b, head.alpha_b, "b_pos", "b_neg"),
         alpha_a=float(-(active * (dots["a_pos"] - dots["a_neg"])).sum() / n_pairs),
@@ -176,10 +151,37 @@ def head_loss_and_grad(
     return loss, grads
 
 
-def _sample_negatives(rng: np.random.Generator, t_pos: np.ndarray, num_entities: int) -> np.ndarray:
-    neg = rng.integers(0, num_entities - 1, size=t_pos.shape[0])
-    neg[neg >= t_pos] += 1
-    return neg
+def _sgd(head, loss_and_grad, store: TripleStore, table: EmbeddingTable,
+         cfg: HeadTrainConfig, what: str):
+    """Mini-batch gradient descent on every field of head; returns head.
+
+    loss_and_grad(head, heads, rels, t_pos, t_neg) returns the batch loss and
+    a gradient of head's own type. Negatives are uniform corrupt tails
+    (excluding the positive) resampled each epoch. Deterministic given
+    cfg.seed; the backbone stays frozen.
+    """
+    if not table.frozen:
+        raise ValueError(f"backbone must be frozen before {what} training")
+    if store.train.shape[0] == 0:
+        raise ValueError(f"cannot train {what} on an empty train split")
+    rng = np.random.default_rng(cfg.seed)
+    train = store.train
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(train.shape[0])
+        pos = np.repeat(train[order], cfg.negatives_per_positive, axis=0)
+        t_neg = rng.integers(0, store.num_entities - 1, size=pos.shape[0])
+        t_neg[t_neg >= pos[:, 2]] += 1
+        for start in range(0, pos.shape[0], cfg.batch_size):
+            sl = slice(start, start + cfg.batch_size)
+            loss, grad = loss_and_grad(head, pos[sl, 0], pos[sl, 1], pos[sl, 2], t_neg[sl])
+            if not np.isfinite(loss):
+                raise RuntimeError(
+                    f"non-finite {what} loss {loss} at epoch {epoch}, batch offset {start}"
+                )
+            for f in dataclasses.fields(head):
+                setattr(head, f.name,
+                        getattr(head, f.name) - cfg.learning_rate * getattr(grad, f.name))
+    return head
 
 
 def train_head(
@@ -191,43 +193,12 @@ def train_head(
     f_b: ProfileFeatures,
     cfg: HeadTrainConfig,
 ) -> BiasHead:
-    """Mini-batch gradient descent on {w_a, w_b, alpha_a, alpha_b} only.
+    """Train {w_a, w_b, alpha_a, alpha_b} from a zero head; nothing else moves."""
+    def loss_and_grad(head, *batch):
+        return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, *batch,
+                                  cfg.lambda1, cfg.lambda2)
 
-    The backbone stays frozen; negatives are uniform corrupt tails (excluding
-    the positive) resampled each epoch. Deterministic given cfg.seed.
-    """
-    cfg.validate()
-    if not table.frozen:
-        raise ValueError("backbone must be frozen before head training")
-    if store.train.shape[0] == 0:
-        raise ValueError("cannot train head on an empty train split")
-
-    head = new_head(gates_a, gates_b)
-    rng = np.random.default_rng(cfg.seed)
-    train = store.train
-    nE = store.num_entities
-    npp = cfg.negatives_per_positive
-
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train.shape[0])
-        pos = np.repeat(train[order], npp, axis=0)
-        t_neg_all = _sample_negatives(rng, pos[:, 2], nE)
-        for start in range(0, pos.shape[0], cfg.batch_size):
-            sl = slice(start, start + cfg.batch_size)
-            loss, grads = head_loss_and_grad(
-                head, table, gates_a, gates_b, f_a, f_b,
-                pos[sl, 0], pos[sl, 1], pos[sl, 2], t_neg_all[sl],
-                cfg.lambda1, cfg.lambda2,
-            )
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite head loss {loss} at epoch {epoch}, batch offset {start}"
-                )
-            head.w_a -= cfg.learning_rate * grads.w_a
-            head.w_b -= cfg.learning_rate * grads.w_b
-            head.alpha_a -= cfg.learning_rate * grads.alpha_a
-            head.alpha_b -= cfg.learning_rate * grads.alpha_b
-    return head
+    return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, table, cfg, "head")
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +240,6 @@ def new_patientnode(dim: int, hidden: int, seed: int) -> PatientNodeHead:
     )
 
 
-@dataclass
-class PatientNodeGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-
 def patientnode_loss_and_grad(
     head: PatientNodeHead,
     table: EmbeddingTable,
@@ -286,16 +249,17 @@ def patientnode_loss_and_grad(
     t_neg: np.ndarray,
     lambda1: float = 0.0,
     lambda2: float = 0.0,
-) -> tuple[float, PatientNodeGrads]:
+) -> tuple[float, PatientNodeHead]:
     """Same pairwise hinge as the gated head; backprop through the tiny MLP.
+    The gradient is returned as a PatientNodeHead of the same shape.
 
     Regularizers (when configured) apply to the weight matrices, not biases.
     """
     n_pairs = len(t_pos)
-    ent = table._as64()[0]
     s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
 
-    e_pos, e_neg = ent[t_pos], ent[t_neg]
+    e_pos = table.entity_emb[t_pos].astype(np.float64)
+    e_neg = table.entity_emb[t_neg].astype(np.float64)
     z_pos = e_pos @ head.w1.T + head.b1
     z_neg = e_neg @ head.w1.T + head.b1
     a_pos, a_neg = np.maximum(z_pos, 0.0), np.maximum(z_neg, 0.0)
@@ -322,7 +286,7 @@ def patientnode_loss_and_grad(
 
     g_w1 += lambda1 * np.sign(head.w1) + 2.0 * lambda2 * head.w1
     g_w2 += lambda1 * np.sign(head.w2) + 2.0 * lambda2 * head.w2
-    return loss, PatientNodeGrads(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+    return loss, PatientNodeHead(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
 def train_patientnode(
@@ -334,113 +298,96 @@ def train_patientnode(
     lambda2: float = 0.0,
 ) -> PatientNodeHead:
     """Train the MLP ablation; profile features and gates are never consulted."""
-    cfg.validate()
-    if not table.frozen:
-        raise ValueError("backbone must be frozen before head training")
-    head = new_patientnode(table.dim, hidden, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    train = store.train
-    nE = store.num_entities
-    npp = cfg.negatives_per_positive
+    def loss_and_grad(head, *batch):
+        return patientnode_loss_and_grad(head, table, *batch, lambda1, lambda2)
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train.shape[0])
-        pos = np.repeat(train[order], npp, axis=0)
-        t_neg_all = _sample_negatives(rng, pos[:, 2], nE)
-        for start in range(0, pos.shape[0], cfg.batch_size):
-            sl = slice(start, start + cfg.batch_size)
-            loss, grads = patientnode_loss_and_grad(
-                head, table, pos[sl, 0], pos[sl, 1], pos[sl, 2], t_neg_all[sl],
-                lambda1, lambda2,
-            )
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite patientnode loss {loss} at epoch {epoch}, batch offset {start}"
-                )
-            head.w1 -= cfg.learning_rate * grads.w1
-            head.b1 -= cfg.learning_rate * grads.b1
-            head.w2 -= cfg.learning_rate * grads.w2
-            head.b2 -= cfg.learning_rate * grads.b2
-    return head
+    return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, table,
+                cfg, "patientnode")
 
 
-def compute_bias_patientnode(head: PatientNodeHead, table: EmbeddingTable) -> BiasVector:
+def compute_bias_patientnode(head: PatientNodeHead, table: EmbeddingTable) -> np.ndarray:
     """Fixed bias per entity from its embedding; identical for every profile."""
-    values = head.bias_for(table._as64()[0])
-    # no group structure: the whole bias is reported as one contribution
-    return BiasVector(values=values, contrib_a=values, contrib_b=np.zeros_like(values))
+    return head.bias_for(table.entity_emb.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints
+# Checkpoints: JSON holding the head's fields, its train config and the
+# checksums of what it was trained against (the backbone, and for the gated
+# head the two attribute universes). Loading refuses any other backbone.
 # ---------------------------------------------------------------------------
 
-def save_head(head: BiasHead, cfg: HeadTrainConfig, gates_a: GateMatrix,
-              gates_b: GateMatrix, path: str) -> None:
-    payload = {
-        "kind": "gatedbias-head",
-        "universe_checksum_a": gates_a.universe.checksum(),
-        "universe_checksum_b": gates_b.universe.checksum(),
-        "w_a": head.w_a.tolist(),
-        "w_b": head.w_b.tolist(),
-        "alpha_a": head.alpha_a,
-        "alpha_b": head.alpha_b,
-        "train_config": vars(cfg),
-    }
+_KIND = {BiasHead: "gatedbias-head", PatientNodeHead: "patientnode-head"}
+
+
+def _write_checkpoint(path: str, head, cfg: HeadTrainConfig, table: EmbeddingTable,
+                      **bindings: str) -> None:
+    payload = {"kind": _KIND[type(head)], "train_config": vars(cfg),
+               "backbone_checksum": table.checksum(), **bindings}
+    for f in dataclasses.fields(head):
+        value = getattr(head, f.name)
+        payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_head(path: str, gates_a: GateMatrix, gates_b: GateMatrix) -> tuple[BiasHead, HeadTrainConfig]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "gatedbias-head":
-        raise CheckpointError(f"{path}: not a gated head checkpoint")
-    for tag, gates in (("a", gates_a), ("b", gates_b)):
-        want = payload[f"universe_checksum_{tag}"]
-        have = gates.universe.checksum()
-        if want != have:
-            raise CheckpointError(
-                f"{path}: universe {tag.upper()} checksum mismatch (checkpoint {want[:12]}..., "
-                f"current {have[:12]}...)"
-            )
-    head = BiasHead(
-        w_a=np.asarray(payload["w_a"], dtype=np.float64),
-        w_b=np.asarray(payload["w_b"], dtype=np.float64),
-        alpha_a=float(payload["alpha_a"]),
-        alpha_b=float(payload["alpha_b"]),
-    )
-    return head, HeadTrainConfig(**payload["train_config"])
+def _read_checkpoint(path: str, cls, cfg: HeadTrainConfig, table: EmbeddingTable,
+                     **bindings: str):
+    """The head of type cls saved at path. Eval reports cfg, so the head must
+    have been trained with it, seed included; the backbone and the other
+    bindings must match the checksums the head was saved with."""
+    kind = _KIND[cls]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict) or payload.get("kind") != kind:
+            raise CheckpointError(f"{path}: not a {kind} checkpoint")
+        trained = payload["train_config"]
+        diffs = [f"{name} {trained.get(name)!r} (config: {want!r})"
+                 for name, want in vars(cfg).items() if trained.get(name) != want]
+        if diffs:
+            raise CheckpointError(f"{path} was trained with other head settings: "
+                                  f"{', '.join(diffs)}")
+        for key, have in {"backbone_checksum": table.checksum(), **bindings}.items():
+            if payload[key] != have:
+                raise CheckpointError(f"{path}: {key} mismatch (checkpoint "
+                                      f"{payload[key]!s:.12}..., current {have:.12}...)")
+        return cls(**{f.name: np.asarray(payload[f.name], dtype=np.float64)
+                      if isinstance(payload[f.name], list) else float(payload[f.name])
+                      for f in dataclasses.fields(cls)})
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing key {exc}") from exc
 
 
-def save_patientnode(head: PatientNodeHead, cfg: HeadTrainConfig, path: str) -> None:
-    payload = {
-        "kind": "patientnode-head",
-        "w1": head.w1.tolist(),
-        "b1": head.b1.tolist(),
-        "w2": head.w2.tolist(),
-        "b2": head.b2,
-        "train_config": vars(cfg),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _universe_bindings(gates_a: GateMatrix, gates_b: GateMatrix) -> dict[str, str]:
+    return {"universe_checksum_a": gates_a.universe.checksum(),
+            "universe_checksum_b": gates_b.universe.checksum()}
 
 
-def load_patientnode(path: str, expected_dim: int | None = None) -> tuple[PatientNodeHead, HeadTrainConfig]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "patientnode-head":
-        raise CheckpointError(f"{path}: not a patientnode checkpoint")
-    head = PatientNodeHead(
-        w1=np.asarray(payload["w1"], dtype=np.float64),
-        b1=np.asarray(payload["b1"], dtype=np.float64),
-        w2=np.asarray(payload["w2"], dtype=np.float64),
-        b2=float(payload["b2"]),
-    )
-    if expected_dim is not None and head.w1.shape[1] != expected_dim:
-        raise CheckpointError(
-            f"{path}: checkpoint dim {head.w1.shape[1]} != backbone dim {expected_dim}"
-        )
-    return head, HeadTrainConfig(**payload["train_config"])
+def save_head(head: BiasHead, cfg: HeadTrainConfig, table: EmbeddingTable,
+              gates_a: GateMatrix, gates_b: GateMatrix, path: str) -> None:
+    _write_checkpoint(path, head, cfg, table, **_universe_bindings(gates_a, gates_b))
+
+
+def load_head(path: str, cfg: HeadTrainConfig, table: EmbeddingTable,
+              gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
+    return _read_checkpoint(path, BiasHead, cfg, table, **_universe_bindings(gates_a, gates_b))
+
+
+def save_patientnode(head: PatientNodeHead, cfg: HeadTrainConfig, table: EmbeddingTable,
+                     path: str) -> None:
+    _write_checkpoint(path, head, cfg, table)
+
+
+def load_patientnode(path: str, cfg: HeadTrainConfig, table: EmbeddingTable,
+                     hidden: int) -> PatientNodeHead:
+    head = _read_checkpoint(path, PatientNodeHead, cfg, table)
+    if head.w1.shape[1] != table.dim:
+        raise CheckpointError(f"{path}: checkpoint dim {head.w1.shape[1]} != backbone dim "
+                              f"{table.dim}")
+    if head.hidden != hidden:
+        raise CheckpointError(f"{path} has {head.hidden} hidden units; the config says "
+                              f"head.patientnode_hidden: {hidden}")
+    return head

@@ -132,6 +132,15 @@ def _as_int_list(v, where: str) -> list[int]:
     return [_as_int(x, where) for x in v]
 
 
+def _check_ranges(settings, where: str, positive, non_negative) -> None:
+    for name in positive:
+        if getattr(settings, name) <= 0:
+            raise ConfigError(f"config: {where}.{name} must be positive")
+    for name in non_negative:
+        if getattr(settings, name) < 0:
+            raise ConfigError(f"config: {where}.{name} must be >= 0")
+
+
 def _resolve(path: str | None, base_dir: str) -> str | None:
     if path is None:
         return None
@@ -204,7 +213,9 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> PipelineConfig:
             else:
                 kwargs[k] = _as_int(bb_node[k], f"backbone.{k}")
         backbone = BackboneTrainConfig(**kwargs)
-        backbone.validate()
+        _check_ranges(backbone, "backbone",
+                      ("dim", "learning_rate", "batch_size", "negatives_per_positive", "margin"),
+                      ("epochs", "seed"))  # epochs=0 is the documented no-op training case
 
     # profile
     prof_node = _require_mapping(raw.get("profile"), "profile")
@@ -230,7 +241,8 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> PipelineConfig:
         else:
             kwargs[k] = _as_int(head_node[k], f"head.{k}")
     head = HeadTrainConfig(**kwargs)
-    head.validate()
+    _check_ranges(head, "head", ("batch_size", "learning_rate", "epochs", "negatives_per_positive"),
+                  ("lambda1", "lambda2", "seed"))
     patientnode_hidden = (_as_int(head_node["patientnode_hidden"], "head.patientnode_hidden")
                           if "patientnode_hidden" in head_node else 16)
     if patientnode_hidden < 1:

@@ -191,25 +191,20 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
                     pn = bias_head.train_patientnode(head_store, table, head_cfg,
                                                      hidden=cfg.patientnode_hidden,
                                                      lambda1=0.0, lambda2=0.0)
-                    bias_head.save_patientnode(pn, head_cfg, ckpt)
+                    bias_head.save_patientnode(pn, head_cfg, table, ckpt)
                 else:
-                    pn, trained_cfg = bias_head.load_patientnode(ckpt, expected_dim=table.dim)
-                    _check_head_config(ckpt, trained_cfg, head_cfg)
-                    if pn.hidden != cfg.patientnode_hidden:
-                        raise ValueError(f"{ckpt} has {pn.hidden} hidden units; the config "
-                                         f"says head.patientnode_hidden: {cfg.patientnode_hidden}")
+                    pn = bias_head.load_patientnode(ckpt, head_cfg, table, cfg.patientnode_hidden)
                 param_count = pn.param_count
                 bias = bias_head.compute_bias_patientnode(pn, table)
-                ranks = evaluator.compute_rank_table(queries, table, [bias.values])[0]
+                ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
             else:
                 ckpt = os.path.join(out_dir, f"head_seed{run_seed}.json")
                 if train:
                     head = bias_head.train_head(head_store, table, gates_a, gates_b,
                                                 f_a, f_b, head_cfg)
-                    bias_head.save_head(head, head_cfg, gates_a, gates_b, ckpt)
+                    bias_head.save_head(head, head_cfg, table, gates_a, gates_b, ckpt)
                 else:
-                    head, trained_cfg = bias_head.load_head(ckpt, gates_a, gates_b)
-                    _check_head_config(ckpt, trained_cfg, head_cfg)
+                    head = bias_head.load_head(ckpt, head_cfg, table, gates_a, gates_b)
                 param_count = head.param_count
                 ranks, battery = _evaluate_gated_seed(
                     cfg, queries, table, gates_a, gates_b, f_a, f_b, head, run_seed)
@@ -242,17 +237,6 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
     }
     _write_report(report, rank_rows, out_dir)
     return report
-
-
-def _check_head_config(path: str, trained: bias_head.HeadTrainConfig,
-                       expected: bias_head.HeadTrainConfig) -> None:
-    """Eval reports the config's head section, so it must be the one the
-    checkpoint was trained with, seed included."""
-    diffs = [f"{f.name} {getattr(trained, f.name)!r} (config: {getattr(expected, f.name)!r})"
-             for f in dataclasses.fields(expected)
-             if getattr(trained, f.name) != getattr(expected, f.name)]
-    if diffs:
-        raise ValueError(f"{path} was trained with other head settings: {', '.join(diffs)}")
 
 
 def _evaluate_gated_seed(cfg, queries, table, gates_a, gates_b, f_a, f_b, head,

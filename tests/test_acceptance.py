@@ -164,7 +164,7 @@ def patientnode_instance_error(rng):
 
     x = rng.uniform(0.1, 0.6, int(offs[-1])) * rng.choice([-1, 1], int(offs[-1]))
     head = unpack(x)
-    ent = table._as64()[0]
+    ent = table.entity_emb.astype(np.float64)
     z = np.concatenate([(ent[tp] @ head.w1.T + head.b1).ravel(),
                         (ent[tn] @ head.w1.T + head.b1).ravel()])
     margins = (table.score_triples(h, r, tp) + head.bias_for(ent[tp])

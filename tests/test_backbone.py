@@ -132,18 +132,6 @@ def test_train_empty_store_raises():
         train_backbone(store, BackboneTrainConfig(epochs=1))
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError):
-        BackboneTrainConfig(dim=0).validate()
-    with pytest.raises(ValueError):
-        BackboneTrainConfig(epochs=-1).validate()
-    with pytest.raises(ValueError):
-        BackboneTrainConfig(margin=0).validate()
-    with pytest.raises(ValueError):
-        BackboneTrainConfig(seed=-1).validate()
-    BackboneTrainConfig().validate()
-
-
 def test_train_easy_graph_beats_random_baseline():
     # 10 cliques of 5 entities; one within-clique edge per clique held out.
     # the held-out tail is predictable from the remaining clique edges

@@ -1,19 +1,61 @@
 """The benchmark's span tracer (perfbench/tracer.py) wraps named module
-attributes of the package. This check resolves every one of them, so a
-refactor that renames or moves a traced function fails here, not only in the
-benchmark's own self-check."""
+attributes of the package and binds the `store` and `cfg` arguments of the
+trainers to count their work. These checks resolve every traced name and run
+a tiny traced `run`, so a refactor that renames or moves a traced function or
+one of those parameters fails here, not only in the benchmark's own
+self-check."""
 
 import importlib
+import math
 import os
+
+import pytest
+
+from gatedbias import pipeline
+from gatedbias.config import config_from_dict
+from gatedbias.kg_store import load_grouping, load_triples
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_tracer_resolves_every_traced_name(monkeypatch):
+def load_tracer(monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
-    tracer = importlib.import_module("tracer")
-    t = tracer.Tracer()
+    return importlib.import_module("tracer")
+
+
+def test_tracer_resolves_every_traced_name(monkeypatch):
+    t = load_tracer(monkeypatch).Tracer()
     try:
         t.install()
     finally:
         t.uninstall()
+
+
+@pytest.mark.parametrize("method,trainer", [("patientnode", "bias_head.train_patientnode"),
+                                            ("gatedbias", "bias_head.train_head")])
+def test_tracer_counts_trainer_work(method, trainer, monkeypatch, tmp_path):
+    cfg = config_from_dict({
+        "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5, "n_users": 10,
+                               "seed": 0}},
+        "backbone": {"dim": 8, "epochs": 3, "learning_rate": 0.5, "batch_size": 16},
+        "head": {"batch_size": 16, "learning_rate": 0.1, "epochs": 2,
+                 "negatives_per_positive": 2, "patientnode_hidden": 4},
+        "eval": {"seeds": [0], "n_shuffles": 2},
+        "method": method,
+    })
+    t = load_tracer(monkeypatch).Tracer()
+    t.install()
+    try:
+        pipeline.run_pipeline(cfg, str(tmp_path))
+    finally:
+        t.uninstall()
+    work = {name: span_work for name, *_, span_work in t.spans if span_work}
+
+    dataset = tmp_path / "dataset"
+    store = load_triples(str(dataset / "triples"))
+    head_store = pipeline.task_train_store(store, load_grouping(str(dataset / "grouping.yaml"),
+                                                                store))
+    n = store.train.shape[0]
+    assert work["pipeline.train_backbone"] == {"batches": 3 * math.ceil(n / 16),
+                                               "triples": 3 * n}
+    assert work[trainer] == {"pairs": 2 * head_store.train.shape[0] * 2}

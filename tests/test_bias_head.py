@@ -1,13 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from gatedbias.bias_head import (BiasHead, HeadTrainConfig, compute_bias,
+from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  compute_bias_patientnode, head_loss_and_grad,
                                  load_head, load_patientnode, new_head, new_patientnode,
-                                 patientnode_loss_and_grad,
-                                 personalized_scores, save_head, save_patientnode,
+                                 patientnode_loss_and_grad, save_head, save_patientnode,
                                  train_head, train_patientnode)
 from gatedbias.errors import CheckpointError
 from helpers import (central_difference, gates_from_dense, make_features, make_head,
@@ -103,39 +103,6 @@ def test_compute_bias_scaling_equivariant_in_features():
         boosted = compute_bias(head, ga, gb, f_a.scaled(c), f_b)
         assert np.array_equal(boosted.contrib_a, c * base.contrib_a)
         assert np.array_equal(boosted.contrib_b, base.contrib_b)
-
-
-# ---------------------------------------------------------------------------
-# personalized_scores
-# ---------------------------------------------------------------------------
-
-def test_personalized_scores_zero_bias_identity():
-    rng = np.random.default_rng(3)
-    table = random_table(rng, 8, 2, 4)
-    ga = gates_from_dense(np.zeros((8, 1)))
-    gb = gates_from_dense(np.zeros((8, 1)), group="B")
-    bias = compute_bias(new_head(ga, gb), ga, gb, make_features(ga, [0.0]),
-                        make_features(gb, [0.0]))
-    assert np.array_equal(personalized_scores(table, bias, 0, 0),
-                          table.score_all_tails(0, 0))
-
-
-def test_personalized_scores_breaks_ties():
-    table = zero_table(3)  # every backbone score is 0
-    from gatedbias.bias_head import BiasVector
-    bias = BiasVector(values=np.array([0.0, 10.0, 0.0]),
-                      contrib_a=np.array([0.0, 10.0, 0.0]),
-                      contrib_b=np.zeros(3))
-    scores = personalized_scores(table, bias, 0, 0)
-    assert int(np.argmax(scores)) == 1
-
-
-def test_personalized_scores_length_mismatch_raises():
-    table = zero_table(3)
-    from gatedbias.bias_head import BiasVector
-    bias = BiasVector(values=np.zeros(2), contrib_a=np.zeros(2), contrib_b=np.zeros(2))
-    with pytest.raises(ValueError, match="bias length"):
-        personalized_scores(table, bias, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +290,6 @@ def test_train_head_l1_shrinkage():
     assert pinned_mag < 0.5 * free_mag
 
 
-def test_head_config_validation():
-    with pytest.raises(ValueError):
-        HeadTrainConfig(epochs=0).validate()
-    with pytest.raises(ValueError):
-        HeadTrainConfig(lambda1=-1.0).validate()
-    with pytest.raises(ValueError):
-        HeadTrainConfig(seed=-2).validate()
-    HeadTrainConfig().validate()
-
-
 # ---------------------------------------------------------------------------
 # PatientNode ablation
 # ---------------------------------------------------------------------------
@@ -342,9 +299,7 @@ def test_patientnode_zero_output_layer_gives_zero_bias():
     rng = np.random.default_rng(0)
     table = random_table(rng, 9, 1, 6)
     bias = compute_bias_patientnode(head, table)
-    assert np.all(bias.values == 0.0)
-    assert np.array_equal(bias.contrib_a, bias.values)
-    assert np.all(bias.contrib_b == 0.0)
+    assert bias.shape == (9,) and np.all(bias == 0.0)
 
 
 def test_patientnode_param_count_and_budget():
@@ -379,7 +334,7 @@ def test_patientnode_gradient_matches_finite_differences():
         x = rng.uniform(0.1, 0.6, sum(sizes)) * rng.choice([-1, 1], sum(sizes))
         head = unpack(x)
         # keep every ReLU input and hinge margin away from its kink
-        ent = table._as64()[0]
+        ent = table.entity_emb.astype(np.float64)
         z = np.concatenate([ent[tp] @ head.w1.T + head.b1,
                             ent[tn] @ head.w1.T + head.b1], axis=None)
         margins = (table.score_triples(h, r, tp) + head.bias_for(ent[tp])
@@ -413,51 +368,107 @@ def test_train_patientnode_deterministic_and_frozen():
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def test_save_load_head_round_trip(tmp_path):
-    rng = np.random.default_rng(7)
+def checkpoint_setup(seed):
+    rng = np.random.default_rng(seed)
     ga, _ = random_gates(rng, 8, 3)
     gb, _ = random_gates(rng, 8, 2, group="B")
+    return ga, gb, random_table(rng, 8, 1, 6)
+
+
+def test_save_load_head_round_trip(tmp_path):
+    ga, gb, table = checkpoint_setup(7)
+    rng = np.random.default_rng(7)
     head = make_head(rng.standard_normal(3), rng.standard_normal(2),
                      alpha_a=1.5, alpha_b=0.25)
     cfg = HeadTrainConfig(epochs=2, seed=3)
     path = str(tmp_path / "head.json")
-    save_head(head, cfg, ga, gb, path)
-    loaded, loaded_cfg = load_head(path, ga, gb)
+    save_head(head, cfg, table, ga, gb, path)
+    loaded = load_head(path, cfg, table, ga, gb)
     assert np.array_equal(loaded.w_a, head.w_a)
     assert np.array_equal(loaded.w_b, head.w_b)
     assert loaded.alpha_a == head.alpha_a and loaded.alpha_b == head.alpha_b
-    assert loaded_cfg == cfg
 
 
 def test_load_head_universe_mismatch_raises(tmp_path):
-    rng = np.random.default_rng(8)
-    ga, _ = random_gates(rng, 8, 3)
-    gb, _ = random_gates(rng, 8, 2, group="B")
+    ga, gb, table = checkpoint_setup(8)
     path = str(tmp_path / "head.json")
-    save_head(make_head(np.zeros(3), np.zeros(2)), HeadTrainConfig(), ga, gb, path)
+    save_head(make_head(np.zeros(3), np.zeros(2)), HeadTrainConfig(), table, ga, gb, path)
     other = gates_from_dense(np.ones((8, 3)), attrs=np.array([5, 6, 7]))
-    with pytest.raises(CheckpointError, match="universe A"):
-        load_head(path, other, gb)
+    with pytest.raises(CheckpointError, match="universe_checksum_a mismatch"):
+        load_head(path, HeadTrainConfig(), table, other, gb)
 
 
 def test_load_head_wrong_kind_raises(tmp_path):
     path = tmp_path / "head.json"
     path.write_text('{"kind": "something-else"}', encoding="utf-8")
-    ga = gates_from_dense(np.ones((2, 1)))
-    gb = gates_from_dense(np.ones((2, 1)), group="B")
-    with pytest.raises(CheckpointError, match="not a gated head"):
-        load_head(str(path), ga, gb)
+    ga, gb, table = checkpoint_setup(0)
+    with pytest.raises(CheckpointError, match="not a gatedbias-head checkpoint"):
+        load_head(str(path), HeadTrainConfig(), table, ga, gb)
 
 
 def test_save_load_patientnode_round_trip(tmp_path):
+    _, _, table = checkpoint_setup(2)
     head = new_patientnode(dim=6, hidden=4, seed=2)
     head.w2 = np.arange(4, dtype=np.float64)
     head.b2 = -0.5
+    cfg = HeadTrainConfig(epochs=1)
     path = str(tmp_path / "pn.json")
-    save_patientnode(head, HeadTrainConfig(epochs=1), path)
-    loaded, _ = load_patientnode(path, expected_dim=6)
+    save_patientnode(head, cfg, table, path)
+    loaded = load_patientnode(path, cfg, table, hidden=4)
     assert np.array_equal(loaded.w1, head.w1)
     assert np.array_equal(loaded.w2, head.w2)
     assert loaded.b2 == head.b2
-    with pytest.raises(CheckpointError, match="dim"):
-        load_patientnode(path, expected_dim=8)
+    with pytest.raises(CheckpointError, match="patientnode_hidden: 5"):
+        load_patientnode(path, cfg, table, hidden=5)
+    # a w1 of another width under the right backbone checksum is refused by its dim
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["w1"] = [row + [0.0] for row in payload["w1"]]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointError, match="checkpoint dim 7 != backbone dim 6"):
+        load_patientnode(path, cfg, table, hidden=4)
+
+
+def save_zero_checkpoint(kind, path, table, ga, gb):
+    if kind == "head":
+        save_head(new_head(ga, gb), HeadTrainConfig(), table, ga, gb, path)
+    else:
+        save_patientnode(new_patientnode(6, 4, seed=0), HeadTrainConfig(), table, path)
+
+
+def load_checkpoint(kind, path, table, ga, gb):
+    if kind == "head":
+        return load_head(path, HeadTrainConfig(), table, ga, gb)
+    return load_patientnode(path, HeadTrainConfig(), table, hidden=4)
+
+
+@pytest.mark.parametrize("kind,key", [("head", "w_b"), ("patientnode", "w2")])
+@pytest.mark.parametrize("fault", ["truncated", "missing key", "no backbone", "other backbone"])
+def test_checkpoint_faults_name_the_file(kind, key, fault, tmp_path):
+    ga, gb, table = checkpoint_setup(11)
+    path = str(tmp_path / f"{kind}.json")
+    save_zero_checkpoint(kind, path, table, ga, gb)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    payload = json.loads(text)
+    assert payload["backbone_checksum"] == table.checksum()
+    if fault == "truncated":
+        text = text[:len(text) // 2]
+    elif fault in ("missing key", "no backbone"):
+        del payload[key if fault == "missing key" else "backbone_checksum"]
+        text = json.dumps(payload)
+    else:
+        table = random_table(np.random.default_rng(12), 8, 1, 6)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(kind, path, table, ga, gb)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ")
+    if fault == "missing key":
+        assert message == f"{path}: missing key '{key}'"
+    elif fault == "no backbone":
+        assert message == f"{path}: missing key 'backbone_checksum'"
+    elif fault == "other backbone":
+        assert "backbone_checksum mismatch" in message

@@ -4,6 +4,7 @@ import os
 import pytest
 import yaml
 
+from gatedbias.backbone import EmbeddingTable, load_embeddings, save_embeddings
 from gatedbias.cli import main
 from gatedbias.config import save_config
 
@@ -106,6 +107,28 @@ def test_eval_refuses_heads_trained_with_other_epochs(cfg_path, tmp_path, capsys
     assert "[evaluate]" in err and "epochs 2 (config: 7)" in err
     with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
         assert json.load(fh)["artifact"] == "gatedbias-run"
+
+
+@pytest.mark.parametrize("method", ["patientnode", "gatedbias"])
+def test_eval_refuses_heads_trained_on_another_backbone(method, cfg_path, run_out, tmp_path,
+                                                        capsys):
+    trained_on = os.path.join(run_out, "backbone.kge")
+    table = load_embeddings(trained_on)
+    other = str(tmp_path / "other.kge")
+    save_embeddings(EmbeddingTable(table.entity_emb * 2, table.relation_emb), other)
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    paths = {}
+    for name, backbone in (("trained", trained_on), ("other", other)):
+        raw["backbone"] = {"load": backbone}
+        paths[name] = str(tmp_path / f"{name}.yaml")
+        save_config(raw, paths[name])
+    out = str(tmp_path / "run")
+    assert main(["run", paths["trained"], "--out", out, "--method", method]) == 0
+    capsys.readouterr()
+    assert main(["eval", paths["other"], "--out", out, "--method", method]) == 1
+    err = capsys.readouterr().err
+    assert "error: [evaluate]" in err and "backbone_checksum mismatch" in err
 
 
 def test_eval_without_checkpoints_fails(cfg_path, tmp_path, capsys):

@@ -97,10 +97,22 @@ def test_type_errors(raw, match):
     ({**MINIMAL, "method": "bogus"}, "method"),
     ({**MINIMAL, "backbone": {"dim": 0}}, "dim"),
     ({**MINIMAL, "head": {"epochs": 0}}, "epochs"),
+    ({**MINIMAL, "backbone": {"epochs": -1}}, "config: backbone.epochs must be >= 0"),
+    ({**MINIMAL, "backbone": {"margin": 0}}, "config: backbone.margin must be positive"),
+    ({**MINIMAL, "backbone": {"seed": -1}}, "config: backbone.seed must be >= 0"),
+    ({**MINIMAL, "head": {"batch_size": 0}}, "config: head.batch_size must be positive"),
+    ({**MINIMAL, "head": {"lambda1": -1.0}}, "config: head.lambda1 must be >= 0"),
+    ({**MINIMAL, "head": {"seed": -2}}, "config: head.seed must be >= 0"),
 ])
 def test_value_validation(raw, match):
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ConfigError, match=match):
         config_from_dict(raw)
+
+
+def test_trainer_range_edges_accepted():
+    cfg = config_from_dict({**MINIMAL, "backbone": {"epochs": 0, "seed": 0},
+                            "head": {"lambda1": 0.0, "lambda2": 0.0, "seed": 0}})
+    assert cfg.backbone.epochs == 0 and cfg.head.lambda1 == 0.0
 
 
 def test_to_dict_round_trip_trainer():
