@@ -1,24 +1,24 @@
 """Pipeline configuration: one structured file drives every stage.
 
-The schema is closed: unknown keys are rejected rather than ignored, so typos
-fail loudly. Every default is materialized at load time and echoed into run
-reports, which makes any report re-runnable as-is.
+The schema is closed and typed: each section's keys and types are the fields
+of its dataclass, every range rule sits in RANGES, and unknown keys are
+rejected, so typos fail loudly at load. Every default is materialized then and
+echoed into run reports, which makes any report re-runnable as-is.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
 from .backbone import BackboneTrainConfig
 from .bias_head import HeadTrainConfig
 from .errors import ConfigError
+from .synth import SynthParams
 
 METHODS = ("base", "patientnode", "gatedbias")
-
-SYNTH_KEYS = ("n_items", "n_attrs_per_group", "n_users", "preference_skew", "seed")
 
 
 @dataclass
@@ -61,36 +61,66 @@ class PipelineConfig:
     eval: EvalSettings
     gates: GatesConfig
     method: str
+
     def to_dict(self) -> dict:
-        data: dict = {}
-        if self.data.synthetic is not None:
-            data["synthetic"] = dict(self.data.synthetic)
-        else:
-            data["triples_dir"] = self.data.triples_dir
-            if self.data.interactions_path is not None:
-                data["interactions_path"] = self.data.interactions_path
-            if self.data.grouping_path is not None:
-                data["grouping_path"] = self.data.grouping_path
-        backbone = {"load": self.backbone_load} if self.backbone_load else dict(vars(self.backbone))
-        head = dict(vars(self.head))
-        head["patientnode_hidden"] = self.patientnode_hidden
+        """The config as config_from_dict reads it: defaults filled in, paths
+        resolved, data.synthetic as given, gates only when a cap is set."""
         out = {
-            "data": data,
-            "backbone": backbone,
-            "profile": dict(vars(self.profile)),
-            "head": head,
-            "eval": {
-                "ks": list(self.eval.ks),
-                "percentile_p": self.eval.percentile_p,
-                "epsilon": self.eval.epsilon,
-                "n_shuffles": self.eval.n_shuffles,
-                "seeds": list(self.eval.seeds),
-            },
+            "data": {k: v for k, v in asdict(self.data).items() if v is not None},
+            "backbone": ({"load": self.backbone_load} if self.backbone_load
+                         else asdict(self.backbone)),
+            "profile": asdict(self.profile),
+            "head": {**asdict(self.head), "patientnode_hidden": self.patientnode_hidden},
+            "eval": asdict(self.eval),
             "method": self.method,
         }
-        if self.gates.cap_a is not None or self.gates.cap_b is not None:
-            out["gates"] = {"cap_a": self.gates.cap_a, "cap_b": self.gates.cap_b}
+        gates = asdict(self.gates)
+        if any(v is not None for v in gates.values()):
+            out["gates"] = gates
         return out
+
+
+def _fields(cls) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
+
+
+# config section -> {key: type annotation}, read off the section's dataclass
+SECTIONS = {
+    "data": _fields(DataConfig),
+    "data.synthetic": _fields(SynthParams),
+    "backbone": _fields(BackboneTrainConfig),
+    "profile": _fields(ProfileConfig),
+    "head": {**_fields(HeadTrainConfig), "patientnode_hidden": "int"},
+    "eval": _fields(EvalSettings),
+    "gates": _fields(GatesConfig),
+}
+
+# the annotations _typed handles, each also as "X | None"
+_SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+            "str": (str, "a string")}
+KINDS = (*_SCALARS, "list[int]", "dict")
+
+# each rule is (message, test the value must pass, which NaN fails); None is exempt
+_POSITIVE = ("must be positive", lambda v: v > 0)
+_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
+_AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
+
+# section -> key -> rule; data.synthetic is range-checked by SynthParams.validate
+RANGES = {
+    "backbone": {"dim": _POSITIVE, "learning_rate": _POSITIVE, "batch_size": _POSITIVE,
+                 "negatives_per_positive": _POSITIVE, "margin": _POSITIVE,
+                 "epochs": _NON_NEGATIVE,  # epochs=0 is the documented no-op training case
+                 "seed": _NON_NEGATIVE},
+    "profile": {"scale_alpha": _POSITIVE, "cap_tau": _POSITIVE},
+    "head": {"batch_size": _POSITIVE, "learning_rate": _POSITIVE, "epochs": _POSITIVE,
+             "negatives_per_positive": _POSITIVE, "lambda1": _NON_NEGATIVE,
+             "lambda2": _NON_NEGATIVE, "seed": _NON_NEGATIVE,
+             "patientnode_hidden": _AT_LEAST_ONE},
+    "eval": {"ks": ("entries must be >= 1", lambda ks: min(ks) >= 1),
+             "percentile_p": ("must be in (0, 100]", lambda p: 0 < p <= 100),
+             "epsilon": _NON_NEGATIVE, "n_shuffles": _AT_LEAST_ONE},
+    "gates": {"cap_a": _AT_LEAST_ONE, "cap_b": _AT_LEAST_ONE},
+}
 
 
 def _require_mapping(node, where: str) -> dict:
@@ -101,49 +131,42 @@ def _require_mapping(node, where: str) -> dict:
     return node
 
 
-def _reject_unknown(node: dict, allowed, where: str) -> None:
+def _reject_unknown(node: dict, allowed, prefix: str) -> None:
     unknown = [k for k in node if k not in allowed]
     if unknown:
-        raise ConfigError(f"config: unknown key {where}.{unknown[0]}" if where
-                          else f"config: unknown key {unknown[0]}")
+        raise ConfigError(f"config: unknown key {prefix}{unknown[0]}")
 
 
-def _as_int(v, where: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config: {where} must be an integer, got {v!r}")
-    return v
-
-
-def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"config: {where} must be a number, got {v!r}")
-    return float(v)
-
-
-def _as_str(v, where: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigError(f"config: {where} must be a string, got {v!r}")
-    return v
-
-
-def _as_int_list(v, where: str) -> list[int]:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"config: {where} must be a non-empty list of integers")
-    return [_as_int(x, where) for x in v]
-
-
-def _check_ranges(settings, where: str, positive, non_negative) -> None:
-    for name in positive:
-        if getattr(settings, name) <= 0:
-            raise ConfigError(f"config: {where}.{name} must be positive")
-    for name in non_negative:
-        if getattr(settings, name) < 0:
-            raise ConfigError(f"config: {where}.{name} must be >= 0")
-
-
-def _resolve(path: str | None, base_dir: str) -> str | None:
-    if path is None:
+def _typed(value, where: str, annotation: str):
+    """value checked against a field annotation from KINDS; ints widen to float."""
+    kind = annotation.removesuffix(" | None")
+    if value is None and kind != annotation:
         return None
+    if kind == "dict":
+        return dict(_require_mapping(value, where))
+    if kind == "list[int]":
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"config: {where} must be a non-empty list of integers")
+        return [_typed(v, where, "int") for v in value]
+    types, noun = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config: {where} must be {noun}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
+def _section(node, where: str, types: dict[str, str]) -> dict:
+    """The keys given in the mapping node, typed by their annotations in types
+    and checked against their RANGES rules. Unknown keys are rejected."""
+    node = _require_mapping(node, where)
+    _reject_unknown(node, types, f"{where}.")
+    given = {k: _typed(v, f"{where}.{k}", types[k]) for k, v in node.items()}
+    for key, (message, holds) in RANGES.get(where, {}).items():
+        if given.get(key) is not None and not holds(given[key]):
+            raise ConfigError(f"config: {where}.{key} {message}")
+    return given
+
+
+def _resolve(path: str, base_dir: str) -> str:
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base_dir, path))
 
 
@@ -168,138 +191,40 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> PipelineConfig:
-    _reject_unknown(raw, {"data", "backbone", "profile", "head", "eval", "gates", "method"}, "")
+    _reject_unknown(raw, ("data", "backbone", "profile", "head", "eval", "gates", "method"), "")
 
-    # data
-    data_node = _require_mapping(raw.get("data"), "data")
-    _reject_unknown(data_node, {"triples_dir", "interactions_path", "grouping_path", "synthetic"},
-                    "data")
-    synthetic = data_node.get("synthetic")
+    # data: the three paths, or a synthetic block that replaces all of them
+    data = _section(raw.get("data"), "data", SECTIONS["data"])
+    synthetic = data.pop("synthetic", None)
     if synthetic is not None:
-        synthetic = _require_mapping(synthetic, "data.synthetic")
-        _reject_unknown(synthetic, SYNTH_KEYS, "data.synthetic")
-        if "triples_dir" in data_node:
-            raise ConfigError("config: data.synthetic and data.triples_dir are mutually exclusive")
-        for k in ("n_items", "n_attrs_per_group", "n_users", "seed"):
-            if k in synthetic:
-                _as_int(synthetic[k], f"data.synthetic.{k}")
-        if "preference_skew" in synthetic:
-            _as_float(synthetic["preference_skew"], "data.synthetic.preference_skew")
-        synthetic = dict(synthetic)
-    elif "triples_dir" not in data_node:
+        if data:
+            raise ConfigError(f"config: data.synthetic and data.{next(iter(data))} "
+                              "are mutually exclusive")
+        SynthParams(**_section(synthetic, "data.synthetic", SECTIONS["data.synthetic"])).validate()
+    elif data.get("triples_dir") is None:
         raise ConfigError("config: data needs either triples_dir or synthetic")
-    data = DataConfig(
-        triples_dir=_resolve(data_node.get("triples_dir"), base_dir),
-        interactions_path=_resolve(data_node.get("interactions_path"), base_dir),
-        grouping_path=_resolve(data_node.get("grouping_path"), base_dir),
-        synthetic=synthetic,
-    )
+    data = DataConfig(**{k: _resolve(v, base_dir) for k, v in data.items() if v is not None},
+                      synthetic=synthetic)  # echoed as given: no defaults, no widening
 
     # backbone: either {load: path} or trainer settings
     bb_node = _require_mapping(raw.get("backbone"), "backbone")
-    backbone_load = None
-    backbone = BackboneTrainConfig()
     if "load" in bb_node:
-        _reject_unknown(bb_node, {"load"}, "backbone")
-        backbone_load = _resolve(_as_str(bb_node["load"], "backbone.load"), base_dir)
+        load = _section(bb_node, "backbone", {"load": "str"})["load"]
+        backbone_load, backbone = _resolve(load, base_dir), BackboneTrainConfig()
     else:
-        fields = {"dim", "epochs", "learning_rate", "batch_size",
-                  "negatives_per_positive", "margin", "seed"}
-        _reject_unknown(bb_node, fields, "backbone")
-        kwargs = {}
-        for k in bb_node:
-            if k in ("learning_rate", "margin"):
-                kwargs[k] = _as_float(bb_node[k], f"backbone.{k}")
-            else:
-                kwargs[k] = _as_int(bb_node[k], f"backbone.{k}")
-        backbone = BackboneTrainConfig(**kwargs)
-        _check_ranges(backbone, "backbone",
-                      ("dim", "learning_rate", "batch_size", "negatives_per_positive", "margin"),
-                      ("epochs", "seed"))  # epochs=0 is the documented no-op training case
+        backbone_load = None
+        backbone = BackboneTrainConfig(**_section(bb_node, "backbone", SECTIONS["backbone"]))
 
-    # profile
-    prof_node = _require_mapping(raw.get("profile"), "profile")
-    _reject_unknown(prof_node, {"scale_alpha", "cap_tau"}, "profile")
-    profile = ProfileConfig(
-        scale_alpha=_as_float(prof_node["scale_alpha"], "profile.scale_alpha")
-        if "scale_alpha" in prof_node else 0.1,
-        cap_tau=_as_float(prof_node["cap_tau"], "profile.cap_tau")
-        if "cap_tau" in prof_node else 0.5,
-    )
-
-    # head
-    head_node = _require_mapping(raw.get("head"), "head")
-    head_fields = {"batch_size", "learning_rate", "epochs", "lambda1", "lambda2",
-                   "negatives_per_positive", "seed", "patientnode_hidden"}
-    _reject_unknown(head_node, head_fields, "head")
-    kwargs = {}
-    for k in head_node:
-        if k == "patientnode_hidden":
-            continue
-        if k in ("learning_rate", "lambda1", "lambda2"):
-            kwargs[k] = _as_float(head_node[k], f"head.{k}")
-        else:
-            kwargs[k] = _as_int(head_node[k], f"head.{k}")
-    head = HeadTrainConfig(**kwargs)
-    _check_ranges(head, "head", ("batch_size", "learning_rate", "epochs", "negatives_per_positive"),
-                  ("lambda1", "lambda2", "seed"))
-    patientnode_hidden = (_as_int(head_node["patientnode_hidden"], "head.patientnode_hidden")
-                          if "patientnode_hidden" in head_node else 16)
-    if patientnode_hidden < 1:
-        raise ConfigError("config: head.patientnode_hidden must be >= 1")
-
-    # eval
-    eval_node = _require_mapping(raw.get("eval"), "eval")
-    _reject_unknown(eval_node, {"ks", "percentile_p", "epsilon", "n_shuffles", "seeds"}, "eval")
-    evals = EvalSettings()
-    if "ks" in eval_node:
-        evals.ks = _as_int_list(eval_node["ks"], "eval.ks")
-    if "percentile_p" in eval_node:
-        evals.percentile_p = _as_int(eval_node["percentile_p"], "eval.percentile_p")
-    if "epsilon" in eval_node:
-        evals.epsilon = _as_float(eval_node["epsilon"], "eval.epsilon")
-    if "n_shuffles" in eval_node:
-        evals.n_shuffles = _as_int(eval_node["n_shuffles"], "eval.n_shuffles")
-    if "seeds" in eval_node:
-        evals.seeds = _as_int_list(eval_node["seeds"], "eval.seeds")
-    if any(k < 1 for k in evals.ks):
-        raise ConfigError("config: eval.ks entries must be >= 1")
-    if not 0 < evals.percentile_p <= 100:
-        raise ConfigError("config: eval.percentile_p must be in (0, 100]")
-    if evals.epsilon < 0:
-        raise ConfigError("config: eval.epsilon must be >= 0")
-    if evals.n_shuffles < 1:
-        raise ConfigError("config: eval.n_shuffles must be >= 1")
-
-    # gates
-    gates_node = _require_mapping(raw.get("gates"), "gates")
-    _reject_unknown(gates_node, {"cap_a", "cap_b"}, "gates")
-    gates = GatesConfig()
-    for attr in ("cap_a", "cap_b"):
-        if attr in gates_node and gates_node[attr] is not None:
-            v = _as_int(gates_node[attr], f"gates.{attr}")
-            if v < 1:
-                raise ConfigError(f"config: gates.{attr} must be >= 1")
-            setattr(gates, attr, v)
+    given = {name: _section(raw.get(name), name, SECTIONS[name])
+             for name in ("profile", "head", "eval", "gates")}
+    patientnode_hidden = given["head"].pop("patientnode_hidden", 16)
 
     method = raw.get("method", "gatedbias")
     if method not in METHODS:
         raise ConfigError(f"config: method must be one of {METHODS}, got {method!r}")
 
     return PipelineConfig(
-        data=data,
-        backbone=backbone,
-        backbone_load=backbone_load,
-        profile=profile,
-        head=head,
-        patientnode_hidden=patientnode_hidden,
-        eval=evals,
-        gates=gates,
-        method=method,
-    )
-
-
-def save_config(cfg_dict: dict, path: str) -> None:
-    """Write a config mapping as YAML (stable key order)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg_dict, fh, sort_keys=True, default_flow_style=False)
+        data=data, backbone=backbone, backbone_load=backbone_load,
+        profile=ProfileConfig(**given["profile"]), head=HeadTrainConfig(**given["head"]),
+        patientnode_hidden=patientnode_hidden, eval=EvalSettings(**given["eval"]),
+        gates=GatesConfig(**given["gates"]), method=method)

@@ -289,8 +289,10 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
     The dataset is materialized once and the backbone is trained once (by the
     base run) and reloaded by the others; save/load round-trips bit-exact, so
     this is equivalent to retraining per method. Query checksums are asserted
-    identical across methods.
+    identical across methods. Paths handed to the methods are absolute, so
+    their reports echo re-runnable configs however out_dir was spelled.
     """
+    out_dir = os.path.abspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     with _stage("data"):
         data_cfg = materialize_data(cfg, out_dir)

@@ -28,8 +28,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import yaml
 
-from .config import save_config
 from .errors import ConfigError
 
 REL_LIKES = "likes"
@@ -104,6 +104,12 @@ DESK_HEAD = {
     "negatives_per_positive": 1,
     "seed": 0,
 }
+
+
+def save_config(cfg_dict: dict, path: str) -> None:
+    """Write a config mapping as YAML (stable key order)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(cfg_dict, fh, sort_keys=True, default_flow_style=False)
 
 
 def generate(params: SynthParams, out_dir: str) -> dict:

@@ -6,7 +6,7 @@ import yaml
 
 from gatedbias.backbone import EmbeddingTable, load_embeddings, save_embeddings
 from gatedbias.cli import main
-from gatedbias.config import save_config
+from gatedbias.synth import save_config
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,39 @@ def test_bad_config_file(tmp_path, capsys):
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_profile_range_fails_before_training(cfg_path, tmp_path, capsys):
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["profile"] = {"cap_tau": 0}
+    path = str(tmp_path / "cap0.yaml")
+    save_config(raw, path)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: config: profile.cap_tau must be positive"]
+    assert not out.exists()
+
+
+def test_compare_with_relative_out_echoes_absolute_paths(tmp_path, monkeypatch):
+    save_config({
+        "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5, "n_users": 5, "seed": 1}},
+        "backbone": {"dim": 8, "epochs": 5, "learning_rate": 0.5, "batch_size": 64},
+        "head": {"batch_size": 64, "learning_rate": 0.1, "epochs": 2, "patientnode_hidden": 4},
+        "eval": {"seeds": [0], "n_shuffles": 2},
+    }, str(tmp_path / "config.yaml"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "config.yaml", "--out", "rel"]) == 0
+    for method in ("base", "patientnode", "gatedbias"):
+        with open(os.path.join("rel", method, "report.json"), encoding="utf-8") as fh:
+            config = json.load(fh)["config"]
+        assert set(config["data"]) == {"triples_dir", "interactions_path", "grouping_path"}
+        paths = list(config["data"].values())
+        if method != "base":  # the base run trains the backbone the others load
+            paths.append(config["backbone"]["load"])
+        for path in paths:
+            assert os.path.isabs(path) and os.path.exists(path), (method, path)
 
 
 def test_missing_subcommand_exits():

@@ -1,8 +1,13 @@
+import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedbias.config import config_from_dict, load_config, save_config
+from gatedbias.config import (KINDS, METHODS, RANGES, SECTIONS, config_from_dict,
+                              load_config)
+from gatedbias.synth import save_config
 from gatedbias.errors import ConfigError
 
 MINIMAL = {"data": {"triples_dir": "triples"}}
@@ -57,10 +62,14 @@ def test_synthetic_data_block():
     cfg = config_from_dict({"data": {"synthetic": {"n_items": 20, "seed": 4}}})
     assert cfg.data.synthetic == {"n_items": 20, "seed": 4}
     assert cfg.data.triples_dir is None
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        config_from_dict({"data": {"synthetic": {}, "triples_dir": "t"}})
+    for key in ("triples_dir", "interactions_path", "grouping_path"):
+        with pytest.raises(ConfigError, match=f"data.synthetic and data.{key} are mutually"):
+            config_from_dict({"data": {"synthetic": {}, key: "t"}})
     with pytest.raises(ConfigError, match="unknown key data.synthetic"):
         config_from_dict({"data": {"synthetic": {"planted": 1}}})
+    # synth's own ranges apply at load, before any stage runs
+    with pytest.raises(ConfigError, match="n_items must be >= 10, got 5"):
+        config_from_dict({"data": {"synthetic": {"n_items": 5}}})
 
 
 def test_missing_data_source():
@@ -80,6 +89,7 @@ def test_missing_data_source():
     ({**MINIMAL, "eval": {"seeds": [0, "1"]}}, "must be an integer"),
     ({**MINIMAL, "data": {"triples_dir": "t"}, "head": {"lambda1": "x"}}, "must be a number"),
     ({**MINIMAL, "profile": "loose"}, "must be a mapping"),
+    ({"data": {"triples_dir": 5}}, "config: data.triples_dir must be a string, got 5"),
 ])
 def test_type_errors(raw, match):
     with pytest.raises(ConfigError, match=match):
@@ -103,6 +113,10 @@ def test_type_errors(raw, match):
     ({**MINIMAL, "head": {"batch_size": 0}}, "config: head.batch_size must be positive"),
     ({**MINIMAL, "head": {"lambda1": -1.0}}, "config: head.lambda1 must be >= 0"),
     ({**MINIMAL, "head": {"seed": -2}}, "config: head.seed must be >= 0"),
+    ({**MINIMAL, "profile": {"scale_alpha": -0.1}}, "config: profile.scale_alpha must be positive"),
+    ({**MINIMAL, "profile": {"cap_tau": 0}}, "config: profile.cap_tau must be positive"),
+    ({**MINIMAL, "eval": {"epsilon": float("nan")}}, "config: eval.epsilon must be >= 0"),
+    ({**MINIMAL, "backbone": {"learning_rate": float("nan")}}, "backbone.learning_rate must be"),
 ])
 def test_value_validation(raw, match):
     with pytest.raises(ConfigError, match=match):
@@ -170,3 +184,65 @@ def test_save_and_load_config(tmp_path):
     cfg = load_config(path)
     assert cfg.method == "base"
     assert cfg.data.triples_dir == os.path.join(str(tmp_path), "triples")
+
+
+def test_every_range_rule_names_a_field_of_its_section():
+    for section, rules in RANGES.items():
+        assert set(rules) <= set(SECTIONS[section]), section
+
+
+def test_every_section_annotation_is_one_the_walker_handles():
+    # a module without `from __future__ import annotations` would give types,
+    # not strings, and the walker would not recognise them
+    for section, types in SECTIONS.items():
+        for key, annotation in types.items():
+            assert isinstance(annotation, str), f"{section}.{key}"
+            assert annotation.removesuffix(" | None") in KINDS, f"{section}.{key}"
+
+
+def _valid(section, key, annotation):
+    """Values of one key, drawn by its annotation and kept within its range rule."""
+    kind = annotation.removesuffix(" | None")
+    values = {"int": st.integers(-3, 120),
+              "float": st.integers(-3, 5) | st.floats(-1.0, 10.0),
+              "list[int]": st.lists(st.integers(0, 20), min_size=1, max_size=4)}[kind]
+    if kind != annotation:
+        values = values | st.none()
+    _, holds = RANGES.get(section, {}).get(key, (None, lambda v: True))
+    return values.filter(lambda v: v is None or holds(v))
+
+
+def _sections(name):
+    return st.fixed_dictionaries({}, optional={
+        k: _valid(name, k, t) for k, t in SECTIONS[name].items()})
+
+
+_PATH = st.sampled_from(["t", "sub/i.tsv", "/abs/g.yaml"])
+_SYNTHETIC = st.fixed_dictionaries({}, optional={
+    "n_items": st.integers(10, 500), "n_attrs_per_group": st.integers(5, 50),
+    "n_users": st.integers(1, 100), "preference_skew": st.sampled_from([0, 1, 0.5]),
+    "seed": st.integers(0, 10)})
+# deferred, so a section the walker cannot read fails the annotation test,
+# not the collection of this module
+_CONFIGS = st.deferred(lambda: st.fixed_dictionaries(
+    {"data": st.fixed_dictionaries({"triples_dir": _PATH}, optional={
+        "interactions_path": _PATH, "grouping_path": _PATH})
+     | st.fixed_dictionaries({"synthetic": _SYNTHETIC})},
+    optional={"backbone": _sections("backbone") | st.fixed_dictionaries({"load": _PATH}),
+              **{name: _sections(name) for name in ("profile", "head", "eval", "gates")},
+              "method": st.sampled_from(METHODS)}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_CONFIGS)
+def test_to_dict_round_trips_generated_configs(raw):
+    echoed = config_from_dict(raw, base_dir="/base").to_dict()
+    again = config_from_dict(echoed, base_dir="/other").to_dict()
+    # compared as JSON text, so an int left in a float field would show
+    assert json.dumps(again, sort_keys=True) == json.dumps(echoed, sort_keys=True)
+    assert (json.dumps(echoed["data"].get("synthetic"), sort_keys=True)
+            == json.dumps(raw["data"].get("synthetic"), sort_keys=True))  # as given
+    for name in ("backbone", "profile", "head", "eval"):
+        for key, annotation in SECTIONS[name].items():
+            if annotation == "float" and key in echoed[name]:
+                assert isinstance(echoed[name][key], float), f"{name}.{key}"
