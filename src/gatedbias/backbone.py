@@ -1,7 +1,7 @@
 """Frozen DistMult scorer and a small deterministic trainer for desk-scale runs.
 
 The scorer is s(h,r,t) = sum_j e_h[j] * e_r[j] * e_t[j], stored in float32
-with float64 accumulation. Once frozen, the embedding arrays are read-only;
+with float64 accumulation. A table is read-only from construction on;
 personalization never writes through this module.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointError
+from .fileio import atomic_write
 from .kg_store import TripleStore
 
 MAGIC = b"KGE1"
@@ -34,9 +35,9 @@ class BackboneTrainConfig:
 
 
 class EmbeddingTable:
-    """Entity and relation embeddings with DistMult scoring."""
+    """Read-only entity and relation embeddings with DistMult scoring."""
 
-    def __init__(self, entity_emb: np.ndarray, relation_emb: np.ndarray, frozen: bool = False):
+    def __init__(self, entity_emb: np.ndarray, relation_emb: np.ndarray):
         if entity_emb.ndim != 2 or relation_emb.ndim != 2:
             raise ValueError("embeddings must be 2-d arrays")
         if entity_emb.shape[1] != relation_emb.shape[1]:
@@ -45,11 +46,11 @@ class EmbeddingTable:
             raise ValueError("embeddings contain non-finite values")
         self.entity_emb = np.ascontiguousarray(entity_emb, dtype=np.float32)
         self.relation_emb = np.ascontiguousarray(relation_emb, dtype=np.float32)
-        self._frozen = False
-        self._ent64: np.ndarray | None = None
-        self._rel64: np.ndarray | None = None
-        if frozen:
-            self.freeze()
+        # float64 copies for scoring, cached once
+        self._ent64 = self.entity_emb.astype(np.float64)
+        self._rel64 = self.relation_emb.astype(np.float64)
+        for arr in (self.entity_emb, self.relation_emb, self._ent64, self._rel64):
+            arr.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -63,39 +64,13 @@ class EmbeddingTable:
     def num_relations(self) -> int:
         return self.relation_emb.shape[0]
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> "EmbeddingTable":
-        """Make the table read-only and cache float64 views for scoring."""
-        self.entity_emb.flags.writeable = False
-        self.relation_emb.flags.writeable = False
-        self._ent64 = self.entity_emb.astype(np.float64)
-        self._rel64 = self.relation_emb.astype(np.float64)
-        self._ent64.flags.writeable = False
-        self._rel64.flags.writeable = False
-        self._frozen = True
-        return self
-
-    def _as64(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._ent64 is not None:
-            return self._ent64, self._rel64
-        return self.entity_emb.astype(np.float64), self.relation_emb.astype(np.float64)
-
-    def score(self, h: int, r: int, t: int) -> float:
-        ent, rel = self._as64()
-        return float(np.dot(ent[h] * rel[r], ent[t]))
-
     def score_all_tails(self, h: int, r: int) -> np.ndarray:
         """Scores of every entity as tail of (h, r, ?)."""
-        ent, rel = self._as64()
-        query = ent[h] * rel[r]
-        return ent @ query
+        return self._ent64 @ (self._ent64[h] * self._rel64[r])
 
     def score_triples(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        ent, rel = self._as64()
-        return np.einsum("ij,ij,ij->i", ent[heads], rel[rels], ent[tails])
+        ent = self._ent64
+        return np.einsum("ij,ij,ij->i", ent[heads], self._rel64[rels], ent[tails])
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -108,7 +83,7 @@ class EmbeddingTable:
 def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTable:
     """Train DistMult with margin ranking loss over uniform corrupt tails.
 
-    Deterministic given cfg.seed; returns a frozen table. Internal math runs
+    Deterministic given cfg.seed; returns a read-only table. Internal math runs
     in float64, storage is float32.
     """
     if store.train.shape[0] == 0:
@@ -153,12 +128,12 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
             np.add.at(ent, t_pos[act], scale * g_core)
             np.add.at(ent, t_neg[act], -scale * g_core)
 
-    return EmbeddingTable(ent.astype(np.float32), rel.astype(np.float32), frozen=True)
+    return EmbeddingTable(ent.astype(np.float32), rel.astype(np.float32))
 
 
 def save_embeddings(table: EmbeddingTable, path: str) -> None:
     """Write magic + (|E|, |R|, d) header + row-major little-endian float32 data."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, table.num_entities, table.num_relations, table.dim))
         fh.write(np.ascontiguousarray(table.entity_emb, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(table.relation_emb, dtype="<f4").tobytes())
@@ -169,7 +144,7 @@ def load_embeddings(
     expected_entities: int | None = None,
     expected_relations: int | None = None,
 ) -> EmbeddingTable:
-    """Load a saved table; the result is frozen. Corrupt or mismatched files raise."""
+    """Load a saved table (read-only). Corrupt or mismatched files raise."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -187,6 +162,4 @@ def load_embeddings(
     if expected_relations is not None and nR != expected_relations:
         raise CheckpointError(f"{path}: file has {nR} relations, vocabulary has {expected_relations}")
     floats = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    ent = floats[: nE * d].reshape(nE, d).copy()
-    rel = floats[nE * d:].reshape(nR, d).copy()
-    return EmbeddingTable(ent, rel, frozen=True)
+    return EmbeddingTable(floats[: nE * d].reshape(nE, d), floats[nE * d:].reshape(nR, d))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .backbone import EmbeddingTable
 from .errors import CheckpointError
+from .fileio import write_json
 from .kg_store import GateMatrix, TripleStore
-from .profile_builder import ProfileFeatures
 
 
 @dataclass
@@ -69,14 +69,14 @@ def new_head(gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
 
 
 def compute_bias(head: BiasHead, gates_a: GateMatrix, gates_b: GateMatrix,
-                 f_a: ProfileFeatures, f_b: ProfileFeatures) -> BiasVector:
+                 f_a: np.ndarray, f_b: np.ndarray) -> BiasVector:
     """One sparse pass over gate nonzeros; entities with empty rows get exactly 0."""
     if len(head.w_a) != gates_a.num_columns or len(f_a) != gates_a.num_columns:
         raise ValueError("group A dimensions disagree (w_a, f_a, gates_a)")
     if len(head.w_b) != gates_b.num_columns or len(f_b) != gates_b.num_columns:
         raise ValueError("group B dimensions disagree (w_b, f_b, gates_b)")
-    contrib_a = head.alpha_a * gates_a.matvec(head.w_a * f_a.values)
-    contrib_b = head.alpha_b * gates_b.matvec(head.w_b * f_b.values)
+    contrib_a = head.alpha_a * gates_a.matvec(head.w_a * f_a)
+    contrib_b = head.alpha_b * gates_b.matvec(head.w_b * f_b)
     return BiasVector(values=contrib_a + contrib_b, contrib_a=contrib_a, contrib_b=contrib_b)
 
 
@@ -85,8 +85,8 @@ def head_loss_and_grad(
     table: EmbeddingTable,
     gates_a: GateMatrix,
     gates_b: GateMatrix,
-    f_a: ProfileFeatures,
-    f_b: ProfileFeatures,
+    f_a: np.ndarray,
+    f_b: np.ndarray,
     heads: np.ndarray,
     rels: np.ndarray,
     t_pos: np.ndarray,
@@ -113,7 +113,7 @@ def head_loss_and_grad(
     ):
         owners, cols = gates.gather_rows(tails)
         gathered[tag] = (owners, cols)
-        terms = (w * f.values)[cols]
+        terms = (w * f)[cols]
         dots[tag] = np.bincount(owners, weights=terms, minlength=n_pairs)
 
     bias_margin = (
@@ -127,16 +127,16 @@ def head_loss_and_grad(
     loss += lambda1 * (np.abs(head.w_a).sum() + np.abs(head.w_b).sum())
     loss += lambda2 * (np.square(head.w_a).sum() + np.square(head.w_b).sum())
 
-    def grad_w(gates: GateMatrix, f: ProfileFeatures, w: np.ndarray, alpha: float,
+    def grad_w(gates: GateMatrix, f: np.ndarray, w: np.ndarray, alpha: float,
                pos_tag: str, neg_tag: str) -> np.ndarray:
         owners_p, cols_p = gathered[pos_tag]
         owners_n, cols_n = gathered[neg_tag]
         g = np.zeros(gates.num_columns, dtype=np.float64)
         if cols_p.size:
-            g -= np.bincount(cols_p, weights=active[owners_p] * f.values[cols_p],
+            g -= np.bincount(cols_p, weights=active[owners_p] * f[cols_p],
                              minlength=gates.num_columns)
         if cols_n.size:
-            g += np.bincount(cols_n, weights=active[owners_n] * f.values[cols_n],
+            g += np.bincount(cols_n, weights=active[owners_n] * f[cols_n],
                              minlength=gates.num_columns)
         g *= alpha / n_pairs
         g += lambda1 * np.sign(w) + 2.0 * lambda2 * w
@@ -151,17 +151,14 @@ def head_loss_and_grad(
     return loss, grads
 
 
-def _sgd(head, loss_and_grad, store: TripleStore, table: EmbeddingTable,
-         cfg: HeadTrainConfig, what: str):
+def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: str):
     """Mini-batch gradient descent on every field of head; returns head.
 
     loss_and_grad(head, heads, rels, t_pos, t_neg) returns the batch loss and
     a gradient of head's own type. Negatives are uniform corrupt tails
     (excluding the positive) resampled each epoch. Deterministic given
-    cfg.seed; the backbone stays frozen.
+    cfg.seed; the backbone is read-only, so only head moves.
     """
-    if not table.frozen:
-        raise ValueError(f"backbone must be frozen before {what} training")
     if store.train.shape[0] == 0:
         raise ValueError(f"cannot train {what} on an empty train split")
     rng = np.random.default_rng(cfg.seed)
@@ -189,8 +186,8 @@ def train_head(
     table: EmbeddingTable,
     gates_a: GateMatrix,
     gates_b: GateMatrix,
-    f_a: ProfileFeatures,
-    f_b: ProfileFeatures,
+    f_a: np.ndarray,
+    f_b: np.ndarray,
     cfg: HeadTrainConfig,
 ) -> BiasHead:
     """Train {w_a, w_b, alpha_a, alpha_b} from a zero head; nothing else moves."""
@@ -198,7 +195,7 @@ def train_head(
         return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, *batch,
                                   cfg.lambda1, cfg.lambda2)
 
-    return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, table, cfg, "head")
+    return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, cfg, "head")
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +298,8 @@ def train_patientnode(
     def loss_and_grad(head, *batch):
         return patientnode_loss_and_grad(head, table, *batch, lambda1, lambda2)
 
-    return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, table,
-                cfg, "patientnode")
+    return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, cfg,
+                "patientnode")
 
 
 def compute_bias_patientnode(head: PatientNodeHead, table: EmbeddingTable) -> np.ndarray:
@@ -326,9 +323,7 @@ def _write_checkpoint(path: str, head, cfg: HeadTrainConfig, table: EmbeddingTab
     for f in dataclasses.fields(head):
         value = getattr(head, f.name)
         payload[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def _read_checkpoint(path: str, cls, cfg: HeadTrainConfig, table: EmbeddingTable,

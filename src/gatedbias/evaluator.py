@@ -20,7 +20,7 @@ import numpy as np
 from .backbone import EmbeddingTable
 from .bias_head import BiasHead, BiasVector, compute_bias
 from .kg_store import GateMatrix, TripleStore
-from .profile_builder import ProfileFeatures, shuffle_features
+from .profile_builder import shuffle_features
 
 log = logging.getLogger(__name__)
 
@@ -106,29 +106,11 @@ def _bias_stack(biases, n_entities: int) -> np.ndarray:
     return stack
 
 
-@dataclass
-class RankTable:
-    """Filtered rank per test query, one row per (h, r, t*) triple."""
-
-    heads: np.ndarray
-    rels: np.ndarray
-    true_tails: np.ndarray
-    ranks: np.ndarray
-
-    def __post_init__(self):
-        if not (len(self.heads) == len(self.rels) == len(self.true_tails) == len(self.ranks)):
-            raise ValueError("rank table columns disagree on length")
-        if len(self.ranks) and self.ranks.min() < 1:
-            raise ValueError("filtered ranks must be >= 1")
-
-    def __len__(self) -> int:
-        return len(self.ranks)
-
-
 def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None,
-                       block_cells: int = BLOCK_CELLS) -> list[RankTable]:
+                       block_cells: int = BLOCK_CELLS) -> np.ndarray:
     """Filtered rank of every true tail under each bias vector of the stack
-    (None: the backbone alone), from one scoring sweep over the queries.
+    (None: the backbone alone), from one scoring sweep over the queries: an
+    (n_biases, len(queries)) int64 array, row b for bias b, in query order.
 
     Filtered candidates other than the true tail drop out, and ties resolve
     to the middle of the tied block, rounded down:
@@ -149,8 +131,7 @@ def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None,
             greater = np.count_nonzero(scores > s_true, axis=1)
             equal = np.count_nonzero(scores == s_true, axis=1) - 1
             ranks[b, rows] = 1 + greater + equal // 2
-    return [RankTable(heads=queries.heads, rels=queries.rels,
-                      true_tails=queries.true_tails, ranks=r) for r in ranks]
+    return ranks
 
 
 def _topk_hits(scores: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
@@ -179,16 +160,17 @@ def _topk_hits(scores: np.ndarray, mask: np.ndarray, k: int) -> np.ndarray:
 # Metrics
 # ---------------------------------------------------------------------------
 
-def ranking_metrics(table: RankTable, ks: list[int]) -> dict[str, float]:
-    """MRR, Hits@k and NDCG@k (single relevant item, IDCG = 1) for each k."""
-    if len(table) == 0:
+def ranking_metrics(ranks: np.ndarray, ks: list[int]) -> dict[str, float]:
+    """MRR, Hits@k and NDCG@k (single relevant item, IDCG = 1) for each k,
+    from one row of filtered ranks."""
+    if len(ranks) == 0:
         raise ValueError("cannot compute metrics on an empty rank table")
-    ranks = table.ranks.astype(np.float64)
-    out = {"mrr": float((1.0 / ranks).mean())}
+    ranks64 = ranks.astype(np.float64)
+    out = {"mrr": float((1.0 / ranks64).mean())}
     for k in ks:
-        hit = table.ranks <= k
+        hit = ranks <= k
         out[f"hits@{k}"] = float(hit.mean())
-        gains = np.where(hit, 1.0 / np.log2(ranks + 1.0), 0.0)
+        gains = np.where(hit, 1.0 / np.log2(ranks64 + 1.0), 0.0)
         out[f"ndcg@{k}"] = float(gains.mean())
     return out
 
@@ -200,7 +182,6 @@ def ranking_metrics(table: RankTable, ks: list[int]) -> dict[str, float]:
 @dataclass
 class AlignedSet:
     members: np.ndarray  # sorted entity ids
-    percentile_p: int
     threshold_tau: float
     num_entities: int
 
@@ -224,15 +205,13 @@ def aligned_set(bias: BiasVector, percentile_p: int) -> AlignedSet:
     positive = np.maximum(bias.contrib_a, bias.contrib_b) > 0
     if not positive.any():
         log.warning("aligned_set: no entity has a positive contribution; set is empty")
-        return AlignedSet(members=_EMPTY_IDS, percentile_p=percentile_p,
-                          threshold_tau=0.0, num_entities=n)
+        return AlignedSet(members=_EMPTY_IDS, threshold_tau=0.0, num_entities=n)
     margins = np.abs(bias.contrib_a - bias.contrib_b)
     pool = np.sort(margins[positive])
     idx = max(math.ceil(percentile_p / 100.0 * pool.size) - 1, 0)
     tau = float(pool[idx])
     members = np.flatnonzero(positive & (margins >= tau)).astype(np.int64)
-    return AlignedSet(members=members, percentile_p=percentile_p,
-                      threshold_tau=tau, num_entities=n)
+    return AlignedSet(members=members, threshold_tau=tau, num_entities=n)
 
 
 def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
@@ -303,8 +282,8 @@ class EvalContext:
 
     gates_a: GateMatrix
     gates_b: GateMatrix
-    f_a: ProfileFeatures
-    f_b: ProfileFeatures
+    f_a: np.ndarray
+    f_b: np.ndarray
     head: BiasHead
     bias: BiasVector
 
@@ -319,8 +298,8 @@ def counterfactual_bias(ctx: EvalContext, group: str, epsilon: float) -> BiasVec
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     _check_group(group)
-    f_a = ctx.f_a.scaled(1.0 + epsilon) if group == "A" else ctx.f_a
-    f_b = ctx.f_b.scaled(1.0 + epsilon) if group == "B" else ctx.f_b
+    f_a = ctx.f_a * (1.0 + epsilon) if group == "A" else ctx.f_a
+    f_b = ctx.f_b * (1.0 + epsilon) if group == "B" else ctx.f_b
     return compute_bias(ctx.head, ctx.gates_a, ctx.gates_b, f_a, f_b)
 
 
@@ -332,23 +311,24 @@ class CRResult:
     n_out: int
 
 
-def counterfactual_responsiveness(bias: BiasVector, group: str, ranks_adapted: RankTable,
-                                  ranks_after: RankTable) -> CRResult | None:
-    """Mean rank change, from the adapted ranks to the ranks under
-    counterfactual_bias(group), inside vs outside the group's
+def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.ndarray,
+                                  ranks_adapted: np.ndarray,
+                                  ranks_after: np.ndarray) -> CRResult | None:
+    """Mean rank change of the queries' true tails, from the adapted ranks to
+    the ranks under counterfactual_bias(group), inside vs outside the group's
     positive-contribution set of the real bias. Negative CR means in-group
     true tails moved toward rank 1 relative to the rest. Returns None when
     every test true tail falls on one side of the split.
     """
     _check_group(group)
     contrib = bias.contrib_a if group == "A" else bias.contrib_b
-    in_mask = contrib[ranks_adapted.true_tails] > 0
+    in_mask = contrib[true_tails] > 0
     n_in, n_out = int(in_mask.sum()), int((~in_mask).sum())
     if n_in == 0 or n_out == 0:
         log.warning("CR_%s undefined: %d in-group / %d out-of-group test tails",
                     group, n_in, n_out)
         return None
-    delta = ranks_after.ranks.astype(np.float64) - ranks_adapted.ranks.astype(np.float64)
+    delta = ranks_after.astype(np.float64) - ranks_adapted.astype(np.float64)
     cr = float(delta[in_mask].mean() - delta[~in_mask].mean())
     pct_improved = float((delta[in_mask] < 0).mean())
     return CRResult(cr=cr, pct_improved=pct_improved, n_in=n_in, n_out=n_out)

@@ -43,9 +43,6 @@ class Vocab:
     def label(self, idx: int) -> str:
         return self._labels[idx]
 
-    def labels(self) -> list[str]:
-        return list(self._labels)
-
     def __contains__(self, label: str) -> bool:
         return label in self._label_to_id
 
@@ -68,7 +65,6 @@ class TripleStore:
     valid: np.ndarray
     test: np.ndarray
     known_tails: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-    dedup_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def num_entities(self) -> int:
@@ -119,47 +115,34 @@ def _build_known_tails(train: np.ndarray, valid: np.ndarray) -> dict[tuple[int, 
 
 
 def load_triples(path: str) -> TripleStore:
-    """Load a triple dataset from a directory of train/valid/test TSVs or a single TSV.
+    """Load a triple dataset from a directory holding train.tsv and optionally
+    valid.tsv and test.tsv.
 
-    A single file is treated as the train split. Lines starting with '#' are
-    ignored; duplicates within a split are dropped with a logged count; a
-    triple appearing in two splits is an error (filtered evaluation depends on
-    split disjointness).
+    Lines starting with '#' are ignored; duplicates within a split are dropped
+    with a logged count; a triple appearing in two splits is an error
+    (filtered evaluation depends on split disjointness).
     """
+    if not os.path.isdir(path):
+        if not os.path.exists(path):
+            raise FileNotFoundError(path)
+        raise ConfigError(f"{path} is not a directory; data.triples_dir must be a directory "
+                          f"holding {', '.join(SPLIT_FILES.values())}")
+    if not os.path.exists(os.path.join(path, SPLIT_FILES["train"])):
+        raise ConfigError(f"missing {SPLIT_FILES['train']} in {path}")
     entity_vocab = Vocab()
     relation_vocab = Vocab()
     splits: dict[str, np.ndarray] = {}
-    dedup_counts: dict[str, int] = {}
-
-    if os.path.isdir(path):
-        train_path = os.path.join(path, SPLIT_FILES["train"])
-        if not os.path.exists(train_path):
-            raise ConfigError(f"missing {SPLIT_FILES['train']} in {path}")
-        for name in ("train", "valid", "test"):
-            split_path = os.path.join(path, SPLIT_FILES[name])
-            if os.path.exists(split_path):
-                arr, dups = _parse_triple_file(split_path, entity_vocab, relation_vocab)
-            else:
-                arr, dups = np.empty((0, 3), dtype=np.int64), 0
-            splits[name] = arr
-            dedup_counts[name] = dups
-    elif os.path.exists(path):
-        arr, dups = _parse_triple_file(path, entity_vocab, relation_vocab)
-        splits = {
-            "train": arr,
-            "valid": np.empty((0, 3), dtype=np.int64),
-            "test": np.empty((0, 3), dtype=np.int64),
-        }
-        dedup_counts = {"train": dups, "valid": 0, "test": 0}
-    else:
-        raise FileNotFoundError(path)
-
+    for name, filename in SPLIT_FILES.items():
+        split_path = os.path.join(path, filename)
+        if os.path.exists(split_path):
+            splits[name], dups = _parse_triple_file(split_path, entity_vocab, relation_vocab)
+            if dups:
+                logger.warning("%s: dropped %d duplicate triples within the %s split",
+                               path, dups, name)
+        else:
+            splits[name] = np.empty((0, 3), dtype=np.int64)
     if splits["train"].shape[0] == 0:
         raise ConfigError(f"empty train split in {path}")
-
-    for name, dups in dedup_counts.items():
-        if dups:
-            logger.warning("%s: dropped %d duplicate triples within the %s split", path, dups, name)
 
     as_sets = {name: set(map(tuple, arr.tolist())) for name, arr in splits.items()}
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
@@ -178,7 +161,6 @@ def load_triples(path: str) -> TripleStore:
         valid=splits["valid"],
         test=splits["test"],
         known_tails=_build_known_tails(splits["train"], splits["valid"]),
-        dedup_counts=dedup_counts,
     )
 
 
@@ -187,9 +169,6 @@ class RelationGrouping:
     """Assignment of every relation id to group 'A', 'B' or 'none'."""
 
     groups: dict[int, str]
-
-    def tag(self, relation_id: int) -> str:
-        return self.groups[relation_id]
 
     def relations_in(self, tag: str) -> list[int]:
         return sorted(r for r, g in self.groups.items() if g == tag)
@@ -224,9 +203,13 @@ def load_grouping(path: str, store: TripleStore) -> RelationGrouping:
     unknown = set(raw) - {"group_a", "group_b"}
     if unknown:
         raise ConfigError(f"{path}: unknown grouping keys {sorted(unknown)}")
-    group_a = list(raw.get("group_a") or [])
-    group_b = list(raw.get("group_b") or [])
-    return make_grouping(store, group_a, group_b)
+    groups = []
+    for key in ("group_a", "group_b"):
+        labels = [] if raw.get(key) is None else raw[key]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise ConfigError(f"{path}: {key} must be a list of relation labels, got {labels!r}")
+        groups.append(labels)
+    return make_grouping(store, *groups)
 
 
 @dataclass
@@ -292,8 +275,8 @@ def build_universe(
 class GateMatrix:
     """Sparse binary |E| x |U_k| matrix in CSR layout (column indices only).
 
-    ``row(t)`` lists which universe columns connect to entity t through a
-    group relation in the training graph.
+    Row t, indices[indptr[t]:indptr[t + 1]], lists which universe columns
+    connect to entity t through a group relation in the training graph.
     """
 
     def __init__(self, universe: AttributeUniverse, num_entities: int,
@@ -307,13 +290,6 @@ class GateMatrix:
     @property
     def num_columns(self) -> int:
         return len(self.universe)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.shape[0])
-
-    def row(self, t: int) -> np.ndarray:
-        return self.indices[self.indptr[t]:self.indptr[t + 1]]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """G @ v with per-row summation in ascending column order."""
@@ -335,18 +311,6 @@ class GateMatrix:
         flat = np.repeat(starts, counts) + offsets
         owners = np.repeat(np.arange(len(tails)), counts)
         return owners, self.indices[flat]
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.num_entities, self.num_columns), dtype=np.float64)
-        dense[self._row_ids, self.indices] = 1.0
-        return dense
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.universe.checksum().encode())
-        h.update(np.ascontiguousarray(self.indptr, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(self.indices, dtype=np.int64).tobytes())
-        return h.hexdigest()
 
 
 def build_gates(store: TripleStore, universe: AttributeUniverse) -> GateMatrix:

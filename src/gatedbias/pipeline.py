@@ -25,6 +25,7 @@ from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_ba
 from .config import DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
 from .evaluator import ALIGNMENT_K, EvalContext, EvalReport, QuerySet
+from .fileio import atomic_write, write_json
 from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
                        load_triples)
 from .profile_builder import build_profile, load_interactions
@@ -147,8 +148,6 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
 
     with _stage("backbone"):
         table = _obtain_backbone(cfg, store, out_dir, train)
-        if not table.frozen:
-            raise RuntimeError("backbone table is not frozen after load/train")
 
     gates_a = gates_b = None
     f_a = f_b = None
@@ -210,12 +209,10 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
                     cfg, queries, table, gates_a, gates_b, f_a, f_b, head, run_seed)
             per_seed.append({**evaluator.ranking_metrics(ranks, cfg.eval.ks), **battery,
                              "param_count": param_count})
-            for i in range(len(ranks)):
-                rank_rows.append((run_seed,
-                                  store.entity_vocab.label(int(ranks.heads[i])),
-                                  store.relation_vocab.label(int(ranks.rels[i])),
-                                  store.entity_vocab.label(int(ranks.true_tails[i])),
-                                  int(ranks.ranks[i])))
+            ent, rel = store.entity_vocab.label, store.relation_vocab.label
+            rank_rows += [(run_seed, ent(h), rel(r), ent(t), rank) for h, r, t, rank in zip(
+                queries.heads.tolist(), queries.rels.tolist(), queries.true_tails.tolist(),
+                ranks.tolist())]
 
     report = {
         "artifact": "gatedbias-run" if train else "gatedbias-eval",
@@ -240,7 +237,7 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
 
 
 def _evaluate_gated_seed(cfg, queries, table, gates_a, gates_b, f_a, f_b, head,
-                         run_seed) -> tuple[evaluator.RankTable, dict]:
+                         run_seed) -> tuple[np.ndarray, dict]:
     """Adapted ranks plus the personalization battery for one trained head:
     one rank sweep for the adapted and both counterfactual biases, one
     alignment sweep for the base, adapted and placebo biases."""
@@ -256,8 +253,8 @@ def _evaluate_gated_seed(cfg, queries, table, gates_a, gates_b, f_a, f_b, head,
     delta, p_value = evaluator.alignment_delta_test(
         base_mean, adapted_mean,
         np.stack([alignment.base_pq, alignment.adapted_pq], axis=1), seed=run_seed)
-    cr_a = evaluator.counterfactual_responsiveness(bias, "A", ranks, ranks_a)
-    cr_b = evaluator.counterfactual_responsiveness(bias, "B", ranks, ranks_b)
+    cr_a = evaluator.counterfactual_responsiveness(bias, "A", queries.true_tails, ranks, ranks_a)
+    cr_b = evaluator.counterfactual_responsiveness(bias, "B", queries.true_tails, ranks, ranks_b)
     placebo = evaluator.placebo_validation(alignment)
     return ranks, {
         f"alignment@{ALIGNMENT_K}_base": base_mean,
@@ -274,10 +271,8 @@ def _evaluate_gated_seed(cfg, queries, table, gates_a, gates_b, f_a, f_b, head,
 
 
 def _write_report(report: dict, rank_rows: list[tuple], out_dir: str) -> None:
-    with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "ranks.tsv"), "w", encoding="utf-8") as fh:
+    write_json(os.path.join(out_dir, "report.json"), report)
+    with atomic_write(os.path.join(out_dir, "ranks.tsv")) as fh:
         fh.write("seed\thead\trelation\ttrue_tail\trank\n")
         for row in rank_rows:
             fh.write("\t".join(str(x) for x in row) + "\n")
@@ -323,10 +318,8 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "compare.json"), "w", encoding="utf-8") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "compare.tsv"), "w", encoding="utf-8") as fh:
+    write_json(os.path.join(out_dir, "compare.json"), comparison)
+    with atomic_write(os.path.join(out_dir, "compare.tsv")) as fh:
         fh.write(format_comparison(comparison))
     return comparison
 

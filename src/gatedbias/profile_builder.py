@@ -48,37 +48,8 @@ def load_interactions(path: str, store: TripleStore) -> InteractionLog:
             raw.setdefault(user, set()).add(store.entity_vocab.id(item))
     if unknown:
         logger.warning("%s: dropped %d interactions with unknown items", path, unknown)
-    empty = [u for u, items in raw.items() if not items]
-    if empty:
-        logger.warning("%s: dropped %d users with empty histories", path, len(empty))
-    interactions = {
-        u: np.array(sorted(items), dtype=np.int64) for u, items in raw.items() if items
-    }
-    return InteractionLog(interactions=interactions)
-
-
-@dataclass
-class ProfileFeatures:
-    """Normalized per-attribute preference weights f_k, each in [0, cap_tau]."""
-
-    universe: AttributeUniverse
-    values: np.ndarray
-    scale_alpha: float
-    cap_tau: float
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def scaled(self, factor: float) -> "ProfileFeatures":
-        """Multiply all values by a positive factor (counterfactual boosts)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return ProfileFeatures(
-            universe=self.universe,
-            values=self.values * factor,
-            scale_alpha=self.scale_alpha,
-            cap_tau=self.cap_tau * factor,
-        )
+    return InteractionLog(interactions={u: np.array(sorted(items), dtype=np.int64)
+                                        for u, items in raw.items()})
 
 
 def user_preference(log: InteractionLog, user: str, gates: GateMatrix) -> np.ndarray:
@@ -108,8 +79,9 @@ def aggregate_population(log: InteractionLog, gates: GateMatrix,
 
 
 def normalize_features(w: np.ndarray, scale_alpha: float, cap_tau: float,
-                       universe: AttributeUniverse) -> ProfileFeatures:
-    """Scale-and-clip: f[j] = clip(scale_alpha * w[j], 0, cap_tau)."""
+                       universe: AttributeUniverse) -> np.ndarray:
+    """Scale-and-clip: f[j] = clip(scale_alpha * w[j], 0, cap_tau), one
+    float64 preference weight per universe column."""
     if scale_alpha <= 0 or cap_tau <= 0:
         raise ValueError("scale_alpha and cap_tau must be positive")
     w = np.asarray(w, dtype=np.float64)
@@ -117,24 +89,17 @@ def normalize_features(w: np.ndarray, scale_alpha: float, cap_tau: float,
         raise ValueError(f"weight vector length {w.shape[0]} != universe size {len(universe)}")
     if not np.all(np.isfinite(w)):
         raise ValueError("aggregated weights contain non-finite values")
-    values = np.clip(scale_alpha * w, 0.0, cap_tau)
-    return ProfileFeatures(universe=universe, values=values,
-                           scale_alpha=scale_alpha, cap_tau=cap_tau)
+    return np.clip(scale_alpha * w, 0.0, cap_tau)
 
 
-def shuffle_features(f: ProfileFeatures, seed: int) -> ProfileFeatures:
+def shuffle_features(values: np.ndarray, seed: int) -> np.ndarray:
     """Permute feature values uniformly at random; the multiset is preserved."""
     rng = np.random.default_rng(seed)
-    return ProfileFeatures(
-        universe=f.universe,
-        values=f.values[rng.permutation(len(f.values))],
-        scale_alpha=f.scale_alpha,
-        cap_tau=f.cap_tau,
-    )
+    return values[rng.permutation(len(values))]
 
 
 def build_profile(log: InteractionLog, gates: GateMatrix, scale_alpha: float,
-                  cap_tau: float, users: list[str] | None = None) -> ProfileFeatures:
-    """Full three-stage pipeline for one relation group."""
+                  cap_tau: float, users: list[str] | None = None) -> np.ndarray:
+    """Full three-stage pipeline for one relation group: the feature vector f_k."""
     w = aggregate_population(log, gates, users)
     return normalize_features(w, scale_alpha, cap_tau, gates.universe)

@@ -13,7 +13,6 @@ import numpy as np
 from gatedbias.backbone import EmbeddingTable
 from gatedbias.bias_head import BiasHead
 from gatedbias.kg_store import AttributeUniverse, GateMatrix, TripleStore, Vocab
-from gatedbias.profile_builder import ProfileFeatures
 
 
 def store_from_labels(train, valid=(), test=()):
@@ -84,18 +83,18 @@ def random_gates(rng, n_entities, n_cols, density=0.4, group="A"):
     return gates_from_dense(dense, group=group), dense
 
 
-def make_features(gates, values, scale_alpha=0.1, cap_tau=None):
+def make_features(gates, values):
+    """Profile feature vector for gates: one float64 value per universe column."""
     values = np.asarray(values, dtype=np.float64)
-    if cap_tau is None:
-        cap_tau = max(float(values.max(initial=0.0)), 1.0)
-    return ProfileFeatures(universe=gates.universe, values=values,
-                           scale_alpha=scale_alpha, cap_tau=cap_tau)
+    if values.shape != (gates.num_columns,):
+        raise ValueError(f"{values.shape[0]} feature values for {gates.num_columns} columns")
+    return values
 
 
-def random_table(rng, n_entities, n_relations, dim, frozen=True):
+def random_table(rng, n_entities, n_relations, dim):
     ent = rng.standard_normal((n_entities, dim)).astype(np.float32)
     rel = rng.standard_normal((n_relations, dim)).astype(np.float32)
-    return EmbeddingTable(ent, rel, frozen=frozen)
+    return EmbeddingTable(ent, rel)
 
 
 def make_head(w_a, w_b, alpha_a=1.0, alpha_b=1.0):

@@ -1,18 +1,35 @@
-"""Per-query reference implementations of the evaluator's scoring engine.
+"""Reference implementations the library must agree with.
 
-Each function scores one query at a time with score_all_tails and ranks or
-sorts that single row, with filters read straight from store.known_tails.
+The ranking oracles score one query at a time with score_all_tails and rank
+or sort that single row, with filters read straight from store.known_tails.
 They share no code with the chunked engine in gatedbias.evaluator, which
 must agree with them exactly; the differential tests compare the two.
+score and to_dense are the one-triple DistMult score and the dense form of a
+gate matrix, written out from the stored arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gatedbias.evaluator import AlignedSet, RankTable
+from gatedbias.evaluator import AlignedSet
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+def score(table, h: int, r: int, t: int) -> float:
+    """DistMult s(h, r, t) = sum_j e_h[j] * e_r[j] * e_t[j], in float64."""
+    ent = table.entity_emb.astype(np.float64)
+    rel = table.relation_emb.astype(np.float64)
+    return float(np.dot(ent[h] * rel[r], ent[t]))
+
+
+def to_dense(gates) -> np.ndarray:
+    """The |E| x |U| 0/1 matrix of a GateMatrix, row by row from its CSR arrays."""
+    dense = np.zeros((gates.num_entities, gates.num_columns), dtype=np.float64)
+    for t in range(gates.num_entities):
+        dense[t, gates.indices[gates.indptr[t]:gates.indptr[t + 1]]] = 1.0
+    return dense
 
 
 def filtered_rank(scores: np.ndarray, true_tail: int, filter_out: np.ndarray) -> int:
@@ -51,7 +68,8 @@ def query_filters(store, split: str = "test") -> list[np.ndarray]:
     return [store.known_tails.get((int(h), int(r)), _EMPTY_IDS) for h, r, _ in store.split(split)]
 
 
-def compute_rank_table(store, table, bias_values=None, split: str = "test") -> RankTable:
+def compute_rank_table(store, table, bias_values=None, split: str = "test") -> np.ndarray:
+    """Filtered rank of each query of the split, in split order."""
     triples = store.split(split)
     if triples.shape[0] == 0:
         raise ValueError(f"split {split!r} has no triples to rank")
@@ -62,8 +80,7 @@ def compute_rank_table(store, table, bias_values=None, split: str = "test") -> R
         if bias_values is not None:
             scores = scores + bias_values
         ranks[i] = filtered_rank(scores, int(t), filters[i])
-    return RankTable(heads=triples[:, 0].copy(), rels=triples[:, 1].copy(),
-                     true_tails=triples[:, 2].copy(), ranks=ranks)
+    return ranks
 
 
 def alignment_per_query(queries: list[tuple[int, int]], filters: list[np.ndarray],

@@ -8,11 +8,11 @@ from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable,
 from gatedbias.errors import CheckpointError
 from gatedbias.evaluator import compute_rank_table, query_set, ranking_metrics
 from helpers import random_table, store_from_labels
+from oracles import score
 
 
-def table_from(ent, rel, frozen=True):
-    return EmbeddingTable(np.asarray(ent, dtype=np.float32),
-                          np.asarray(rel, dtype=np.float32), frozen=frozen)
+def table_from(ent, rel):
+    return EmbeddingTable(np.asarray(ent, dtype=np.float32), np.asarray(rel, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -21,19 +21,19 @@ def table_from(ent, rel, frozen=True):
 
 def test_score_hand_arithmetic():
     table = table_from([[1, 2], [2, 1]], [[3, 1]])
-    assert table.score(0, 0, 1) == 1 * 3 * 2 + 2 * 1 * 1  # = 8
+    assert score(table, 0, 0, 1) == 1 * 3 * 2 + 2 * 1 * 1  # = 8
 
 
 def test_score_orthogonal_product_is_zero():
     table = table_from([[1, 0], [0, 1]], [[1, 1]])
-    assert table.score(0, 0, 1) == 0.0
+    assert score(table, 0, 0, 1) == 0.0
 
 
 def test_score_distmult_symmetry():
     rng = np.random.default_rng(0)
     table = random_table(rng, 12, 3, 8)
     for h, r, t in rng.integers(0, [12, 3, 12], size=(30, 3)):
-        assert table.score(int(h), int(r), int(t)) == table.score(int(t), int(r), int(h))
+        assert score(table, int(h), int(r), int(t)) == score(table, int(t), int(r), int(h))
 
 
 def test_score_all_tails_matches_per_triple():
@@ -43,7 +43,7 @@ def test_score_all_tails_matches_per_triple():
         for r in range(4):
             vec = table.score_all_tails(h, r)
             assert vec.shape == (20,)
-            per = np.array([table.score(h, r, t) for t in range(20)])
+            per = np.array([score(table, h, r, t) for t in range(20)])
             assert np.allclose(vec, per, rtol=1e-9, atol=0)
 
 
@@ -60,12 +60,12 @@ def test_score_triples_matches_score():
     t = rng.integers(0, 10, size=6)
     batch = table.score_triples(h, r, t)
     for i in range(6):
-        assert np.isclose(batch[i], table.score(int(h[i]), int(r[i]), int(t[i])),
+        assert np.isclose(batch[i], score(table, int(h[i]), int(r[i]), int(t[i])),
                           rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# table construction and freezing
+# table construction and read-only storage
 # ---------------------------------------------------------------------------
 
 def test_table_shape_and_finite_validation():
@@ -79,11 +79,15 @@ def test_table_shape_and_finite_validation():
         EmbeddingTable(bad, np.zeros((1, 4), dtype=np.float32))
 
 
-def test_frozen_table_rejects_writes():
-    table = table_from(np.zeros((2, 4)), np.zeros((1, 4)))
-    assert table.frozen
-    with pytest.raises(ValueError):
-        table.entity_emb[0, 0] = 1.0
+def test_frozen_table_rejects_writes(tmp_path):
+    direct = table_from(np.zeros((2, 4)), np.zeros((1, 4)))
+    trained = train_backbone(chain_store(), BackboneTrainConfig(dim=4, epochs=1))
+    path = str(tmp_path / "emb.kge")
+    save_embeddings(direct, path)
+    for table in (direct, trained, load_embeddings(path)):
+        for emb in (table.entity_emb, table.relation_emb):
+            with pytest.raises(ValueError, match="read-only"):
+                emb[0, 0] = 1.0
 
 
 def test_checksum_distinguishes_tables():
@@ -122,7 +126,6 @@ def test_train_epochs_zero_returns_seeded_init():
     expected_rel = rng.uniform(-bound, bound, size=(store.num_relations, 8))
     assert np.array_equal(table.entity_emb, expected_ent.astype(np.float32))
     assert np.array_equal(table.relation_emb, expected_rel.astype(np.float32))
-    assert table.frozen
 
 
 def test_train_empty_store_raises():
@@ -171,7 +174,6 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_embeddings(path, expected_entities=7, expected_relations=3)
     assert np.array_equal(loaded.entity_emb, table.entity_emb)
     assert np.array_equal(loaded.relation_emb, table.relation_emb)
-    assert loaded.frozen
     assert loaded.checksum() == table.checksum()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from gatedbias.bias_head import BiasVector, compute_bias
 from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, EvalContext, EvalReport,
-                                 RankTable, aligned_set, alignment_delta_test,
+                                 aligned_set, alignment_delta_test,
                                  compute_rank_table, counterfactual_bias,
                                  counterfactual_responsiveness, mean_stderr,
                                  measure_alignment, placebo_validation, query_set,
@@ -18,7 +18,7 @@ from oracles import alignment_at_k, alignment_per_query, filtered_rank, topk_fil
 def zero_table(n_entities, n_relations=1, dim=4):
     from gatedbias.backbone import EmbeddingTable
     return EmbeddingTable(np.zeros((n_entities, dim), dtype=np.float32),
-                          np.zeros((n_relations, dim), dtype=np.float32), frozen=True)
+                          np.zeros((n_relations, dim), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +72,6 @@ def test_topk_filtered_ties_by_id_and_drops_filtered():
 # rank tables and metrics
 # ---------------------------------------------------------------------------
 
-def test_rank_table_validation():
-    ids = np.array([0, 1])
-    with pytest.raises(ValueError, match="length"):
-        RankTable(heads=ids, rels=ids, true_tails=ids, ranks=np.array([1]))
-    with pytest.raises(ValueError, match=">= 1"):
-        RankTable(heads=ids, rels=ids, true_tails=ids, ranks=np.array([1, 0]))
-
-
 def test_compute_rank_table_matches_manual_loop():
     store = store_from_labels(
         train=[("a", "r", "b"), ("a", "r", "c"), ("d", "s", "b"), ("e", "r", "a")],
@@ -89,7 +81,8 @@ def test_compute_rank_table_matches_manual_loop():
     table = random_table(rng, store.num_entities, store.num_relations, 4)
     bias = rng.standard_normal(store.num_entities)
 
-    got, = compute_rank_table(query_set(store), table, [bias])
+    queries = query_set(store)
+    got, = compute_rank_table(queries, table, [bias])
 
     for i, (h, r, t) in enumerate(store.test):
         scores = table.score_all_tails(int(h), int(r)) + bias
@@ -99,8 +92,8 @@ def test_compute_rank_table_matches_manual_loop():
         s_true = scores[int(t)]
         greater = sum(1 for j in kept if scores[j] > s_true)
         equal = sum(1 for j in kept if scores[j] == s_true) - 1
-        assert got.ranks[i] == 1 + greater + equal // 2
-        assert (got.heads[i], got.rels[i], got.true_tails[i]) == (h, r, t)
+        assert got[i] == 1 + greater + equal // 2
+        assert (queries.heads[i], queries.rels[i], queries.true_tails[i]) == (h, r, t)
 
 
 def test_compute_rank_table_empty_split_raises():
@@ -124,10 +117,7 @@ def test_query_filters_order_and_content():
 
 
 def rank_table_of(ranks):
-    n = len(ranks)
-    ids = np.zeros(n, dtype=np.int64)
-    return RankTable(heads=ids, rels=ids, true_tails=ids,
-                     ranks=np.asarray(ranks, dtype=np.int64))
+    return np.asarray(ranks, dtype=np.int64)
 
 
 def test_ranking_metrics_perfect_ranks():
@@ -165,10 +155,8 @@ def test_ranking_metrics_bounds_and_monotonicity():
 
 
 def test_ranking_metrics_empty_raises():
-    empty = np.empty(0, dtype=np.int64)
-    table = RankTable(heads=empty, rels=empty, true_tails=empty, ranks=empty)
     with pytest.raises(ValueError, match="empty"):
-        ranking_metrics(table, ks=[1])
+        ranking_metrics(np.empty(0, dtype=np.int64), ks=[1])
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +237,8 @@ def test_alignment_full_and_empty_sets():
     queries = [(0, 0), (1, 0)]
     filters = [np.empty(0, dtype=np.int64)] * 2
     fn = scores_by_head({0: [3.0, 2.0, 1.0, 0.0], 1: [0.0, 1.0, 2.0, 3.0]})
-    everyone = AlignedSet(members=np.arange(4), percentile_p=70,
-                          threshold_tau=0.0, num_entities=4)
-    nobody = AlignedSet(members=np.empty(0, dtype=np.int64), percentile_p=70,
-                        threshold_tau=0.0, num_entities=4)
+    everyone = AlignedSet(members=np.arange(4), threshold_tau=0.0, num_entities=4)
+    nobody = AlignedSet(members=np.empty(0, dtype=np.int64), threshold_tau=0.0, num_entities=4)
     assert alignment_at_k(queries, filters, fn, everyone, k=2) == 1.0
     assert alignment_at_k(queries, filters, fn, nobody, k=2) == 0.0
 
@@ -262,8 +248,7 @@ def test_alignment_hand_enumeration():
     queries = [(0, 0), (1, 0)]
     filters = [np.empty(0, dtype=np.int64)] * 2
     fn = scores_by_head({0: [9.0, 8.0, 1.0, 0.0], 1: [0.0, 1.0, 8.0, 9.0]})
-    aligned = AlignedSet(members=np.array([0]), percentile_p=70,
-                         threshold_tau=1.0, num_entities=4)
+    aligned = AlignedSet(members=np.array([0]), threshold_tau=1.0, num_entities=4)
     per_query = alignment_per_query(queries, filters, fn, aligned, k=2)
     assert per_query.tolist() == [0.5, 0.0]
     assert alignment_at_k(queries, filters, fn, aligned, k=2) == 0.25
@@ -272,8 +257,7 @@ def test_alignment_hand_enumeration():
 def test_alignment_respects_filters():
     queries = [(0, 0)]
     fn = scores_by_head({0: [9.0, 8.0, 1.0, 0.0]})
-    aligned = AlignedSet(members=np.array([0]), percentile_p=70,
-                         threshold_tau=1.0, num_entities=4)
+    aligned = AlignedSet(members=np.array([0]), threshold_tau=1.0, num_entities=4)
     unfiltered = alignment_at_k(queries, [np.empty(0, dtype=np.int64)], fn, aligned, k=2)
     filtered = alignment_at_k(queries, [np.array([0])], fn, aligned, k=2)
     assert unfiltered == 0.5
@@ -281,8 +265,7 @@ def test_alignment_respects_filters():
 
 
 def test_alignment_validation():
-    aligned = AlignedSet(members=np.array([0]), percentile_p=70,
-                         threshold_tau=1.0, num_entities=2)
+    aligned = AlignedSet(members=np.array([0]), threshold_tau=1.0, num_entities=2)
     fn = scores_by_head({0: [1.0, 0.0]})
     with pytest.raises(ValueError, match="at least one query"):
         alignment_at_k([], [], fn, aligned, k=2)
@@ -333,7 +316,7 @@ def cr_of(setup, group, epsilon):
     ctx, queries, table, ranks = setup
     after, = compute_rank_table(queries, table,
                                 [counterfactual_bias(ctx, group, epsilon).values])
-    return counterfactual_responsiveness(ctx.bias, group, ranks, after)
+    return counterfactual_responsiveness(ctx.bias, group, queries.true_tails, ranks, after)
 
 
 def crossing_context():
@@ -396,7 +379,7 @@ def test_cr_validation():
     with pytest.raises(ValueError, match="group"):
         counterfactual_bias(ctx, "C", 0.1)
     with pytest.raises(ValueError, match="group"):
-        counterfactual_responsiveness(ctx.bias, "C", ranks, ranks)
+        counterfactual_responsiveness(ctx.bias, "C", np.zeros(2, dtype=np.int64), ranks, ranks)
     with pytest.raises(ValueError, match="epsilon"):
         counterfactual_bias(ctx, "A", -0.1)
 

@@ -13,8 +13,9 @@ from gatedbias.errors import PipelineError
 from gatedbias.evaluator import query_set
 from gatedbias.kg_store import load_grouping, load_triples, make_grouping
 from gatedbias.profile_builder import load_interactions
-from gatedbias.pipeline import (METHOD_ORDER, format_comparison, query_checksum,
-                                run_compare, run_eval, run_pipeline, task_train_store)
+from gatedbias.pipeline import (METHOD_ORDER, _write_report, format_comparison,
+                                query_checksum, run_compare, run_eval, run_pipeline,
+                                task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate
 
 
@@ -244,8 +245,10 @@ def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
 
     lf_store = load_triples(os.path.join(data_dir, "triples"))
     crlf_store = load_triples(os.path.join(crlf, "triples"))
-    assert crlf_store.entity_vocab.labels() == lf_store.entity_vocab.labels()
-    assert crlf_store.relation_vocab.labels() == lf_store.relation_vocab.labels()
+    def labels(v):
+        return [v.label(i) for i in range(len(v))]
+    assert labels(crlf_store.entity_vocab) == labels(lf_store.entity_vocab)
+    assert labels(crlf_store.relation_vocab) == labels(lf_store.relation_vocab)
     lf_log = load_interactions(os.path.join(data_dir, "interactions.tsv"), lf_store)
     crlf_log = load_interactions(os.path.join(crlf, "interactions.tsv"), crlf_store)
     assert crlf_log.users() == lf_log.users()
@@ -261,6 +264,21 @@ def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
            {k: v for k, v in report["config"].items() if k != "data"}
     with open(str(tmp_path / "out" / "ranks.tsv"), "rb") as fh:
         assert fh.read() == ranks_bytes
+
+
+def test_failed_report_write_keeps_the_previous_report(gated_run, tmp_path):
+    out = str(tmp_path / "run")
+    shutil.copytree(gated_run[0], out)
+    listing = sorted(os.listdir(out))
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        before = fh.read()
+    # json.dump has written "{" and the "a" entry to disk when it meets the object
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _write_report({"a": 1, "z": object()}, [], out)
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        assert fh.read() == before
+    assert sorted(os.listdir(out)) == listing
+    assert not [name for name in listing if name.endswith(".tmp")]
 
 
 def test_run_eval_without_checkpoints(data_dir, tmp_path):

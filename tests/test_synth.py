@@ -247,6 +247,6 @@ def test_emitted_triples_and_grouping_load_cleanly(big):
     assert store.valid.shape[0] == counts["valid"]
     assert store.test.shape[0] == counts["test"]
     grouping = load_grouping(os.path.join(out, "grouping.yaml"), store)
-    assert grouping.tag(store.relation_vocab.id(REL_A)) == "A"
-    assert grouping.tag(store.relation_vocab.id(REL_B)) == "B"
-    assert grouping.tag(store.relation_vocab.id(REL_LIKES)) == "none"
+    assert grouping.groups[store.relation_vocab.id(REL_A)] == "A"
+    assert grouping.groups[store.relation_vocab.id(REL_B)] == "B"
+    assert grouping.groups[store.relation_vocab.id(REL_LIKES)] == "none"
