@@ -3,10 +3,12 @@
 Covers filtered MRR / Hits@k / NDCG@k, Alignment@k against a percentile-margin
 aligned set, counterfactual responsiveness under feature perturbation, and the
 shuffled-feature placebo check. Every pass over the test queries goes
-through one engine: it scores a chunk of queries once and ranks a whole stack
-of bias vectors against those rows, so a trained head's battery costs two
-sweeps. All reductions run in fixed query order so repeated runs agree bit
-for bit.
+through one engine keyed by distinct (h, r): a query's score row, filter and
+top-k depend on (h, r) and the bias alone, so the engine scores a chunk of
+keys once, ranks a whole stack of bias vectors against those rows, and reads
+each query's rank and Alignment@k off its key's row. A trained head's
+battery costs two sweeps over the keys. All reductions run in fixed query
+order so repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -35,32 +37,44 @@ _EMPTY_IDS = np.empty(0, dtype=np.int64)
 
 @dataclass
 class QuerySet:
-    """The (h, r, t*) test queries and their filters, built once per run.
+    """The (h, r, t*) test queries, keyed by their distinct (h, r), built once
+    per run.
 
-    The filter of query i, the known train+valid tails of (h, r) in id order,
-    is filter_indices[filter_indptr[i]:filter_indptr[i + 1]].
+    Query i has key key_of[i]; keys are the distinct test (h, r) pairs in
+    ascending (h, r) order, key j being (key_heads[j], key_rels[j]). The
+    filter of key j, the known train+valid tails of its (h, r) in id order,
+    is filter_indices[filter_indptr[j]:filter_indptr[j + 1]], stored once
+    however many queries share the key.
     """
 
     heads: np.ndarray
     rels: np.ndarray
     true_tails: np.ndarray
-    filter_indptr: np.ndarray  # int64, one more entry than there are queries
+    key_of: np.ndarray  # one entry per query
+    key_heads: np.ndarray
+    key_rels: np.ndarray
+    filter_indptr: np.ndarray  # int64, one more entry than there are keys
     filter_indices: np.ndarray  # int32
 
     def __len__(self) -> int:
         return len(self.heads)
 
     def filter(self, i: int) -> np.ndarray:
-        return self.filter_indices[self.filter_indptr[i]:self.filter_indptr[i + 1]]
+        """The filter of query i: that of its key."""
+        k = self.key_of[i]
+        return self.filter_indices[self.filter_indptr[k]:self.filter_indptr[k + 1]]
 
 
 def query_set(store: TripleStore) -> QuerySet:
     triples = store.test
-    filters = [store.known_tails.get((int(h), int(r)), _EMPTY_IDS) for h, r, _ in triples]
+    keys, key_of = np.unique(triples[:, :2], axis=0, return_inverse=True)
+    filters = [store.known_tails.get((h, r), _EMPTY_IDS) for h, r in keys.tolist()]
     indptr = np.zeros(len(filters) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum([f.size for f in filters], dtype=np.int64)
     return QuerySet(heads=triples[:, 0].copy(), rels=triples[:, 1].copy(),
-                    true_tails=triples[:, 2].copy(), filter_indptr=indptr,
+                    true_tails=triples[:, 2].copy(), key_of=key_of.reshape(-1),
+                    key_heads=keys[:, 0].copy(), key_rels=keys[:, 1].copy(),
+                    filter_indptr=indptr,
                     filter_indices=np.concatenate([_EMPTY_IDS, *filters], dtype=np.int32))
 
 
@@ -68,27 +82,27 @@ def query_set(store: TripleStore) -> QuerySet:
 # Scoring engine
 # ---------------------------------------------------------------------------
 
-# Score cells (queries × entities) of one float64 block: 256 KiB. The engine
+# Score cells (keys × entities) of one float64 block: 256 KiB. The engine
 # holds two blocks of this size, and a few boolean ones, whatever the number
-# of queries, so its memory stays flat as the test split grows.
+# of queries or keys, so its memory stays flat as the test split grows.
 BLOCK_CELLS = 1 << 15
 
 
 def _sweep(queries: QuerySet, table: EmbeddingTable, block_cells: int):
-    """Walk the queries in row chunks of at most block_cells cells (at least
-    one row). Yields the chunk's query slice, its base score rows, a work
-    block of the same shape, and the flat positions of its filter cells in a
-    block. The base rows come from one score_all_tails call per query. Both
-    blocks are reused, so a chunk must be consumed before the next is drawn."""
-    n_e = table.num_entities
+    """Walk the keys in row chunks of at most block_cells cells (at least one
+    row). Yields the chunk's key slice, its base score rows, a work block of
+    the same shape, and the flat positions of its filter cells in a block.
+    The base rows come from one score_all_tails call per key. Both blocks
+    are reused, so a chunk must be consumed before the next is drawn."""
+    n_e, n_keys = table.num_entities, len(queries.key_heads)
     step = max(1, block_cells // n_e)
-    base = np.empty((min(step, len(queries)), n_e))
+    base = np.empty((min(step, n_keys), n_e))
     work = np.empty_like(base)
-    for start in range(0, len(queries), step):
-        stop = min(start + step, len(queries))
+    for start in range(0, n_keys, step):
+        stop = min(start + step, n_keys)
         block = base[:stop - start]
-        for j, (h, r) in enumerate(zip(queries.heads[start:stop].tolist(),
-                                       queries.rels[start:stop].tolist())):
+        for j, (h, r) in enumerate(zip(queries.key_heads[start:stop].tolist(),
+                                       queries.key_rels[start:stop].tolist())):
             block[j] = table.score_all_tails(h, r)
         ptr = queries.filter_indptr[start:stop + 1]
         filt = np.repeat(np.arange(0, len(block) * n_e, n_e), np.diff(ptr))
@@ -109,28 +123,46 @@ def _bias_stack(biases, n_entities: int) -> np.ndarray:
 def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None,
                        block_cells: int = BLOCK_CELLS) -> np.ndarray:
     """Filtered rank of every true tail under each bias vector of the stack
-    (None: the backbone alone), from one scoring sweep over the queries: an
+    (None: the backbone alone), from one scoring sweep over the keys: an
     (n_biases, len(queries)) int64 array, row b for bias b, in query order.
 
     Filtered candidates other than the true tail drop out, and ties resolve
     to the middle of the tied block, rounded down:
     rank = 1 + #{strictly greater} + floor(#{equal, excluding self} / 2).
+    Each key's filtered row is sorted once per bias and all the key's true
+    tails are looked up in it. A true tail inside its own filter F is not in
+    that row, so it has no self to exclude:
+    rank = 1 + greater + (equal - [t not in F]) // 2.
     """
     if len(queries) == 0:
         raise ValueError("no test triples to rank")
-    stack = _bias_stack(biases, table.num_entities)
+    n_e = table.num_entities
+    stack = _bias_stack(biases, n_e)
+    # the queries grouped by key: those of key j are by_key[qptr[j]:qptr[j + 1]]
+    by_key = np.argsort(queries.key_of, kind="stable")
+    qptr = np.searchsorted(queries.key_of[by_key], np.arange(len(queries.key_heads) + 1))
     ranks = np.empty((len(stack), len(queries)), dtype=np.int64)
-    for rows, block, scores, filt in _sweep(queries, table, block_cells):
-        tails = queries.true_tails[rows]
-        true_cells = np.arange(0, block.size, block.shape[1]) + tails
-        filt = filt[filt != true_cells[filt // block.shape[1]]]
+    for keys, block, scores, filt in _sweep(queries, table, block_cells):
+        ptr = qptr[keys.start:keys.stop + 1]
+        members = by_key[ptr[0]:ptr[-1]]
+        per_row = [slice(a - ptr[0], z - ptr[0]) for a, z in zip(ptr[:-1], ptr[1:])]
+        true_cells = (queries.key_of[members] - keys.start) * n_e + queries.true_tails[members]
+        # filt ascends (rows in order, each key's tails in id order), so a
+        # true cell is unfiltered when no filter cell equals it
+        unfiltered = (np.searchsorted(filt, true_cells)
+                      == np.searchsorted(filt, true_cells, side="right"))
+        greater = np.empty(len(members), dtype=np.int64)
+        equal = np.empty_like(greater)
         for b, bias in enumerate(stack):
             np.add(block, bias, out=scores)
+            s_true = scores.reshape(-1)[true_cells]
             scores.reshape(-1)[filt] = -np.inf
-            s_true = scores.reshape(-1)[true_cells][:, None]
-            greater = np.count_nonzero(scores > s_true, axis=1)
-            equal = np.count_nonzero(scores == s_true, axis=1) - 1
-            ranks[b, rows] = 1 + greater + equal // 2
+            scores.sort(axis=1)
+            for row, q in zip(scores, per_row):
+                hi = np.searchsorted(row, s_true[q], side="right")
+                greater[q] = n_e - hi
+                equal[q] = hi - np.searchsorted(row, s_true[q], side="left")
+            ranks[b, members] = 1 + greater + (equal - unfiltered) // 2
     return ranks
 
 
@@ -218,7 +250,9 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
                         aligned: AlignedSet, k: int,
                         block_cells: int = BLOCK_CELLS) -> np.ndarray:
     """Per-query |top-k ∩ A| / k, one row per bias vector of the stack (None:
-    the backbone alone), from one scoring sweep over the queries.
+    the backbone alone), from one scoring sweep over the keys: top-k depends
+    on (h, r) and the bias alone, so each key's value is computed once and
+    read by all its queries.
 
     Top-k holds the k best unfiltered candidates, score descending and ties
     by lower id; only its set matters. Every filtered tail stays out, so a
@@ -230,13 +264,13 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
         raise ValueError("alignment needs at least one query")
     stack = _bias_stack(biases, table.num_entities)
     mask = aligned.mask()
-    hits = np.empty((len(stack), len(queries)), dtype=np.int64)
-    for rows, block, scores, filt in _sweep(queries, table, block_cells):
+    hits = np.empty((len(stack), len(queries.key_heads)), dtype=np.int64)
+    for keys, block, scores, filt in _sweep(queries, table, block_cells):
         for b, bias in enumerate(stack):
             np.add(block, bias, out=scores)
             scores.reshape(-1)[filt] = -np.inf
-            hits[b, rows] = _topk_hits(scores, mask, k)
-    return hits / k
+            hits[b, keys] = _topk_hits(scores, mask, k)
+    return hits[:, queries.key_of] / k
 
 
 def alignment_delta_test(

@@ -2,7 +2,9 @@
 
 A file is written to a temporary sibling and moved over its path in one
 os.replace, so a reader sees the old file or the new one, never a torn one,
-and a write that fails leaves the old file and no temporary behind.
+and a write that fails leaves the old file and no temporary behind. The
+file's directory is created here, right before its first file is written,
+so a run refused before it writes anything leaves no directory behind.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from contextlib import contextmanager
 @contextmanager
 def atomic_write(path: str, mode: str = "w"):
     """Yield a file object opened with mode on a sibling of path; on a clean
-    exit it replaces path, on an error it is removed."""
+    exit it replaces path, on an error it is removed. Missing parent
+    directories are created first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:

@@ -129,8 +129,6 @@ def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
     backbone.load is set) and the per-seed heads are trained and saved;
     without, they are loaded: the backbone from backbone.load or
     out_dir/backbone.kge, the heads from their per-seed checkpoints."""
-    os.makedirs(out_dir, exist_ok=True)
-
     with _stage("data"):
         data = materialize_data(cfg, out_dir, write=train)
         store = load_triples(data.triples_dir)
@@ -288,7 +286,6 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
     their reports echo re-runnable configs however out_dir was spelled.
     """
     out_dir = os.path.abspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     with _stage("data"):
         data_cfg = materialize_data(cfg, out_dir)
 

@@ -3,7 +3,8 @@ attributes of the package and binds the `store` and `cfg` arguments of the
 trainers to count their work. These checks resolve every traced name and run
 a tiny traced `run`, so a refactor that renames or moves a traced function or
 one of those parameters fails here, not only in the benchmark's own
-self-check."""
+self-check. They also pin the engine's work: one score call per distinct
+test (h, r) and sweep."""
 
 import importlib
 import math
@@ -59,3 +60,29 @@ def test_tracer_counts_trainer_work(method, trainer, monkeypatch, tmp_path):
     assert work["pipeline.train_backbone"] == {"batches": 3 * math.ceil(n / 16),
                                                "triples": 3 * n}
     assert work[trainer] == {"pairs": 2 * head_store.train.shape[0] * 2}
+
+
+def test_tracer_counts_one_score_call_per_key_and_sweep(monkeypatch, tmp_path):
+    """A gated seed makes two sweeps (rank table, alignment), each scoring
+    every distinct test (h, r) once: scoring per query would fail here."""
+    cfg = config_from_dict({
+        "data": {"synthetic": {"n_items": 30, "n_attrs_per_group": 5, "n_users": 10,
+                               "seed": 1}},
+        "backbone": {"dim": 8, "epochs": 2, "learning_rate": 0.5, "batch_size": 32},
+        "head": {"batch_size": 32, "learning_rate": 0.1, "epochs": 1,
+                 "negatives_per_positive": 1},
+        "eval": {"seeds": [0, 1], "n_shuffles": 2},
+        "method": "gatedbias",
+    })
+    t = load_tracer(monkeypatch).Tracer()
+    t.install()
+    try:
+        pipeline.run_pipeline(cfg, str(tmp_path))
+    finally:
+        t.uninstall()
+    score_calls = sum(name == "EmbeddingTable.score_all_tails" for name, *_ in t.spans)
+
+    store = load_triples(str(tmp_path / "dataset" / "triples"))
+    keys = {(h, r) for h, r, _ in store.test.tolist()}
+    assert len(keys) < store.test.shape[0]
+    assert score_calls == 2 * 2 * len(keys)

@@ -202,6 +202,24 @@ def test_profile_range_fails_before_training(cfg_path, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,stage", [("run", "data"), ("compare", "data"),
+                                           ("eval", "backbone")])
+def test_refused_run_leaves_no_out_directory(command, stage, cfg_path, data_dir, tmp_path,
+                                             capsys):
+    """run and compare refused at load, and eval with no checkpoint to load,
+    create no --out directory: it is made only when a file goes into it."""
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    if stage == "data":
+        raw["data"]["triples_dir"] = os.path.join(data_dir, "triples", "train.tsv")
+    path = str(tmp_path / "config.yaml")
+    save_config(raw, path)
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)]) == 1
+    assert f"error: [{stage}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_with_relative_out_echoes_absolute_paths(tmp_path, monkeypatch):
     save_config({
         "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5, "n_users": 5, "seed": 1}},

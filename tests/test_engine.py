@@ -1,7 +1,8 @@
-"""Differential tests: the chunked scoring engine against the per-query oracles.
+"""Differential tests: the (h, r)-keyed scoring engine against the per-query oracles.
 
 Ranks and per-query alignment must equal the oracles exactly, on random
-stores, on tie-heavy ones, on degenerate queries and across chunk
+stores, on tie-heavy ones, on degenerate queries, on many queries sharing
+one (h, r), on true tails inside their own filter and across chunk
 boundaries. The sign-flip test must give the p-value of one unchunked draw.
 """
 
@@ -111,17 +112,138 @@ def test_engine_matches_oracle_on_degenerate_queries(k, block_cells):
     assert everyone[0, 2] == min(k, n) / k
 
 
-def test_engine_scores_each_query_once_per_sweep(monkeypatch):
+def test_engine_scores_each_key_once_per_sweep(monkeypatch):
+    """Each distinct test (h, r) is scored once per sweep, in key order."""
     rng = np.random.default_rng(3)
     store = random_store(rng, n_entities=30, n_relations=2, n_train=80, n_test=17)
+    store.test[:, 0] %= 4  # four heads: keys repeat
     table = random_table(rng, 30, 2, 4)
     calls = []
     original = EmbeddingTable.score_all_tails
     monkeypatch.setattr(EmbeddingTable, "score_all_tails",
                         lambda self, h, r: calls.append((h, r)) or original(self, h, r))
     biases = [rng.standard_normal(30) for _ in range(5)]
-    compute_rank_table(query_set(store), table, biases, block_cells=4 * 30)
-    assert calls == [(int(h), int(r)) for h, r, _ in store.test]
+    keys = sorted({(int(h), int(r)) for h, r, _ in store.test})
+    assert len(keys) < len(store.test)
+    queries = query_set(store)
+    compute_rank_table(queries, table, biases, block_cells=4 * 30)
+    assert calls == keys
+    calls.clear()
+    aligned = AlignedSet(members=np.arange(0, 30, 2), threshold_tau=0.0, num_entities=30)
+    alignment_per_query(queries, table, biases, aligned, 5, block_cells=3 * 30 - 1)
+    assert calls == keys
+
+
+# ---------------------------------------------------------------------------
+# keys: queries that share a distinct (h, r)
+# ---------------------------------------------------------------------------
+
+def hub_store(rng, n_entities, n_heads, n_test, n_train, n_in_train):
+    """Few heads and one relation: every key has many test queries with
+    different true tails. n_in_train of the test triples are also train
+    triples, so their true tail sits in its own filter."""
+    hubs = [f"u{i}" for i in range(n_heads)]
+    items = [f"i{i}" for i in range(n_entities - n_heads)]
+
+    def draw(n):
+        return [(hubs[int(rng.integers(n_heads))], "likes", items[int(rng.integers(len(items)))])
+                for _ in range(n)]
+
+    test = draw(n_test)
+    train = draw(n_train) + test[:n_in_train]
+    train += [(u, "likes", u) for u in hubs] + [(i, "likes", i) for i in items]  # every label
+    return store_from_labels(train=train, test=test)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_matches_oracle_on_queries_sharing_a_key(seed):
+    rng = np.random.default_rng(seed)
+    store = hub_store(rng, n_entities=40, n_heads=3, n_test=60, n_train=50, n_in_train=0)
+    queries = query_set(store)
+    assert len(queries.key_heads) <= 3 < len(queries)
+    n = store.num_entities
+    table = random_table(rng, n, 1, 4)
+    biases = [np.zeros(n), rng.standard_normal(n), rng.choice([-1.0, 0.0, 1.0], size=n)]
+    for block_cells in (1, n, 2 * n, evaluator.BLOCK_CELLS):
+        assert_engine_matches_oracle(store, table, biases, np.arange(0, n, 3), 10, block_cells)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_engine_matches_oracle_on_true_tails_in_their_own_filter(seed):
+    rng = np.random.default_rng(seed)
+    store = hub_store(rng, n_entities=30, n_heads=2, n_test=40, n_train=20, n_in_train=15)
+    queries = query_set(store)
+    inside = [int(t) in queries.filter(i).tolist() for i, t in enumerate(queries.true_tails)]
+    assert any(inside) and not all(inside)
+    n = store.num_entities
+    biases = [np.zeros(n), rng.standard_normal(n), rng.choice([-1.0, 1.0], size=n)]
+    for table in (random_table(rng, n, 1, 4), equal_table(n, 1)):
+        for block_cells in (1, n + 1, evaluator.BLOCK_CELLS):
+            assert_engine_matches_oracle(store, table, biases, np.arange(1, n, 2), 7, block_cells)
+
+
+def test_engine_matches_oracle_on_all_tie_rows_shared_by_a_key():
+    rng = np.random.default_rng(5)
+    store = hub_store(rng, n_entities=25, n_heads=2, n_test=30, n_train=10, n_in_train=8)
+    n = store.num_entities
+    table = equal_table(n, 1)
+    biases = [np.zeros(n), np.full(n, 2.5)]
+    for block_cells in (1, n, evaluator.BLOCK_CELLS):
+        assert_engine_matches_oracle(store, table, biases, np.arange(0, n, 4), 5, block_cells)
+    # one tied block: a query's rank depends only on whether its tail is filtered
+    queries = query_set(store)
+    ranks = compute_rank_table(queries, table)[0]
+    for i, t in enumerate(queries.true_tails.tolist()):
+        filt = queries.filter(i).tolist()
+        candidates = n - len(filt) + (t in filt)
+        assert ranks[i] == 1 + (candidates - 1) // 2
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("spare", [-1, 0, 1])
+def test_engine_matches_oracle_across_key_chunk_boundaries(rows, spare):
+    """Chunks of rows ± 1 cells against 7 keys: below one row (one key per
+    chunk), and chunk boundaries that split the run of keys unevenly."""
+    rng = np.random.default_rng(rows * 3 + spare + 1)
+    store = hub_store(rng, n_entities=30, n_heads=7, n_test=50, n_train=30, n_in_train=10)
+    assert len(query_set(store).key_heads) == 7
+    n = store.num_entities
+    table = random_table(rng, n, 1, 4)
+    biases = [rng.standard_normal(n), rng.choice([0.0, 1.0], size=n)]
+    block_cells = max(1, rows * n + spare)
+    assert_engine_matches_oracle(store, table, biases, np.arange(0, n, 2), 6, block_cells)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_heads=st.integers(1, 6), n_test=st.integers(1, 40),
+       n_in_train=st.integers(0, 40), block_rows=st.integers(0, 8))
+def test_engine_matches_oracle_on_random_hub_stores(seed, n_heads, n_test, n_in_train,
+                                                    block_rows):
+    rng = np.random.default_rng(seed)
+    store = hub_store(rng, n_entities=20, n_heads=n_heads, n_test=n_test, n_train=15,
+                      n_in_train=min(n_in_train, n_test))
+    n = store.num_entities
+    table = random_table(rng, n, 1, 3)
+    biases = [rng.standard_normal(n), rng.choice([-1.0, 0.0, 1.0], size=n)]
+    block_cells = max(1, block_rows * n - int(rng.integers(0, 2)))
+    assert_engine_matches_oracle(store, table, biases, np.flatnonzero(rng.random(n) < 0.4),
+                                 int(rng.integers(1, n + 2)), block_cells)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_query_set_stores_one_filter_per_key(seed):
+    rng = np.random.default_rng(seed)
+    store = hub_store(rng, n_entities=40, n_heads=4, n_test=80, n_train=60, n_in_train=10)
+    queries = query_set(store)
+    keys = {(int(h), int(r)) for h, r, _ in store.test}
+    assert queries.filter_indices.size == sum(
+        store.known_tails.get(key, np.empty(0)).size for key in keys)
+    assert [(int(h), int(r)) for h, r in zip(queries.key_heads, queries.key_rels)] == sorted(keys)
+    filters = oracles.query_filters(store)
+    for i in range(len(queries)):
+        assert np.array_equal(queries.filter(i), filters[i])
+        key = queries.key_of[i]
+        assert (queries.key_heads[key], queries.key_rels[key]) == tuple(store.test[i, :2])
 
 
 def test_engine_rejects_a_bias_of_the_wrong_length():
