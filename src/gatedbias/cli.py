@@ -19,8 +19,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_eval_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=METHODS, help="override the configured method")
+def _add_eval_overrides(p: argparse.ArgumentParser, method: bool) -> None:
+    if method:  # compare runs every method
+        p.add_argument("--method", choices=METHODS, help="override the configured method")
     p.add_argument("--ks", type=_int_list, metavar="K1,K2,...",
                    help="override eval.ks (comma separated)")
     p.add_argument("--percentile-p", type=int, help="override eval.percentile_p")
@@ -36,7 +37,7 @@ def _load_config(args):
     keys = ("ks", "percentile_p", "epsilon", "n_shuffles", "seeds")
     evals = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     overrides = {"eval": evals} if evals else {}
-    if args.method is not None:
+    if getattr(args, "method", None) is not None:
         overrides["method"] = args.method
     return load_config(args.config, overrides)
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the full pipeline from a config file")
     p_run.add_argument("config", help="path to the YAML config")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    _add_eval_overrides(p_run)
+    _add_eval_overrides(p_run, method=True)
     p_run.set_defaults(func=cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic planted-signal dataset")
@@ -123,14 +124,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="run base, patientnode and gatedbias side by side")
     p_cmp.add_argument("config", help="path to the YAML config")
     p_cmp.add_argument("--out", default="out", help="output directory (default: out)")
-    _add_eval_overrides(p_cmp)
+    _add_eval_overrides(p_cmp, method=False)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_eval = sub.add_parser("eval", help="re-evaluate from checkpoints without retraining")
     p_eval.add_argument("config", help="path to the YAML config")
     p_eval.add_argument("--out", default="out",
                         help="run directory holding the checkpoints (default: out)")
-    _add_eval_overrides(p_eval)
+    _add_eval_overrides(p_eval, method=True)
     p_eval.set_defaults(func=cmd_eval)
     return parser
 

@@ -118,7 +118,8 @@ RANGES = {
              "patientnode_hidden": _AT_LEAST_ONE},
     "eval": {"ks": ("entries must be >= 1", lambda ks: min(ks) >= 1),
              "percentile_p": ("must be in (0, 100]", lambda p: 0 < p <= 100),
-             "epsilon": _NON_NEGATIVE, "n_shuffles": _AT_LEAST_ONE},
+             "epsilon": _NON_NEGATIVE, "n_shuffles": _AT_LEAST_ONE,
+             "seeds": ("entries must be distinct", lambda seeds: len(set(seeds)) == len(seeds))},
     "gates": {"cap_a": _AT_LEAST_ONE, "cap_b": _AT_LEAST_ONE},
 }
 

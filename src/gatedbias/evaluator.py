@@ -21,7 +21,8 @@ import numpy as np
 
 from .backbone import EmbeddingTable
 from .bias_head import BiasHead, BiasVector, compute_bias
-from .kg_store import GateMatrix, TripleStore
+from .config import EvalSettings
+from .kg_store import TripleStore
 from .profile_builder import shuffle_features
 
 log = logging.getLogger(__name__)
@@ -66,16 +67,22 @@ class QuerySet:
 
 
 def query_set(store: TripleStore) -> QuerySet:
+    """The test queries keyed by (h, r), each key's filter being the distinct
+    train+valid tails of its (h, r): the known rows sorted by (h, r, t) and
+    located by their h * |R| + r code."""
     triples = store.test
     keys, key_of = np.unique(triples[:, :2], axis=0, return_inverse=True)
-    filters = [store.known_tails.get((h, r), _EMPTY_IDS) for h, r in keys.tolist()]
-    indptr = np.zeros(len(filters) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([f.size for f in filters], dtype=np.int64)
+    known = np.unique(np.concatenate([store.train, store.valid]), axis=0)
+    code = known[:, 0] * store.num_relations + known[:, 1]
+    key_code = keys[:, 0] * store.num_relations + keys[:, 1]
+    lo, hi = np.searchsorted(code, key_code), np.searchsorted(code, key_code, side="right")
+    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(hi - lo)
+    rows = np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])
     return QuerySet(heads=triples[:, 0].copy(), rels=triples[:, 1].copy(),
                     true_tails=triples[:, 2].copy(), key_of=key_of.reshape(-1),
                     key_heads=keys[:, 0].copy(), key_rels=keys[:, 1].copy(),
-                    filter_indptr=indptr,
-                    filter_indices=np.concatenate([_EMPTY_IDS, *filters], dtype=np.int32))
+                    filter_indptr=indptr, filter_indices=known[rows, 2].astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -311,33 +318,6 @@ def alignment_delta_test(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EvalContext:
-    """A trained head with the gates and features its bias is computed from."""
-
-    gates_a: GateMatrix
-    gates_b: GateMatrix
-    f_a: np.ndarray
-    f_b: np.ndarray
-    head: BiasHead
-    bias: BiasVector
-
-
-def _check_group(group: str) -> None:
-    if group not in ("A", "B"):
-        raise ValueError(f"group must be 'A' or 'B', got {group!r}")
-
-
-def counterfactual_bias(ctx: EvalContext, group: str, epsilon: float) -> BiasVector:
-    """The bias with one group's features scaled by (1 + epsilon), the trained head fixed."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    _check_group(group)
-    f_a = ctx.f_a * (1.0 + epsilon) if group == "A" else ctx.f_a
-    f_b = ctx.f_b * (1.0 + epsilon) if group == "B" else ctx.f_b
-    return compute_bias(ctx.head, ctx.gates_a, ctx.gates_b, f_a, f_b)
-
-
-@dataclass
 class CRResult:
     cr: float
     pct_improved: float
@@ -349,13 +329,12 @@ def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.n
                                   ranks_adapted: np.ndarray,
                                   ranks_after: np.ndarray) -> CRResult | None:
     """Mean rank change of the queries' true tails, from the adapted ranks to
-    the ranks under counterfactual_bias(group), inside vs outside the group's
-    positive-contribution set of the real bias. Negative CR means in-group
-    true tails moved toward rank 1 relative to the rest. Returns None when
-    every test true tail falls on one side of the split.
+    the ranks with group's features scaled by (1 + epsilon), inside vs outside
+    the group's positive-contribution set of the real bias. Negative CR means
+    in-group true tails moved toward rank 1 relative to the rest. Returns
+    None when every test true tail falls on one side of the split.
     """
-    _check_group(group)
-    contrib = bias.contrib_a if group == "A" else bias.contrib_b
+    contrib = {"A": bias.contrib_a, "B": bias.contrib_b}[group]
     in_mask = contrib[true_tails] > 0
     n_in, n_out = int(in_mask.sum()), int((~in_mask).sum())
     if n_in == 0 or n_out == 0:
@@ -369,39 +348,6 @@ def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.n
 
 
 @dataclass
-class Alignment:
-    """Per-query Alignment@10 over the test queries against the aligned set
-    of the real-feature bias: base scorer, adapted scorer, and one row per
-    placebo shuffle."""
-
-    aligned: AlignedSet
-    base_pq: np.ndarray
-    adapted_pq: np.ndarray
-    shuffled_pq: np.ndarray
-
-
-def measure_alignment(ctx: EvalContext, queries: QuerySet, table: EmbeddingTable,
-                      percentile_p: int, n_shuffles: int, seed: int,
-                      block_cells: int = BLOCK_CELLS) -> Alignment:
-    """Alignment of the base scorer, the adapted scorer and n_shuffles placebo
-    reruns, from one scoring sweep. Each shuffle permutes both groups'
-    feature vectors and recomputes the bias with the trained head fixed; the
-    aligned set stays that of the real features."""
-    if n_shuffles < 1:
-        raise ValueError("n_shuffles must be >= 1")
-    aligned = aligned_set(ctx.bias, percentile_p)
-    rng = np.random.default_rng(seed)
-    shuffle_seeds = rng.integers(0, 2**63 - 1, size=(n_shuffles, 2))
-    biases = [np.zeros(table.num_entities), ctx.bias.values]
-    for seed_a, seed_b in shuffle_seeds.tolist():
-        f_a = shuffle_features(ctx.f_a, seed_a)
-        f_b = shuffle_features(ctx.f_b, seed_b)
-        biases.append(compute_bias(ctx.head, ctx.gates_a, ctx.gates_b, f_a, f_b).values)
-    pq = alignment_per_query(queries, table, biases, aligned, ALIGNMENT_K, block_cells)
-    return Alignment(aligned=aligned, base_pq=pq[0], adapted_pq=pq[1], shuffled_pq=pq[2:])
-
-
-@dataclass
 class PlaceboResult:
     real_delta: float
     shuffled_delta_mean: float
@@ -409,17 +355,54 @@ class PlaceboResult:
     per_shuffle: list[float]
 
 
-def placebo_validation(alignment: Alignment) -> PlaceboResult:
+def placebo_validation(alignment: np.ndarray) -> PlaceboResult:
     """ΔAlignment@10 with real features vs feature-shuffled reruns, each
-    against the same base alignment. Ratio is real / shuffled-mean, absent
+    against the same base alignment, from per-query alignment rows: base,
+    adapted, then one per shuffle. Ratio is real / shuffled-mean, absent
     when the denominator is numerically zero."""
-    base_mean = alignment.base_pq.mean()
-    real_delta = float(alignment.adapted_pq.mean() - base_mean)
-    per_shuffle = [float(pq.mean() - base_mean) for pq in alignment.shuffled_pq]
+    base_mean = alignment[0].mean()
+    real_delta = float(alignment[1].mean() - base_mean)
+    per_shuffle = [float(pq.mean() - base_mean) for pq in alignment[2:]]
     shuffled_mean = float(np.mean(per_shuffle))
     ratio = real_delta / shuffled_mean if abs(shuffled_mean) >= 1e-12 else None
     return PlaceboResult(real_delta=real_delta, shuffled_delta_mean=shuffled_mean,
                          ratio=ratio, per_shuffle=per_shuffle)
+
+
+def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gates, features,
+                  bias: BiasVector, settings: EvalSettings, seed: int) -> tuple[np.ndarray, dict]:
+    """Adapted ranks and the personalization entries of one trained head,
+    whose adapted bias is bias; gates and features are the (A, B) pairs it
+    is computed from. One rank sweep serves the adapted bias and both
+    counterfactual ones (one group's features scaled by 1 + epsilon), one
+    alignment sweep the base, adapted and settings.n_shuffles placebo biases
+    (both groups' features permuted, the aligned set that of the real ones)."""
+    f_a, f_b = features
+    boost = 1.0 + settings.epsilon
+    boosted = [compute_bias(head, *gates, f_a * boost, f_b).values,
+               compute_bias(head, *gates, f_a, f_b * boost).values]
+    ranks, *ranks_after = compute_rank_table(queries, table, [bias.values, *boosted])
+    aligned = aligned_set(bias, settings.percentile_p)
+    rng = np.random.default_rng(seed)
+    shuffled = [compute_bias(head, *gates, shuffle_features(f_a, seed_a),
+                             shuffle_features(f_b, seed_b)).values
+                for seed_a, seed_b in rng.integers(0, 2**63 - 1, (settings.n_shuffles, 2)).tolist()]
+    pq = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias.values,
+                                              *shuffled], aligned, ALIGNMENT_K)
+    base_mean, adapted_mean = float(pq[0].mean()), float(pq[1].mean())
+    delta, p_value = alignment_delta_test(base_mean, adapted_mean, pq[:2].T, seed=seed)
+    entries = {f"alignment@{ALIGNMENT_K}_base": base_mean,
+               f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,
+               f"alignment@{ALIGNMENT_K}_delta": delta, "alignment_p_value": p_value}
+    for group, after in zip("AB", ranks_after):
+        cr = counterfactual_responsiveness(bias, group, queries.true_tails, ranks, after)
+        entries[f"cr_{group}"] = None if cr is None else cr.cr
+        entries[f"cr_{group}_pct_improved"] = None if cr is None else cr.pct_improved
+    placebo = placebo_validation(pq)
+    entries.update(placebo_real_delta=placebo.real_delta,
+                   placebo_shuffled_delta=placebo.shuffled_delta_mean,
+                   placebo_ratio=placebo.ratio, aligned_set_size=len(aligned))
+    return ranks, entries
 
 
 # ---------------------------------------------------------------------------

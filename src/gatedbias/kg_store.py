@@ -52,19 +52,13 @@ class Vocab:
 
 @dataclass
 class TripleStore:
-    """Integer-indexed triples with dense vocabularies and filtered-eval index.
-
-    ``known_tails`` maps (head, relation) to the sorted array of tails seen in
-    train or valid; it is what the filtered ranking protocol removes from the
-    candidate pool.
-    """
+    """Integer-indexed triples with dense vocabularies."""
 
     entity_vocab: Vocab
     relation_vocab: Vocab
     train: np.ndarray  # (n, 3) int64 rows of (head, relation, tail)
     valid: np.ndarray
     test: np.ndarray
-    known_tails: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     @property
     def num_entities(self) -> int:
@@ -104,14 +98,6 @@ def _parse_triple_file(path: str, entity_vocab: Vocab, relation_vocab: Vocab) ->
             triples.append(triple)
     arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     return arr, dups
-
-
-def _build_known_tails(train: np.ndarray, valid: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-    grouped: dict[tuple[int, int], set[int]] = {}
-    for arr in (train, valid):
-        for h, r, t in arr:
-            grouped.setdefault((int(h), int(r)), set()).add(int(t))
-    return {key: np.array(sorted(tails), dtype=np.int64) for key, tails in grouped.items()}
 
 
 def load_triples(path: str) -> TripleStore:
@@ -160,7 +146,6 @@ def load_triples(path: str) -> TripleStore:
         train=splits["train"],
         valid=splits["valid"],
         test=splits["test"],
-        known_tails=_build_known_tails(splits["train"], splits["valid"]),
     )
 
 

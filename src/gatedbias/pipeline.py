@@ -1,8 +1,11 @@
 """End-to-end orchestration: data → backbone → gates → profiles → head → eval.
 
 Each stage failure is re-raised as a PipelineError tagged with the stage name.
-`run` and `eval` share one body and differ only in where the backbone and the
-per-seed heads come from: `run` trains and saves them, `eval` loads them.
+`run`, `eval` and `compare` share one body: it prepares the data, the gates
+and profiles, the query set and the backbone once, then runs each method's
+seed loop and writes that method's report. `run` and `eval` pass one method
+and differ only in where the backbone and the per-seed heads come from: `run`
+trains and saves them, `eval` loads them. `compare` runs all three methods.
 Runs are reproducible from (config, seeds): the backbone is trained once per
 run, and per-seed variation enters only through head training and the
 shuffle/permutation seeds.
@@ -24,7 +27,7 @@ from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
 from .config import DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
-from .evaluator import ALIGNMENT_K, EvalContext, EvalReport, QuerySet
+from .evaluator import EvalReport, QuerySet
 from .fileio import atomic_write, write_json
 from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
                        load_triples)
@@ -107,165 +110,140 @@ def _obtain_backbone(cfg: PipelineConfig, store: TripleStore, out_dir: str,
                            expected_relations=store.num_relations)
 
 
-def _cr_entries(tag: str, result: evaluator.CRResult | None) -> dict:
-    if result is None:
-        return {f"cr_{tag}": None, f"cr_{tag}_pct_improved": None}
-    return {f"cr_{tag}": result.cr, f"cr_{tag}_pct_improved": result.pct_improved}
-
-
 def run_pipeline(cfg: PipelineConfig, out_dir: str) -> dict:
     """Train the backbone and the per-seed heads, save them under out_dir,
     evaluate, write report.json and ranks.tsv, and return the report."""
-    return _run(cfg, out_dir, train=True)
+    return _run([(cfg, out_dir)], train=True)[0]
 
 
 def run_eval(cfg: PipelineConfig, out_dir: str) -> dict:
     """Re-evaluate from the checkpoints in out_dir without training anything."""
-    return _run(cfg, out_dir, train=False)
+    return _run([(cfg, out_dir)], train=False)[0]
 
 
-def _run(cfg: PipelineConfig, out_dir: str, train: bool) -> dict:
-    """One body for run and eval. With train, the backbone (unless
-    backbone.load is set) and the per-seed heads are trained and saved;
-    without, they are loaded: the backbone from backbone.load or
-    out_dir/backbone.kge, the heads from their per-seed checkpoints."""
+def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
+    """One body for every command. runs holds each method's config, as its
+    report echoes it, and its output directory; all share the data, gates,
+    profile, head and eval settings of the first. With train, the backbone
+    (unless backbone.load is set) and the per-seed heads are trained and
+    saved; without, they are loaded: the backbone from backbone.load or
+    <out>/backbone.kge, the heads from their per-seed checkpoints. Returns
+    the reports in the order of runs."""
+    cfg, out_dir = runs[0]
+    methods = {c.method for c, _ in runs}
     with _stage("data"):
         data = materialize_data(cfg, out_dir, write=train)
         store = load_triples(data.triples_dir)
+        if "gatedbias" in methods:
+            for key in ("grouping_path", "interactions_path"):
+                if getattr(data, key) is None:
+                    raise ConfigError(f"method=gatedbias needs data.{key}")
         grouping = None
-        if cfg.method == "gatedbias":
-            if data.grouping_path is None:
-                raise ConfigError("method=gatedbias needs data.grouping_path")
-            if data.interactions_path is None:
-                raise ConfigError("method=gatedbias needs data.interactions_path")
+        if data.grouping_path is not None and methods != {"base"}:
             grouping = load_grouping(data.grouping_path, store)
-            grouping.validate_for_personalization()
-        elif cfg.method == "patientnode" and data.grouping_path is not None:
-            grouping = load_grouping(data.grouping_path, store)
+            if "gatedbias" in methods:
+                grouping.validate_for_personalization()
         head_store = store if grouping is None else task_train_store(store, grouping)
 
     with _stage("backbone"):
-        table = _obtain_backbone(cfg, store, out_dir, train)
+        # one table per backbone source: compare's patientnode and gatedbias
+        # share one read of the checkpoint its base run saved
+        tables: dict[str | None, EmbeddingTable] = {}
+        for c, out in runs:
+            if c.backbone_load not in tables:
+                tables[c.backbone_load] = _obtain_backbone(c, store, out, train)
 
-    gates_a = gates_b = None
-    f_a = f_b = None
-    universes_info = None
-    if cfg.method == "gatedbias":
+    gates = features = universes = None
+    if "gatedbias" in methods:
         with _stage("gates"):
             uni_a = build_universe(store, grouping, "A", cap=cfg.gates.cap_a)
             uni_b = build_universe(store, grouping, "B", cap=cfg.gates.cap_b)
-            gates_a = build_gates(store, uni_a)
-            gates_b = build_gates(store, uni_b)
-            universes_info = {
+            gates = (build_gates(store, uni_a), build_gates(store, uni_b))
+            universes = {
                 "size_a": len(uni_a), "size_b": len(uni_b),
                 "checksum_a": uni_a.checksum(), "checksum_b": uni_b.checksum(),
             }
         with _stage("profiles"):
             log_data = load_interactions(data.interactions_path, store)
-            f_a = build_profile(log_data, gates_a, cfg.profile.scale_alpha, cfg.profile.cap_tau)
-            f_b = build_profile(log_data, gates_b, cfg.profile.scale_alpha, cfg.profile.cap_tau)
-
-    per_seed: list[dict] = []
-    rank_rows: list[tuple] = []
-    param_count = 0
+            features = tuple(build_profile(log_data, g, cfg.profile.scale_alpha,
+                                           cfg.profile.cap_tau) for g in gates)
 
     with _stage("evaluate"):
         queries = evaluator.query_set(store)
+        checksum = query_checksum(queries)
+    ent, rel = store.entity_vocab.label, store.relation_vocab.label
+    labels = [(ent(h), rel(r), ent(t)) for h, r, t in zip(
+        queries.heads.tolist(), queries.rels.tolist(), queries.true_tails.tolist())]
+
+    reports = []
+    for c, out in runs:
+        table = tables[c.backbone_load]
+        per_seed: list[dict] = []
+        rank_rows: list[tuple] = []
+        param_count = 0
         base_ranks = None
-        for run_seed in cfg.eval.seeds:
-            head_cfg = dataclasses.replace(cfg.head, seed=cfg.head.seed + run_seed)
-            battery: dict = {}
-            if cfg.method == "base":
-                if base_ranks is None:
-                    base_ranks = evaluator.compute_rank_table(queries, table)[0]
-                ranks = base_ranks
-            elif cfg.method == "patientnode":
-                ckpt = os.path.join(out_dir, f"patientnode_seed{run_seed}.json")
-                if train:
-                    # lambda1/lambda2 regularize the gated head's weight vectors;
-                    # the MLP ablation trains unregularized so the comparison is
-                    # capacity against capacity, not penalty against penalty
-                    pn = bias_head.train_patientnode(head_store, table, head_cfg,
-                                                     hidden=cfg.patientnode_hidden,
-                                                     lambda1=0.0, lambda2=0.0)
-                    bias_head.save_patientnode(pn, head_cfg, table, ckpt)
+        with _stage("evaluate"):
+            for run_seed in c.eval.seeds:
+                head_cfg = dataclasses.replace(c.head, seed=c.head.seed + run_seed)
+                battery: dict = {}
+                if c.method == "base":
+                    if base_ranks is None:
+                        base_ranks = evaluator.compute_rank_table(queries, table)[0]
+                    ranks = base_ranks
+                elif c.method == "patientnode":
+                    ckpt = os.path.join(out, f"patientnode_seed{run_seed}.json")
+                    if train:
+                        # lambda1/lambda2 regularize the gated head's weight vectors;
+                        # the MLP ablation trains unregularized so the comparison is
+                        # capacity against capacity, not penalty against penalty
+                        pn = bias_head.train_patientnode(head_store, table, head_cfg,
+                                                         hidden=c.patientnode_hidden,
+                                                         lambda1=0.0, lambda2=0.0)
+                        bias_head.save_patientnode(pn, head_cfg, table, ckpt)
+                    else:
+                        pn = bias_head.load_patientnode(ckpt, head_cfg, table,
+                                                        c.patientnode_hidden)
+                    param_count = pn.param_count
+                    bias = bias_head.compute_bias_patientnode(pn, table)
+                    ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
                 else:
-                    pn = bias_head.load_patientnode(ckpt, head_cfg, table, cfg.patientnode_hidden)
-                param_count = pn.param_count
-                bias = bias_head.compute_bias_patientnode(pn, table)
-                ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
-            else:
-                ckpt = os.path.join(out_dir, f"head_seed{run_seed}.json")
-                if train:
-                    head = bias_head.train_head(head_store, table, gates_a, gates_b,
-                                                f_a, f_b, head_cfg)
-                    bias_head.save_head(head, head_cfg, table, gates_a, gates_b, ckpt)
-                else:
-                    head = bias_head.load_head(ckpt, head_cfg, table, gates_a, gates_b)
-                param_count = head.param_count
-                ranks, battery = _evaluate_gated_seed(
-                    cfg, queries, table, gates_a, gates_b, f_a, f_b, head, run_seed)
-            per_seed.append({**evaluator.ranking_metrics(ranks, cfg.eval.ks), **battery,
-                             "param_count": param_count})
-            ent, rel = store.entity_vocab.label, store.relation_vocab.label
-            rank_rows += [(run_seed, ent(h), rel(r), ent(t), rank) for h, r, t, rank in zip(
-                queries.heads.tolist(), queries.rels.tolist(), queries.true_tails.tolist(),
-                ranks.tolist())]
+                    ckpt = os.path.join(out, f"head_seed{run_seed}.json")
+                    if train:
+                        head = bias_head.train_head(head_store, table, *gates, *features,
+                                                    head_cfg)
+                        bias_head.save_head(head, head_cfg, table, *gates, ckpt)
+                    else:
+                        head = bias_head.load_head(ckpt, head_cfg, table, *gates)
+                    param_count = head.param_count
+                    bias = bias_head.compute_bias(head, *gates, *features)
+                    ranks, battery = evaluator.gated_battery(
+                        queries, table, head, gates, features, bias, c.eval, run_seed)
+                per_seed.append({**evaluator.ranking_metrics(ranks, c.eval.ks), **battery,
+                                 "param_count": param_count})
+                rank_rows += [(run_seed, *label, rank)
+                              for label, rank in zip(labels, ranks.tolist())]
 
-    report = {
-        "artifact": "gatedbias-run" if train else "gatedbias-eval",
-        "method": cfg.method,
-        "config": cfg.to_dict(),
-        "backbone_checksum": table.checksum(),
-        "query_checksum": query_checksum(queries),
-        "dataset": {
-            "num_entities": store.num_entities,
-            "num_relations": store.num_relations,
-            "train": int(store.train.shape[0]),
-            "valid": int(store.valid.shape[0]),
-            "test": int(store.test.shape[0]),
-        },
-        "universes": universes_info,
-        "param_count": param_count,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "report": EvalReport(seeds=list(cfg.eval.seeds), per_seed=per_seed).to_dict(),
-    }
-    _write_report(report, rank_rows, out_dir)
-    return report
-
-
-def _evaluate_gated_seed(cfg, queries, table, gates_a, gates_b, f_a, f_b, head,
-                         run_seed) -> tuple[np.ndarray, dict]:
-    """Adapted ranks plus the personalization battery for one trained head:
-    one rank sweep for the adapted and both counterfactual biases, one
-    alignment sweep for the base, adapted and placebo biases."""
-    bias = bias_head.compute_bias(head, gates_a, gates_b, f_a, f_b)
-    ctx = EvalContext(gates_a=gates_a, gates_b=gates_b, f_a=f_a, f_b=f_b, head=head, bias=bias)
-    cr_bias = [evaluator.counterfactual_bias(ctx, g, cfg.eval.epsilon) for g in ("A", "B")]
-    ranks, ranks_a, ranks_b = evaluator.compute_rank_table(
-        queries, table, [bias.values, *(b.values for b in cr_bias)])
-    alignment = evaluator.measure_alignment(ctx, queries, table, cfg.eval.percentile_p,
-                                            cfg.eval.n_shuffles, seed=run_seed)
-    base_mean = float(alignment.base_pq.mean())
-    adapted_mean = float(alignment.adapted_pq.mean())
-    delta, p_value = evaluator.alignment_delta_test(
-        base_mean, adapted_mean,
-        np.stack([alignment.base_pq, alignment.adapted_pq], axis=1), seed=run_seed)
-    cr_a = evaluator.counterfactual_responsiveness(bias, "A", queries.true_tails, ranks, ranks_a)
-    cr_b = evaluator.counterfactual_responsiveness(bias, "B", queries.true_tails, ranks, ranks_b)
-    placebo = evaluator.placebo_validation(alignment)
-    return ranks, {
-        f"alignment@{ALIGNMENT_K}_base": base_mean,
-        f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,
-        f"alignment@{ALIGNMENT_K}_delta": delta,
-        "alignment_p_value": p_value,
-        **_cr_entries("A", cr_a),
-        **_cr_entries("B", cr_b),
-        "placebo_real_delta": placebo.real_delta,
-        "placebo_shuffled_delta": placebo.shuffled_delta_mean,
-        "placebo_ratio": placebo.ratio,
-        "aligned_set_size": len(alignment.aligned),
-    }
+        report = {
+            "artifact": "gatedbias-run" if train else "gatedbias-eval",
+            "method": c.method,
+            "config": c.to_dict(),
+            "backbone_checksum": table.checksum(),
+            "query_checksum": checksum,
+            "dataset": {
+                "num_entities": store.num_entities,
+                "num_relations": store.num_relations,
+                "train": int(store.train.shape[0]),
+                "valid": int(store.valid.shape[0]),
+                "test": int(store.test.shape[0]),
+            },
+            "universes": universes if c.method == "gatedbias" else None,
+            "param_count": param_count,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "report": EvalReport(seeds=list(c.eval.seeds), per_seed=per_seed).to_dict(),
+        }
+        _write_report(report, rank_rows, out)
+        reports.append(report)
+    return reports
 
 
 def _write_report(report: dict, rank_rows: list[tuple], out_dir: str) -> None:
@@ -277,34 +255,28 @@ def _write_report(report: dict, rank_rows: list[tuple], out_dir: str) -> None:
 
 
 def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
-    """Run base, patientnode and gatedbias under identical data and seeds.
+    """Run base, patientnode and gatedbias under identical data and seeds,
+    each writing its report under out_dir/<method>.
 
-    The dataset is materialized once and the backbone is trained once (by the
-    base run) and reloaded by the others; save/load round-trips bit-exact, so
-    this is equivalent to retraining per method. Query checksums are asserted
-    identical across methods. Paths handed to the methods are absolute, so
-    their reports echo re-runnable configs however out_dir was spelled.
+    The one body prepares the data, the query set and the backbone once. The
+    base run trains the backbone (unless backbone.load is set) and saves it;
+    patientnode and gatedbias echo that checkpoint as their backbone.load and
+    share one read of it; save/load round-trips bit-exact. Paths handed to
+    the methods are absolute, so their reports echo re-runnable configs
+    however out_dir was spelled.
     """
     out_dir = os.path.abspath(out_dir)
     with _stage("data"):
-        data_cfg = materialize_data(cfg, out_dir)
-
-    reports = {}
-    backbone_load = cfg.backbone_load
-    for method in METHOD_ORDER:
-        sub = dataclasses.replace(cfg, method=method, data=data_cfg,
-                                  backbone_load=backbone_load)
-        reports[method] = run_pipeline(sub, os.path.join(out_dir, method))
-        if backbone_load is None:
-            backbone_load = os.path.join(out_dir, method, "backbone.kge")
-
-    checksums = {m: r["query_checksum"] for m, r in reports.items()}
-    if len(set(checksums.values())) != 1:
-        raise PipelineError("compare", f"query checksums diverged across methods: {checksums}")
+        data = materialize_data(cfg, out_dir)
+    shared = cfg.backbone_load or os.path.join(out_dir, "base", "backbone.kge")
+    runs = [(dataclasses.replace(cfg, method=m, data=data,
+                                 backbone_load=cfg.backbone_load if m == "base" else shared),
+             os.path.join(out_dir, m)) for m in METHOD_ORDER]
+    reports = dict(zip(METHOD_ORDER, _run(runs, train=True)))
 
     comparison = {
         "artifact": "gatedbias-compare",
-        "query_checksum": next(iter(checksums.values())),
+        "query_checksum": reports["base"]["query_checksum"],
         "seeds": list(cfg.eval.seeds),
         "methods": {
             m: {

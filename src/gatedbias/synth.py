@@ -23,7 +23,6 @@ Byte-deterministic given the seed.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
+from .fileio import atomic_write, write_json
 
 REL_LIKES = "likes"
 REL_A = "pref_attr_of"
@@ -108,14 +108,19 @@ DESK_HEAD = {
 
 def save_config(cfg_dict: dict, path: str) -> None:
     """Write a config mapping as YAML (stable key order)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         yaml.safe_dump(cfg_dict, fh, sort_keys=True, default_flow_style=False)
 
 
 def generate(params: SynthParams, out_dir: str) -> dict:
     """Write triples/, interactions.tsv, grouping.yaml, config.yaml and
-    manifest.json under out_dir. Returns the manifest."""
+    manifest.json under out_dir. Returns the manifest. An existing manifest
+    is removed first and the new one written last, so a generate that fails
+    partway leaves no manifest beside the files it did replace."""
     params.validate()
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     rng = np.random.default_rng(params.seed)
     n_items = params.n_items
     n_attrs = params.n_attrs_per_group
@@ -225,9 +230,7 @@ def generate(params: SynthParams, out_dir: str) -> dict:
         return f"{_hub(c, j)}\t{REL_LIKES}\t{_item(i)}\n"
 
     triples_dir = os.path.join(out_dir, "triples")
-    os.makedirs(triples_dir, exist_ok=True)
-
-    with open(os.path.join(triples_dir, "train.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(triples_dir, "train.tsv")) as fh:
         for edge in sorted(likes):
             fh.write(like_line(edge))
         for i in range(n_items):
@@ -246,17 +249,17 @@ def generate(params: SynthParams, out_dir: str) -> dict:
         for a in range(n_attrs):
             for b in attrb_attrs_b[a]:
                 fh.write(f"{_attr('b', int(b))}\t{REL_B}\t{_attr('b', a)}\n")
-    with open(os.path.join(triples_dir, "valid.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(triples_dir, "valid.tsv")) as fh:
         for edge in valid_edges:
             fh.write(like_line(edge))
-    with open(os.path.join(triples_dir, "test.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(triples_dir, "test.tsv")) as fh:
         for edge in test_edges:
             fh.write(like_line(edge))
 
     # interaction histories: each draw lands on a planted item with
     # probability preference_skew, otherwise on a uniform item
     skew = params.preference_skew
-    with open(os.path.join(out_dir, "interactions.tsv"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "interactions.tsv")) as fh:
         for u in range(params.n_users):
             for _ in range(INTERACTIONS_PER_USER):
                 if rng.random() < skew:
@@ -265,7 +268,7 @@ def generate(params: SynthParams, out_dir: str) -> dict:
                     i = int(rng.integers(n_items))
                 fh.write(f"user_{u}\t{_item(i)}\n")
 
-    with open(os.path.join(out_dir, "grouping.yaml"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "grouping.yaml")) as fh:
         fh.write(f"group_a: [{REL_A}]\ngroup_b: [{REL_B}]\n")
 
     save_config({
@@ -310,7 +313,5 @@ def generate(params: SynthParams, out_dir: str) -> dict:
             "test_share": TEST_SHARE,
         },
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     return manifest

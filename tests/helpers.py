@@ -19,7 +19,7 @@ def store_from_labels(train, valid=(), test=()):
     """Build a TripleStore from (head, relation, tail) label triples.
 
     Vocabulary ids follow first appearance in train, then valid, then test,
-    matching the file loader. known_tails is rebuilt here by hand.
+    matching the file loader.
     """
     ev, rv = Vocab(), Vocab()
 
@@ -27,18 +27,12 @@ def store_from_labels(train, valid=(), test=()):
         out = [(ev.add(h), rv.add(r), ev.add(t)) for h, r, t in rows]
         return np.asarray(out, dtype=np.int64).reshape(-1, 3)
 
-    tr, va, te = conv(train), conv(valid), conv(test)
-    grouped: dict[tuple[int, int], set[int]] = {}
-    for h, r, t in [*tr.tolist(), *va.tolist()]:
-        grouped.setdefault((h, r), set()).add(t)
-    known = {k: np.array(sorted(v), dtype=np.int64) for k, v in grouped.items()}
-    return TripleStore(entity_vocab=ev, relation_vocab=rv, train=tr, valid=va,
-                       test=te, known_tails=known)
+    return TripleStore(entity_vocab=ev, relation_vocab=rv, train=conv(train),
+                       valid=conv(valid), test=conv(test))
 
 
 def random_store(rng, n_entities, n_relations, n_train, n_test, n_valid=0):
-    """TripleStore of uniformly drawn triples; known_tails is rebuilt by hand
-    from the train and valid draws."""
+    """TripleStore of uniformly drawn triples."""
     ev, rv = Vocab(), Vocab()
     for i in range(n_entities):
         ev.add(f"e{i}")
@@ -51,13 +45,8 @@ def random_store(rng, n_entities, n_relations, n_train, n_test, n_valid=0):
                                 rng.integers(0, n_entities, n)]).astype(np.int64).reshape(-1, 3)
 
     train, test = draw(n_train), draw(n_test)
-    valid = draw(n_valid)
-    known = {}
-    for h, r, t in [*train.tolist(), *valid.tolist()]:
-        known.setdefault((h, r), set()).add(t)
-    known = {k: np.array(sorted(v), dtype=np.int64) for k, v in known.items()}
-    return TripleStore(entity_vocab=ev, relation_vocab=rv, train=train, valid=valid,
-                       test=test, known_tails=known)
+    return TripleStore(entity_vocab=ev, relation_vocab=rv, train=train, valid=draw(n_valid),
+                       test=test)
 
 
 def gates_from_dense(dense, group="A", attrs=None):

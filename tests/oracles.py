@@ -1,7 +1,8 @@
 """Reference implementations the library must agree with.
 
 The ranking oracles score one query at a time with score_all_tails and rank
-or sort that single row, with filters read straight from store.known_tails.
+or sort that single row, with filters gathered from the train and valid
+splits in a plain dict.
 They share no code with the chunked engine in gatedbias.evaluator, which
 must agree with them exactly; the differential tests compare the two.
 score and to_dense are the one-triple DistMult score and the dense form of a
@@ -13,9 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from gatedbias.evaluator import AlignedSet
-
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 def score(table, h: int, r: int, t: int) -> float:
     """DistMult s(h, r, t) = sum_j e_h[j] * e_r[j] * e_t[j], in float64."""
@@ -64,8 +62,13 @@ def topk_filtered(scores: np.ndarray, filter_out: np.ndarray, k: int) -> np.ndar
 
 
 def query_filters(store, split: str = "test") -> list[np.ndarray]:
-    """Known train+valid tails for each query of the split, in split order."""
-    return [store.known_tails.get((int(h), int(r)), _EMPTY_IDS) for h, r, _ in store.split(split)]
+    """Known train+valid tails (sorted, distinct) for each query of the split,
+    in split order."""
+    known: dict[tuple[int, int], set[int]] = {}
+    for h, r, t in [*store.train.tolist(), *store.valid.tolist()]:
+        known.setdefault((h, r), set()).add(t)
+    return [np.array(sorted(known.get((h, r), ())), dtype=np.int64)
+            for h, r, _ in store.split(split).tolist()]
 
 
 def compute_rank_table(store, table, bias_values=None, split: str = "test") -> np.ndarray:

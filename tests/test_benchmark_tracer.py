@@ -3,8 +3,9 @@ attributes of the package and binds the `store` and `cfg` arguments of the
 trainers to count their work. These checks resolve every traced name and run
 a tiny traced `run`, so a refactor that renames or moves a traced function or
 one of those parameters fails here, not only in the benchmark's own
-self-check. They also pin the engine's work: one score call per distinct
-test (h, r) and sweep."""
+self-check. They also pin the engine's work, one score call per distinct
+test (h, r) and sweep, and compare's one body: one read of the triples, one
+backbone training and one checkpoint read for all three methods."""
 
 import importlib
 import math
@@ -86,3 +87,29 @@ def test_tracer_counts_one_score_call_per_key_and_sweep(monkeypatch, tmp_path):
     keys = {(h, r) for h, r, _ in store.test.tolist()}
     assert len(keys) < store.test.shape[0]
     assert score_calls == 2 * 2 * len(keys)
+
+
+def test_traced_compare_prepares_data_and_backbone_once(monkeypatch, tmp_path):
+    """compare runs its three methods through one body: the triples are read,
+    the backbone trained and its checkpoint read back once each, and every
+    span the benchmark's compare-desk workload requires is recorded."""
+    monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+    required = importlib.import_module("run").WORKLOADS["compare-desk"].required
+    cfg = config_from_dict({
+        "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5, "n_users": 10,
+                               "seed": 0}},
+        "backbone": {"dim": 8, "epochs": 2, "learning_rate": 0.5, "batch_size": 32},
+        "head": {"batch_size": 32, "learning_rate": 0.1, "epochs": 1,
+                 "patientnode_hidden": 4},
+        "eval": {"seeds": [0, 1], "n_shuffles": 2},
+    })
+    t = load_tracer(monkeypatch).Tracer()
+    t.install()
+    try:
+        pipeline.run_compare(cfg, str(tmp_path))
+    finally:
+        t.uninstall()
+    names = [name for name, *_ in t.spans]
+    assert [names.count(n) for n in ("pipeline.load_triples", "pipeline.train_backbone",
+                                     "pipeline.load_embeddings")] == [1, 1, 1]
+    assert required <= set(names), sorted(required - set(names))

@@ -149,12 +149,22 @@ def test_compare_writes_comparison(cfg_path, tmp_path, capsys):
         assert os.path.exists(os.path.join(out, method, "report.json"))
 
 
+def test_compare_takes_no_method_flag(cfg_path, tmp_path, capsys):
+    # compare runs every method, so --method is a usage error, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", cfg_path, "--out", str(tmp_path / "cmp"), "--method", "base"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method base" in capsys.readouterr().err
+    assert not (tmp_path / "cmp").exists()
+
+
 @pytest.mark.parametrize("flags,fragment", [
     (["--seeds", ""], "eval.seeds"),
     (["--ks", "0"], "eval.ks"),
     (["--percentile-p", "0"], "eval.percentile_p"),
     (["--epsilon", "-1"], "eval.epsilon"),
     (["--n-shuffles", "0"], "eval.n_shuffles"),
+    (["--seeds", "0,0"], "eval.seeds"),
 ])
 def test_override_validation(cfg_path, tmp_path, capsys, flags, fragment):
     rc = main(["run", cfg_path, "--out", str(tmp_path)] + flags)

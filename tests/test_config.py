@@ -117,6 +117,7 @@ def test_type_errors(raw, match):
     ({**MINIMAL, "profile": {"cap_tau": 0}}, "config: profile.cap_tau must be positive"),
     ({**MINIMAL, "eval": {"epsilon": float("nan")}}, "config: eval.epsilon must be >= 0"),
     ({**MINIMAL, "backbone": {"learning_rate": float("nan")}}, "backbone.learning_rate must be"),
+    ({**MINIMAL, "eval": {"seeds": [0, 1, 0]}}, "config: eval.seeds entries must be distinct"),
 ])
 def test_value_validation(raw, match):
     with pytest.raises(ConfigError, match=match):

@@ -235,11 +235,10 @@ def test_query_set_stores_one_filter_per_key(seed):
     rng = np.random.default_rng(seed)
     store = hub_store(rng, n_entities=40, n_heads=4, n_test=80, n_train=60, n_in_train=10)
     queries = query_set(store)
-    keys = {(int(h), int(r)) for h, r, _ in store.test}
-    assert queries.filter_indices.size == sum(
-        store.known_tails.get(key, np.empty(0)).size for key in keys)
-    assert [(int(h), int(r)) for h, r in zip(queries.key_heads, queries.key_rels)] == sorted(keys)
     filters = oracles.query_filters(store)
+    by_key = {(int(h), int(r)): f for (h, r, _), f in zip(store.test, filters)}
+    assert queries.filter_indices.size == sum(f.size for f in by_key.values())
+    assert [(int(h), int(r)) for h, r in zip(queries.key_heads, queries.key_rels)] == sorted(by_key)
     for i in range(len(queries)):
         assert np.array_equal(queries.filter(i), filters[i])
         key = queries.key_of[i]

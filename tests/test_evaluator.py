@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gatedbias.bias_head import BiasVector, compute_bias
-from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, EvalContext, EvalReport,
-                                 aligned_set, alignment_delta_test,
-                                 compute_rank_table, counterfactual_bias,
-                                 counterfactual_responsiveness, mean_stderr,
-                                 measure_alignment, placebo_validation, query_set,
-                                 ranking_metrics)
+from gatedbias.config import EvalSettings
+from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, EvalReport, aligned_set,
+                                 alignment_delta_test, compute_rank_table,
+                                 counterfactual_responsiveness, gated_battery, mean_stderr,
+                                 placebo_validation, query_set, ranking_metrics)
 from helpers import (gates_from_dense, make_features, make_head, random_table,
                      store_from_labels)
 from oracles import alignment_at_k, alignment_per_query, filtered_rank, topk_filtered
@@ -84,9 +83,12 @@ def test_compute_rank_table_matches_manual_loop():
     queries = query_set(store)
     got, = compute_rank_table(queries, table, [bias])
 
+    known_tails = {}
+    for h, r, t in [*store.train.tolist(), *store.valid.tolist()]:
+        known_tails.setdefault((h, r), set()).add(t)
     for i, (h, r, t) in enumerate(store.test):
         scores = table.score_all_tails(int(h), int(r)) + bias
-        known = set(store.known_tails.get((int(h), int(r)), np.empty(0)).tolist())
+        known = set(known_tails.get((int(h), int(r)), ()))
         known.discard(int(t))
         kept = [j for j in range(store.num_entities) if j not in known]
         s_true = scores[int(t)]
@@ -303,20 +305,28 @@ def test_alignment_delta_test_validation():
 # ---------------------------------------------------------------------------
 
 def gated_setup(store, head, ga, gb, f_a, f_b):
-    """Context, queries, zero backbone and adapted ranks of one trained head."""
-    table = zero_table(store.num_entities)
-    bias = compute_bias(head, ga, gb, f_a, f_b)
-    ctx = EvalContext(gates_a=ga, gates_b=gb, f_a=f_a, f_b=f_b, head=head, bias=bias)
-    queries = query_set(store)
-    ranks, = compute_rank_table(queries, table, [bias.values])
-    return ctx, queries, table, ranks
+    """Queries, zero backbone, head inputs and adapted bias of one trained head."""
+    return {"queries": query_set(store), "table": zero_table(store.num_entities),
+            "head": head, "gates": (ga, gb), "features": (f_a, f_b),
+            "bias": compute_bias(head, ga, gb, f_a, f_b)}
 
 
 def cr_of(setup, group, epsilon):
-    ctx, queries, table, ranks = setup
-    after, = compute_rank_table(queries, table,
-                                [counterfactual_bias(ctx, group, epsilon).values])
-    return counterfactual_responsiveness(ctx.bias, group, queries.true_tails, ranks, after)
+    """CR of one group, its boosted bias computed from hand-scaled features."""
+    f_a, f_b = setup["features"]
+    boost = 1.0 + epsilon
+    boosted = compute_bias(setup["head"], *setup["gates"], f_a * boost if group == "A" else f_a,
+                           f_b * boost if group == "B" else f_b)
+    ranks, after = compute_rank_table(setup["queries"], setup["table"],
+                                      [setup["bias"].values, boosted.values])
+    return counterfactual_responsiveness(setup["bias"], group, setup["queries"].true_tails,
+                                         ranks, after)
+
+
+def battery_of(setup, **settings):
+    """gated_battery of the setup's head under EvalSettings(**settings), seed 0."""
+    return gated_battery(setup["queries"], setup["table"], setup["head"], setup["gates"],
+                         setup["features"], setup["bias"], EvalSettings(**settings), seed=0)
 
 
 def crossing_context():
@@ -358,6 +368,15 @@ def test_cr_other_group_unmoved_scores_zero():
     assert res.cr == 0.0
 
 
+def test_gated_battery_boosts_each_group_in_turn():
+    setup = crossing_context()
+    ranks, entries = battery_of(setup, epsilon=1.5, n_shuffles=1)
+    assert ranks.tolist() == compute_rank_table(setup["queries"], setup["table"],
+                                                [setup["bias"].values])[0].tolist()
+    assert (entries["cr_A"], entries["cr_A_pct_improved"]) == (-2.0, 1.0)
+    assert entries["cr_B"] == 0.0
+
+
 def test_cr_one_sided_split_returns_none(caplog):
     store = store_from_labels(train=[("q", "r", "pad")],
                               test=[("q", "r", "t1"), ("q", "r", "t2")])
@@ -371,17 +390,17 @@ def test_cr_one_sided_split_returns_none(caplog):
     setup = gated_setup(store, head, ga, gb, make_features(ga, [0.5]), make_features(gb, [0.0]))
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
         assert cr_of(setup, "A", 0.1) is None
+        _, entries = battery_of(setup, n_shuffles=1)
     assert "undefined" in caplog.text
+    assert entries["cr_A"] is None and entries["cr_A_pct_improved"] is None
 
 
 def test_cr_validation():
-    ctx, _, _, ranks = crossing_context()
-    with pytest.raises(ValueError, match="group"):
-        counterfactual_bias(ctx, "C", 0.1)
-    with pytest.raises(ValueError, match="group"):
-        counterfactual_responsiveness(ctx.bias, "C", np.zeros(2, dtype=np.int64), ranks, ranks)
-    with pytest.raises(ValueError, match="epsilon"):
-        counterfactual_bias(ctx, "A", -0.1)
+    setup = crossing_context()
+    ranks = np.ones(2, dtype=np.int64)
+    with pytest.raises(KeyError):
+        counterfactual_responsiveness(setup["bias"], "C", np.zeros(2, dtype=np.int64),
+                                      ranks, ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +409,10 @@ def test_cr_validation():
 
 def placebo_context(w_a=3.0):
     """One aligned entity outside the default top-10; constant feature vectors
-    make every shuffle a no-op, so shuffled deltas must equal the real one."""
+    make every shuffle a no-op, so shuffled deltas must equal the real one.
+    Both test queries share the key (q, r), so they share their alignment."""
     train = [(f"h{i}", "r", f"pad{i}") for i in range(13)]
-    store = store_from_labels(train=train, test=[("q", "r", "tgt")])
+    store = store_from_labels(train=train, test=[("q", "r", "tgt"), ("q", "r", "pad0")])
     n = store.num_entities
     tgt = store.entity_vocab.id("tgt")
     dense_a = np.zeros((n, 2))
@@ -400,35 +420,36 @@ def placebo_context(w_a=3.0):
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(np.zeros((n, 2)), group="B")
     head = make_head([w_a, 0.0], [0.0, 0.0])
-    ctx, queries, table, _ = gated_setup(store, head, ga, gb, make_features(ga, [0.4, 0.4]),
-                                         make_features(gb, [0.25, 0.25]))
-    return ctx, queries, table
+    return gated_setup(store, head, ga, gb, make_features(ga, [0.4, 0.4]),
+                       make_features(gb, [0.25, 0.25]))
+
+
+def test_placebo_validation_hand_rows():
+    # rows: base, adapted, then one per shuffle; base mean 0.25
+    res = placebo_validation(np.array([[0.0, 0.5], [0.5, 0.5], [0.25, 0.25], [0.0, 0.0]]))
+    assert res.real_delta == 0.25
+    assert res.per_shuffle == [0.0, -0.25]
+    assert res.shuffled_delta_mean == -0.125
+    assert res.ratio == -2.0
 
 
 def test_placebo_constant_features_give_ratio_one():
-    ctx, queries, table = placebo_context()
-    res = placebo_validation(measure_alignment(ctx, queries, table, 70, n_shuffles=3, seed=0))
+    _, entries = battery_of(placebo_context(), n_shuffles=3)
     # the target entity enters the top-10 only under the real bias
-    assert res.real_delta == 1.0 / ALIGNMENT_K
-    assert res.per_shuffle == [res.real_delta] * 3
-    assert np.isclose(res.shuffled_delta_mean, res.real_delta, atol=1e-15)
-    assert np.isclose(res.ratio, 1.0, atol=1e-12)
+    assert entries["placebo_real_delta"] == 1.0 / ALIGNMENT_K
+    assert np.isclose(entries["placebo_shuffled_delta"], entries["placebo_real_delta"],
+                      atol=1e-15)
+    assert np.isclose(entries["placebo_ratio"], 1.0, atol=1e-12)
+    assert entries["alignment@10_delta"] == entries["placebo_real_delta"]
+    assert entries["aligned_set_size"] == 1
 
 
 def test_placebo_zero_bias_has_no_ratio(caplog):
-    ctx, queries, table = placebo_context(w_a=0.0)
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        res = placebo_validation(measure_alignment(ctx, queries, table, 70, n_shuffles=2,
-                                                   seed=0))
-    assert res.real_delta == 0.0
-    assert res.shuffled_delta_mean == 0.0
-    assert res.ratio is None
-
-
-def test_placebo_validation_errors():
-    ctx, queries, table = placebo_context()
-    with pytest.raises(ValueError, match="n_shuffles"):
-        measure_alignment(ctx, queries, table, 70, n_shuffles=0, seed=0)
+        _, entries = battery_of(placebo_context(w_a=0.0), n_shuffles=2)
+    assert entries["placebo_real_delta"] == 0.0
+    assert entries["placebo_shuffled_delta"] == 0.0
+    assert entries["placebo_ratio"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatedbias.errors import ConfigError, TripleParseError
+from gatedbias.evaluator import query_set
 from gatedbias.kg_store import (AttributeUniverse, Vocab, build_gates, build_universe,
                                 load_grouping, load_triples, make_grouping)
 from helpers import store_from_labels
@@ -46,8 +47,7 @@ def test_load_triples_minimal_dir(tmp_path):
     store = load_triples(str(tmp_path))
     assert store.num_entities == 3
     assert store.num_relations == 1
-    a, likes = store.entity_vocab.id("a"), store.relation_vocab.id("likes")
-    assert store.known_tails[(a, likes)].tolist() == [store.entity_vocab.id("b")]
+    assert query_set(store).filter(0).tolist() == [store.entity_vocab.id("b")]
     assert store.test.shape == (1, 3)
 
 
@@ -72,9 +72,8 @@ def test_load_triples_hand_counted_fixture(tmp_path):
     assert store.num_entities == 7  # u1 i1 i2 u2 g1 g2 i3
     assert store.num_relations == 2
     assert (store.train.shape[0], store.valid.shape[0], store.test.shape[0]) == (6, 1, 3)
-    # known tails come from train+valid only
-    u2, likes = store.entity_vocab.id("u2"), store.relation_vocab.id("likes")
-    assert store.known_tails[(u2, likes)].tolist() == sorted(
+    # the filter of (u2, likes) holds its train and valid tails, not the test one
+    assert query_set(store).filter(1).tolist() == sorted(
         [store.entity_vocab.id("i1"), store.entity_vocab.id("i2")])
 
 

@@ -17,6 +17,7 @@ from gatedbias.pipeline import (METHOD_ORDER, _write_report, format_comparison,
                                 query_checksum, run_compare, run_eval, run_pipeline,
                                 task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate
+from oracles import query_filters
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,30 @@ def test_run_eval_reads_the_synthetic_dataset_of_the_run(tmp_path):
     assert "run the pipeline first" in str(exc.value)
 
 
+def test_failed_dataset_write_leaves_no_manifest(tmp_path, monkeypatch):
+    """A synthetic dataset rewritten partway keeps every file it did not get
+    to whole, leaves no temporary file and no manifest, so eval refuses it."""
+    out = tmp_path / "run"
+    run_pipeline(synthetic_cfg(), str(out))
+    train = out / "dataset" / "triples" / "train.tsv"
+    before = train.read_bytes()
+
+    def broken(*args):  # first called while train.tsv is being written
+        raise OSError("disk full")
+
+    monkeypatch.setattr("gatedbias.synth._attr", broken)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(synthetic_cfg(), str(out))
+    assert exc.value.stage == "data" and "disk full" in str(exc.value)
+    monkeypatch.undo()
+    assert not [n for _, _, names in os.walk(out) for n in names if n.endswith(".tmp")]
+    assert train.read_bytes() == before
+    assert not (out / "dataset" / "manifest.json").exists()
+    with pytest.raises(PipelineError) as exc:
+        run_eval(synthetic_cfg(), str(out))
+    assert exc.value.stage == "data" and "run the pipeline first" in str(exc.value)
+
+
 def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
     crlf = str(tmp_path / "crlf")
     shutil.copytree(data_dir, crlf)
@@ -333,8 +358,8 @@ def test_query_checksum_tracks_queries(store):
     assert query_checksum(query_set(reordered)) != qc
     # the digest layout: test triples as int64, then every filter as int64
     digest = hashlib.sha256(store.test.astype(np.int64).tobytes())
-    for h, r, _ in store.test.tolist():
-        digest.update(store.known_tails.get((h, r), np.empty(0, np.int64)).tobytes())
+    for filt in query_filters(store):
+        digest.update(filt.tobytes())
     assert qc == digest.hexdigest()
 
 
@@ -398,6 +423,16 @@ def test_run_compare_over_synthetic_dataset(tmp_path):
     assert lines[0].startswith("method\tadded_params\tmrr")
     assert len(lines) == 4
     assert lines[1].startswith("base\t0\t")
+
+
+def test_compare_refused_at_load_trains_nothing(data_dir, tmp_path, monkeypatch):
+    cfg = tiny_cfg(data_dir)
+    broken = dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, interactions_path=None))
+    monkeypatch.setattr("gatedbias.pipeline.train_backbone", _refuse_training)
+    with pytest.raises(PipelineError) as exc:
+        run_compare(broken, str(tmp_path / "cmp"))
+    assert exc.value.stage == "data" and "interactions_path" in str(exc.value)
+    assert not (tmp_path / "cmp" / "base").exists()
 
 
 def test_compare_methods_share_one_backbone(tmp_path):
