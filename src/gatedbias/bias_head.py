@@ -161,6 +161,9 @@ def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: st
     """
     if store.train.shape[0] == 0:
         raise ValueError(f"cannot train {what} on an empty train split")
+    if store.num_entities < 2:
+        raise ValueError(f"cannot train {what}: corrupt tails need at least two entities; "
+                         f"the store has {store.num_entities}")
     rng = np.random.default_rng(cfg.seed)
     train = store.train
     for epoch in range(cfg.epochs):

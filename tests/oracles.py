@@ -7,6 +7,10 @@ They share no code with the chunked engine in gatedbias.evaluator, which
 must agree with them exactly; the differential tests compare the two.
 score and to_dense are the one-triple DistMult score and the dense form of a
 gate matrix, written out from the stored arrays.
+train_backbone is the backbone trainer as it stood before its scatters went
+flat: four 2-d np.add.at calls per batch. The library's trainer must give
+the same float64 tables bit for bit; float32 storage rounds away most
+reorderings of its additions, so the comparison is made before it.
 """
 
 from __future__ import annotations
@@ -112,3 +116,48 @@ def biased_scores(table, values=None):
     if values is None:
         return table.score_all_tails
     return lambda h, r: table.score_all_tails(h, r) + values
+
+
+def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """DistMult under margin ranking loss, one 2-d np.add.at per scatter;
+    returns the float64 entity and relation tables."""
+    nE, nR, d = store.num_entities, store.num_relations, cfg.dim
+    rng = np.random.default_rng(cfg.seed)
+    bound = 0.5 / np.sqrt(d)
+    ent = rng.uniform(-bound, bound, size=(nE, d))
+    rel = rng.uniform(-bound, bound, size=(nR, d))
+
+    train = store.train
+    n = train.shape[0]
+    npp = cfg.negatives_per_positive
+
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = train[order[start:start + cfg.batch_size]]
+            h = np.repeat(batch[:, 0], npp)
+            r = np.repeat(batch[:, 1], npp)
+            t_pos = np.repeat(batch[:, 2], npp)
+            # uniform over entities excluding the positive tail
+            t_neg = rng.integers(0, nE - 1, size=h.shape[0])
+            t_neg[t_neg >= t_pos] += 1
+
+            e_h, e_r = ent[h], rel[r]
+            e_tp, e_tn = ent[t_pos], ent[t_neg]
+            s_pos = np.einsum("ij,ij,ij->i", e_h, e_r, e_tp)
+            s_neg = np.einsum("ij,ij,ij->i", e_h, e_r, e_tn)
+            active = (cfg.margin - s_pos + s_neg) > 0
+            if not active.any():
+                continue
+
+            scale = cfg.learning_rate / h.shape[0]
+            act = np.flatnonzero(active)
+            g_h = e_r[act] * (e_tn[act] - e_tp[act])
+            g_r = e_h[act] * (e_tn[act] - e_tp[act])
+            g_core = e_h[act] * e_r[act]
+            np.add.at(ent, h[act], -scale * g_h)
+            np.add.at(rel, r[act], -scale * g_r)
+            np.add.at(ent, t_pos[act], scale * g_core)
+            np.add.at(ent, t_neg[act], -scale * g_core)
+
+    return ent, rel

@@ -1,14 +1,18 @@
+import dataclasses
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable,
+from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable, _train_float64,
                                 load_embeddings, save_embeddings, train_backbone)
 from gatedbias.errors import CheckpointError
 from gatedbias.evaluator import compute_rank_table, query_set, ranking_metrics
-from helpers import random_table, store_from_labels
+from helpers import random_store, random_table, store_from_labels
 from oracles import score
+from oracles import train_backbone as oracle_train_backbone
 
 
 def table_from(ent, rel):
@@ -133,6 +137,39 @@ def test_train_empty_store_raises():
     store.train = np.empty((0, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="empty train"):
         train_backbone(store, BackboneTrainConfig(epochs=1))
+
+
+def test_train_one_entity_store_raises():
+    store = store_from_labels([("a", "r", "a")])
+    with pytest.raises(ValueError, match="at least two entities"):
+        train_backbone(store, BackboneTrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("batch", ["one", "ragged", "over"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hub=st.booleans(), n_entities=st.integers(2, 12),
+       n_relations=st.integers(1, 4), n_train=st.integers(3, 40), npp=st.integers(1, 3),
+       dim=st.integers(1, 8), epochs=st.integers(1, 3),
+       margin=st.sampled_from([-1.0, 0.0, 0.02, 1.0]),
+       learning_rate=st.sampled_from([0.05, 0.5]))
+def test_train_matches_oracle(batch, seed, hub, n_entities, n_relations, n_train, npp, dim,
+                              epochs, margin, learning_rate):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_entities, n_relations, n_train, 0)
+    if hub:  # entity 0 fills most heads and tails: many repeated rows per scatter
+        train = store.train.copy()
+        for col in (0, 2):
+            train[rng.random(n_train) < 0.8, col] = 0
+        store = dataclasses.replace(store, train=train)
+    # 1, a size that leaves a short last batch, and one past the split
+    size = {"one": 1, "ragged": n_train - 1, "over": n_train + 5}[batch]
+    cfg = BackboneTrainConfig(dim=dim, epochs=epochs, learning_rate=learning_rate,
+                              batch_size=size, negatives_per_positive=npp, margin=margin,
+                              seed=seed)
+    ent, rel = oracle_train_backbone(store, cfg)
+    lib_ent, lib_rel = _train_float64(store, cfg)
+    assert lib_ent.tobytes() == ent.tobytes() and lib_rel.tobytes() == rel.tobytes()
+    assert train_backbone(store, cfg).checksum() == table_from(ent, rel).checksum()
 
 
 def test_train_easy_graph_beats_random_baseline():

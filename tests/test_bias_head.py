@@ -249,6 +249,18 @@ def test_train_head_empty_train_raises():
         train_head(empty, table, ga, gb, f_a, f_b, HeadTrainConfig(epochs=1))
 
 
+def test_train_heads_one_entity_store_raises():
+    store = store_from_labels([("a", "r", "a")])
+    ga = gates_from_dense(np.ones((1, 2)))
+    gb = gates_from_dense(np.ones((1, 2)), group="B")
+    table, cfg = zero_table(1), HeadTrainConfig(epochs=1)
+    with pytest.raises(ValueError, match="head: corrupt tails need at least two entities"):
+        train_head(store, table, ga, gb, make_features(ga, np.ones(2)),
+                   make_features(gb, np.ones(2)), cfg)
+    with pytest.raises(ValueError, match="patientnode: corrupt tails need at least two"):
+        train_patientnode(store, table, cfg)
+
+
 def test_train_head_never_touches_backbone():
     store, table, ga, gb, f_a, f_b = small_training_setup()
     before = table.checksum()

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 import yaml
@@ -189,6 +190,24 @@ def test_stage_error_traceback_only_under_verbose(cfg_path, tmp_path, capsys, mo
         assert "Traceback" not in err
         assert [line for line in err.splitlines() if line.startswith("error:")] == \
             ["error: [backbone] boom"]
+
+
+def test_diverging_backbone_fails_at_its_epoch(tmp_path, capsys):
+    triples = tmp_path / "triples"
+    triples.mkdir()
+    (triples / "train.tsv").write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\n", encoding="utf-8")
+    path = str(tmp_path / "config.yaml")
+    save_config({"data": {"triples_dir": str(triples)},
+                 "backbone": {"learning_rate": 1e6, "epochs": 50}, "method": "base"}, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", path, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: [backbone] non-finite backbone embeddings at epoch 8"
+    assert not (out / "backbone.kge").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bad_config_file(tmp_path, capsys):
