@@ -215,10 +215,6 @@ class PatientNodeHead:
     b2: float
 
     @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def param_count(self) -> int:
         h, d = self.w1.shape
         return h * d + h + h + 1
@@ -247,14 +243,10 @@ def patientnode_loss_and_grad(
     rels: np.ndarray,
     t_pos: np.ndarray,
     t_neg: np.ndarray,
-    lambda1: float = 0.0,
-    lambda2: float = 0.0,
 ) -> tuple[float, PatientNodeHead]:
-    """Same pairwise hinge as the gated head; backprop through the tiny MLP.
-    The gradient is returned as a PatientNodeHead of the same shape.
-
-    Regularizers (when configured) apply to the weight matrices, not biases.
-    """
+    """Same pairwise hinge as the gated head, unregularized; backprop through
+    the tiny MLP. The gradient is returned as a PatientNodeHead of the same
+    shape."""
     n_pairs = len(t_pos)
     s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
 
@@ -269,8 +261,6 @@ def patientnode_loss_and_grad(
     hinge = np.maximum(0.0, 1.0 - (s_margin + bias_pos - bias_neg))
     active = hinge > 0
     loss = float(hinge.mean())
-    loss += lambda1 * (np.abs(head.w1).sum() + np.abs(head.w2).sum())
-    loss += lambda2 * (np.square(head.w1).sum() + np.square(head.w2).sum())
 
     # upstream gradient of the mean hinge w.r.t. bias(t): -1/P for positives,
     # +1/P for negatives, zero for inactive pairs
@@ -283,9 +273,6 @@ def patientnode_loss_and_grad(
     dz_neg = (gamma_neg[:, None] * head.w2[None, :]) * (z_neg > 0)
     g_w1 = dz_pos.T @ e_pos + dz_neg.T @ e_neg
     g_b1 = dz_pos.sum(axis=0) + dz_neg.sum(axis=0)
-
-    g_w1 += lambda1 * np.sign(head.w1) + 2.0 * lambda2 * head.w1
-    g_w2 += lambda1 * np.sign(head.w2) + 2.0 * lambda2 * head.w2
     return loss, PatientNodeHead(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
@@ -294,12 +281,15 @@ def train_patientnode(
     table: EmbeddingTable,
     cfg: HeadTrainConfig,
     hidden: int = 16,
-    lambda1: float = 0.0,
-    lambda2: float = 0.0,
 ) -> PatientNodeHead:
-    """Train the MLP ablation; profile features and gates are never consulted."""
+    """Train the MLP ablation; profile features and gates are never consulted.
+
+    cfg.lambda1 and cfg.lambda2 regularize the gated head's weight vectors
+    only: the MLP trains unregularized, so the comparison is capacity against
+    capacity, not penalty against penalty.
+    """
     def loss_and_grad(head, *batch):
-        return patientnode_loss_and_grad(head, table, *batch, lambda1, lambda2)
+        return patientnode_loss_and_grad(head, table, *batch)
 
     return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, cfg,
                 "patientnode")
@@ -317,6 +307,8 @@ def compute_bias_patientnode(head: PatientNodeHead, table: EmbeddingTable) -> np
 # ---------------------------------------------------------------------------
 
 _KIND = {BiasHead: "gatedbias-head", PatientNodeHead: "patientnode-head"}
+_SHAPED_BY = {BiasHead: "the attribute universes",
+              PatientNodeHead: "head.patientnode_hidden and the backbone dim"}
 
 
 def _write_checkpoint(path: str, head, cfg: HeadTrainConfig, table: EmbeddingTable,
@@ -329,12 +321,14 @@ def _write_checkpoint(path: str, head, cfg: HeadTrainConfig, table: EmbeddingTab
     write_json(path, payload)
 
 
-def _read_checkpoint(path: str, cls, cfg: HeadTrainConfig, table: EmbeddingTable,
+def _read_checkpoint(path: str, template, cfg: HeadTrainConfig, table: EmbeddingTable,
                      **bindings: str):
-    """The head of type cls saved at path. Eval reports cfg, so the head must
-    have been trained with it, seed included; the backbone and the other
-    bindings must match the checksums the head was saved with."""
-    kind = _KIND[cls]
+    """The head saved at path, of template's type and field shapes. Eval
+    reports cfg, so the head must have been trained with it, seed included;
+    the backbone and the other bindings must match the checksums the head was
+    saved with. A scalar field must be a finite JSON number, an array field a
+    finite array of the template's shape."""
+    kind = _KIND[type(template)]
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -350,9 +344,23 @@ def _read_checkpoint(path: str, cls, cfg: HeadTrainConfig, table: EmbeddingTable
             if payload[key] != have:
                 raise CheckpointError(f"{path}: {key} mismatch (checkpoint "
                                       f"{payload[key]!s:.12}..., current {have:.12}...)")
-        return cls(**{f.name: np.asarray(payload[f.name], dtype=np.float64)
-                      if isinstance(payload[f.name], list) else float(payload[f.name])
-                      for f in dataclasses.fields(cls)})
+        fields = {}
+        for f in dataclasses.fields(template):
+            want, value = np.shape(getattr(template, f.name)), payload[f.name]
+            if not want and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise CheckpointError(f"{path}: {f.name} must be a number, "
+                                      f"got {json.dumps(value):.40}")
+            try:
+                array = np.asarray(value, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise CheckpointError(f"{path}: {f.name} is not a numeric array") from None
+            if array.shape != want:
+                raise CheckpointError(f"{path}: {f.name} has shape {array.shape}; "
+                                      f"{_SHAPED_BY[type(template)]} give {want}")
+            if not np.isfinite(array).all():
+                raise CheckpointError(f"{path}: {f.name} holds non-finite values")
+            fields[f.name] = array if want else float(value)
+        return type(template)(**fields)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     except KeyError as exc:
@@ -371,7 +379,8 @@ def save_head(head: BiasHead, cfg: HeadTrainConfig, table: EmbeddingTable,
 
 def load_head(path: str, cfg: HeadTrainConfig, table: EmbeddingTable,
               gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
-    return _read_checkpoint(path, BiasHead, cfg, table, **_universe_bindings(gates_a, gates_b))
+    return _read_checkpoint(path, new_head(gates_a, gates_b), cfg, table,
+                            **_universe_bindings(gates_a, gates_b))
 
 
 def save_patientnode(head: PatientNodeHead, cfg: HeadTrainConfig, table: EmbeddingTable,
@@ -381,11 +390,5 @@ def save_patientnode(head: PatientNodeHead, cfg: HeadTrainConfig, table: Embeddi
 
 def load_patientnode(path: str, cfg: HeadTrainConfig, table: EmbeddingTable,
                      hidden: int) -> PatientNodeHead:
-    head = _read_checkpoint(path, PatientNodeHead, cfg, table)
-    if head.w1.shape[1] != table.dim:
-        raise CheckpointError(f"{path}: checkpoint dim {head.w1.shape[1]} != backbone dim "
-                              f"{table.dim}")
-    if head.hidden != hidden:
-        raise CheckpointError(f"{path} has {head.hidden} hidden units; the config says "
-                              f"head.patientnode_hidden: {hidden}")
-    return head
+    """The MLP saved at path, whose w1 must be (hidden, backbone dim)."""
+    return _read_checkpoint(path, new_patientnode(table.dim, hidden, cfg.seed), cfg, table)

@@ -280,20 +280,15 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     return hits[:, queries.key_of] / k
 
 
-def alignment_delta_test(
-    base_alignment: float,
-    adapted_alignment: float,
-    per_query_pairs: np.ndarray,
-    n_resamples: int = 10000,
-    seed: int = 0,
-) -> tuple[float, float]:
+def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
+                         seed: int = 0) -> float:
     """Two-sided paired sign-flip permutation test on per-query alignment.
 
-    per_query_pairs is (n, 2): column 0 base, column 1 adapted. Returns
-    (delta, p_value) with the add-one p estimate (count + 1) / (resamples + 1),
-    which is exactly 1.0 when all pairs are identical. The resamples are drawn
-    in row chunks of at most BLOCK_CELLS signs; the chunks continue one
-    generator stream, so the p-value equals that of a single draw.
+    per_query_pairs is (n, 2): column 0 base, column 1 adapted. Returns the
+    add-one p-value estimate (count + 1) / (resamples + 1), which is exactly
+    1.0 when all pairs are identical. The resamples are drawn in row chunks
+    of at most BLOCK_CELLS signs; the chunks continue one generator stream,
+    so the p-value equals that of a single draw.
     """
     pairs = np.asarray(per_query_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -309,29 +304,22 @@ def alignment_delta_test(
         signs = rng.choice((-1.0, 1.0), size=(min(step, n_resamples - start), diffs.shape[0]))
         t_perm = np.abs((signs * diffs).mean(axis=1))
         count += int((t_perm >= t_obs - 1e-15).sum())
-    p_value = (count + 1) / (n_resamples + 1)
-    return float(adapted_alignment - base_alignment), float(p_value)
+    return float((count + 1) / (n_resamples + 1))
 
 
 # ---------------------------------------------------------------------------
 # Counterfactual and placebo checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CRResult:
-    cr: float
-    pct_improved: float
-    n_in: int
-    n_out: int
-
-
 def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.ndarray,
                                   ranks_adapted: np.ndarray,
-                                  ranks_after: np.ndarray) -> CRResult | None:
-    """Mean rank change of the queries' true tails, from the adapted ranks to
-    the ranks with group's features scaled by (1 + epsilon), inside vs outside
-    the group's positive-contribution set of the real bias. Negative CR means
-    in-group true tails moved toward rank 1 relative to the rest. Returns
+                                  ranks_after: np.ndarray) -> dict[str, float | None]:
+    """Report entries cr_<group> and cr_<group>_pct_improved: the mean rank
+    change of the queries' true tails, from the adapted ranks to the ranks
+    with group's features scaled by (1 + epsilon), inside minus outside the
+    group's positive-contribution set of the real bias, and the fraction of
+    in-group true tails that moved toward rank 1. Negative CR means in-group
+    true tails moved toward rank 1 relative to the rest. Both entries are
     None when every test true tail falls on one side of the split.
     """
     contrib = {"A": bias.contrib_a, "B": bias.contrib_b}[group]
@@ -340,33 +328,23 @@ def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.n
     if n_in == 0 or n_out == 0:
         log.warning("CR_%s undefined: %d in-group / %d out-of-group test tails",
                     group, n_in, n_out)
-        return None
+        return {f"cr_{group}": None, f"cr_{group}_pct_improved": None}
     delta = ranks_after.astype(np.float64) - ranks_adapted.astype(np.float64)
-    cr = float(delta[in_mask].mean() - delta[~in_mask].mean())
-    pct_improved = float((delta[in_mask] < 0).mean())
-    return CRResult(cr=cr, pct_improved=pct_improved, n_in=n_in, n_out=n_out)
+    return {f"cr_{group}": float(delta[in_mask].mean() - delta[~in_mask].mean()),
+            f"cr_{group}_pct_improved": float((delta[in_mask] < 0).mean())}
 
 
-@dataclass
-class PlaceboResult:
-    real_delta: float
-    shuffled_delta_mean: float
-    ratio: float | None
-    per_shuffle: list[float]
-
-
-def placebo_validation(alignment: np.ndarray) -> PlaceboResult:
-    """ΔAlignment@10 with real features vs feature-shuffled reruns, each
-    against the same base alignment, from per-query alignment rows: base,
-    adapted, then one per shuffle. Ratio is real / shuffled-mean, absent
-    when the denominator is numerically zero."""
+def placebo_validation(alignment: np.ndarray) -> dict[str, float | None]:
+    """Report entries placebo_real_delta, placebo_shuffled_delta and
+    placebo_ratio: ΔAlignment@10 with real features and its mean over
+    feature-shuffled reruns, each against the same base alignment, from
+    per-query alignment rows: base, adapted, then one per shuffle. The ratio
+    is real / shuffled-mean, None when the denominator is numerically zero."""
     base_mean = alignment[0].mean()
     real_delta = float(alignment[1].mean() - base_mean)
-    per_shuffle = [float(pq.mean() - base_mean) for pq in alignment[2:]]
-    shuffled_mean = float(np.mean(per_shuffle))
-    ratio = real_delta / shuffled_mean if abs(shuffled_mean) >= 1e-12 else None
-    return PlaceboResult(real_delta=real_delta, shuffled_delta_mean=shuffled_mean,
-                         ratio=ratio, per_shuffle=per_shuffle)
+    shuffled_mean = float(np.mean([float(pq.mean() - base_mean) for pq in alignment[2:]]))
+    return {"placebo_real_delta": real_delta, "placebo_shuffled_delta": shuffled_mean,
+            "placebo_ratio": real_delta / shuffled_mean if abs(shuffled_mean) >= 1e-12 else None}
 
 
 def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gates, features,
@@ -390,18 +368,14 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
     pq = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias.values,
                                               *shuffled], aligned, ALIGNMENT_K)
     base_mean, adapted_mean = float(pq[0].mean()), float(pq[1].mean())
-    delta, p_value = alignment_delta_test(base_mean, adapted_mean, pq[:2].T, seed=seed)
     entries = {f"alignment@{ALIGNMENT_K}_base": base_mean,
                f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,
-               f"alignment@{ALIGNMENT_K}_delta": delta, "alignment_p_value": p_value}
+               f"alignment@{ALIGNMENT_K}_delta": float(adapted_mean - base_mean),
+               "alignment_p_value": alignment_delta_test(pq[:2].T, seed=seed)}
     for group, after in zip("AB", ranks_after):
-        cr = counterfactual_responsiveness(bias, group, queries.true_tails, ranks, after)
-        entries[f"cr_{group}"] = None if cr is None else cr.cr
-        entries[f"cr_{group}_pct_improved"] = None if cr is None else cr.pct_improved
-    placebo = placebo_validation(pq)
-    entries.update(placebo_real_delta=placebo.real_delta,
-                   placebo_shuffled_delta=placebo.shuffled_delta_mean,
-                   placebo_ratio=placebo.ratio, aligned_set_size=len(aligned))
+        entries.update(counterfactual_responsiveness(bias, group, queries.true_tails,
+                                                     ranks, after))
+    entries.update(placebo_validation(pq), aligned_set_size=len(aligned))
     return ranks, entries
 
 
@@ -420,32 +394,12 @@ def mean_stderr(values: list) -> tuple[float | None, float | None]:
     return m, float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
 
 
-@dataclass
-class EvalReport:
-    """Per-seed metric dicts plus their mean ± stderr aggregate."""
-
-    seeds: list[int]
-    per_seed: list[dict]
-
-    def aggregate(self) -> dict:
-        keys: list[str] = []
-        for d in self.per_seed:
-            for k in d:
-                if k not in keys:
-                    keys.append(k)
-        out = {}
-        for k in keys:
-            vals = [d.get(k) for d in self.per_seed]
-            numeric = [v for v in vals if isinstance(v, (int, float))]
-            if len(numeric) != len([v for v in vals if v is not None]):
-                continue  # non-numeric field, not aggregatable
-            m, se = mean_stderr(numeric)
-            out[k] = {"mean": m, "stderr": se, "n": len(numeric)}
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "seeds": self.seeds,
-            "per_seed": self.per_seed,
-            "aggregate": self.aggregate(),
-        }
+def eval_report(seeds: list[int], per_seed: list[dict]) -> dict:
+    """The seeds, their per-seed entries, and each entry's mean ± stderr over
+    the seeds where it is present (every value is a number or None)."""
+    aggregate = {}
+    for k in dict.fromkeys(k for d in per_seed for k in d):
+        vals = [d[k] for d in per_seed if d.get(k) is not None]
+        m, se = mean_stderr(vals)
+        aggregate[k] = {"mean": m, "stderr": se, "n": len(vals)}
+    return {"seeds": seeds, "per_seed": per_seed, "aggregate": aggregate}

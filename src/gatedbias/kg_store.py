@@ -209,11 +209,6 @@ class AttributeUniverse:
     group: str
     attrs: np.ndarray  # entity ids, ordered
     relations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    index: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {int(e): j for j, e in enumerate(self.attrs)}
 
     def __len__(self) -> int:
         return len(self.attrs)
@@ -310,9 +305,10 @@ def build_gates(store: TripleStore, universe: AttributeUniverse) -> GateMatrix:
     in_universe = np.isin(train[:, 0], universe.attrs)
     if universe.relations.size:
         in_universe &= np.isin(train[:, 1], universe.relations)
-    heads = train[in_universe, 0]
+    column = np.zeros(nE, dtype=np.int64)  # entity id -> universe column
+    column[universe.attrs] = np.arange(nU)
+    cols = column[train[in_universe, 0]]
     tails = train[in_universe, 2]
-    cols = np.array([universe.index[int(h)] for h in heads], dtype=np.int64)
 
     # distinct (tail, col) pairs, sorted so each row's columns are ascending
     keys = np.unique(tails * np.int64(nU) + cols)

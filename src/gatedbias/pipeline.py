@@ -27,7 +27,7 @@ from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
 from .config import DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
-from .evaluator import EvalReport, QuerySet
+from .evaluator import QuerySet
 from .fileio import atomic_write, write_json
 from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
                        load_triples)
@@ -164,8 +164,8 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                 "checksum_a": uni_a.checksum(), "checksum_b": uni_b.checksum(),
             }
         with _stage("profiles"):
-            log_data = load_interactions(data.interactions_path, store)
-            features = tuple(build_profile(log_data, g, cfg.profile.scale_alpha,
+            histories = load_interactions(data.interactions_path, store)
+            features = tuple(build_profile(histories, g, cfg.profile.scale_alpha,
                                            cfg.profile.cap_tau) for g in gates)
 
     with _stage("evaluate"):
@@ -193,12 +193,8 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                 elif c.method == "patientnode":
                     ckpt = os.path.join(out, f"patientnode_seed{run_seed}.json")
                     if train:
-                        # lambda1/lambda2 regularize the gated head's weight vectors;
-                        # the MLP ablation trains unregularized so the comparison is
-                        # capacity against capacity, not penalty against penalty
                         pn = bias_head.train_patientnode(head_store, table, head_cfg,
-                                                         hidden=c.patientnode_hidden,
-                                                         lambda1=0.0, lambda2=0.0)
+                                                         hidden=c.patientnode_hidden)
                         bias_head.save_patientnode(pn, head_cfg, table, ckpt)
                     else:
                         pn = bias_head.load_patientnode(ckpt, head_cfg, table,
@@ -239,7 +235,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
             "universes": universes if c.method == "gatedbias" else None,
             "param_count": param_count,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "report": EvalReport(seeds=list(c.eval.seeds), per_seed=per_seed).to_dict(),
+            "report": evaluator.eval_report(list(c.eval.seeds), per_seed),
         }
         _write_report(report, rank_rows, out)
         reports.append(report)

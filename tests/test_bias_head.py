@@ -330,8 +330,7 @@ def test_patientnode_gradient_matches_finite_differences():
                                b2=float(x[o[3]]))
 
     def loss_at(x):
-        loss, _ = patientnode_loss_and_grad(unpack(x), table, h, r, tp, tn,
-                                            lambda1=2e-4, lambda2=1e-4)
+        loss, _ = patientnode_loss_and_grad(unpack(x), table, h, r, tp, tn)
         return loss
 
     checked = 0
@@ -346,8 +345,7 @@ def test_patientnode_gradient_matches_finite_differences():
                    - table.score_triples(h, r, tn) - head.bias_for(ent[tn]))
         if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
             continue
-        loss, grads = patientnode_loss_and_grad(head, table, h, r, tp, tn,
-                                                lambda1=2e-4, lambda2=1e-4)
+        loss, grads = patientnode_loss_and_grad(head, table, h, r, tp, tn)
         analytic = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
         numeric = central_difference(loss_at, x)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
@@ -368,6 +366,9 @@ def test_train_patientnode_deterministic_and_frozen():
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
+
+SHAPED_BY = "head.patientnode_hidden and the backbone dim give"
+
 
 def checkpoint_setup(seed):
     rng = np.random.default_rng(seed)
@@ -419,7 +420,7 @@ def test_save_load_patientnode_round_trip(tmp_path):
     assert np.array_equal(loaded.w1, head.w1)
     assert np.array_equal(loaded.w2, head.w2)
     assert loaded.b2 == head.b2
-    with pytest.raises(CheckpointError, match="patientnode_hidden: 5"):
+    with pytest.raises(CheckpointError, match=rf"w1 has shape \(4, 6\); {SHAPED_BY} \(5, 6\)"):
         load_patientnode(path, cfg, table, hidden=5)
     # a w1 of another width under the right backbone checksum is refused by its dim
     with open(path, encoding="utf-8") as fh:
@@ -427,7 +428,7 @@ def test_save_load_patientnode_round_trip(tmp_path):
     payload["w1"] = [row + [0.0] for row in payload["w1"]]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
-    with pytest.raises(CheckpointError, match="checkpoint dim 7 != backbone dim 6"):
+    with pytest.raises(CheckpointError, match=rf"w1 has shape \(4, 7\); {SHAPED_BY} \(4, 6\)"):
         load_patientnode(path, cfg, table, hidden=4)
 
 
@@ -473,3 +474,35 @@ def test_checkpoint_faults_name_the_file(kind, key, fault, tmp_path):
         assert message == f"{path}: missing key 'backbone_checksum'"
     elif fault == "other backbone":
         assert "backbone_checksum mismatch" in message
+
+
+@pytest.mark.parametrize("kind,key,value,fragment", [
+    ("patientnode", "b1", [0.0], f"b1 has shape (1,); {SHAPED_BY} (4,)"),
+    ("patientnode", "w1", [[0.0] * 6] * 3, f"w1 has shape (3, 6); {SHAPED_BY} (4, 6)"),
+    ("patientnode", "w2", [[0.0]] * 4, f"w2 has shape (4, 1); {SHAPED_BY} (4,)"),
+    ("patientnode", "w1", [[0.0] * 6] * 3 + [[0.0] * 5], "w1 is not a numeric array"),
+    ("patientnode", "w2", ["x"] * 4, "w2 is not a numeric array"),
+    ("patientnode", "b1", [0.0, None, 0.0, 0.0], "b1 holds non-finite values"),
+    ("patientnode", "b2", [0.0], "b2 must be a number, got [0.0]"),
+    ("head", "alpha_a", [1.0], "alpha_a must be a number, got [1.0]"),
+    ("head", "alpha_b", "1.0", 'alpha_b must be a number, got "1.0"'),
+    ("head", "alpha_b", True, "alpha_b must be a number, got true"),
+    ("head", "alpha_a", float("inf"), "alpha_a holds non-finite values"),
+    ("head", "w_a", [0.0, 0.0], "w_a has shape (2,); the attribute universes give (3,)"),
+    ("head", "w_b", 0.0, "w_b has shape (); the attribute universes give (2,)"),
+], ids=["b1-cut", "w1-short", "w2-2d", "w1-ragged", "w2-strings", "b1-null", "b2-list",
+        "alpha_a-list", "alpha_b-string", "alpha_b-bool", "alpha_a-inf", "w_a-short",
+        "w_b-scalar"])
+def test_checkpoint_field_of_another_shape_or_type_raises(kind, key, value, fragment,
+                                                          tmp_path):
+    ga, gb, table = checkpoint_setup(13)
+    path = str(tmp_path / f"{kind}.json")
+    save_zero_checkpoint(kind, path, table, ga, gb)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(kind, path, table, ga, gb)
+    assert str(exc.value) == f"{path}: {fragment}"

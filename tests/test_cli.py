@@ -132,6 +132,26 @@ def test_eval_refuses_heads_trained_on_another_backbone(method, cfg_path, run_ou
     assert "error: [evaluate]" in err and "backbone_checksum mismatch" in err
 
 
+@pytest.mark.parametrize("method,checkpoint,key,value", [
+    ("patientnode", "patientnode_seed0.json", "b1", [0.0]),
+    ("gatedbias", "head_seed0.json", "alpha_a", [1.0]),
+])
+def test_eval_refuses_checkpoint_fields_of_another_shape(method, checkpoint, key, value,
+                                                         cfg_path, tmp_path, capsys):
+    out = str(tmp_path / "run")
+    assert main(["run", cfg_path, "--out", out, "--method", method]) == 0
+    path = os.path.join(out, checkpoint)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    capsys.readouterr()
+    assert main(["eval", cfg_path, "--out", out, "--method", method]) == 1
+    err = capsys.readouterr().err
+    assert f"error: [evaluate] {path}: {key} " in err
+
+
 def test_eval_without_checkpoints_fails(cfg_path, tmp_path, capsys):
     rc = main(["eval", cfg_path, "--out", str(tmp_path)])
     assert rc == 1

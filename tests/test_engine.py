@@ -274,8 +274,7 @@ def test_delta_test_chunks_give_the_unchunked_p_value(n_queries, n_resamples, se
     adapted = np.clip(base + rng.integers(-1, 3, n_queries) / 10, 0.0, 1.0)
     pairs = np.column_stack([base, adapted])
     want = unchunked_p_value(pairs, n_resamples, seed)
-    _, p = alignment_delta_test(base.mean(), adapted.mean(), pairs, n_resamples, seed)
-    assert p == want
+    assert alignment_delta_test(pairs, n_resamples, seed) == want
 
 
 def test_delta_test_uneven_chunk_remainder(monkeypatch):
@@ -284,4 +283,4 @@ def test_delta_test_uneven_chunk_remainder(monkeypatch):
     want = unchunked_p_value(pairs, 1000, 2)
     for cells in (13, 333 * 13, 999):  # 1-row chunks, 333 + 1, 76 + remainder 12
         monkeypatch.setattr(evaluator, "BLOCK_CELLS", cells)
-        assert alignment_delta_test(0.0, 0.0, pairs, 1000, 2)[1] == want
+        assert alignment_delta_test(pairs, 1000, 2) == want
