@@ -13,6 +13,7 @@ order so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from .backbone import EmbeddingTable
 from .bias_head import BiasHead, BiasVector, compute_bias
 from .config import EvalSettings
-from .kg_store import TripleStore
+from .kg_store import TripleStore, expand_ranges
 from .profile_builder import shuffle_features
 
 log = logging.getLogger(__name__)
@@ -41,15 +42,14 @@ class QuerySet:
     """The (h, r, t*) test queries, keyed by their distinct (h, r), built once
     per run.
 
-    Query i has key key_of[i]; keys are the distinct test (h, r) pairs in
-    ascending (h, r) order, key j being (key_heads[j], key_rels[j]). The
-    filter of key j, the known train+valid tails of its (h, r) in id order,
-    is filter_indices[filter_indptr[j]:filter_indptr[j + 1]], stored once
+    Query i has key key_of[i] and true tail true_tails[i]; keys are the
+    distinct test (h, r) pairs in ascending (h, r) order, key j being
+    (key_heads[j], key_rels[j]). The filter of key j, the known train+valid
+    tails of its (h, r) in id order, is
+    filter_indices[filter_indptr[j]:filter_indptr[j + 1]], stored once
     however many queries share the key.
     """
 
-    heads: np.ndarray
-    rels: np.ndarray
     true_tails: np.ndarray
     key_of: np.ndarray  # one entry per query
     key_heads: np.ndarray
@@ -58,12 +58,28 @@ class QuerySet:
     filter_indices: np.ndarray  # int32
 
     def __len__(self) -> int:
-        return len(self.heads)
+        return len(self.true_tails)
 
-    def filter(self, i: int) -> np.ndarray:
-        """The filter of query i: that of its key."""
-        k = self.key_of[i]
-        return self.filter_indices[self.filter_indptr[k]:self.filter_indptr[k + 1]]
+    def checksum(self) -> str:
+        """Digest of the queries and their filters (the fairness contract):
+        the (h, r, t*) triples as int64, then each query's filter as int64,
+        in query order. The filters are gathered in runs of queries holding
+        at most BLOCK_CELLS cells (at least one query)."""
+        h = hashlib.sha256()
+        triples = np.column_stack([self.key_heads[self.key_of], self.key_rels[self.key_of],
+                                   self.true_tails])
+        h.update(triples.astype(np.int64).tobytes())
+        starts = self.filter_indptr[self.key_of]
+        counts = self.filter_indptr[self.key_of + 1] - starts
+        ends = np.cumsum(counts)
+        start = 0
+        while start < len(self):
+            limit = ends[start] - counts[start] + BLOCK_CELLS  # last cell this chunk may reach
+            stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+            cells = expand_ranges(starts[start:stop], counts[start:stop])
+            h.update(self.filter_indices[cells].astype(np.int64).tobytes())
+            start = stop
+        return h.hexdigest()
 
 
 def query_set(store: TripleStore) -> QuerySet:
@@ -78,11 +94,10 @@ def query_set(store: TripleStore) -> QuerySet:
     lo, hi = np.searchsorted(code, key_code), np.searchsorted(code, key_code, side="right")
     indptr = np.zeros(len(keys) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(hi - lo)
-    rows = np.repeat(lo - indptr[:-1], hi - lo) + np.arange(indptr[-1])
-    return QuerySet(heads=triples[:, 0].copy(), rels=triples[:, 1].copy(),
-                    true_tails=triples[:, 2].copy(), key_of=key_of.reshape(-1),
+    return QuerySet(true_tails=triples[:, 2].copy(), key_of=key_of.reshape(-1),
                     key_heads=keys[:, 0].copy(), key_rels=keys[:, 1].copy(),
-                    filter_indptr=indptr, filter_indices=known[rows, 2].astype(np.int32))
+                    filter_indptr=indptr,
+                    filter_indices=known[expand_ranges(lo, hi - lo), 2].astype(np.int32))
 
 
 # ---------------------------------------------------------------------------

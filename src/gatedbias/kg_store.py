@@ -9,7 +9,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -208,7 +208,7 @@ class AttributeUniverse:
 
     group: str
     attrs: np.ndarray  # entity ids, ordered
-    relations: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    relations: np.ndarray  # the group's relation ids
 
     def __len__(self) -> int:
         return len(self.attrs)
@@ -252,6 +252,14 @@ def build_universe(
     return AttributeUniverse(group=group, attrs=attrs.astype(np.int64), relations=rel_ids)
 
 
+def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The int64 positions of the ranges [starts[i], starts[i] + counts[i]),
+    concatenated in range order: the flat cells of a CSR row selection."""
+    counts = np.asarray(counts, dtype=np.int64)
+    firsts = np.cumsum(counts) - counts  # where each range begins in the output
+    return np.repeat(np.asarray(starts, dtype=np.int64) - firsts, counts) + np.arange(counts.sum())
+
+
 class GateMatrix:
     """Sparse binary |E| x |U_k| matrix in CSR layout (column indices only).
 
@@ -278,33 +286,20 @@ class GateMatrix:
         weights = np.asarray(v, dtype=np.float64)[self.indices]
         return np.bincount(self._row_ids, weights=weights, minlength=self.num_entities)
 
-    def row_counts(self, tails: np.ndarray) -> np.ndarray:
-        return self.indptr[tails + 1] - self.indptr[tails]
-
     def gather_rows(self, tails: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Concatenate the rows of ``tails``; returns (owner positions, column ids)."""
-        counts = self.row_counts(tails)
-        total = int(counts.sum())
         starts = self.indptr[tails]
-        ends = np.cumsum(counts)
-        offsets = np.arange(total) - np.repeat(ends - counts, counts)
-        flat = np.repeat(starts, counts) + offsets
+        counts = self.indptr[tails + 1] - starts
         owners = np.repeat(np.arange(len(tails)), counts)
-        return owners, self.indices[flat]
+        return owners, self.indices[expand_ranges(starts, counts)]
 
 
 def build_gates(store: TripleStore, universe: AttributeUniverse) -> GateMatrix:
     """Build the binary gate matrix of a universe from train triples only."""
     nE = store.num_entities
     nU = len(universe)
-    if nU == 0:
-        indptr = np.zeros(nE + 1, dtype=np.int64)
-        return GateMatrix(universe, nE, indptr, np.empty(0, dtype=np.int64))
-
     train = store.train
-    in_universe = np.isin(train[:, 0], universe.attrs)
-    if universe.relations.size:
-        in_universe &= np.isin(train[:, 1], universe.relations)
+    in_universe = np.isin(train[:, 0], universe.attrs) & np.isin(train[:, 1], universe.relations)
     column = np.zeros(nE, dtype=np.int64)  # entity id -> universe column
     column[universe.attrs] = np.arange(nU)
     cols = column[train[in_universe, 0]]
@@ -314,9 +309,7 @@ def build_gates(store: TripleStore, universe: AttributeUniverse) -> GateMatrix:
     keys = np.unique(tails * np.int64(nU) + cols)
     row_of = keys // nU
     col_of = keys % nU
-    indptr = np.zeros(nE + 1, dtype=np.int64)
-    np.add.at(indptr, row_of + 1, 1)
-    indptr = np.cumsum(indptr)
+    indptr = np.searchsorted(row_of, np.arange(nE + 1))  # first key of a row >= t
 
     # structural invariants: columns in range, rows duplicate-free and ascending
     # (strictly increasing keys encode strictly increasing (row, col) pairs)

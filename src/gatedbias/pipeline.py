@@ -14,7 +14,6 @@ shuffle/permutation seeds.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -27,7 +26,6 @@ from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
 from .config import DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
-from .evaluator import QuerySet
 from .fileio import atomic_write, write_json
 from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
                        load_triples)
@@ -46,16 +44,6 @@ def _stage(name: str):
         raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
-
-
-def query_checksum(queries: QuerySet) -> str:
-    """Digest of the test queries and their filter sets (fairness contract)."""
-    h = hashlib.sha256()
-    triples = np.column_stack([queries.heads, queries.rels, queries.true_tails])
-    h.update(triples.astype(np.int64).tobytes())
-    for i in range(len(queries)):
-        h.update(queries.filter(i).astype(np.int64).tobytes())
-    return h.hexdigest()
 
 
 def task_train_store(store: TripleStore, grouping) -> TripleStore:
@@ -170,10 +158,9 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
 
     with _stage("evaluate"):
         queries = evaluator.query_set(store)
-        checksum = query_checksum(queries)
+        checksum = queries.checksum()
     ent, rel = store.entity_vocab.label, store.relation_vocab.label
-    labels = [(ent(h), rel(r), ent(t)) for h, r, t in zip(
-        queries.heads.tolist(), queries.rels.tolist(), queries.true_tails.tolist())]
+    labels = [(ent(h), rel(r), ent(t)) for h, r, t in store.test.tolist()]
 
     reports = []
     for c, out in runs:

@@ -50,12 +50,14 @@ def random_store(rng, n_entities, n_relations, n_train, n_test, n_valid=0):
 
 
 def gates_from_dense(dense, group="A", attrs=None):
-    """GateMatrix built row by row from a dense 0/1 membership matrix."""
+    """GateMatrix built row by row from a dense 0/1 membership matrix; its
+    universe's one relation is id 0."""
     dense = np.asarray(dense)
     n_e, n_u = dense.shape
     if attrs is None:
         attrs = np.arange(n_u, dtype=np.int64)
-    uni = AttributeUniverse(group=group, attrs=np.asarray(attrs, dtype=np.int64))
+    uni = AttributeUniverse(group=group, attrs=np.asarray(attrs, dtype=np.int64),
+                            relations=np.zeros(1, dtype=np.int64))
     indptr = np.zeros(n_e + 1, dtype=np.int64)
     cols = []
     for t in range(n_e):

@@ -5,6 +5,8 @@ or sort that single row, with filters gathered from the train and valid
 splits in a plain dict.
 They share no code with the chunked engine in gatedbias.evaluator, which
 must agree with them exactly; the differential tests compare the two.
+query_checksum hashes those filters one query at a time; QuerySet.checksum,
+which gathers them in chunks, must give the same digest.
 score and to_dense are the one-triple DistMult score and the dense form of a
 gate matrix, written out from the stored arrays.
 train_backbone is the backbone trainer as it stood before its scatters went
@@ -14,6 +16,8 @@ reorderings of its additions, so the comparison is made before it.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -73,6 +77,15 @@ def query_filters(store, split: str = "test") -> list[np.ndarray]:
         known.setdefault((h, r), set()).add(t)
     return [np.array(sorted(known.get((h, r), ())), dtype=np.int64)
             for h, r, _ in store.split(split).tolist()]
+
+
+def query_checksum(store) -> str:
+    """sha256 of the test triples as int64, then of each test query's filter
+    as int64, one query at a time in split order."""
+    h = hashlib.sha256(store.test.astype(np.int64).tobytes())
+    for filt in query_filters(store):
+        h.update(filt.astype(np.int64).tobytes())
+    return h.hexdigest()
 
 
 def compute_rank_table(store, table, bias_values=None, split: str = "test") -> np.ndarray:

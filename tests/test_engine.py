@@ -3,7 +3,9 @@
 Ranks and per-query alignment must equal the oracles exactly, on random
 stores, on tie-heavy ones, on degenerate queries, on many queries sharing
 one (h, r), on true tails inside their own filter and across chunk
-boundaries. The sign-flip test must give the p-value of one unchunked draw.
+boundaries; the query checksum, its filters gathered under the same cell
+budget, must equal the per-query oracle's. The sign-flip test must give the
+p-value of one unchunked draw.
 """
 
 import numpy as np
@@ -17,6 +19,18 @@ from gatedbias.backbone import EmbeddingTable
 from gatedbias.evaluator import (AlignedSet, alignment_delta_test, alignment_per_query,
                                  compute_rank_table, query_set)
 from helpers import random_store, random_table, store_from_labels
+
+
+def checksum_chunks(queries, block_cells):
+    """queries.checksum() under a block_cells budget, and the filter sizes of
+    the queries in each chunk it gathered."""
+    chunks = []
+    expand = evaluator.expand_ranges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "BLOCK_CELLS", block_cells)
+        mp.setattr(evaluator, "expand_ranges",
+                   lambda starts, counts: chunks.append(counts.tolist()) or expand(starts, counts))
+        return queries.checksum(), chunks
 
 
 def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
@@ -35,6 +49,7 @@ def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
         want = oracles.alignment_per_query(pairs, filters, oracles.biased_scores(table, bias),
                                            aligned, k)
         assert np.array_equal(row, want)
+    assert checksum_chunks(queries, block_cells)[0] == oracles.query_checksum(store)
 
 
 def equal_table(n_entities, n_relations, dim=3, value=0.5):
@@ -172,8 +187,8 @@ def test_engine_matches_oracle_on_queries_sharing_a_key(seed):
 def test_engine_matches_oracle_on_true_tails_in_their_own_filter(seed):
     rng = np.random.default_rng(seed)
     store = hub_store(rng, n_entities=30, n_heads=2, n_test=40, n_train=20, n_in_train=15)
-    queries = query_set(store)
-    inside = [int(t) in queries.filter(i).tolist() for i, t in enumerate(queries.true_tails)]
+    filters = oracles.query_filters(store)
+    inside = [t in f.tolist() for t, f in zip(store.test[:, 2].tolist(), filters)]
     assert any(inside) and not all(inside)
     n = store.num_entities
     biases = [np.zeros(n), rng.standard_normal(n), rng.choice([-1.0, 1.0], size=n)]
@@ -193,8 +208,9 @@ def test_engine_matches_oracle_on_all_tie_rows_shared_by_a_key():
     # one tied block: a query's rank depends only on whether its tail is filtered
     queries = query_set(store)
     ranks = compute_rank_table(queries, table)[0]
+    filters = oracles.query_filters(store)
     for i, t in enumerate(queries.true_tails.tolist()):
-        filt = queries.filter(i).tolist()
+        filt = filters[i].tolist()
         candidates = n - len(filt) + (t in filt)
         assert ranks[i] == 1 + (candidates - 1) // 2
 
@@ -239,9 +255,10 @@ def test_query_set_stores_one_filter_per_key(seed):
     by_key = {(int(h), int(r)): f for (h, r, _), f in zip(store.test, filters)}
     assert queries.filter_indices.size == sum(f.size for f in by_key.values())
     assert [(int(h), int(r)) for h, r in zip(queries.key_heads, queries.key_rels)] == sorted(by_key)
+    ptr = queries.filter_indptr
     for i in range(len(queries)):
-        assert np.array_equal(queries.filter(i), filters[i])
         key = queries.key_of[i]
+        assert np.array_equal(queries.filter_indices[ptr[key]:ptr[key + 1]], filters[i])
         assert (queries.key_heads[key], queries.key_rels[key]) == tuple(store.test[i, :2])
 
 
@@ -250,6 +267,44 @@ def test_engine_rejects_a_bias_of_the_wrong_length():
     table = random_table(np.random.default_rng(0), store.num_entities, 1, 4)
     with pytest.raises(ValueError, match="stack"):
         compute_rank_table(query_set(store), table, [np.zeros(store.num_entities + 1)])
+
+
+# ---------------------------------------------------------------------------
+# the query checksum, its filters gathered in chunks
+# ---------------------------------------------------------------------------
+
+def test_query_checksum_matches_oracle_on_hand_fixtures():
+    for store in (degenerate_store(),
+                  store_from_labels(train=[("a", "r", "b"), ("a", "r", "c")],
+                                    test=[("a", "r", "d"), ("b", "r", "a")])):
+        queries = query_set(store)
+        assert (np.diff(queries.filter_indptr) == 0).any()  # a key with an empty filter
+        assert queries.checksum() == oracles.query_checksum(store)
+
+
+def test_query_checksum_matches_oracle_when_keys_are_near_queries():
+    rng = np.random.default_rng(11)
+    store = random_store(rng, n_entities=200, n_relations=6, n_train=800, n_test=90, n_valid=30)
+    queries = query_set(store)
+    assert 0.9 * len(queries) <= len(queries.key_heads) < len(queries)
+    assert queries.filter_indices.size > 0
+    assert queries.checksum() == oracles.query_checksum(store)
+
+
+@pytest.mark.parametrize("block_cells", [1, 4, 25, 60])
+def test_query_checksum_chunks_give_the_oracle_digest(block_cells):
+    """Budgets below one query's filter (one query per chunk) and budgets
+    that split the queries unevenly."""
+    rng = np.random.default_rng(block_cells)
+    store = hub_store(rng, n_entities=30, n_heads=4, n_test=50, n_train=60, n_in_train=10)
+    queries = query_set(store)
+    digest, chunks = checksum_chunks(queries, block_cells)
+    assert digest == oracles.query_checksum(store)
+    assert len(chunks) >= 2
+    assert sum(len(c) for c in chunks) == len(queries)
+    assert all(sum(c) <= block_cells or len(c) == 1 for c in chunks)
+    # greedy: each chunk stops only where the next query would break the budget
+    assert all(sum(a) + b[0] > block_cells for a, b in zip(chunks, chunks[1:]))
 
 
 # ---------------------------------------------------------------------------

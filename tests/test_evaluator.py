@@ -11,7 +11,8 @@ from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, aligned_set, alignment
                                  query_set, ranking_metrics)
 from helpers import (gates_from_dense, make_features, make_head, random_table,
                      store_from_labels)
-from oracles import alignment_at_k, alignment_per_query, filtered_rank, topk_filtered
+from oracles import (alignment_at_k, alignment_per_query, filtered_rank, query_filters,
+                     topk_filtered)
 
 
 def zero_table(n_entities, n_relations=1, dim=4):
@@ -95,7 +96,8 @@ def test_compute_rank_table_matches_manual_loop():
         greater = sum(1 for j in kept if scores[j] > s_true)
         equal = sum(1 for j in kept if scores[j] == s_true) - 1
         assert got[i] == 1 + greater + equal // 2
-        assert (queries.heads[i], queries.rels[i], queries.true_tails[i]) == (h, r, t)
+        key = queries.key_of[i]
+        assert (queries.key_heads[key], queries.key_rels[key], queries.true_tails[i]) == (h, r, t)
 
 
 def test_compute_rank_table_empty_split_raises():
@@ -110,10 +112,12 @@ def test_query_filters_order_and_content():
                               test=[("a", "r", "d"), ("b", "r", "a")])
     queries = query_set(store)
     assert len(queries) == 2
-    assert queries.filter(0).tolist() == sorted([store.entity_vocab.id("b"),
-                                                 store.entity_vocab.id("c")])
-    assert queries.filter(1).size == 0
+    filters = query_filters(store)
+    assert filters[0].tolist() == sorted([store.entity_vocab.id("b"),
+                                          store.entity_vocab.id("c")])
+    assert filters[1].size == 0
     assert queries.filter_indptr.tolist() == [0, 2, 2]
+    assert queries.filter_indices.tolist() == filters[0].tolist()
     assert queries.filter_indices.dtype == np.int32
     assert queries.true_tails.tolist() == store.test[:, 2].tolist()
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gatedbias.errors import ConfigError, TripleParseError
-from gatedbias.evaluator import query_set
 from gatedbias.kg_store import (AttributeUniverse, Vocab, build_gates, build_universe,
-                                load_grouping, load_triples, make_grouping)
+                                expand_ranges, load_grouping, load_triples, make_grouping)
 from helpers import store_from_labels
-from oracles import to_dense
+from oracles import query_filters, to_dense
 
 
 def row(gates, t):
@@ -47,7 +48,7 @@ def test_load_triples_minimal_dir(tmp_path):
     store = load_triples(str(tmp_path))
     assert store.num_entities == 3
     assert store.num_relations == 1
-    assert query_set(store).filter(0).tolist() == [store.entity_vocab.id("b")]
+    assert query_filters(store)[0].tolist() == [store.entity_vocab.id("b")]
     assert store.test.shape == (1, 3)
 
 
@@ -73,7 +74,7 @@ def test_load_triples_hand_counted_fixture(tmp_path):
     assert store.num_relations == 2
     assert (store.train.shape[0], store.valid.shape[0], store.test.shape[0]) == (6, 1, 3)
     # the filter of (u2, likes) holds its train and valid tails, not the test one
-    assert query_set(store).filter(1).tolist() == sorted(
+    assert query_filters(store)[1].tolist() == sorted(
         [store.entity_vocab.id("i1"), store.entity_vocab.id("i2")])
 
 
@@ -247,11 +248,18 @@ def test_universe_cap_prefix_property():
 
 
 def test_universe_checksum_depends_on_order():
-    a = AttributeUniverse(group="A", attrs=np.array([1, 2], dtype=np.int64))
-    b = AttributeUniverse(group="A", attrs=np.array([2, 1], dtype=np.int64))
-    assert a.checksum() != b.checksum()
-    assert a.checksum() == AttributeUniverse(group="A",
-                                             attrs=np.array([1, 2], dtype=np.int64)).checksum()
+    def universe(attrs):
+        return AttributeUniverse(group="A", attrs=np.array(attrs, dtype=np.int64),
+                                 relations=np.array([0], dtype=np.int64))
+
+    assert universe([1, 2]).checksum() != universe([2, 1]).checksum()
+    assert universe([1, 2]).checksum() == universe([1, 2]).checksum()
+
+
+def test_universe_requires_its_relations():
+    """A universe without relation ids would gate nothing; it cannot be made."""
+    with pytest.raises(TypeError, match="relations"):
+        AttributeUniverse(group="A", attrs=np.array([1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +333,8 @@ def test_build_gates_empty_universe():
     grouping = make_grouping(store, [], [])
     gates = build_gates(store, build_universe(store, grouping, "A"))
     assert gates.indices.size == 0
+    assert gates.indptr.tolist() == [0] * (store.num_entities + 1)
+    assert gates.indptr.dtype == np.int64
     assert gates.num_columns == 0
     assert gates.matvec(np.empty(0)).tolist() == [0.0] * store.num_entities
 
@@ -352,16 +362,31 @@ def test_gate_matvec_length_check():
 
 def test_gather_rows_concatenates_in_order():
     store = store_from_labels([("g1", "genre", "b1"), ("g2", "genre", "b1"),
-                               ("g2", "genre", "b2")])
+                               ("g2", "genre", "b2"), ("b3", "other", "g1")])
     grouping = make_grouping(store, ["genre"], [])
     gates = build_gates(store, build_universe(store, grouping, "A"))
-    b1, b2 = store.entity_vocab.id("b1"), store.entity_vocab.id("b2")
-    tails = np.array([b2, b1, b2])
+    b1, b2, b3 = (store.entity_vocab.id(x) for x in ("b1", "b2", "b3"))
+    tails = np.array([b2, b1, b3, b2])
     owners, cols = gates.gather_rows(tails)
-    # columns: g2 (two tails) is 0, g1 is 1; so row b1 = [0, 1], row b2 = [0]
+    # columns: g2 (two tails) is 0, g1 is 1; so row b1 = [0, 1], row b2 = [0],
+    # and row b3 is empty
     assert cols.tolist() == [0, 0, 1, 0]
-    assert owners.tolist() == [0, 1, 1, 2]
-    assert gates.row_counts(tails).tolist() == [1, 2, 1]
+    assert owners.tolist() == [0, 1, 1, 3]
+    assert np.bincount(owners, minlength=len(tails)).tolist() == [1, 2, 0, 1]
+
+
+@given(ranges=st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 6)), max_size=12),
+       dtype=st.sampled_from([np.int32, np.int64]))
+@example(ranges=[], dtype=np.int64)
+@example(ranges=[(3, 0), (5, 2), (0, 0), (9, 1), (4, 0)], dtype=np.int64)
+@example(ranges=[(7, 2), (7, 3), (7, 0), (7, 1)], dtype=np.int64)
+@example(ranges=[(2**31 - 2, 4), (0, 2)], dtype=np.int32)
+def test_expand_ranges_matches_a_list_oracle(ranges, dtype):
+    starts = np.array([s for s, _ in ranges], dtype=dtype)
+    counts = np.array([c for _, c in ranges], dtype=dtype)
+    got = expand_ranges(starts, counts)
+    assert got.dtype == np.int64
+    assert got.tolist() == [s + i for s, c in ranges for i in range(c)]
 
 
 def test_gate_checksum_changes_with_structure():

@@ -14,8 +14,7 @@ from gatedbias.evaluator import query_set
 from gatedbias.kg_store import load_grouping, load_triples, make_grouping
 from gatedbias.profile_builder import load_interactions
 from gatedbias.pipeline import (METHOD_ORDER, _write_report, format_comparison,
-                                query_checksum, run_compare, run_eval, run_pipeline,
-                                task_train_store)
+                                run_compare, run_eval, run_pipeline, task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate
 from oracles import query_filters
 
@@ -348,12 +347,12 @@ def test_task_train_store_keeps_task_relations(store, data_dir, caplog):
 
 
 def test_query_checksum_tracks_queries(store):
-    qc = query_checksum(query_set(store))
-    assert qc == query_checksum(query_set(store))
+    qc = query_set(store).checksum()
+    assert qc == query_set(store).checksum()
     fewer = dataclasses.replace(store, test=store.test[:-1])
     reordered = dataclasses.replace(store, test=store.test[::-1].copy())
-    assert query_checksum(query_set(fewer)) != qc
-    assert query_checksum(query_set(reordered)) != qc
+    assert query_set(fewer).checksum() != qc
+    assert query_set(reordered).checksum() != qc
     # the digest layout: test triples as int64, then every filter as int64
     digest = hashlib.sha256(store.test.astype(np.int64).tobytes())
     for filt in query_filters(store):
