@@ -295,30 +295,62 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     return hits[:, queries.key_of] / k
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
                          seed: int = 0) -> float:
     """Two-sided paired sign-flip permutation test on per-query alignment.
 
-    per_query_pairs is (n, 2): column 0 base, column 1 adapted. Returns the
-    add-one p-value estimate (count + 1) / (resamples + 1), which is exactly
-    1.0 when all pairs are identical. The resamples are drawn in row chunks
-    of at most BLOCK_CELLS signs; the chunks continue one generator stream,
-    so the p-value equals that of a single draw.
+    per_query_pairs is (n, 2) and finite: column 0 base, column 1 adapted.
+    Returns the add-one p-value estimate (count + 1) / (resamples + 1), which
+    is exactly 1.0 when all pairs are identical.
+
+    The signs are those of default_rng(seed).choice((-1.0, 1.0),
+    size=(n_resamples, n)), read by value off the raw PCG64 stream: numpy
+    takes sign 2i from bit 31 of word i and sign 2i + 1 from bit 63 (1 is
+    +1.0), keeping an unused high half for its next draw. A product is -diff
+    with its float64 sign bit flipped where the sign is +1.0, exactly
+    diff * sign. Row chunks of at most BLOCK_CELLS // 2 cells (at least one
+    row) share two buffers, so no per-chunk temporary reaches glibc's 128 KiB
+    mmap threshold; rows are summed in one full draw's layout and divided by
+    n as mean() does, so the p-value is that draw's bit for bit
+    (tests/oracles.py keeps the rng.choice form).
     """
     pairs = np.asarray(per_query_pairs, dtype=np.float64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("per_query_pairs must have shape (n, 2)")
     if pairs.shape[0] < 2:
         raise ValueError("paired test needs at least 2 queries")
+    if not np.isfinite(pairs).all():
+        raise ValueError("per_query_pairs must be finite")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
     diffs = pairs[:, 1] - pairs[:, 0]
+    n = diffs.shape[0]
     t_obs = abs(diffs.mean())
-    rng = np.random.default_rng(seed)
-    step = max(1, BLOCK_CELLS // diffs.shape[0])
-    count = 0
+    negated = (-diffs).view(np.uint64)
+    bits = np.random.default_rng(seed).bit_generator
+    step = min(max(1, BLOCK_CELLS // 2 // n), n_resamples)
+    products = np.empty((step, n))
+    signs = np.empty(step * n + 1, dtype=np.uint64)  # sign bits at bit 63, one spare cell
+    carried = 0  # 1 when signs[0] holds the high half the previous chunk left unused
+    sums = np.empty(n_resamples)
     for start in range(0, n_resamples, step):
-        signs = rng.choice((-1.0, 1.0), size=(min(step, n_resamples - start), diffs.shape[0]))
-        t_perm = np.abs((signs * diffs).mean(axis=1))
-        count += int((t_perm >= t_obs - 1e-15).sum())
+        rows = min(step, n_resamples - start)
+        cells = rows * n
+        words = bits.random_raw((cells - carried + 1) // 2)
+        drawn = signs[:carried + 2 * len(words)]
+        np.left_shift(words, 32, out=drawn[carried::2])
+        drawn[carried + 1::2] = words
+        np.bitwise_and(drawn, _SIGN_BIT, out=drawn)
+        np.bitwise_xor(drawn[:cells].reshape(rows, n), negated,
+                       out=products[:rows].view(np.uint64))
+        carried = len(drawn) - cells
+        signs[0] = drawn[-1]
+        np.add.reduce(products[:rows], axis=1, out=sums[start:start + rows])
+    t_perm = np.abs(sums / n)  # each row's mean, as products.mean(axis=1) forms it
+    count = int((t_perm >= t_obs - 1e-15).sum())
     return float((count + 1) / (n_resamples + 1))
 
 
@@ -355,6 +387,9 @@ def placebo_validation(alignment: np.ndarray) -> dict[str, float | None]:
     feature-shuffled reruns, each against the same base alignment, from
     per-query alignment rows: base, adapted, then one per shuffle. The ratio
     is real / shuffled-mean, None when the denominator is numerically zero."""
+    if len(alignment) < 3:
+        raise ValueError("placebo_validation needs base, adapted and at least one shuffled "
+                         f"alignment row, got {len(alignment)} rows")
     base_mean = alignment[0].mean()
     real_delta = float(alignment[1].mean() - base_mean)
     shuffled_mean = float(np.mean([float(pq.mean() - base_mean) for pq in alignment[2:]]))

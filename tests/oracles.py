@@ -7,6 +7,9 @@ They share no code with the chunked engine in gatedbias.evaluator, which
 must agree with them exactly; the differential tests compare the two.
 query_checksum hashes those filters one query at a time; QuerySet.checksum,
 which gathers them in chunks, must give the same digest.
+sign_flip_p_value is the sign-flip test as one rng.choice draw of every
+sign; alignment_delta_test, which reads the signs off the raw generator
+stream in chunks, must give the same p-value.
 score and to_dense are the one-triple DistMult score and the dense form of a
 gate matrix, written out from the stored arrays.
 train_backbone is the backbone trainer as it stood before its scatters went
@@ -122,6 +125,16 @@ def alignment_at_k(queries, filters, scores_fn, aligned: AlignedSet, k: int) -> 
     if len(queries) == 0:
         raise ValueError("alignment needs at least one query")
     return float(alignment_per_query(queries, filters, scores_fn, aligned, k).mean())
+
+
+def sign_flip_p_value(pairs, n_resamples: int, seed: int) -> float:
+    """Add-one p-value of the two-sided paired sign-flip test, all
+    n_resamples x n signs drawn at once with rng.choice."""
+    diffs = pairs[:, 1] - pairs[:, 0]
+    rng = np.random.default_rng(seed)
+    signs = rng.choice((-1.0, 1.0), size=(n_resamples, diffs.shape[0]))
+    t_perm = np.abs((signs * diffs).mean(axis=1))
+    return (int((t_perm >= abs(diffs.mean()) - 1e-15).sum()) + 1) / (n_resamples + 1)
 
 
 def biased_scores(table, values=None):

@@ -4,9 +4,13 @@ Ranks and per-query alignment must equal the oracles exactly, on random
 stores, on tie-heavy ones, on degenerate queries, on many queries sharing
 one (h, r), on true tails inside their own filter and across chunk
 boundaries; the query checksum, its filters gathered under the same cell
-budget, must equal the per-query oracle's. The sign-flip test must give the
-p-value of one unchunked draw.
+budget, must equal the per-query oracle's. The sign-flip test, which reads
+its signs off the raw generator stream in chunks, must give the p-value of
+one rng.choice draw of every sign; a separate test pins the numpy behaviour
+that this rests on.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -308,34 +312,70 @@ def test_query_checksum_chunks_give_the_oracle_digest(block_cells):
 
 
 # ---------------------------------------------------------------------------
-# sign-flip test, drawn in chunks
+# sign-flip test, read off the raw stream in chunks
 # ---------------------------------------------------------------------------
 
-def unchunked_p_value(pairs, n_resamples, seed):
-    diffs = pairs[:, 1] - pairs[:, 0]
-    rng = np.random.default_rng(seed)
-    signs = rng.choice((-1.0, 1.0), size=(n_resamples, diffs.shape[0]))
-    t_perm = np.abs((signs * diffs).mean(axis=1))
-    return (int((t_perm >= abs(diffs.mean()) - 1e-15).sum()) + 1) / (n_resamples + 1)
+def test_choice_signs_are_the_top_bits_of_the_raw_stream():
+    # Two draws with an odd size: the second starts on the high half that the
+    # first left unused. alignment_delta_test reads its signs this way.
+    for seed in (0, 1, 17):
+        for n in (1, 7, 4097):
+            rng = np.random.default_rng(seed)
+            signs = np.concatenate([rng.choice((-1.0, 1.0), size=n) for _ in range(2)])
+            words = np.random.default_rng(seed).bit_generator.random_raw(n)
+            top = np.empty(2 * n, dtype=np.uint64)
+            top[0::2] = (words >> 31) & 1
+            top[1::2] = words >> 63
+            assert np.array_equal(signs, np.where(top == 1, 1.0, -1.0)), (
+                f"numpy {np.__version__} no longer draws rng.choice((-1.0, 1.0)) sign i from "
+                "bit 31 (even i) or bit 63 (odd i) of PCG64 word i // 2, low half first, "
+                "keeping an unused high half for the next call; alignment_delta_test "
+                f"assumes it (seed {seed}, size {n})")
 
 
-@pytest.mark.parametrize("n_queries,n_resamples", [(2, 10000), (7, 10000), (100, 10000),
-                                                   (891, 3001)])
+def alignment_like_pairs(n_queries, seed):
+    """Base and adapted per-query values, multiples of 0.1, so permuted
+    statistics tie the observed one. The adapted values step -0.1, 0 or +0.1
+    from the base, with about sqrt(n_queries) extra +0.1 steps, so the
+    p-values spread over (0, 1] instead of sitting at 1 / (resamples + 1)."""
+    rng = np.random.default_rng(seed + n_queries)
+    steps = rng.integers(-1, 2, n_queries)
+    steps[:math.isqrt(n_queries)] = 1
+    base = rng.integers(1, 10, n_queries) / 10
+    return np.column_stack([base, base + steps / 10])
+
+
+# Chunks hold at most BLOCK_CELLS // 2 = 16,384 cells (at least one row).
+# Q 3 and 11 give odd chunks (16,383 and 16,379 cells), so each chunk after
+# the first starts on the high half carried from the one before. Q 16,385
+# exceeds the budget and Q 40,001 BLOCK_CELLS, so every chunk is one odd row.
+@pytest.mark.parametrize("n_queries,n_resamples", [
+    (2, 10000), (3, 10000), (7, 1), (7, 37), (7, 10000), (11, 10000), (100, 10000),
+    (891, 3001), (16385, 37), (40001, 1), (40001, 37)])
 @pytest.mark.parametrize("seed", [0, 1, 17])
 def test_delta_test_chunks_give_the_unchunked_p_value(n_queries, n_resamples, seed):
-    rng = np.random.default_rng(seed + n_queries)
-    # alignment-like values, multiples of 0.1, so permuted statistics tie the observed one
-    base = rng.integers(0, 11, n_queries) / 10
-    adapted = np.clip(base + rng.integers(-1, 3, n_queries) / 10, 0.0, 1.0)
-    pairs = np.column_stack([base, adapted])
-    want = unchunked_p_value(pairs, n_resamples, seed)
+    pairs = alignment_like_pairs(n_queries, seed)
+    want = oracles.sign_flip_p_value(pairs, n_resamples, seed)
     assert alignment_delta_test(pairs, n_resamples, seed) == want
 
 
 def test_delta_test_uneven_chunk_remainder(monkeypatch):
     rng = np.random.default_rng(4)
     pairs = np.column_stack([rng.random(13), rng.random(13)])
-    want = unchunked_p_value(pairs, 1000, 2)
-    for cells in (13, 333 * 13, 999):  # 1-row chunks, 333 + 1, 76 + remainder 12
+    want = oracles.sign_flip_p_value(pairs, 1000, 2)
+    for cells in (1, 26,         # one 13-cell row per chunk: every other one starts on a carried half
+                  2 * 333 * 13,  # 333 rows (4,329 cells, odd), then a last chunk of one row
+                  999):          # 38 rows, the last chunk 12
         monkeypatch.setattr(evaluator, "BLOCK_CELLS", cells)
         assert alignment_delta_test(pairs, 1000, 2) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_queries=st.integers(2, 300), n_resamples=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1), block_cells=st.integers(1, 2000))
+def test_delta_test_matches_oracle_on_random_shapes(n_queries, n_resamples, seed, block_cells):
+    pairs = alignment_like_pairs(n_queries, seed)
+    want = oracles.sign_flip_p_value(pairs, n_resamples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "BLOCK_CELLS", block_cells)
+        assert alignment_delta_test(pairs, n_resamples, seed) == want

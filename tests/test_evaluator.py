@@ -300,6 +300,24 @@ def test_alignment_delta_test_validation():
         alignment_delta_test(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_alignment_delta_test_refuses_non_finite_pairs(bad, column):
+    # a NaN difference never ties the observed statistic, so it read as p ~ 1e-4
+    pairs = np.column_stack([np.zeros(20), np.full(20, 0.1)])
+    pairs[3, column] = bad
+    with pytest.raises(ValueError, match="finite"):
+        alignment_delta_test(pairs)
+
+
+@pytest.mark.parametrize("n_resamples", [0, -5])
+def test_alignment_delta_test_refuses_fewer_than_one_resample(n_resamples):
+    # n_resamples=-5 gave the p-value (0 + 1) / (-5 + 1) = -0.25
+    pairs = np.column_stack([np.zeros(5), np.arange(5.0)])
+    with pytest.raises(ValueError, match="n_resamples"):
+        alignment_delta_test(pairs, n_resamples=n_resamples)
+
+
 # ---------------------------------------------------------------------------
 # counterfactual responsiveness
 # ---------------------------------------------------------------------------
@@ -426,6 +444,13 @@ def test_placebo_validation_hand_rows():
     res = placebo_validation(np.array([[0.0, 0.5], [0.5, 0.5], [0.25, 0.25], [0.0, 0.0]]))
     assert res == {"placebo_real_delta": 0.25, "placebo_shuffled_delta": -0.125,
                    "placebo_ratio": -2.0}
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_placebo_validation_refuses_fewer_than_three_rows(rows):
+    # with no shuffled row the shuffled mean was NaN, with a RuntimeWarning
+    with pytest.raises(ValueError, match="at least one shuffled"):
+        placebo_validation(np.zeros((rows, 4)))
 
 
 def test_placebo_constant_features_give_ratio_one():
