@@ -8,6 +8,7 @@ echoed into run reports, which makes any report re-runnable as-is.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -101,8 +102,8 @@ _SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
 KINDS = (*_SCALARS, "list[int]", "dict")
 
 # each rule is (message, test the value must pass, which NaN fails); None is exempt
-_POSITIVE = ("must be positive", lambda v: v > 0)
-_NON_NEGATIVE = ("must be >= 0", lambda v: v >= 0)
+_POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("must be >= 0 and finite", lambda v: 0 <= v < math.inf)
 _AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
 
 # section -> key -> rule; data.synthetic is range-checked by SynthParams.validate
@@ -119,7 +120,8 @@ RANGES = {
     "eval": {"ks": ("entries must be >= 1", lambda ks: min(ks) >= 1),
              "percentile_p": ("must be in (0, 100]", lambda p: 0 < p <= 100),
              "epsilon": _NON_NEGATIVE, "n_shuffles": _AT_LEAST_ONE,
-             "seeds": ("entries must be distinct", lambda seeds: len(set(seeds)) == len(seeds))},
+             "seeds": ("entries must be distinct and >= 0",
+                       lambda seeds: len(set(seeds)) == len(seeds) and min(seeds) >= 0)},
     "gates": {"cap_a": _AT_LEAST_ONE, "cap_b": _AT_LEAST_ONE},
 }
 

@@ -12,10 +12,11 @@ sign; alignment_delta_test, which reads the signs off the raw generator
 stream in chunks, must give the same p-value.
 score and to_dense are the one-triple DistMult score and the dense form of a
 gate matrix, written out from the stored arrays.
-train_backbone is the backbone trainer as it stood before its scatters went
-flat: four 2-d np.add.at calls per batch. The library's trainer must give
-the same float64 tables bit for bit; float32 storage rounds away most
-reorderings of its additions, so the comparison is made before it.
+train_backbone is the backbone trainer as it stood before it drew an epoch's
+negatives at once and scattered through flat tables: one negative draw and
+four 2-d np.add.at calls per batch. The library's trainer must give the same
+float64 tables bit for bit; float32 storage rounds away most reorderings of
+its additions, so the comparison is made before it.
 """
 
 from __future__ import annotations
@@ -145,8 +146,10 @@ def biased_scores(table, values=None):
 
 
 def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:
-    """DistMult under margin ranking loss, one 2-d np.add.at per scatter;
-    returns the float64 entity and relation tables."""
+    """DistMult under margin ranking loss, negatives drawn batch by batch and
+    one 2-d np.add.at per scatter; returns the float64 entity and relation
+    tables, or raises at the end of the first epoch that leaves a non-finite
+    value."""
     nE, nR, d = store.num_entities, store.num_relations, cfg.dim
     rng = np.random.default_rng(cfg.seed)
     bound = 0.5 / np.sqrt(d)
@@ -157,7 +160,7 @@ def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:
     n = train.shape[0]
     npp = cfg.negatives_per_positive
 
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = train[order[start:start + cfg.batch_size]]
@@ -185,5 +188,7 @@ def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:
             np.add.at(rel, r[act], -scale * g_r)
             np.add.at(ent, t_pos[act], scale * g_core)
             np.add.at(ent, t_neg[act], -scale * g_core)
+        if not (np.isfinite(ent).all() and np.isfinite(rel).all()):
+            raise FloatingPointError(f"non-finite backbone embeddings at epoch {epoch}")
 
     return ent, rel

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -10,6 +11,8 @@ from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable, _tra
                                 load_embeddings, save_embeddings, train_backbone)
 from gatedbias.errors import CheckpointError
 from gatedbias.evaluator import compute_rank_table, query_set, ranking_metrics
+from gatedbias.kg_store import load_triples
+from gatedbias.synth import SynthParams, generate
 from helpers import random_store, random_table, store_from_labels
 from oracles import score
 from oracles import train_backbone as oracle_train_backbone
@@ -170,6 +173,56 @@ def test_train_matches_oracle(batch, seed, hub, n_entities, n_relations, n_train
     lib_ent, lib_rel = _train_float64(store, cfg)
     assert lib_ent.tobytes() == ent.tobytes() and lib_rel.tobytes() == rel.tobytes()
     assert train_backbone(store, cfg).checksum() == table_from(ent, rel).checksum()
+
+
+def test_integer_draws_split_equal_one_draw():
+    # _train_float64 draws an epoch's negatives in one call where the oracle
+    # draws them batch by batch. Odd sizes leave an unused high half of a
+    # 64-bit word, which the next call must start on.
+    sizes = (1, 7, 255, 3)
+    for m in (2, 7, 1069, 2**31 + 5):
+        for seed in (0, 1, 17):
+            split_rng, whole_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            split_rng.permutation(101)
+            whole_rng.permutation(101)
+            split = np.concatenate([split_rng.integers(0, m, size=k) for k in sizes])
+            whole = whole_rng.integers(0, m, size=sum(sizes))
+            after = [rng.permutation(101) for rng in (split_rng, whole_rng)]
+            assert np.array_equal(split, whole) and np.array_equal(*after), (
+                f"numpy {np.__version__} no longer draws Generator.integers(0, m, size=k) "
+                "from 32-bit halves of the stream with an unused half carried into the "
+                "next call, so that calls of sizes k1, k2, ... equal one call of their sum "
+                "and leave the same state; _train_float64 assumes it "
+                f"(m {m}, seed {seed})")
+
+
+@pytest.fixture(scope="module")
+def desk_store(tmp_path_factory):
+    """Synth at 200 items, seed 0: 270 entities and 1,790 train triples, so
+    batches of 256 end on a ragged one of 254."""
+    out = tmp_path_factory.mktemp("synth200")
+    generate(SynthParams(n_items=200), str(out))
+    return load_triples(str(out / "triples"))
+
+
+@pytest.mark.parametrize("npp", [1, 3])
+def test_train_matches_oracle_at_desk_shape(desk_store, npp):
+    cfg = BackboneTrainConfig(dim=32, epochs=3, learning_rate=2.0, batch_size=256,
+                              negatives_per_positive=npp, margin=0.5, seed=0)
+    ent, rel = oracle_train_backbone(desk_store, cfg)
+    lib_ent, lib_rel = _train_float64(desk_store, cfg)
+    assert lib_ent.tobytes() == ent.tobytes() and lib_rel.tobytes() == rel.tobytes()
+
+
+@pytest.mark.parametrize("npp", [1, 3])
+def test_train_diverges_at_the_oracle_epoch(desk_store, npp):
+    cfg = BackboneTrainConfig(dim=32, epochs=3, learning_rate=1000.0, batch_size=256,
+                              negatives_per_positive=npp, margin=1.0, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="at epoch 1$") as want:
+        oracle_train_backbone(desk_store, cfg)
+    with pytest.raises(FloatingPointError, match=f"^{re.escape(str(want.value))}$"):
+        _train_float64(desk_store, cfg)
 
 
 def test_train_easy_graph_beats_random_baseline():

@@ -193,6 +193,18 @@ def test_override_validation(cfg_path, tmp_path, capsys, flags, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["base", "gatedbias"])
+@pytest.mark.parametrize("flags,line", [
+    (["--epsilon", "inf"], "error: config: eval.epsilon must be >= 0 and finite"),
+    (["--seeds", "-1"], "error: config: eval.seeds entries must be distinct and >= 0"),
+], ids=["epsilon-inf", "seeds-negative"])
+def test_out_of_range_override_refused_at_load(cfg_path, tmp_path, capsys, method, flags, line):
+    out = tmp_path / "out"
+    assert main(["run", cfg_path, "--out", str(out), "--method", method] + flags) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verbose", [False, True])
 def test_stage_error_traceback_only_under_verbose(cfg_path, tmp_path, capsys, monkeypatch,
                                                   verbose):
@@ -247,7 +259,7 @@ def test_profile_range_fails_before_training(cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: config: profile.cap_tau must be positive"]
+    assert err.splitlines() == ["error: config: profile.cap_tau must be positive and finite"]
     assert not out.exists()
 
 

@@ -118,6 +118,13 @@ def test_type_errors(raw, match):
     ({**MINIMAL, "eval": {"epsilon": float("nan")}}, "config: eval.epsilon must be >= 0"),
     ({**MINIMAL, "backbone": {"learning_rate": float("nan")}}, "backbone.learning_rate must be"),
     ({**MINIMAL, "eval": {"seeds": [0, 1, 0]}}, "config: eval.seeds entries must be distinct"),
+    ({**MINIMAL, "eval": {"epsilon": float("inf")}}, "config: eval.epsilon must be >= 0 and finite"),
+    ({**MINIMAL, "head": {"lambda2": float("inf")}}, "config: head.lambda2 must be >= 0 and finite"),
+    ({**MINIMAL, "backbone": {"margin": float("inf")}},
+     "config: backbone.margin must be positive and finite"),
+    ({**MINIMAL, "profile": {"cap_tau": float("-inf")}},
+     "config: profile.cap_tau must be positive and finite"),
+    ({**MINIMAL, "eval": {"seeds": [0, -1]}}, "config: eval.seeds entries must be distinct and >= 0"),
 ])
 def test_value_validation(raw, match):
     with pytest.raises(ConfigError, match=match):
@@ -177,6 +184,14 @@ def test_load_config_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.yaml"))
+
+
+def test_yaml_infinity_refused(tmp_path):
+    path = tmp_path / "inf.yaml"
+    path.write_text("data: {triples_dir: t}\nbackbone: {learning_rate: .inf}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config: backbone.learning_rate must be positive and "
+                                          "finite$"):
+        load_config(str(path))
 
 
 def test_save_and_load_config(tmp_path):
