@@ -6,6 +6,7 @@ import argparse
 import logging
 import sys
 import traceback
+from dataclasses import fields
 
 from .config import METHODS, load_config
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
@@ -64,13 +65,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(
-        n_items=args.n_items,
-        n_attrs_per_group=args.n_attrs_per_group,
-        n_users=args.n_users,
-        preference_skew=args.preference_skew,
-        seed=args.seed,
-    )
+    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
     manifest = generate(params, args.out)
     counts = manifest["counts"]
     print(f"dataset written to {args.out}")
@@ -114,11 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic planted-signal dataset")
     p_synth.add_argument("--out", required=True, help="dataset output directory")
-    p_synth.add_argument("--n-items", type=int, default=200)
-    p_synth.add_argument("--n-attrs-per-group", type=int, default=20)
-    p_synth.add_argument("--n-users", type=int, default=100)
-    p_synth.add_argument("--preference-skew", type=float, default=1.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    for f in fields(SynthParams):  # --n-items, ..., --seed, defaulting as SynthParams does
+        p_synth.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                             default=f.default)
     p_synth.set_defaults(func=cmd_synth)
 
     p_cmp = sub.add_parser("compare", help="run base, patientnode and gatedbias side by side")

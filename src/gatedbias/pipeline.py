@@ -122,10 +122,15 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
     with _stage("data"):
         data = materialize_data(cfg, out_dir, write=train)
         store = load_triples(data.triples_dir)
+        if store.test.shape[0] == 0:
+            raise ConfigError(f"no test triples to rank in {data.triples_dir}")
         if "gatedbias" in methods:
             for key in ("grouping_path", "interactions_path"):
                 if getattr(data, key) is None:
                     raise ConfigError(f"method=gatedbias needs data.{key}")
+            if store.test.shape[0] < 2:
+                raise ConfigError("method=gatedbias needs at least 2 test triples "
+                                  "for its paired test")
         grouping = None
         if data.grouping_path is not None and methods != {"base"}:
             grouping = load_grouping(data.grouping_path, store)

@@ -124,54 +124,45 @@ def generate(params: SynthParams, out_dir: str) -> dict:
     rng = np.random.default_rng(params.seed)
     n_items = params.n_items
     n_attrs = params.n_attrs_per_group
-    n_planted_attrs = params.n_planted_attrs
 
-    planted_items = np.sort(rng.choice(
-        n_items, size=max(1, round(PLANTED_ITEM_FRAC * n_items)), replace=False))
+    planted = sorted(rng.choice(
+        n_items, size=max(1, round(PLANTED_ITEM_FRAC * n_items)), replace=False).tolist())
     planted_mask = np.zeros(n_items, dtype=bool)
-    planted_mask[planted_items] = True
-    planted_attr_ids = np.arange(n_planted_attrs)
-    background_attr_ids = np.arange(n_planted_attrs, n_attrs)
+    planted_mask[planted] = True
 
     # group-A attributes: planted items draw from the planted subset,
     # the rest draw from the background subset
-    attrs_a: list[np.ndarray] = []
+    planted_attrs = np.arange(params.n_planted_attrs)
+    background_attrs = np.arange(params.n_planted_attrs, n_attrs)
+    attr_a_rows: list[tuple[str, str, str]] = []
     for i in range(n_items):
-        pool = planted_attr_ids if planted_mask[i] else background_attr_ids
-        take = min(ATTRS_PER_ITEM_A, pool.size)
-        attrs_a.append(np.sort(rng.choice(pool, size=take, replace=False)))
+        pool = planted_attrs if planted_mask[i] else background_attrs
+        attrs = np.sort(rng.choice(pool, size=ATTRS_PER_ITEM_A, replace=False))
+        attr_a_rows += [(_attr("a", a), REL_A, _item(i)) for a in attrs.tolist()]
 
     # group-B attributes: round-robin within each entity stratum over a
     # seed-permuted column order, so every column covers an equal (+-1) share
     # of planted items, other items, hubs and attribute nodes. Positive and
     # corrupt tails then see matching group-B statistics column by column and
-    # no learnable ranking signal leaks into group B.
-    take_b = min(ATTRS_PER_ENTITY_B, n_attrs - 1)
-    perm_b = rng.permutation(n_attrs)
+    # no learnable ranking signal leaks into group B. An entity's slot is its
+    # index within its stratum.
+    perm_b = rng.permutation(n_attrs).tolist()
 
-    def rr_row(slot: int) -> np.ndarray:
-        return np.sort(perm_b[[(take_b * slot + o) % n_attrs for o in range(take_b)]])
+    def b_rows(slot: int, tail: str, own: int | None = None) -> list[tuple[str, str, str]]:
+        ring = [perm_b[(ATTRS_PER_ENTITY_B * slot + o) % n_attrs]
+                for o in range(ATTRS_PER_ENTITY_B + 1)]
+        cols = ring[:-1]
+        if own in cols:  # no self-loop: the ring's next column is neither own nor in cols
+            cols[cols.index(own)] = ring[-1]
+        return [(_attr("b", b), REL_B, tail) for b in sorted(cols)]
 
-    attrs_b = [np.empty(0, dtype=np.int64)] * n_items
-    for slot, i in enumerate(np.flatnonzero(planted_mask)):
-        attrs_b[int(i)] = rr_row(slot)
-    for slot, i in enumerate(np.flatnonzero(~planted_mask)):
-        attrs_b[int(i)] = rr_row(slot)
-    hub_attrs_b = {}
-    for slot, (c, j) in enumerate((c, j) for c in range(N_COMMUNITIES)
-                                  for j in range(HUBS_PER_COMMUNITY)):
-        hub_attrs_b[(c, j)] = rr_row(slot)
-    attra_attrs_b = [rr_row(slot) for slot in range(n_attrs)]
-    attrb_attrs_b = []
-    for b in range(n_attrs):
-        row = rr_row(b)
-        if b in row:  # avoid the self-loop; take the next free column instead
-            repl = next(int(perm_b[(take_b * b + o) % n_attrs])
-                        for o in range(take_b, take_b + n_attrs)
-                        if perm_b[(take_b * b + o) % n_attrs] != b
-                        and perm_b[(take_b * b + o) % n_attrs] not in row)
-            row = np.sort(np.where(row == b, repl, row))
-        attrb_attrs_b.append(row)
+    item_slot = {int(i): slot for stratum in (planted_mask, ~planted_mask)
+                 for slot, i in enumerate(np.flatnonzero(stratum))}
+    hubs = [(c, j) for c in range(N_COMMUNITIES) for j in range(HUBS_PER_COMMUNITY)]
+    attr_b_rows = [row for i in range(n_items) for row in b_rows(item_slot[i], _item(i))]
+    attr_b_rows += [row for slot, (c, j) in enumerate(hubs) for row in b_rows(slot, _hub(c, j))]
+    attr_b_rows += [row for a in range(n_attrs) for row in b_rows(a, _attr("a", a))]
+    attr_b_rows += [row for b in range(n_attrs) for row in b_rows(b, _attr("b", b), b)]
 
     # like edges: every hub of a community likes every item in it, and every
     # planted item is additionally liked by a fixed number of hubs from other
@@ -180,90 +171,47 @@ def generate(params: SynthParams, out_dir: str) -> dict:
     # what the head can learn. Assigning exactly the same number of extras to
     # each planted item (round-robin over foreign hubs) keeps like-degrees
     # uniform within the planted stratum, which the group-B balance relies on.
-    community = np.arange(n_items) % N_COMMUNITIES
-    likes = {(c, j, i)
-             for i in range(n_items)
-             for c in (int(community[i]),)
-             for j in range(HUBS_PER_COMMUNITY)}
-    n_hubs = N_COMMUNITIES * HUBS_PER_COMMUNITY
-    hub_flat = [(c, j) for c in range(N_COMMUNITIES) for j in range(HUBS_PER_COMMUNITY)]
-    extras_by_item: dict[int, list[tuple[int, int]]] = {}
-    n_extra = 0
-    if N_COMMUNITIES > 1:
-        for k, i in enumerate(planted_items):
-            got: list[tuple[int, int]] = []
-            t = EXTRA_LIKES_PER_PLANTED_ITEM * k
-            while len(got) < EXTRA_LIKES_PER_PLANTED_ITEM:
-                c, j = hub_flat[t % n_hubs]
-                t += 1
-                if c == int(community[i]):
-                    continue
-                likes.add((c, j, int(i)))
-                got.append((c, j))
-                n_extra += 1
-            extras_by_item[int(i)] = got
+    likes = {(i % N_COMMUNITIES, j, i) for i in range(n_items) for j in range(HUBS_PER_COMMUNITY)}
+    extras: dict[int, list[tuple[int, int]]] = {}
+    for k, i in enumerate(planted):
+        start = EXTRA_LIKES_PER_PLANTED_ITEM * k % len(hubs)
+        foreign = [(c, j) for c, j in hubs[start:] + hubs[:start] if c != i % N_COMMUNITIES]
+        extras[i] = foreign[:EXTRA_LIKES_PER_PLANTED_ITEM]
+        likes.update((c, j, i) for c, j in extras[i])
+
+    def like_row(c: int, j: int, i: int) -> tuple[str, str, str]:
+        return _hub(c, j), REL_LIKES, _item(i)
 
     # every item holds out exactly one community like edge for valid/test, and
     # every planted item additionally holds out one of its cross-community
     # edges. Like-degrees stay uniform within each item stratum (so the
     # group-B balance survives) and roughly half the eval queries have planted
     # answers, the other half answers from the non-planted pool.
-    valid_edges: list[tuple[int, int, int]] = []
-    test_edges: list[tuple[int, int, int]] = []
+    valid_rows: list[tuple[str, str, str]] = []
+    test_rows: list[tuple[str, str, str]] = []
 
-    def hold_out(edge: tuple[int, int, int]) -> None:
-        likes.discard(edge)
-        if rng.random() < TEST_SHARE:
-            test_edges.append(edge)
-        else:
-            valid_edges.append(edge)
+    def hold_out(c: int, j: int, i: int) -> None:
+        likes.discard((c, j, i))
+        (test_rows if rng.random() < TEST_SHARE else valid_rows).append(like_row(c, j, i))
 
     for i in range(n_items):
-        j = int(rng.integers(HUBS_PER_COMMUNITY))
-        hold_out((int(community[i]), j, i))
-        if i in extras_by_item:
-            c, j = extras_by_item[i][int(rng.integers(len(extras_by_item[i])))]
-            hold_out((c, j, i))
+        hold_out(i % N_COMMUNITIES, int(rng.integers(HUBS_PER_COMMUNITY)), i)
+        if i in extras:
+            hold_out(*extras[i][int(rng.integers(len(extras[i])))], i)
+    like_rows = [like_row(*edge) for edge in sorted(likes)]
 
-    def like_line(edge: tuple[int, int, int]) -> str:
-        c, j, i = edge
-        return f"{_hub(c, j)}\t{REL_LIKES}\t{_item(i)}\n"
-
-    triples_dir = os.path.join(out_dir, "triples")
-    with atomic_write(os.path.join(triples_dir, "train.tsv")) as fh:
-        for edge in sorted(likes):
-            fh.write(like_line(edge))
-        for i in range(n_items):
-            for a in attrs_a[i]:
-                fh.write(f"{_attr('a', int(a))}\t{REL_A}\t{_item(i)}\n")
-        for i in range(n_items):
-            for b in attrs_b[i]:
-                fh.write(f"{_attr('b', int(b))}\t{REL_B}\t{_item(i)}\n")
-        for c in range(N_COMMUNITIES):
-            for j in range(HUBS_PER_COMMUNITY):
-                for b in hub_attrs_b[(c, j)]:
-                    fh.write(f"{_attr('b', int(b))}\t{REL_B}\t{_hub(c, j)}\n")
-        for a in range(n_attrs):
-            for b in attra_attrs_b[a]:
-                fh.write(f"{_attr('b', int(b))}\t{REL_B}\t{_attr('a', a)}\n")
-        for a in range(n_attrs):
-            for b in attrb_attrs_b[a]:
-                fh.write(f"{_attr('b', int(b))}\t{REL_B}\t{_attr('b', a)}\n")
-    with atomic_write(os.path.join(triples_dir, "valid.tsv")) as fh:
-        for edge in valid_edges:
-            fh.write(like_line(edge))
-    with atomic_write(os.path.join(triples_dir, "test.tsv")) as fh:
-        for edge in test_edges:
-            fh.write(like_line(edge))
+    for name, rows in (("train.tsv", like_rows + attr_a_rows + attr_b_rows),
+                       ("valid.tsv", valid_rows), ("test.tsv", test_rows)):
+        with atomic_write(os.path.join(out_dir, "triples", name)) as fh:
+            fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in rows)
 
     # interaction histories: each draw lands on a planted item with
     # probability preference_skew, otherwise on a uniform item
-    skew = params.preference_skew
     with atomic_write(os.path.join(out_dir, "interactions.tsv")) as fh:
         for u in range(params.n_users):
             for _ in range(INTERACTIONS_PER_USER):
-                if rng.random() < skew:
-                    i = int(planted_items[rng.integers(planted_items.size)])
+                if rng.random() < params.preference_skew:
+                    i = planted[rng.integers(len(planted))]
                 else:
                     i = int(rng.integers(n_items))
                 fh.write(f"user_{u}\t{_item(i)}\n")
@@ -288,19 +236,15 @@ def generate(params: SynthParams, out_dir: str) -> dict:
     manifest = {
         "params": vars(params),
         "relation_groups": {"group_a": [REL_A], "group_b": [REL_B]},
-        "planted_attrs": [_attr("a", int(a)) for a in planted_attr_ids],
-        "planted_items": [_item(int(i)) for i in planted_items],
+        "planted_attrs": [_attr("a", a) for a in planted_attrs.tolist()],
+        "planted_items": [_item(i) for i in planted],
         "counts": {
-            "train_likes": len(likes),
-            "extra_planted_likes": n_extra,
-            "valid": len(valid_edges),
-            "test": len(test_edges),
-            "attr_a_triples": int(sum(len(a) for a in attrs_a)),
-            "attr_b_triples": int(
-                sum(len(b) for b in attrs_b)
-                + sum(len(b) for b in hub_attrs_b.values())
-                + sum(len(b) for b in attra_attrs_b)
-                + sum(len(b) for b in attrb_attrs_b)),
+            "train_likes": len(like_rows),
+            "extra_planted_likes": sum(map(len, extras.values())),
+            "valid": len(valid_rows),
+            "test": len(test_rows),
+            "attr_a_triples": len(attr_a_rows),
+            "attr_b_triples": len(attr_b_rows),
         },
         "generator": {
             "n_communities": N_COMMUNITIES,

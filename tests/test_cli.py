@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import warnings
 
 import pytest
@@ -7,7 +8,7 @@ import yaml
 
 from gatedbias.backbone import EmbeddingTable, load_embeddings, save_embeddings
 from gatedbias.cli import main
-from gatedbias.synth import save_config
+from gatedbias.synth import SynthParams, save_config
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,12 @@ def test_synth_writes_dataset(data_dir, capsys):
     for rel in ("triples/train.tsv", "interactions.tsv", "grouping.yaml",
                 "config.yaml", "manifest.json"):
         assert os.path.exists(os.path.join(data_dir, rel))
+
+
+def test_synth_defaults_are_synth_params(tmp_path):
+    assert main(["synth", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["params"] == vars(SynthParams())
 
 
 def test_synth_rejects_bad_params(tmp_path, capsys):
@@ -228,6 +235,7 @@ def test_diverging_backbone_fails_at_its_epoch(tmp_path, capsys):
     triples = tmp_path / "triples"
     triples.mkdir()
     (triples / "train.tsv").write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\n", encoding="utf-8")
+    (triples / "test.tsv").write_text("a\tr\tc\n", encoding="utf-8")
     path = str(tmp_path / "config.yaml")
     save_config({"data": {"triples_dir": str(triples)},
                  "backbone": {"learning_rate": 1e6, "epochs": 50}, "method": "base"}, path)
@@ -278,6 +286,44 @@ def test_refused_run_leaves_no_out_directory(command, stage, cfg_path, data_dir,
     out = tmp_path / "out"
     assert main([command, path, "--out", str(out)]) == 1
     assert f"error: [{stage}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,method,n_test,error", [
+    ("run", "gatedbias", None, "no test triples to rank"),
+    ("compare", None, None, "no test triples to rank"),
+    ("run", "base", 0, "no test triples to rank"),
+    ("run", "gatedbias", 1, "method=gatedbias needs at least 2 test triples"),
+    ("compare", None, 1, "method=gatedbias needs at least 2 test triples"),
+    ("run", "base", 1, None),
+    ("run", "patientnode", 1, None),
+], ids=["run-no-split", "compare-no-split", "base-empty", "run-one", "compare-one",
+        "base-one", "patientnode-one"])
+def test_unusable_test_split_refused_before_training(command, method, n_test, error,
+                                                     cfg_path, data_dir, tmp_path, capsys):
+    """A missing or empty test split, and for gatedbias a one-query one (its
+    paired test needs two), are refused at [data]: no backbone or head is
+    trained or saved first. base and patientnode rank a single query."""
+    triples = tmp_path / "triples"
+    triples.mkdir()
+    for split in ("train.tsv", "valid.tsv"):
+        shutil.copy(os.path.join(data_dir, "triples", split), triples)
+    if n_test is not None:
+        with open(os.path.join(data_dir, "triples", "test.tsv"), encoding="utf-8") as fh:
+            (triples / "test.tsv").write_text("".join(fh.readlines()[:n_test]),
+                                              encoding="utf-8")
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["data"]["triples_dir"] = str(triples)
+    path = str(tmp_path / "config.yaml")
+    save_config(raw, path)
+    out = tmp_path / "out"
+    argv = [command, path, "--out", str(out)] + (["--method", method] if method else [])
+    if error is None:
+        assert main(argv) == 0
+        return
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: [data] {error}")
     assert not out.exists()
 
 

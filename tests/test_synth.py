@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from gatedbias.config import load_config
@@ -173,6 +175,20 @@ def test_every_entity_has_fixed_b_degree(big):
         assert len(attrs) == ATTRS_PER_ENTITY_B, tail
 
 
+@pytest.mark.parametrize("n_attrs", [5, 6, 9, 20])
+def test_b_attribute_nodes_avoid_self_loops(tmp_path, n_attrs):
+    generate(SynthParams(n_items=37, n_attrs_per_group=n_attrs, n_users=1, seed=0),
+             str(tmp_path))
+    cols = {}
+    for h, r, t in train_rows(str(tmp_path)):
+        if r == REL_B and t.startswith("attr_b_"):
+            assert h != t, t
+            cols.setdefault(t, []).append(h)
+    assert len(cols) == n_attrs
+    for tail, heads in cols.items():
+        assert len(heads) == len(set(heads)) == ATTRS_PER_ENTITY_B, tail
+
+
 def test_b_columns_balanced_within_strata(small):
     out, params, manifest = small
     planted = set(manifest["planted_items"])
@@ -198,6 +214,64 @@ def test_b_columns_balanced_under_like_weighting(big):
             weighted[attr] += deg[item]
     totals = {weighted[f"attr_b_{a}"] for a in range(params.n_attrs_per_group)}
     assert len(totals) == 1
+
+
+# ---------------------------------------------------------------------------
+# byte pins
+# ---------------------------------------------------------------------------
+
+# generate draws from numpy's PCG64 streams only (no BLAS), so its bytes are
+# pinned to the numpy version the digests were recorded with
+RECORDED_NUMPY = "2.4.6"
+DATASET_FILES = ("triples/train.tsv", "triples/valid.tsv", "triples/test.tsv",
+                 "interactions.tsv", "grouping.yaml", "config.yaml", "manifest.json")
+
+# (n_items, n_attrs_per_group, n_users, preference_skew, seed) -> dataset_digest
+DATASET_DIGESTS = {
+    (10, 5, 1, 0.0, 0):
+        "e4cbc9421588b3c21f8d903ca0b22170b322d39dd668b54bfed21d96a118b74f",
+    (10, 6, 40, 1.0, 1):
+        "4511221ad05a1dcf5c32e84172c37ba068bb5bfe2ac5f32cff4f1f85e118913d",
+    (10, 20, 40, 0.37, 7):
+        "1e98b50c4b5dc5a71a8dec31ea68af7af9dd659996f61396048e4acd3b152462",
+    (37, 5, 40, 1.0, 7):
+        "66a180040eb5c8cd649764a1c1cf5bd69734fcc88cd66db343449d49c856df98",
+    (37, 6, 1, 0.37, 1):
+        "238601e5b4787fdea930a2811d14ae56c9187a5210331e5644640b64f3d6f91d",
+    (37, 20, 40, 0.0, 0):
+        "f3522429038f1068853ea42c31013f1d29acc4ac790fdddef5514cfc2a56fe97",
+    (200, 5, 1, 1.0, 7):
+        "769f2f544c2f3afc45a7bd26c66d4cf1a3f258028fe8f59bf9241828e7ad1904",
+    (200, 6, 40, 0.37, 1):
+        "81bd2976468754092822153dda6a498161ee24ea8e3a1b3c64f9e6d7f8e502eb",
+    (200, 20, 40, 0.0, 7):
+        "e5ee98c58d627f82a7b1f9605b6c449558743df349f633672f12cb2d1a884439",
+    (200, 20, 100, 1.0, 0):
+        "a71de834fc77b272f5d6f3f2c6f8a42d84d05d28442399e018b72de4e8785c05",
+    (1000, 6, 40, 0.0, 1):
+        "7ac84d08700dcbced486a4318e05f1ae2bf1aa920d0a3199f2df5e99cb0eebd7",
+    (1000, 20, 100, 1.0, 0):
+        "f7af7c3dff77e40f94946dcd9050cb1ee81aec7de60aef18d78db2c0c5990712",
+}
+
+
+def dataset_digest(out):
+    """sha256 over every file generate writes, file by file in a fixed order."""
+    assert sorted(walk_bytes(out)) == sorted(os.path.normpath(n) for n in DATASET_FILES)
+    h = hashlib.sha256()
+    for name in DATASET_FILES:
+        with open(os.path.join(out, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(np.__version__ != RECORDED_NUMPY,
+                    reason=f"digests recorded with numpy {RECORDED_NUMPY}")
+@pytest.mark.parametrize("key", list(DATASET_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_dataset_bytes_pinned(tmp_path, key):
+    n_items, n_attrs, n_users, skew, seed = key
+    generate(SynthParams(n_items, n_attrs, n_users, skew, seed), str(tmp_path))
+    assert dataset_digest(str(tmp_path)) == DATASET_DIGESTS[key]
 
 
 # ---------------------------------------------------------------------------
