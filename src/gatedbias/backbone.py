@@ -90,35 +90,49 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
     return EmbeddingTable(ent.astype(np.float32), rel.astype(np.float32))
 
 
+def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Generator,
+                  what: str):
+    """The training pairs of each epoch, for the backbone and both heads:
+    yields (epoch, ids), ids being one (4, len(train) * npp) array of
+    (r, h, t_pos, t_neg) rewritten each epoch. An epoch permutes the train
+    triples and repeats each npp times, its pairs adjacent; t_neg is uniform
+    over the entities other than t_pos. The first next() refuses a store
+    that cannot be trained, even for zero epochs."""
+    if store.train.shape[0] == 0:
+        raise ValueError(f"cannot train {what} on an empty train split")
+    if store.num_entities < 2:
+        raise ValueError(f"cannot train {what}: corrupt tails need at least two entities; "
+                         f"the store has {store.num_entities}")
+    train = store.train
+    n = train.shape[0]
+    # r comes first so one gather takes the three entity rows of a batch
+    cols = np.ascontiguousarray(train[:, [1, 0, 2]].T)
+    ids = np.empty((4, n * npp), dtype=train.dtype)
+    t_neg = ids[3]
+    for epoch in range(epochs):
+        np.take(cols, np.repeat(rng.permutation(n), npp), axis=1, out=ids[:3], mode="clip")
+        # one draw for the epoch consumes the generator's stream as one draw
+        # per batch did
+        t_neg[:] = rng.integers(0, store.num_entities - 1, size=t_neg.shape[0])
+        t_neg[t_neg >= ids[2]] += 1
+        yield epoch, ids
+
+
 # no overflow warnings: a non-finite value stays non-finite, and the check after
 # each epoch names the epoch
 @np.errstate(over="ignore", invalid="ignore")
 def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """train_backbone's entity and relation tables before float32 storage.
     Raises at the end of the first epoch that leaves a non-finite value."""
-    if store.train.shape[0] == 0:
-        raise ValueError("cannot train backbone on an empty train split")
-    if store.num_entities < 2:
-        raise ValueError("cannot train backbone: corrupt tails need at least two entities; "
-                         f"the store has {store.num_entities}")
-
     nE, nR, d = store.num_entities, store.num_relations, cfg.dim
     rng = np.random.default_rng(cfg.seed)
     bound = 0.5 / np.sqrt(d)
     ent = rng.uniform(-bound, bound, size=(nE, d))
     rel = rng.uniform(-bound, bound, size=(nR, d))
 
-    train = store.train
-    n = train.shape[0]
     npp = cfg.negatives_per_positive
-    # a batch of b triples is b * npp (h, r, t_pos, t_neg) pairs, each triple's
-    # npp pairs adjacent; step is the pair count of a full batch
-    step = min(cfg.batch_size, n) * npp
-    # the (r, h, t_pos, t_neg) ids of an epoch's pairs, rewritten each epoch;
-    # r comes first so one gather takes the three entity rows of a batch
-    cols = np.ascontiguousarray(train[:, [1, 0, 2]].T)
-    ids = np.empty((4, n * npp), dtype=train.dtype)
-    t_neg = ids[3]
+    # a batch of b triples is b * npp pairs; step is the pair count of a full batch
+    step = min(cfg.batch_size, store.train.shape[0]) * npp
     # flat cell indices of every entity and relation row
     ent_cells = np.arange(nE * d).reshape(nE, d)
     rel_cells = np.arange(nR * d).reshape(nR, d)
@@ -132,13 +146,7 @@ def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.nda
     s_pos, s_neg, hinge = np.empty(step), np.empty(step), np.empty(step)
     active = np.empty(step, dtype=bool)
 
-    for epoch in range(cfg.epochs):
-        order = np.repeat(rng.permutation(n), npp)
-        np.take(cols, order, axis=1, out=ids[:3], mode="clip")
-        # uniform over entities excluding the positive tail: one draw for the
-        # epoch consumes the generator's stream as one draw per batch did
-        t_neg[:] = rng.integers(0, nE - 1, size=t_neg.shape[0])
-        t_neg[t_neg >= ids[2]] += 1
+    for epoch, ids in corrupt_pairs(store, cfg.epochs, npp, rng, "backbone"):
         for start in range(0, ids.shape[1], step):
             r, e = ids[0, start:start + step], ids[1:, start:start + step]
             m = r.shape[0]

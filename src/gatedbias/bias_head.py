@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import EmbeddingTable
+from .backbone import EmbeddingTable, corrupt_pairs
 from .errors import CheckpointError
 from .fileio import write_json
 from .kg_store import GateMatrix, TripleStore
@@ -30,10 +30,6 @@ class BiasHead:
     w_b: np.ndarray
     alpha_a: float = 1.0
     alpha_b: float = 1.0
-
-    @property
-    def param_count(self) -> int:
-        return len(self.w_a) + len(self.w_b) + 2
 
 
 @dataclass
@@ -63,8 +59,6 @@ def new_head(gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
     return BiasHead(
         w_a=np.zeros(gates_a.num_columns, dtype=np.float64),
         w_b=np.zeros(gates_b.num_columns, dtype=np.float64),
-        alpha_a=1.0,
-        alpha_b=1.0,
     )
 
 
@@ -103,23 +97,16 @@ def head_loss_and_grad(
     n_pairs = len(t_pos)
     s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
 
-    dots = {}
-    gathered = {}
-    for tag, gates, w, f, tails in (
-        ("a_pos", gates_a, head.w_a, f_a, t_pos),
-        ("a_neg", gates_a, head.w_a, f_a, t_neg),
-        ("b_pos", gates_b, head.w_b, f_b, t_pos),
-        ("b_neg", gates_b, head.w_b, f_b, t_neg),
-    ):
-        owners, cols = gates.gather_rows(tails)
-        gathered[tag] = (owners, cols)
-        terms = (w * f)[cols]
-        dots[tag] = np.bincount(owners, weights=terms, minlength=n_pairs)
+    groups = ((gates_a, head.w_a, f_a, head.alpha_a), (gates_b, head.w_b, f_b, head.alpha_b))
+    # per group: the gate rows of t_pos and of t_neg, and each pair's bias difference
+    gathered, diffs = [], []
+    for gates, w, f, _ in groups:
+        gathered.append((gates.gather_rows(t_pos), gates.gather_rows(t_neg)))
+        dot_pos, dot_neg = (np.bincount(owners, weights=(w * f)[cols], minlength=n_pairs)
+                            for owners, cols in gathered[-1])
+        diffs.append(dot_pos - dot_neg)
 
-    bias_margin = (
-        head.alpha_a * (dots["a_pos"] - dots["a_neg"])
-        + head.alpha_b * (dots["b_pos"] - dots["b_neg"])
-    )
+    bias_margin = head.alpha_a * diffs[0] + head.alpha_b * diffs[1]
     hinge = np.maximum(0.0, 1.0 - (s_margin + bias_margin))
     active = hinge > 0
 
@@ -127,53 +114,33 @@ def head_loss_and_grad(
     loss += lambda1 * (np.abs(head.w_a).sum() + np.abs(head.w_b).sum())
     loss += lambda2 * (np.square(head.w_a).sum() + np.square(head.w_b).sum())
 
-    def grad_w(gates: GateMatrix, f: np.ndarray, w: np.ndarray, alpha: float,
-               pos_tag: str, neg_tag: str) -> np.ndarray:
-        owners_p, cols_p = gathered[pos_tag]
-        owners_n, cols_n = gathered[neg_tag]
+    grads = []
+    for (gates, w, f, alpha), rows, diff in zip(groups, gathered, diffs):
+        # float zeros, so a bincount over no cells (int64) adds in place too
         g = np.zeros(gates.num_columns, dtype=np.float64)
-        if cols_p.size:
-            g -= np.bincount(cols_p, weights=active[owners_p] * f[cols_p],
-                             minlength=gates.num_columns)
-        if cols_n.size:
-            g += np.bincount(cols_n, weights=active[owners_n] * f[cols_n],
-                             minlength=gates.num_columns)
+        for update, (owners, cols) in zip((np.subtract, np.add), rows):
+            update(g, np.bincount(cols, weights=active[owners] * f[cols],
+                                  minlength=gates.num_columns), out=g)
         g *= alpha / n_pairs
         g += lambda1 * np.sign(w) + 2.0 * lambda2 * w
-        return g
-
-    grads = BiasHead(
-        w_a=grad_w(gates_a, f_a, head.w_a, head.alpha_a, "a_pos", "a_neg"),
-        w_b=grad_w(gates_b, f_b, head.w_b, head.alpha_b, "b_pos", "b_neg"),
-        alpha_a=float(-(active * (dots["a_pos"] - dots["a_neg"])).sum() / n_pairs),
-        alpha_b=float(-(active * (dots["b_pos"] - dots["b_neg"])).sum() / n_pairs),
-    )
-    return loss, grads
+        grads.append((g, float(-(active * diff).sum() / n_pairs)))
+    (w_a, alpha_a), (w_b, alpha_b) = grads
+    return loss, BiasHead(w_a=w_a, w_b=w_b, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
 def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: str):
     """Mini-batch gradient descent on every field of head; returns head.
 
     loss_and_grad(head, heads, rels, t_pos, t_neg) returns the batch loss and
-    a gradient of head's own type. Negatives are uniform corrupt tails
-    (excluding the positive) resampled each epoch. Deterministic given
-    cfg.seed; the backbone is read-only, so only head moves.
+    a gradient of head's own type. The pairs are the backbone's corrupt_pairs,
+    a batch being cfg.batch_size pairs. Deterministic given cfg.seed; the
+    backbone is read-only, so only head moves.
     """
-    if store.train.shape[0] == 0:
-        raise ValueError(f"cannot train {what} on an empty train split")
-    if store.num_entities < 2:
-        raise ValueError(f"cannot train {what}: corrupt tails need at least two entities; "
-                         f"the store has {store.num_entities}")
     rng = np.random.default_rng(cfg.seed)
-    train = store.train
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train.shape[0])
-        pos = np.repeat(train[order], cfg.negatives_per_positive, axis=0)
-        t_neg = rng.integers(0, store.num_entities - 1, size=pos.shape[0])
-        t_neg[t_neg >= pos[:, 2]] += 1
-        for start in range(0, pos.shape[0], cfg.batch_size):
-            sl = slice(start, start + cfg.batch_size)
-            loss, grad = loss_and_grad(head, pos[sl, 0], pos[sl, 1], pos[sl, 2], t_neg[sl])
+    for epoch, ids in corrupt_pairs(store, cfg.epochs, cfg.negatives_per_positive, rng, what):
+        for start in range(0, ids.shape[1], cfg.batch_size):
+            r, h, t_pos, t_neg = ids[:, start:start + cfg.batch_size]
+            loss, grad = loss_and_grad(head, h, r, t_pos, t_neg)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite {what} loss {loss} at epoch {epoch}, batch offset {start}"
@@ -214,14 +181,10 @@ class PatientNodeHead:
     w2: np.ndarray  # (hidden,)
     b2: float
 
-    @property
-    def param_count(self) -> int:
-        h, d = self.w1.shape
-        return h * d + h + h + 1
 
-    def bias_for(self, emb: np.ndarray) -> np.ndarray:
-        z = emb @ self.w1.T + self.b1
-        return np.maximum(z, 0.0) @ self.w2 + self.b2
+def param_count(head) -> int:
+    """The number of trainable parameters: the sizes of head's fields."""
+    return sum(np.size(getattr(head, f.name)) for f in dataclasses.fields(head))
 
 
 def new_patientnode(dim: int, hidden: int, seed: int) -> PatientNodeHead:
@@ -297,7 +260,8 @@ def train_patientnode(
 
 def compute_bias_patientnode(head: PatientNodeHead, table: EmbeddingTable) -> np.ndarray:
     """Fixed bias per entity from its embedding; identical for every profile."""
-    return head.bias_for(table.entity_emb.astype(np.float64))
+    z = table.entity_emb.astype(np.float64) @ head.w1.T + head.b1
+    return np.maximum(z, 0.0) @ head.w2 + head.b2
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +299,8 @@ def _read_checkpoint(path: str, template, cfg: HeadTrainConfig, table: Embedding
         if not isinstance(payload, dict) or payload.get("kind") != kind:
             raise CheckpointError(f"{path}: not a {kind} checkpoint")
         trained = payload["train_config"]
+        if not isinstance(trained, dict):
+            raise CheckpointError(f"{path}: train_config must be a mapping")
         diffs = [f"{name} {trained.get(name)!r} (config: {want!r})"
                  for name, want in vars(cfg).items() if trained.get(name) != want]
         if diffs:

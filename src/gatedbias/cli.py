@@ -8,7 +8,7 @@ import sys
 import traceback
 from dataclasses import fields
 
-from .config import METHODS, load_config
+from .config import METHODS, SECTIONS, load_config
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
 from .synth import SynthParams, generate
 
@@ -35,8 +35,8 @@ def _add_eval_overrides(p: argparse.ArgumentParser, method: bool) -> None:
 def _load_config(args):
     """The config file with the override flags that are set merged in, then
     validated once by the config parser."""
-    keys = ("ks", "percentile_p", "epsilon", "n_shuffles", "seeds")
-    evals = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    evals = {key: getattr(args, key) for key in SECTIONS["eval"]
+             if getattr(args, key) is not None}
     overrides = {"eval": evals} if evals else {}
     if getattr(args, "method", None) is not None:
         overrides["method"] = args.method

@@ -110,14 +110,14 @@ def query_set(store: TripleStore) -> QuerySet:
 BLOCK_CELLS = 1 << 15
 
 
-def _sweep(queries: QuerySet, table: EmbeddingTable, block_cells: int):
-    """Walk the keys in row chunks of at most block_cells cells (at least one
+def _sweep(queries: QuerySet, table: EmbeddingTable):
+    """Walk the keys in row chunks of at most BLOCK_CELLS cells (at least one
     row). Yields the chunk's key slice, its base score rows, a work block of
     the same shape, and the flat positions of its filter cells in a block.
     The base rows come from one score_all_tails call per key. Both blocks
     are reused, so a chunk must be consumed before the next is drawn."""
     n_e, n_keys = table.num_entities, len(queries.key_heads)
-    step = max(1, block_cells // n_e)
+    step = max(1, BLOCK_CELLS // n_e)
     base = np.empty((min(step, n_keys), n_e))
     work = np.empty_like(base)
     for start in range(0, n_keys, step):
@@ -142,8 +142,7 @@ def _bias_stack(biases, n_entities: int) -> np.ndarray:
     return stack
 
 
-def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None,
-                       block_cells: int = BLOCK_CELLS) -> np.ndarray:
+def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None) -> np.ndarray:
     """Filtered rank of every true tail under each bias vector of the stack
     (None: the backbone alone), from one scoring sweep over the keys: an
     (n_biases, len(queries)) int64 array, row b for bias b, in query order.
@@ -164,7 +163,7 @@ def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None,
     by_key = np.argsort(queries.key_of, kind="stable")
     qptr = np.searchsorted(queries.key_of[by_key], np.arange(len(queries.key_heads) + 1))
     ranks = np.empty((len(stack), len(queries)), dtype=np.int64)
-    for keys, block, scores, filt in _sweep(queries, table, block_cells):
+    for keys, block, scores, filt in _sweep(queries, table):
         ptr = qptr[keys.start:keys.stop + 1]
         members = by_key[ptr[0]:ptr[-1]]
         per_row = [slice(a - ptr[0], z - ptr[0]) for a, z in zip(ptr[:-1], ptr[1:])]
@@ -269,8 +268,7 @@ def aligned_set(bias: BiasVector, percentile_p: int) -> AlignedSet:
 
 
 def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
-                        aligned: AlignedSet, k: int,
-                        block_cells: int = BLOCK_CELLS) -> np.ndarray:
+                        aligned: AlignedSet, k: int) -> np.ndarray:
     """Per-query |top-k ∩ A| / k, one row per bias vector of the stack (None:
     the backbone alone), from one scoring sweep over the keys: top-k depends
     on (h, r) and the bias alone, so each key's value is computed once and
@@ -287,7 +285,7 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     stack = _bias_stack(biases, table.num_entities)
     mask = aligned.mask()
     hits = np.empty((len(stack), len(queries.key_heads)), dtype=np.int64)
-    for keys, block, scores, filt in _sweep(queries, table, block_cells):
+    for keys, block, scores, filt in _sweep(queries, table):
         for b, bias in enumerate(stack):
             np.add(block, bias, out=scores)
             scores.reshape(-1)[filt] = -np.inf

@@ -72,11 +72,12 @@ class TripleStore:
         return {"train": self.train, "valid": self.valid, "test": self.test}[name]
 
 
-def _parse_triple_file(path: str, entity_vocab: Vocab, relation_vocab: Vocab) -> tuple[np.ndarray, int]:
-    """Parse one TSV split file. Returns (deduped triples, dedup count)."""
-    triples: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    dups = 0
+def _parse_triple_file(path: str, entity_vocab: Vocab,
+                       relation_vocab: Vocab) -> tuple[dict[tuple[int, int, int], None], int]:
+    """Parse one TSV split file. Returns its distinct triples, in order of
+    first appearance, as the keys of a dict, and the count of duplicates."""
+    triples: dict[tuple[int, int, int], None] = {}
+    parsed = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -90,14 +91,9 @@ def _parse_triple_file(path: str, entity_vocab: Vocab, relation_vocab: Vocab) ->
             h = entity_vocab.add(fields[0])
             r = relation_vocab.add(fields[1])
             t = entity_vocab.add(fields[2])
-            triple = (h, r, t)
-            if triple in seen:
-                dups += 1
-                continue
-            seen.add(triple)
-            triples.append(triple)
-    arr = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    return arr, dups
+            triples[h, r, t] = None
+            parsed += 1
+    return triples, parsed - len(triples)
 
 
 def load_triples(path: str) -> TripleStore:
@@ -117,22 +113,21 @@ def load_triples(path: str) -> TripleStore:
         raise ConfigError(f"missing {SPLIT_FILES['train']} in {path}")
     entity_vocab = Vocab()
     relation_vocab = Vocab()
-    splits: dict[str, np.ndarray] = {}
+    distinct: dict[str, dict[tuple[int, int, int], None]] = {}
     for name, filename in SPLIT_FILES.items():
         split_path = os.path.join(path, filename)
         if os.path.exists(split_path):
-            splits[name], dups = _parse_triple_file(split_path, entity_vocab, relation_vocab)
+            distinct[name], dups = _parse_triple_file(split_path, entity_vocab, relation_vocab)
             if dups:
                 logger.warning("%s: dropped %d duplicate triples within the %s split",
                                path, dups, name)
         else:
-            splits[name] = np.empty((0, 3), dtype=np.int64)
-    if splits["train"].shape[0] == 0:
+            distinct[name] = {}
+    if not distinct["train"]:
         raise ConfigError(f"empty train split in {path}")
 
-    as_sets = {name: set(map(tuple, arr.tolist())) for name, arr in splits.items()}
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
-        overlap = as_sets[a] & as_sets[b]
+        overlap = distinct[a].keys() & distinct[b].keys()
         if overlap:
             sample = sorted(overlap)[0]
             raise ConfigError(
@@ -140,13 +135,9 @@ def load_triples(path: str) -> TripleStore:
                 "splits must be disjoint"
             )
 
-    return TripleStore(
-        entity_vocab=entity_vocab,
-        relation_vocab=relation_vocab,
-        train=splits["train"],
-        valid=splits["valid"],
-        test=splits["test"],
-    )
+    splits = {name: np.asarray(list(triples), dtype=np.int64).reshape(-1, 3)
+              for name, triples in distinct.items()}
+    return TripleStore(entity_vocab=entity_vocab, relation_vocab=relation_vocab, **splits)
 
 
 @dataclass

@@ -191,7 +191,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                     else:
                         pn = bias_head.load_patientnode(ckpt, head_cfg, table,
                                                         c.patientnode_hidden)
-                    param_count = pn.param_count
+                    param_count = bias_head.param_count(pn)
                     bias = bias_head.compute_bias_patientnode(pn, table)
                     ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
                 else:
@@ -202,7 +202,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                         bias_head.save_head(head, head_cfg, table, *gates, ckpt)
                     else:
                         head = bias_head.load_head(ckpt, head_cfg, table, *gates)
-                    param_count = head.param_count
+                    param_count = bias_head.param_count(head)
                     bias = bias_head.compute_bias(head, *gates, *features)
                     ranks, battery = evaluator.gated_battery(
                         queries, table, head, gates, features, bias, c.eval, run_seed)

@@ -12,6 +12,9 @@ sign; alignment_delta_test, which reads the signs off the raw generator
 stream in chunks, must give the same p-value.
 score and to_dense are the one-triple DistMult score and the dense form of a
 gate matrix, written out from the stored arrays.
+corrupt_pairs is the heads' pair draw as it stood before the backbone and
+both heads shared one: the epoch's triples permuted and each repeated npp
+times, then one draw of every negative tail, shifted past its positive.
 train_backbone is the backbone trainer as it stood before it drew an epoch's
 negatives at once and scattered through flat tables: one negative draw and
 four 2-d np.add.at calls per batch. The library's trainer must give the same
@@ -143,6 +146,19 @@ def biased_scores(table, values=None):
     if values is None:
         return table.score_all_tails
     return lambda h, r: table.score_all_tails(h, r) + values
+
+
+def corrupt_pairs(store, epochs: int, npp: int, rng) -> list[np.ndarray]:
+    """Each epoch's (r, h, t_pos, t_neg) rows of its n * npp pairs."""
+    train = store.train
+    out = []
+    for _ in range(epochs):
+        order = rng.permutation(train.shape[0])
+        pos = np.repeat(train[order], npp, axis=0)
+        t_neg = rng.integers(0, store.num_entities - 1, size=pos.shape[0])
+        t_neg[t_neg >= pos[:, 2]] += 1
+        out.append(np.stack([pos[:, 1], pos[:, 0], pos[:, 2], t_neg]))
+    return out
 
 
 def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:

@@ -167,8 +167,9 @@ def patientnode_instance_error(rng):
     ent = table.entity_emb.astype(np.float64)
     z = np.concatenate([(ent[tp] @ head.w1.T + head.b1).ravel(),
                         (ent[tn] @ head.w1.T + head.b1).ravel()])
-    margins = (table.score_triples(h, r, tp) + head.bias_for(ent[tp])
-               - table.score_triples(h, r, tn) - head.bias_for(ent[tn]))
+    bias = bias_head.compute_bias_patientnode(head, table)
+    margins = (table.score_triples(h, r, tp) + bias[tp]
+               - table.score_triples(h, r, tn) - bias[tn])
     if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
         return None  # ReLU or hinge kink
 

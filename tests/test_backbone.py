@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable, _train_float64,
-                                load_embeddings, save_embeddings, train_backbone)
+                                corrupt_pairs, load_embeddings, save_embeddings,
+                                train_backbone)
 from gatedbias.errors import CheckpointError
 from gatedbias.evaluator import compute_rank_table, query_set, ranking_metrics
 from gatedbias.kg_store import load_triples
 from gatedbias.synth import SynthParams, generate
 from helpers import random_store, random_table, store_from_labels
+from oracles import corrupt_pairs as oracle_corrupt_pairs
 from oracles import score
 from oracles import train_backbone as oracle_train_backbone
 
@@ -146,6 +148,42 @@ def test_train_one_entity_store_raises():
     store = store_from_labels([("a", "r", "a")])
     with pytest.raises(ValueError, match="at least two entities"):
         train_backbone(store, BackboneTrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("npp", [1, 2, 3])
+def test_corrupt_pairs_match_the_oracle_draw(npp):
+    # 37 train triples: prime, so every batch size but 1 and 37 leaves a short batch
+    rng = np.random.default_rng(npp)
+    store = random_store(rng, 9, 3, 37, 0)
+    got = [(epoch, ids.copy()) for epoch, ids in
+           corrupt_pairs(store, 4, npp, np.random.default_rng(5), "backbone")]
+    want = oracle_corrupt_pairs(store, 4, npp, np.random.default_rng(5))
+    assert [epoch for epoch, _ in got] == [0, 1, 2, 3]
+    for (_, ids), expected in zip(got, want, strict=True):
+        assert ids.shape == (4, 37 * npp) and np.array_equal(ids, expected)
+        r, h, t_pos, t_neg = ids
+        assert np.all(t_neg != t_pos)
+        assert r.min() >= 0 and r.max() < store.num_relations
+        for e in (h, t_pos, t_neg):
+            assert e.min() >= 0 and e.max() < store.num_entities
+
+
+@pytest.mark.parametrize("what", ["backbone", "head", "patientnode"])
+def test_corrupt_pairs_refuse_untrainable_stores(what):
+    empty = dataclasses.replace(chain_store(), train=np.empty((0, 3), dtype=np.int64))
+    one = store_from_labels([("a", "r", "a")])
+    for store, message in (
+            (empty, f"cannot train {what} on an empty train split"),
+            (one, f"cannot train {what}: corrupt tails need at least two entities; "
+                  "the store has 1")):
+        pairs = corrupt_pairs(store, 0, 1, np.random.default_rng(0), what)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(pairs)
+    # the first next() checks, so a backbone of zero epochs refuses them too
+    with pytest.raises(ValueError, match="empty train"):
+        train_backbone(empty, BackboneTrainConfig(epochs=0))
+    with pytest.raises(ValueError, match="at least two entities"):
+        train_backbone(one, BackboneTrainConfig(epochs=0))
 
 
 @pytest.mark.parametrize("batch", ["one", "ragged", "over"])

@@ -7,8 +7,8 @@ import pytest
 from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  compute_bias_patientnode, head_loss_and_grad,
                                  load_head, load_patientnode, new_head, new_patientnode,
-                                 patientnode_loss_and_grad, save_head, save_patientnode,
-                                 train_head, train_patientnode)
+                                 param_count, patientnode_loss_and_grad, save_head,
+                                 save_patientnode, train_head, train_patientnode)
 from gatedbias.errors import CheckpointError
 from helpers import (central_difference, gates_from_dense, make_features, make_head,
                      random_gates, random_table, store_from_labels)
@@ -32,7 +32,7 @@ def test_new_head_is_zero_with_unit_gates():
     assert head.w_a.tolist() == [0.0] * 4
     assert head.w_b.tolist() == [0.0] * 2
     assert head.alpha_a == 1.0 and head.alpha_b == 1.0
-    assert head.param_count == 4 + 2 + 2
+    assert param_count(head) == 4 + 2 + 2
 
 
 def test_compute_bias_zero_features_is_zero():
@@ -309,7 +309,7 @@ def test_patientnode_zero_output_layer_gives_zero_bias():
 
 def test_patientnode_param_count_and_budget():
     head = new_patientnode(dim=32, hidden=16, seed=0)
-    assert head.param_count == 32 * 16 + 16 + 16 + 1  # = 545
+    assert param_count(head) == 32 * 16 + 16 + 16 + 1  # = 545
 
 
 def test_patientnode_gradient_matches_finite_differences():
@@ -341,8 +341,9 @@ def test_patientnode_gradient_matches_finite_differences():
         ent = table.entity_emb.astype(np.float64)
         z = np.concatenate([ent[tp] @ head.w1.T + head.b1,
                             ent[tn] @ head.w1.T + head.b1], axis=None)
-        margins = (table.score_triples(h, r, tp) + head.bias_for(ent[tp])
-                   - table.score_triples(h, r, tn) - head.bias_for(ent[tn]))
+        bias = compute_bias_patientnode(head, table)
+        margins = (table.score_triples(h, r, tp) + bias[tp]
+                   - table.score_triples(h, r, tn) - bias[tn])
         if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
             continue
         loss, grads = patientnode_loss_and_grad(head, table, h, r, tp, tn)
@@ -506,3 +507,19 @@ def test_checkpoint_field_of_another_shape_or_type_raises(kind, key, value, frag
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(kind, path, table, ga, gb)
     assert str(exc.value) == f"{path}: {fragment}"
+
+
+@pytest.mark.parametrize("kind", ["head", "patientnode"])
+@pytest.mark.parametrize("value", [[1], "x", None], ids=["list", "string", "null"])
+def test_checkpoint_train_config_not_a_mapping_names_the_file(kind, value, tmp_path):
+    ga, gb, table = checkpoint_setup(14)
+    path = str(tmp_path / f"{kind}.json")
+    save_zero_checkpoint(kind, path, table, ga, gb)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    payload["train_config"] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(kind, path, table, ga, gb)
+    assert str(exc.value) == f"{path}: train_config must be a mapping"

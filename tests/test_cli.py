@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from gatedbias.backbone import EmbeddingTable, load_embeddings, save_embeddings
-from gatedbias.cli import main
+from gatedbias.cli import build_parser, main
+from gatedbias.config import SECTIONS
 from gatedbias.synth import SynthParams, save_config
 
 
@@ -90,6 +91,12 @@ def test_run_overrides_method_and_seeds(cfg_path, tmp_path, capsys):
     assert report["config"]["eval"] == {"ks": [1, 5], "percentile_p": 80, "epsilon": 0.25,
                                         "n_shuffles": 3, "seeds": [0, 1]}
     assert not os.path.exists(os.path.join(out, "head_seed0.json"))
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "eval"])
+def test_every_eval_key_has_an_override_flag(command):
+    args = build_parser().parse_args([command, "config.yaml"])
+    assert all(getattr(args, key) is None for key in SECTIONS["eval"])
 
 
 def test_eval_reuses_run_directory(cfg_path, run_out, capsys):

@@ -39,14 +39,16 @@ def checksum_chunks(queries, block_cells):
 
 def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
     queries = query_set(store)
-    ranks = compute_rank_table(queries, table, biases, block_cells=block_cells)
-    assert ranks.shape == (len(biases), len(store.test))
-    for bias, got in zip(biases, ranks):
-        assert np.array_equal(got, oracles.compute_rank_table(store, table, bias))
-
     aligned = AlignedSet(members=np.asarray(members, dtype=np.int64), threshold_tau=0.0,
                          num_entities=store.num_entities)
-    got = alignment_per_query(queries, table, biases, aligned, k, block_cells=block_cells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "BLOCK_CELLS", block_cells)
+        ranks = compute_rank_table(queries, table, biases)
+        got = alignment_per_query(queries, table, biases, aligned, k)
+    assert ranks.shape == (len(biases), len(store.test))
+    for bias, row in zip(biases, ranks):
+        assert np.array_equal(row, oracles.compute_rank_table(store, table, bias))
+
     pairs = [(int(h), int(r)) for h, r, _ in store.test]
     filters = oracles.query_filters(store)
     for bias, row in zip(biases, got):
@@ -145,11 +147,13 @@ def test_engine_scores_each_key_once_per_sweep(monkeypatch):
     keys = sorted({(int(h), int(r)) for h, r, _ in store.test})
     assert len(keys) < len(store.test)
     queries = query_set(store)
-    compute_rank_table(queries, table, biases, block_cells=4 * 30)
+    monkeypatch.setattr(evaluator, "BLOCK_CELLS", 4 * 30)
+    compute_rank_table(queries, table, biases)
     assert calls == keys
     calls.clear()
     aligned = AlignedSet(members=np.arange(0, 30, 2), threshold_tau=0.0, num_entities=30)
-    alignment_per_query(queries, table, biases, aligned, 5, block_cells=3 * 30 - 1)
+    monkeypatch.setattr(evaluator, "BLOCK_CELLS", 3 * 30 - 1)
+    alignment_per_query(queries, table, biases, aligned, 5)
     assert calls == keys
 
 
