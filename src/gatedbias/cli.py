@@ -7,6 +7,7 @@ import logging
 import sys
 import traceback
 from dataclasses import fields
+from functools import partial
 
 from .config import METHODS, SECTIONS, load_config
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
@@ -23,13 +24,15 @@ def _int_list(text: str) -> list[int]:
 def _add_eval_overrides(p: argparse.ArgumentParser, method: bool) -> None:
     if method:  # compare runs every method
         p.add_argument("--method", choices=METHODS, help="override the configured method")
-    p.add_argument("--ks", type=_int_list, metavar="K1,K2,...",
-                   help="override eval.ks (comma separated)")
-    p.add_argument("--percentile-p", type=int, help="override eval.percentile_p")
-    p.add_argument("--epsilon", type=float, help="override eval.epsilon")
-    p.add_argument("--n-shuffles", type=int, help="override eval.n_shuffles")
-    p.add_argument("--seeds", type=_int_list, metavar="S1,S2,...",
-                   help="override eval.seeds (comma separated)")
+    for key, kind in SECTIONS["eval"].items():  # --ks, ..., --seeds, typed by the annotation
+        flag = "--" + key.replace("_", "-")
+        if kind == "list[int]":
+            letter = key[0].upper()
+            p.add_argument(flag, type=_int_list, metavar=f"{letter}1,{letter}2,...",
+                           help=f"override eval.{key} (comma separated)")
+        else:
+            p.add_argument(flag, type={"int": int, "float": float}[kind],
+                           help=f"override eval.{key}")
 
 
 def _load_config(args):
@@ -56,9 +59,10 @@ def _print_aggregate(report: dict) -> None:
             print(f"{key}: {entry['mean']:.6g} ± {entry['stderr']:.6g}")
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    report = run_pipeline(cfg, args.out)
+def cmd_report(args, stage) -> int:
+    """run and eval: stage (run_pipeline or run_eval) writes the report, whose
+    aggregate is printed."""
+    report = stage(_load_config(args), args.out)
     _print_aggregate(report)
     print(f"report written to {args.out}/report.json")
     return 0
@@ -84,14 +88,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    report = run_eval(cfg, args.out)
-    _print_aggregate(report)
-    print(f"report written to {args.out}/report.json")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gatedbias",
@@ -105,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to the YAML config")
     p_run.add_argument("--out", default="out", help="output directory (default: out)")
     _add_eval_overrides(p_run, method=True)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=partial(cmd_report, stage=run_pipeline))
 
     p_synth = sub.add_parser("synth", help="generate a synthetic planted-signal dataset")
     p_synth.add_argument("--out", required=True, help="dataset output directory")
@@ -125,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", default="out",
                         help="run directory holding the checkpoints (default: out)")
     _add_eval_overrides(p_eval, method=True)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=partial(cmd_report, stage=run_eval))
     return parser
 
 

@@ -63,22 +63,14 @@ class QuerySet:
     def checksum(self) -> str:
         """Digest of the queries and their filters (the fairness contract):
         the (h, r, t*) triples as int64, then each query's filter as int64,
-        in query order. The filters are gathered in runs of queries holding
-        at most BLOCK_CELLS cells (at least one query)."""
+        in query order, each read off its key's slice of the CSR."""
         h = hashlib.sha256()
         triples = np.column_stack([self.key_heads[self.key_of], self.key_rels[self.key_of],
                                    self.true_tails])
         h.update(triples.astype(np.int64).tobytes())
-        starts = self.filter_indptr[self.key_of]
-        counts = self.filter_indptr[self.key_of + 1] - starts
-        ends = np.cumsum(counts)
-        start = 0
-        while start < len(self):
-            limit = ends[start] - counts[start] + BLOCK_CELLS  # last cell this chunk may reach
-            stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
-            cells = expand_ranges(starts[start:stop], counts[start:stop])
-            h.update(self.filter_indices[cells].astype(np.int64).tobytes())
-            start = stop
+        ptr, filters = self.filter_indptr.tolist(), self.filter_indices.astype(np.int64)
+        for k in self.key_of.tolist():
+            h.update(filters[ptr[k]:ptr[k + 1]])
         return h.hexdigest()
 
 
@@ -309,10 +301,12 @@ def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
     takes sign 2i from bit 31 of word i and sign 2i + 1 from bit 63 (1 is
     +1.0), keeping an unused high half for its next draw. A product is -diff
     with its float64 sign bit flipped where the sign is +1.0, exactly
-    diff * sign. Row chunks of at most BLOCK_CELLS // 2 cells (at least one
-    row) share two buffers, so no per-chunk temporary reaches glibc's 128 KiB
-    mmap threshold; rows are summed in one full draw's layout and divided by
-    n as mean() does, so the p-value is that draw's bit for bit
+    diff * sign. Row chunks of at most BLOCK_CELLS // 2 cells (but at least
+    two rows) share two buffers, so no per-chunk temporary reaches glibc's
+    128 KiB mmap threshold. Every chunk but the last has an even number of
+    rows, so it reads whole words and the next starts on a fresh one, as
+    the single draw does. Rows are summed in that draw's layout and divided
+    by n as mean() does, so the p-value is the draw's bit for bit
     (tests/oracles.py keeps the rng.choice form).
     """
     pairs = np.asarray(per_query_pairs, dtype=np.float64)
@@ -329,23 +323,20 @@ def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
     t_obs = abs(diffs.mean())
     negated = (-diffs).view(np.uint64)
     bits = np.random.default_rng(seed).bit_generator
-    step = min(max(1, BLOCK_CELLS // 2 // n), n_resamples)
+    step = min(2 * max(1, BLOCK_CELLS // (4 * n)), n_resamples)
     products = np.empty((step, n))
     signs = np.empty(step * n + 1, dtype=np.uint64)  # sign bits at bit 63, one spare cell
-    carried = 0  # 1 when signs[0] holds the high half the previous chunk left unused
     sums = np.empty(n_resamples)
     for start in range(0, n_resamples, step):
         rows = min(step, n_resamples - start)
         cells = rows * n
-        words = bits.random_raw((cells - carried + 1) // 2)
-        drawn = signs[:carried + 2 * len(words)]
-        np.left_shift(words, 32, out=drawn[carried::2])
-        drawn[carried + 1::2] = words
+        words = bits.random_raw((cells + 1) // 2)
+        drawn = signs[:2 * len(words)]
+        np.left_shift(words, 32, out=drawn[::2])
+        drawn[1::2] = words
         np.bitwise_and(drawn, _SIGN_BIT, out=drawn)
         np.bitwise_xor(drawn[:cells].reshape(rows, n), negated,
                        out=products[:rows].view(np.uint64))
-        carried = len(drawn) - cells
-        signs[0] = drawn[-1]
         np.add.reduce(products[:rows], axis=1, out=sums[start:start + rows])
     t_perm = np.abs(sums / n)  # each row's mean, as products.mean(axis=1) forms it
     count = int((t_perm >= t_obs - 1e-15).sum())

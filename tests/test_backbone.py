@@ -309,7 +309,8 @@ def test_embedding_file_layout(tmp_path):
     table = table_from([[1.5, -2.0]], [[0.25, 4.0]])
     path = str(tmp_path / "emb.kge")
     save_embeddings(table, path)
-    data = open(path, "rb").read()
+    with open(path, "rb") as f:
+        data = f.read()
     magic, n_e, n_r, d = struct.unpack_from("<4sQQQ", data)
     assert magic == MAGIC and (n_e, n_r, d) == (1, 1, 2)
     floats = np.frombuffer(data, dtype="<f4", offset=struct.calcsize("<4sQQQ"))
@@ -320,8 +321,10 @@ def test_load_truncated_file_raises(tmp_path):
     rng = np.random.default_rng(5)
     path = str(tmp_path / "emb.kge")
     save_embeddings(random_table(rng, 4, 2, 4), path)
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-3])
+    with open(path, "rb") as f:
+        data = f.read()
+    with open(path, "wb") as f:
+        f.write(data[:-3])
     with pytest.raises(CheckpointError, match="bytes"):
         load_embeddings(path)
 

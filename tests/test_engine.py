@@ -3,11 +3,11 @@
 Ranks and per-query alignment must equal the oracles exactly, on random
 stores, on tie-heavy ones, on degenerate queries, on many queries sharing
 one (h, r), on true tails inside their own filter and across chunk
-boundaries; the query checksum, its filters gathered under the same cell
-budget, must equal the per-query oracle's. The sign-flip test, which reads
-its signs off the raw generator stream in chunks, must give the p-value of
-one rng.choice draw of every sign; a separate test pins the numpy behaviour
-that this rests on.
+boundaries; the query checksum, which hashes each query's filter straight
+off its key's CSR slice, must equal the per-query oracle's. The sign-flip
+test, which reads its signs off the raw generator stream in chunks of whole
+words, must give the p-value of one rng.choice draw of every sign; a
+separate test pins the numpy behaviour that this rests on.
 """
 
 import math
@@ -23,18 +23,6 @@ from gatedbias.backbone import EmbeddingTable
 from gatedbias.evaluator import (AlignedSet, alignment_delta_test, alignment_per_query,
                                  compute_rank_table, query_set)
 from helpers import random_store, random_table, store_from_labels
-
-
-def checksum_chunks(queries, block_cells):
-    """queries.checksum() under a block_cells budget, and the filter sizes of
-    the queries in each chunk it gathered."""
-    chunks = []
-    expand = evaluator.expand_ranges
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "BLOCK_CELLS", block_cells)
-        mp.setattr(evaluator, "expand_ranges",
-                   lambda starts, counts: chunks.append(counts.tolist()) or expand(starts, counts))
-        return queries.checksum(), chunks
 
 
 def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
@@ -55,7 +43,7 @@ def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
         want = oracles.alignment_per_query(pairs, filters, oracles.biased_scores(table, bias),
                                            aligned, k)
         assert np.array_equal(row, want)
-    assert checksum_chunks(queries, block_cells)[0] == oracles.query_checksum(store)
+    assert queries.checksum() == oracles.query_checksum(store)
 
 
 def equal_table(n_entities, n_relations, dim=3, value=0.5):
@@ -278,7 +266,7 @@ def test_engine_rejects_a_bias_of_the_wrong_length():
 
 
 # ---------------------------------------------------------------------------
-# the query checksum, its filters gathered in chunks
+# the query checksum, each query's filter read off its key's CSR slice
 # ---------------------------------------------------------------------------
 
 def test_query_checksum_matches_oracle_on_hand_fixtures():
@@ -299,20 +287,13 @@ def test_query_checksum_matches_oracle_when_keys_are_near_queries():
     assert queries.checksum() == oracles.query_checksum(store)
 
 
-@pytest.mark.parametrize("block_cells", [1, 4, 25, 60])
-def test_query_checksum_chunks_give_the_oracle_digest(block_cells):
-    """Budgets below one query's filter (one query per chunk) and budgets
-    that split the queries unevenly."""
-    rng = np.random.default_rng(block_cells)
-    store = hub_store(rng, n_entities=30, n_heads=4, n_test=50, n_train=60, n_in_train=10)
-    queries = query_set(store)
-    digest, chunks = checksum_chunks(queries, block_cells)
-    assert digest == oracles.query_checksum(store)
-    assert len(chunks) >= 2
-    assert sum(len(c) for c in chunks) == len(queries)
-    assert all(sum(c) <= block_cells or len(c) == 1 for c in chunks)
-    # greedy: each chunk stops only where the next query would break the budget
-    assert all(sum(a) + b[0] > block_cells for a, b in zip(chunks, chunks[1:]))
+@pytest.mark.parametrize("seed", [1, 4, 25, 60])
+def test_query_checksum_chunks_give_the_oracle_digest(seed):
+    """Many queries share a few hub keys, so a key's filter is hashed once
+    for each of its queries."""
+    store = hub_store(np.random.default_rng(seed), n_entities=30, n_heads=4, n_test=50,
+                      n_train=60, n_in_train=10)
+    assert query_set(store).checksum() == oracles.query_checksum(store)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +330,11 @@ def alignment_like_pairs(n_queries, seed):
     return np.column_stack([base, base + steps / 10])
 
 
-# Chunks hold at most BLOCK_CELLS // 2 = 16,384 cells (at least one row).
-# Q 3 and 11 give odd chunks (16,383 and 16,379 cells), so each chunk after
-# the first starts on the high half carried from the one before. Q 16,385
-# exceeds the budget and Q 40,001 BLOCK_CELLS, so every chunk is one odd row.
+# Chunks hold an even number of rows, at most BLOCK_CELLS // 2 = 16,384
+# cells but at least two rows. Q 3 and 11 give odd rows in even chunks
+# (16,380 and 16,368 cells). Q 16,385 exceeds the budget and Q 40,001
+# BLOCK_CELLS, so every chunk is two rows; with 37 resamples the last is
+# one odd row, whose unused high half is never read.
 @pytest.mark.parametrize("n_queries,n_resamples", [
     (2, 10000), (3, 10000), (7, 1), (7, 37), (7, 10000), (11, 10000), (100, 10000),
     (891, 3001), (16385, 37), (40001, 1), (40001, 37)])
@@ -364,14 +346,17 @@ def test_delta_test_chunks_give_the_unchunked_p_value(n_queries, n_resamples, se
 
 
 def test_delta_test_uneven_chunk_remainder(monkeypatch):
+    # 13-cell rows; 1001 resamples leave a last chunk of odd rows
     rng = np.random.default_rng(4)
     pairs = np.column_stack([rng.random(13), rng.random(13)])
-    want = oracles.sign_flip_p_value(pairs, 1000, 2)
-    for cells in (1, 26,         # one 13-cell row per chunk: every other one starts on a carried half
-                  2 * 333 * 13,  # 333 rows (4,329 cells, odd), then a last chunk of one row
-                  999):          # 38 rows, the last chunk 12
-        monkeypatch.setattr(evaluator, "BLOCK_CELLS", cells)
-        assert alignment_delta_test(pairs, 1000, 2) == want
+    for n_resamples in (1000, 1001):
+        want = oracles.sign_flip_p_value(pairs, n_resamples, 2)
+        for cells in (1, 26, 51,     # under four rows' worth: the two-row minimum
+                      78,            # three rows before rounding down to two
+                      2 * 333 * 13,  # 333 rows before rounding: chunks of 332
+                      999):          # 38 rows
+            monkeypatch.setattr(evaluator, "BLOCK_CELLS", cells)
+            assert alignment_delta_test(pairs, n_resamples, 2) == want
 
 
 @settings(max_examples=60, deadline=None)
