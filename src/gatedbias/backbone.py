@@ -118,6 +118,27 @@ def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Gene
         yield epoch, ids
 
 
+def score_pairs(ent: np.ndarray, rel: np.ndarray, r: np.ndarray, e: np.ndarray,
+                rows: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's gather and scores, for the backbone and both heads. r holds
+    the relations of m pairs and e their (h, t_pos, t_neg) rows; rows and
+    scores are workspaces for at least m pairs, of 4 * m * d floats and of
+    shape (2, >= m). Gathers e_h, e_tp, e_tn and e_r from the float64 tables
+    ent and rel, and scores s(h, r, t_pos) and s(h, r, t_neg) with
+    score_triples' einsum; returns them as (4, m, d) and (2, m) views of the
+    workspaces. Every take uses mode="clip", which writes straight into out
+    where "raise" buffers it; no id is out of range."""
+    m, d = r.shape[0], ent.shape[1]
+    g = rows[:4 * m * d].reshape(4, m, d)
+    np.take(ent, e, axis=0, out=g[:3], mode="clip")
+    np.take(rel, r, axis=0, out=g[3], mode="clip")
+    e_h, e_tp, e_tn, e_r = g
+    s = scores[:, :m]
+    np.einsum("ij,ij,ij->i", e_h, e_r, e_tp, out=s[0])
+    np.einsum("ij,ij,ij->i", e_h, e_r, e_tn, out=s[1])
+    return g, s
+
+
 # no overflow warnings: a non-finite value stays non-finite, and the check after
 # each epoch names the epoch
 @np.errstate(over="ignore", invalid="ignore")
@@ -138,26 +159,21 @@ def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.nda
     rel_cells = np.arange(nR * d).reshape(nR, d)
     # workspaces reused by every batch, so no batch allocates a large temporary;
     # a short batch uses views of their heads. Every take uses mode="clip",
-    # which writes straight into out where "raise" buffers it; no id is out of range
+    # as in score_pairs
     rows = np.empty(4 * step * d)        # gathered e_h, e_tp, e_tn, e_r
     act_rows = np.empty(4 * step * d)    # their active rows, then the updates
     ent_idx = np.empty(3 * step * d, dtype=np.intp)
     rel_idx = np.empty(step * d, dtype=np.intp)
-    s_pos, s_neg, hinge = np.empty(step), np.empty(step), np.empty(step)
+    scores, hinge = np.empty((2, step)), np.empty(step)
     active = np.empty(step, dtype=bool)
 
     for epoch, ids in corrupt_pairs(store, cfg.epochs, npp, rng, "backbone"):
         for start in range(0, ids.shape[1], step):
             r, e = ids[0, start:start + step], ids[1:, start:start + step]
             m = r.shape[0]
-            g = rows[:4 * m * d].reshape(4, m, d)
-            np.take(ent, e, axis=0, out=g[:3], mode="clip")
-            np.take(rel, r, axis=0, out=g[3], mode="clip")
-            e_h, e_tp, e_tn, e_r = g
-            np.einsum("ij,ij,ij->i", e_h, e_r, e_tp, out=s_pos[:m])
-            np.einsum("ij,ij,ij->i", e_h, e_r, e_tn, out=s_neg[:m])
-            np.subtract(cfg.margin, s_pos[:m], out=hinge[:m])
-            np.add(hinge[:m], s_neg[:m], out=hinge[:m])
+            g, (s_pos, s_neg) = score_pairs(ent, rel, r, e, rows, scores)
+            np.subtract(cfg.margin, s_pos, out=hinge[:m])
+            np.add(hinge[:m], s_neg, out=hinge[:m])
             act = np.flatnonzero(np.greater(hinge[:m], 0, out=active[:m]))
             k = act.shape[0]
             if k == 0:

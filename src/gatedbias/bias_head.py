@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbone import EmbeddingTable, corrupt_pairs
+from .backbone import EmbeddingTable, corrupt_pairs, score_pairs
 from .errors import CheckpointError
 from .fileio import write_json
 from .kg_store import GateMatrix, TripleStore
@@ -74,6 +74,26 @@ def compute_bias(head: BiasHead, gates_a: GateMatrix, gates_b: GateMatrix,
     return BiasVector(values=contrib_a + contrib_b, contrib_a=contrib_a, contrib_b=contrib_b)
 
 
+class Workspace:
+    """Buffers that every batch of a head's training reuses, so no batch
+    allocates a large temporary: the gathered rows and the scores of up to
+    step pairs for score_pairs, and PatientNode's pre-activations z, relu(z),
+    their gradient dz and the ReLU mask, each (2, step, hidden) for t_pos and
+    t_neg. A short batch uses views of their heads."""
+
+    def __init__(self, step: int, dim: int, hidden: int = 0):
+        self.rows = np.empty(4 * step * dim)
+        self.scores = np.empty((2, step))
+        self.z, self.relu, self.dz = np.empty((3, 2, step, hidden))
+        self.mask = np.empty((2, step, hidden), dtype=bool)
+
+
+def _workspace(store: TripleStore, cfg: HeadTrainConfig, dim: int, hidden: int = 0) -> Workspace:
+    """A workspace for the largest batch: min(batch_size, pairs per epoch)."""
+    pairs = store.train.shape[0] * cfg.negatives_per_positive
+    return Workspace(min(cfg.batch_size, pairs), dim, hidden)
+
+
 def head_loss_and_grad(
     head: BiasHead,
     table: EmbeddingTable,
@@ -81,30 +101,37 @@ def head_loss_and_grad(
     gates_b: GateMatrix,
     f_a: np.ndarray,
     f_b: np.ndarray,
-    heads: np.ndarray,
-    rels: np.ndarray,
-    t_pos: np.ndarray,
-    t_neg: np.ndarray,
+    r: np.ndarray,
+    e: np.ndarray,
     lambda1: float,
     lambda2: float,
+    work: Workspace | None = None,
 ) -> tuple[float, BiasHead]:
     """Batch hinge loss (margin 1) plus regularizers, with analytic gradients
-    returned as a BiasHead of the same shape.
+    returned as a BiasHead of the same shape. r holds the pairs' relations
+    and e their (h, t_pos, t_neg) rows; work is a Workspace for at least
+    len(r) pairs, a new one if None.
 
     The hinge term is averaged over pairs; regularizers enter at full strength.
     L1 subgradient at zero is taken as 0.
     """
-    n_pairs = len(t_pos)
-    s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
+    n_pairs = r.shape[0]
+    if work is None:
+        work = Workspace(n_pairs, table.dim)
+    _, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, work.rows, work.scores)
+    s_margin = s_pos - s_neg
 
     groups = ((gates_a, head.w_a, f_a, head.alpha_a), (gates_b, head.w_b, f_b, head.alpha_b))
-    # per group: the gate rows of t_pos and of t_neg, and each pair's bias difference
+    # per group: one gather of the gate rows of t_pos, then of t_neg; the
+    # t_pos cells come first, and there are n_pos of them
+    tails, t_pos = e[1:].reshape(-1), e[1]
     gathered, diffs = [], []
     for gates, w, f, _ in groups:
-        gathered.append((gates.gather_rows(t_pos), gates.gather_rows(t_neg)))
-        dot_pos, dot_neg = (np.bincount(owners, weights=(w * f)[cols], minlength=n_pairs)
-                            for owners, cols in gathered[-1])
-        diffs.append(dot_pos - dot_neg)
+        owners, cols = gates.gather_rows(tails)
+        n_pos = int(gates.indptr[t_pos + 1].sum() - gates.indptr[t_pos].sum())
+        gathered.append((owners, cols, n_pos))
+        dots = np.bincount(owners, weights=(w * f)[cols], minlength=2 * n_pairs)
+        diffs.append(dots[:n_pairs] - dots[n_pairs:])
 
     bias_margin = head.alpha_a * diffs[0] + head.alpha_b * diffs[1]
     hinge = np.maximum(0.0, 1.0 - (s_margin + bias_margin))
@@ -114,12 +141,14 @@ def head_loss_and_grad(
     loss += lambda1 * (np.abs(head.w_a).sum() + np.abs(head.w_b).sum())
     loss += lambda2 * (np.square(head.w_a).sum() + np.square(head.w_b).sum())
 
+    active2 = np.concatenate((active, active))  # by owner: t_pos, then t_neg
     grads = []
-    for (gates, w, f, alpha), rows, diff in zip(groups, gathered, diffs):
+    for (gates, w, f, alpha), (owners, cols, n_pos), diff in zip(groups, gathered, diffs):
+        weights = active2[owners] * f[cols]
         # float zeros, so a bincount over no cells (int64) adds in place too
         g = np.zeros(gates.num_columns, dtype=np.float64)
-        for update, (owners, cols) in zip((np.subtract, np.add), rows):
-            update(g, np.bincount(cols, weights=active[owners] * f[cols],
+        for update, part in ((np.subtract, slice(None, n_pos)), (np.add, slice(n_pos, None))):
+            update(g, np.bincount(cols[part], weights=weights[part],
                                   minlength=gates.num_columns), out=g)
         g *= alpha / n_pairs
         g += lambda1 * np.sign(w) + 2.0 * lambda2 * w
@@ -131,23 +160,26 @@ def head_loss_and_grad(
 def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: str):
     """Mini-batch gradient descent on every field of head; returns head.
 
-    loss_and_grad(head, heads, rels, t_pos, t_neg) returns the batch loss and
-    a gradient of head's own type. The pairs are the backbone's corrupt_pairs,
-    a batch being cfg.batch_size pairs. Deterministic given cfg.seed; the
-    backbone is read-only, so only head moves.
+    loss_and_grad(head, r, e) returns the batch loss and a gradient of head's
+    own type, r and e being the batch's relation row and (h, t_pos, t_neg)
+    rows. The pairs are the backbone's corrupt_pairs, a batch being
+    cfg.batch_size pairs. Deterministic given cfg.seed; the backbone is
+    read-only, so only head moves.
     """
     rng = np.random.default_rng(cfg.seed)
+    names = [f.name for f in dataclasses.fields(head)]
+    step = cfg.batch_size
     for epoch, ids in corrupt_pairs(store, cfg.epochs, cfg.negatives_per_positive, rng, what):
-        for start in range(0, ids.shape[1], cfg.batch_size):
-            r, h, t_pos, t_neg = ids[:, start:start + cfg.batch_size]
-            loss, grad = loss_and_grad(head, h, r, t_pos, t_neg)
+        for start in range(0, ids.shape[1], step):
+            loss, grad = loss_and_grad(head, ids[0, start:start + step],
+                                       ids[1:, start:start + step])
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite {what} loss {loss} at epoch {epoch}, batch offset {start}"
                 )
-            for f in dataclasses.fields(head):
-                setattr(head, f.name,
-                        getattr(head, f.name) - cfg.learning_rate * getattr(grad, f.name))
+            for name in names:
+                setattr(head, name,
+                        getattr(head, name) - cfg.learning_rate * getattr(grad, name))
     return head
 
 
@@ -161,9 +193,11 @@ def train_head(
     cfg: HeadTrainConfig,
 ) -> BiasHead:
     """Train {w_a, w_b, alpha_a, alpha_b} from a zero head; nothing else moves."""
-    def loss_and_grad(head, *batch):
-        return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, *batch,
-                                  cfg.lambda1, cfg.lambda2)
+    work = _workspace(store, cfg, table.dim)
+
+    def loss_and_grad(head, r, e):
+        return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, r, e,
+                                  cfg.lambda1, cfg.lambda2, work)
 
     return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, cfg, "head")
 
@@ -202,24 +236,30 @@ def new_patientnode(dim: int, hidden: int, seed: int) -> PatientNodeHead:
 def patientnode_loss_and_grad(
     head: PatientNodeHead,
     table: EmbeddingTable,
-    heads: np.ndarray,
-    rels: np.ndarray,
-    t_pos: np.ndarray,
-    t_neg: np.ndarray,
+    r: np.ndarray,
+    e: np.ndarray,
+    work: Workspace | None = None,
 ) -> tuple[float, PatientNodeHead]:
     """Same pairwise hinge as the gated head, unregularized; backprop through
     the tiny MLP. The gradient is returned as a PatientNodeHead of the same
-    shape."""
-    n_pairs = len(t_pos)
-    s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
+    shape. r, e and work are as for head_loss_and_grad, work also holding
+    the MLP's hidden width."""
+    n_pairs = r.shape[0]
+    if work is None:
+        work = Workspace(n_pairs, table.dim, head.w1.shape[0])
+    g, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, work.rows, work.scores)
+    s_margin = s_pos - s_neg
 
-    e_pos = table.entity_emb[t_pos].astype(np.float64)
-    e_neg = table.entity_emb[t_neg].astype(np.float64)
-    z_pos = e_pos @ head.w1.T + head.b1
-    z_neg = e_neg @ head.w1.T + head.b1
-    a_pos, a_neg = np.maximum(z_pos, 0.0), np.maximum(z_neg, 0.0)
-    bias_pos = a_pos @ head.w2 + head.b2
-    bias_neg = a_neg @ head.w2 + head.b2
+    # the gathered tail rows are entity_emb[t].astype(float64); t_pos and
+    # t_neg pass the MLP apart, as a BLAS row may round differently with M
+    e_tails = g[1:3]
+    z, a, dz, mask = (x[:, :n_pairs] for x in (work.z, work.relu, work.dz, work.mask))
+    for k in (0, 1):
+        np.matmul(e_tails[k], head.w1.T, out=z[k])
+    z += head.b1
+    np.maximum(z, 0.0, out=a)
+    bias_pos = a[0] @ head.w2 + head.b2
+    bias_neg = a[1] @ head.w2 + head.b2
 
     hinge = np.maximum(0.0, 1.0 - (s_margin + bias_pos - bias_neg))
     active = hinge > 0
@@ -227,15 +267,14 @@ def patientnode_loss_and_grad(
 
     # upstream gradient of the mean hinge w.r.t. bias(t): -1/P for positives,
     # +1/P for negatives, zero for inactive pairs
-    gamma_pos = -active.astype(np.float64) / n_pairs
-    gamma_neg = active.astype(np.float64) / n_pairs
+    gamma = np.stack((-active.astype(np.float64), active.astype(np.float64))) / n_pairs
 
-    g_w2 = gamma_pos @ a_pos + gamma_neg @ a_neg
-    g_b2 = float(gamma_pos.sum() + gamma_neg.sum())
-    dz_pos = (gamma_pos[:, None] * head.w2[None, :]) * (z_pos > 0)
-    dz_neg = (gamma_neg[:, None] * head.w2[None, :]) * (z_neg > 0)
-    g_w1 = dz_pos.T @ e_pos + dz_neg.T @ e_neg
-    g_b1 = dz_pos.sum(axis=0) + dz_neg.sum(axis=0)
+    g_w2 = gamma[0] @ a[0] + gamma[1] @ a[1]
+    g_b2 = float(gamma[0].sum() + gamma[1].sum())
+    np.multiply(gamma[:, :, None], head.w2, out=dz)
+    dz *= np.greater(z, 0, out=mask)
+    g_w1 = dz[0].T @ e_tails[0] + dz[1].T @ e_tails[1]
+    g_b1 = dz[0].sum(axis=0) + dz[1].sum(axis=0)
     return loss, PatientNodeHead(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
 
 
@@ -251,8 +290,10 @@ def train_patientnode(
     only: the MLP trains unregularized, so the comparison is capacity against
     capacity, not penalty against penalty.
     """
-    def loss_and_grad(head, *batch):
-        return patientnode_loss_and_grad(head, table, *batch)
+    work = _workspace(store, cfg, table.dim, hidden)
+
+    def loss_and_grad(head, r, e):
+        return patientnode_loss_and_grad(head, table, r, e, work)
 
     return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, cfg,
                 "patientnode")

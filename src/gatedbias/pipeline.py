@@ -174,27 +174,19 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
         rank_rows: list[tuple] = []
         param_count = 0
         base_ranks = None
-        with _stage("evaluate"):
-            for run_seed in c.eval.seeds:
-                head_cfg = dataclasses.replace(c.head, seed=c.head.seed + run_seed)
-                battery: dict = {}
-                if c.method == "base":
-                    if base_ranks is None:
-                        base_ranks = evaluator.compute_rank_table(queries, table)[0]
-                    ranks = base_ranks
-                elif c.method == "patientnode":
+        for run_seed in c.eval.seeds:
+            head_cfg = dataclasses.replace(c.head, seed=c.head.seed + run_seed)
+            with _stage("head"):
+                if c.method == "patientnode":
                     ckpt = os.path.join(out, f"patientnode_seed{run_seed}.json")
                     if train:
-                        pn = bias_head.train_patientnode(head_store, table, head_cfg,
-                                                         hidden=c.patientnode_hidden)
-                        bias_head.save_patientnode(pn, head_cfg, table, ckpt)
+                        head = bias_head.train_patientnode(head_store, table, head_cfg,
+                                                           hidden=c.patientnode_hidden)
+                        bias_head.save_patientnode(head, head_cfg, table, ckpt)
                     else:
-                        pn = bias_head.load_patientnode(ckpt, head_cfg, table,
-                                                        c.patientnode_hidden)
-                    param_count = bias_head.param_count(pn)
-                    bias = bias_head.compute_bias_patientnode(pn, table)
-                    ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
-                else:
+                        head = bias_head.load_patientnode(ckpt, head_cfg, table,
+                                                          c.patientnode_hidden)
+                elif c.method == "gatedbias":
                     ckpt = os.path.join(out, f"head_seed{run_seed}.json")
                     if train:
                         head = bias_head.train_head(head_store, table, *gates, *features,
@@ -202,6 +194,17 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                         bias_head.save_head(head, head_cfg, table, *gates, ckpt)
                     else:
                         head = bias_head.load_head(ckpt, head_cfg, table, *gates)
+            with _stage("evaluate"):
+                battery: dict = {}
+                if c.method == "base":
+                    if base_ranks is None:
+                        base_ranks = evaluator.compute_rank_table(queries, table)[0]
+                    ranks = base_ranks
+                elif c.method == "patientnode":
+                    param_count = bias_head.param_count(head)
+                    bias = bias_head.compute_bias_patientnode(head, table)
+                    ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
+                else:
                     param_count = bias_head.param_count(head)
                     bias = bias_head.compute_bias(head, *gates, *features)
                     ranks, battery = evaluator.gated_battery(

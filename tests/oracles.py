@@ -20,15 +20,24 @@ negatives at once and scattered through flat tables: one negative draw and
 four 2-d np.add.at calls per batch. The library's trainer must give the same
 float64 tables bit for bit; float32 storage rounds away most reorderings of
 its additions, so the comparison is made before it.
+head_loss_and_grad and patientnode_loss_and_grad are the heads' per-batch
+losses as they stood before the heads scored in reused workspaces: two
+score_triples calls per batch, and for the gated head one gate gather per
+group and tail. train_head and train_patientnode run them in a plain SGD
+loop over corrupt_pairs; the library's trainers must give the same heads
+bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 
+from gatedbias.bias_head import BiasHead, PatientNodeHead, new_head, new_patientnode
 from gatedbias.evaluator import AlignedSet
+
 
 def score(table, h: int, r: int, t: int) -> float:
     """DistMult s(h, r, t) = sum_j e_h[j] * e_r[j] * e_t[j], in float64."""
@@ -208,3 +217,102 @@ def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:
             raise FloatingPointError(f"non-finite backbone embeddings at epoch {epoch}")
 
     return ent, rel
+
+
+def head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, heads, rels, t_pos, t_neg,
+                       lambda1: float, lambda2: float):
+    """The gated head's batch hinge (margin 1) plus L1 and L2, and its
+    gradient as a BiasHead; each group's gate rows gathered once for t_pos
+    and once for t_neg."""
+    n_pairs = len(t_pos)
+    s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
+
+    groups = ((gates_a, head.w_a, f_a, head.alpha_a), (gates_b, head.w_b, f_b, head.alpha_b))
+    gathered, diffs = [], []
+    for gates, w, f, _ in groups:
+        gathered.append((gates.gather_rows(t_pos), gates.gather_rows(t_neg)))
+        dot_pos, dot_neg = (np.bincount(owners, weights=(w * f)[cols], minlength=n_pairs)
+                            for owners, cols in gathered[-1])
+        diffs.append(dot_pos - dot_neg)
+
+    bias_margin = head.alpha_a * diffs[0] + head.alpha_b * diffs[1]
+    hinge = np.maximum(0.0, 1.0 - (s_margin + bias_margin))
+    active = hinge > 0
+
+    loss = float(hinge.mean())
+    loss += lambda1 * (np.abs(head.w_a).sum() + np.abs(head.w_b).sum())
+    loss += lambda2 * (np.square(head.w_a).sum() + np.square(head.w_b).sum())
+
+    grads = []
+    for (gates, w, f, alpha), rows, diff in zip(groups, gathered, diffs):
+        g = np.zeros(gates.num_columns, dtype=np.float64)
+        for update, (owners, cols) in zip((np.subtract, np.add), rows):
+            update(g, np.bincount(cols, weights=active[owners] * f[cols],
+                                  minlength=gates.num_columns), out=g)
+        g *= alpha / n_pairs
+        g += lambda1 * np.sign(w) + 2.0 * lambda2 * w
+        grads.append((g, float(-(active * diff).sum() / n_pairs)))
+    (w_a, alpha_a), (w_b, alpha_b) = grads
+    return loss, BiasHead(w_a=w_a, w_b=w_b, alpha_a=alpha_a, alpha_b=alpha_b)
+
+
+def patientnode_loss_and_grad(head, table, heads, rels, t_pos, t_neg):
+    """The MLP head's unregularized batch hinge and its gradient as a
+    PatientNodeHead, from fresh float64 copies of the tail embeddings."""
+    n_pairs = len(t_pos)
+    s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
+
+    e_pos = table.entity_emb[t_pos].astype(np.float64)
+    e_neg = table.entity_emb[t_neg].astype(np.float64)
+    z_pos = e_pos @ head.w1.T + head.b1
+    z_neg = e_neg @ head.w1.T + head.b1
+    a_pos, a_neg = np.maximum(z_pos, 0.0), np.maximum(z_neg, 0.0)
+    bias_pos = a_pos @ head.w2 + head.b2
+    bias_neg = a_neg @ head.w2 + head.b2
+
+    hinge = np.maximum(0.0, 1.0 - (s_margin + bias_pos - bias_neg))
+    active = hinge > 0
+    loss = float(hinge.mean())
+
+    gamma_pos = -active.astype(np.float64) / n_pairs
+    gamma_neg = active.astype(np.float64) / n_pairs
+
+    g_w2 = gamma_pos @ a_pos + gamma_neg @ a_neg
+    g_b2 = float(gamma_pos.sum() + gamma_neg.sum())
+    dz_pos = (gamma_pos[:, None] * head.w2[None, :]) * (z_pos > 0)
+    dz_neg = (gamma_neg[:, None] * head.w2[None, :]) * (z_neg > 0)
+    g_w1 = dz_pos.T @ e_pos + dz_neg.T @ e_neg
+    g_b1 = dz_pos.sum(axis=0) + dz_neg.sum(axis=0)
+    return loss, PatientNodeHead(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2)
+
+
+def _sgd(head, loss_and_grad, store, cfg):
+    """Plain SGD: each epoch's pairs in batches of cfg.batch_size, every
+    field of head stepped by its gradient."""
+    rng = np.random.default_rng(cfg.seed)
+    for pairs in corrupt_pairs(store, cfg.epochs, cfg.negatives_per_positive, rng):
+        for start in range(0, pairs.shape[1], cfg.batch_size):
+            r, h, t_pos, t_neg = pairs[:, start:start + cfg.batch_size]
+            _, grad = loss_and_grad(head, h, r, t_pos, t_neg)
+            for f in dataclasses.fields(head):
+                setattr(head, f.name,
+                        getattr(head, f.name) - cfg.learning_rate * getattr(grad, f.name))
+    return head
+
+
+def train_head(store, table, gates_a, gates_b, f_a, f_b, cfg):
+    """The gated head from zero, trained by _sgd on head_loss_and_grad."""
+    def loss_and_grad(head, *batch):
+        return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, *batch,
+                                  cfg.lambda1, cfg.lambda2)
+
+    return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, cfg)
+
+
+def train_patientnode(store, table, cfg, hidden: int = 16):
+    """The MLP head from its seeded init, trained by _sgd on
+    patientnode_loss_and_grad."""
+    def loss_and_grad(head, *batch):
+        return patientnode_loss_and_grad(head, table, *batch)
+
+    return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, cfg)

@@ -134,12 +134,12 @@ def gated_instance_error(rng):
         return None  # hinge kink: central differences straddle a corner
 
     _, grads = bias_head.head_loss_and_grad(head, table, ga, gb, f_a, f_b,
-                                            h, r, tp, tn, lam1, lam2)
+                                            r, np.stack([h, tp, tn]), lam1, lam2)
     analytic = np.concatenate([grads.w_a, grads.w_b, [grads.alpha_a, grads.alpha_b]])
 
     def loss_at(v):
         loss, _ = bias_head.head_loss_and_grad(unpack(v), table, ga, gb, f_a, f_b,
-                                               h, r, tp, tn, lam1, lam2)
+                                               r, np.stack([h, tp, tn]), lam1, lam2)
         return loss
 
     return fd_error(analytic, central_difference(loss_at, x))
@@ -173,11 +173,12 @@ def patientnode_instance_error(rng):
     if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
         return None  # ReLU or hinge kink
 
-    _, grads = bias_head.patientnode_loss_and_grad(head, table, h, r, tp, tn)
+    _, grads = bias_head.patientnode_loss_and_grad(head, table, r, np.stack([h, tp, tn]))
     analytic = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
 
     def loss_at(v):
-        loss, _ = bias_head.patientnode_loss_and_grad(unpack(v), table, h, r, tp, tn)
+        loss, _ = bias_head.patientnode_loss_and_grad(unpack(v), table, r,
+                                                      np.stack([h, tp, tn]))
         return loss
 
     return fd_error(analytic, central_difference(loss_at, x))

@@ -1,22 +1,31 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from gatedbias.backbone import EmbeddingTable, train_backbone
 from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  compute_bias_patientnode, head_loss_and_grad,
                                  load_head, load_patientnode, new_head, new_patientnode,
                                  param_count, patientnode_loss_and_grad, save_head,
                                  save_patientnode, train_head, train_patientnode)
+from gatedbias.config import load_config
 from gatedbias.errors import CheckpointError
+from gatedbias.kg_store import build_gates, build_universe, load_grouping, load_triples
+from gatedbias.pipeline import task_train_store
+from gatedbias.profile_builder import build_profile, load_interactions
+from gatedbias.synth import SynthParams, generate
 from helpers import (central_difference, gates_from_dense, make_features, make_head,
-                     random_gates, random_table, store_from_labels)
+                     random_gates, random_store, random_table, store_from_labels)
 from oracles import score
 
 
 def zero_table(n_entities, n_relations=1, dim=4):
-    from gatedbias.backbone import EmbeddingTable
     return EmbeddingTable(np.zeros((n_entities, dim), dtype=np.float32),
                           np.zeros((n_relations, dim), dtype=np.float32))
 
@@ -121,7 +130,7 @@ def test_head_gradient_hand_value_single_pair():
     f_b = make_features(gb, [0.0])
     loss, grads = head_loss_and_grad(
         head, table, ga, gb, f_a, f_b,
-        np.array([0]), np.array([0]), np.array([0]), np.array([1]),
+        np.array([0]), np.array([[0], [0], [1]]),
         lambda1=0.0, lambda2=0.0)
     assert loss == 1.0
     assert grads.w_a.tolist() == [-0.5]
@@ -147,7 +156,8 @@ def test_head_loss_matches_manual_formula():
     tn = rng.integers(0, 12, size=7)
     lam1, lam2 = 3e-3, 2e-3
 
-    loss, _ = head_loss_and_grad(head, table, ga, gb, f_a, f_b, h, r, tp, tn, lam1, lam2)
+    loss, _ = head_loss_and_grad(head, table, ga, gb, f_a, f_b, r, np.stack([h, tp, tn]),
+                                 lam1, lam2)
 
     bias = (head.alpha_a * (da @ (head.w_a * f_a))
             + head.alpha_b * (db @ (head.w_b * f_b)))
@@ -183,11 +193,11 @@ def gated_fd_check(rng, lam1, lam2):
 
     def loss_at(x):
         loss, _ = head_loss_and_grad(unpack(x), table, ga, gb, f_a, f_b,
-                                     h, r, tp, tn, lam1, lam2)
+                                     r, np.stack([h, tp, tn]), lam1, lam2)
         return loss
 
     loss, grads = head_loss_and_grad(unpack(w), table, ga, gb, f_a, f_b,
-                                     h, r, tp, tn, lam1, lam2)
+                                     r, np.stack([h, tp, tn]), lam1, lam2)
     # skip draws whose hinge sits on its kink (finite differences undefined)
     head = unpack(w)
     bias = compute_bias(head, ga, gb, f_a, f_b)
@@ -330,7 +340,7 @@ def test_patientnode_gradient_matches_finite_differences():
                                b2=float(x[o[3]]))
 
     def loss_at(x):
-        loss, _ = patientnode_loss_and_grad(unpack(x), table, h, r, tp, tn)
+        loss, _ = patientnode_loss_and_grad(unpack(x), table, r, np.stack([h, tp, tn]))
         return loss
 
     checked = 0
@@ -346,7 +356,7 @@ def test_patientnode_gradient_matches_finite_differences():
                    - table.score_triples(h, r, tn) - bias[tn])
         if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
             continue
-        loss, grads = patientnode_loss_and_grad(head, table, h, r, tp, tn)
+        loss, grads = patientnode_loss_and_grad(head, table, r, np.stack([h, tp, tn]))
         analytic = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
         numeric = central_difference(loss_at, x)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)
@@ -362,6 +372,117 @@ def test_train_patientnode_deterministic_and_frozen():
     p2 = train_patientnode(store, table, cfg, hidden=4)
     assert np.array_equal(p1.w1, p2.w1) and np.array_equal(p1.w2, p2.w2)
     assert table.checksum() == before
+
+
+# ---------------------------------------------------------------------------
+# trainers against the per-batch oracles
+# ---------------------------------------------------------------------------
+
+def same_head(got, want) -> bool:
+    return all(np.asarray(getattr(got, f.name)).tobytes()
+               == np.asarray(getattr(want, f.name)).tobytes()
+               for f in dataclasses.fields(want))
+
+
+# 1, a size that leaves a short last batch for most draws, and one past the split
+BATCH_SIZES = {"one": 1, "ragged": 7, "over": 4096}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCH_SIZES))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hub=st.booleans(), n_entities=st.integers(2, 12),
+       n_relations=st.integers(1, 3), n_train=st.integers(1, 30), npp=st.integers(1, 3),
+       dim=st.integers(1, 8), epochs=st.integers(1, 3),
+       density=st.sampled_from([0.0, 0.3, 1.0]), scale=st.sampled_from([1.0, 30.0]))
+def test_trainers_match_the_oracles(batch, seed, hub, n_entities, n_relations, n_train, npp,
+                                    dim, epochs, density, scale):
+    # density 0 leaves every gate row empty; scale 30 spreads the score
+    # margins, so many one-pair batches have no active pair
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_entities, n_relations, n_train, 0)
+    if hub:  # entity 0 fills most tails: repeated gate rows within a gather
+        train = store.train.copy()
+        train[rng.random(n_train) < 0.8, 2] = 0
+        store = dataclasses.replace(store, train=train)
+    ga, _ = random_gates(rng, n_entities, 4, density)
+    gb, _ = random_gates(rng, n_entities, 3, density, group="B")
+    f_a, f_b = make_features(ga, rng.random(4)), make_features(gb, rng.random(3))
+    base = random_table(rng, n_entities, n_relations, dim)
+    table = EmbeddingTable(base.entity_emb * np.float32(scale), base.relation_emb)
+    cfg = HeadTrainConfig(batch_size=BATCH_SIZES[batch], learning_rate=0.3, epochs=epochs,
+                          lambda1=2e-3, lambda2=1e-4, negatives_per_positive=npp, seed=seed)
+    assert same_head(train_head(store, table, ga, gb, f_a, f_b, cfg),
+                     oracles.train_head(store, table, ga, gb, f_a, f_b, cfg))
+    hidden = 1 + seed % 5
+    assert same_head(train_patientnode(store, table, cfg, hidden),
+                     oracles.train_patientnode(store, table, cfg, hidden))
+
+
+def test_trainers_match_the_oracles_without_active_pairs():
+    # every positive outscores every negative by more than the margin: no
+    # batch has an active pair, so both heads stay at their init
+    store = store_from_labels([(f"u{i % 4}", "likes", "b0") for i in range(12)])
+    b0 = store.entity_vocab.id("b0")
+    ent = np.ones((store.num_entities, 4), dtype=np.float32)
+    ent[b0] = 10.0
+    table = EmbeddingTable(ent, np.ones((1, 4), dtype=np.float32))
+    ga = gates_from_dense(np.eye(store.num_entities, 3))
+    gb = gates_from_dense(np.zeros((store.num_entities, 2)), group="B")
+    f_a, f_b = make_features(ga, [0.5, 1.0, 2.0]), make_features(gb, [1.0, 1.0])
+    cfg = HeadTrainConfig(batch_size=5, learning_rate=0.5, epochs=3, lambda1=1e-2,
+                          lambda2=1e-2, seed=3)
+    zero = new_head(ga, gb)
+    assert same_head(train_head(store, table, ga, gb, f_a, f_b, cfg), zero)
+    assert same_head(oracles.train_head(store, table, ga, gb, f_a, f_b, cfg), zero)
+    init = new_patientnode(4, 3, cfg.seed)
+    assert same_head(train_patientnode(store, table, cfg, hidden=3), init)
+    assert same_head(oracles.train_patientnode(store, table, cfg, hidden=3), init)
+
+
+@pytest.fixture(scope="module")
+def desk(tmp_path_factory):
+    """The heads' inputs at synth 200 items, seed 0: the task store (batches
+    of 256 pairs end on a ragged one), gates and profiles as the pipeline
+    builds them, and a briefly trained dim-32 backbone."""
+    out = tmp_path_factory.mktemp("synth200")
+    generate(SynthParams(n_items=200), str(out))
+    cfg = load_config(str(out / "config.yaml"))
+    store = load_triples(cfg.data.triples_dir)
+    grouping = load_grouping(cfg.data.grouping_path, store)
+    gates = tuple(build_gates(store, build_universe(store, grouping, g)) for g in "AB")
+    histories = load_interactions(cfg.data.interactions_path, store)
+    features = tuple(build_profile(histories, g, cfg.profile.scale_alpha, cfg.profile.cap_tau)
+                     for g in gates)
+    table = train_backbone(store, dataclasses.replace(cfg.backbone, epochs=20))
+    return task_train_store(store, grouping), table, gates, features, cfg.head
+
+
+@pytest.mark.parametrize("npp", [1, 3])
+def test_trainers_match_the_oracles_at_desk_shape(desk, npp):
+    store, table, gates, features, head_cfg = desk
+    assert head_cfg.batch_size == 256 and store.train.shape[0] % 256 != 0
+    cfg = dataclasses.replace(head_cfg, epochs=4, negatives_per_positive=npp)
+    assert same_head(train_head(store, table, *gates, *features, cfg),
+                     oracles.train_head(store, table, *gates, *features, cfg))
+    assert same_head(train_patientnode(store, table, cfg),
+                     oracles.train_patientnode(store, table, cfg))
+
+
+def test_head_workspaces_are_sized_to_the_epochs_pairs():
+    # a 4096-pair batch over 20 train pairs: the workspace holds 20 pairs,
+    # not 4096, so the trainers' peak stays below the rows of a 4096-pair one
+    store, table, ga, gb, f_a, f_b = small_training_setup()
+    cfg = HeadTrainConfig(batch_size=4096, learning_rate=0.1, epochs=2)
+    full_rows = 4 * 4096 * table.dim * 8
+    for train in (lambda: train_head(store, table, ga, gb, f_a, f_b, cfg),
+                  lambda: train_patientnode(store, table, cfg)):
+        tracemalloc.start()
+        try:
+            train()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_rows
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def test_eval_refuses_heads_trained_with_other_epochs(cfg_path, tmp_path, capsys
     capsys.readouterr()
     assert main(["eval", paths[7], "--out", out]) == 1
     err = capsys.readouterr().err
-    assert "[evaluate]" in err and "epochs 2 (config: 7)" in err
+    assert "[head]" in err and "epochs 2 (config: 7)" in err
     with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
         assert json.load(fh)["artifact"] == "gatedbias-run"
 
@@ -143,7 +143,7 @@ def test_eval_refuses_heads_trained_on_another_backbone(method, cfg_path, run_ou
     capsys.readouterr()
     assert main(["eval", paths["other"], "--out", out, "--method", method]) == 1
     err = capsys.readouterr().err
-    assert "error: [evaluate]" in err and "backbone_checksum mismatch" in err
+    assert "error: [head]" in err and "backbone_checksum mismatch" in err
 
 
 @pytest.mark.parametrize("method,checkpoint,key,value", [
@@ -163,7 +163,7 @@ def test_eval_refuses_checkpoint_fields_of_another_shape(method, checkpoint, key
     capsys.readouterr()
     assert main(["eval", cfg_path, "--out", out, "--method", method]) == 1
     err = capsys.readouterr().err
-    assert f"error: [evaluate] {path}: {key} " in err
+    assert f"error: [head] {path}: {key} " in err
 
 
 def test_eval_without_checkpoints_fails(cfg_path, tmp_path, capsys):
@@ -255,6 +255,25 @@ def test_diverging_backbone_fails_at_its_epoch(tmp_path, capsys):
         "error: [backbone] non-finite backbone embeddings at epoch 8"
     assert not (out / "backbone.kge").exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("method,checkpoint", [("gatedbias", "head_seed0.json"),
+                                               ("patientnode", "patientnode_seed0.json")])
+def test_diverging_head_fails_at_the_head_stage(method, checkpoint, cfg_path, tmp_path, capsys):
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["head"]["learning_rate"] = 1e300
+    path = str(tmp_path / "config.yaml")
+    save_config(raw, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way
+        rc = main(["run", path, "--out", str(out), "--method", method])
+    assert rc == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    what = "head" if method == "gatedbias" else method
+    assert last.startswith(f"error: [head] non-finite {what} loss ")
+    assert (out / "backbone.kge").exists() and not (out / checkpoint).exists()
 
 
 def test_bad_config_file(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gatedbias.errors import ConfigError, TripleParseError
 from gatedbias.kg_store import (AttributeUniverse, Vocab, build_gates, build_universe,
                                 expand_ranges, load_grouping, load_triples, make_grouping)
-from helpers import store_from_labels
+from helpers import gates_from_dense, store_from_labels
 from oracles import query_filters, to_dense
 
 
@@ -373,6 +373,26 @@ def test_gather_rows_concatenates_in_order():
     assert cols.tolist() == [0, 0, 1, 0]
     assert owners.tolist() == [0, 1, 1, 3]
     assert np.bincount(owners, minlength=len(tails)).tolist() == [1, 2, 0, 1]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(0, 8), n_b=st.integers(0, 8))
+@example(seed=0, n_a=0, n_b=0)
+def test_gather_rows_of_concatenated_tails_split_at_the_first_cell_count(seed, n_a, n_b):
+    # the gated head gathers t_pos and t_neg in one call and splits the cells
+    # at the t_pos cell count, read off indptr
+    rng = np.random.default_rng(seed)
+    dense = rng.random((6, 4)) < 0.5
+    dense[[2, 5]] = False  # empty rows
+    gates = gates_from_dense(dense)
+    a, b = rng.integers(0, 6, size=n_a), rng.integers(0, 6, size=n_b)  # tails repeat
+    owners, cols = gates.gather_rows(np.concatenate([a, b]))
+    n_first = int((gates.indptr[a + 1] - gates.indptr[a]).sum())
+    assert n_first == int(gates.indptr[a + 1].sum() - gates.indptr[a].sum())
+    for (want_owners, want_cols), part, shift in (
+            (gates.gather_rows(a), slice(None, n_first), 0),
+            (gates.gather_rows(b), slice(n_first, None), n_a)):
+        assert np.array_equal(owners[part] - shift, want_owners)
+        assert np.array_equal(cols[part], want_cols)
 
 
 @given(ranges=st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 6)), max_size=12),

@@ -181,7 +181,7 @@ def test_run_eval_refuses_heads_trained_with_other_settings(method, field, train
     run_pipeline(tiny_cfg(data_dir, method, head={**head, field: trained}), str(tmp_path))
     with pytest.raises(PipelineError) as exc:
         run_eval(tiny_cfg(data_dir, method, head={**head, field: configured}), str(tmp_path))
-    assert exc.value.stage == "evaluate"
+    assert exc.value.stage == "head"
     assert field in str(exc.value) and str(configured) in str(exc.value)
 
 
