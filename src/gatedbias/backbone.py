@@ -68,10 +68,6 @@ class EmbeddingTable:
         """Scores of every entity as tail of (h, r, ?)."""
         return self._ent64 @ (self._ent64[h] * self._rel64[r])
 
-    def score_triples(self, heads: np.ndarray, rels: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        ent = self._ent64
-        return np.einsum("ij,ij,ij->i", ent[heads], self._rel64[rels], ent[tails])
-
     def checksum(self) -> str:
         h = hashlib.sha256()
         h.update(_HEADER.pack(MAGIC, self.num_entities, self.num_relations, self.dim))
@@ -124,10 +120,11 @@ def score_pairs(ent: np.ndarray, rel: np.ndarray, r: np.ndarray, e: np.ndarray,
     the relations of m pairs and e their (h, t_pos, t_neg) rows; rows and
     scores are workspaces for at least m pairs, of 4 * m * d floats and of
     shape (2, >= m). Gathers e_h, e_tp, e_tn and e_r from the float64 tables
-    ent and rel, and scores s(h, r, t_pos) and s(h, r, t_neg) with
-    score_triples' einsum; returns them as (4, m, d) and (2, m) views of the
-    workspaces. Every take uses mode="clip", which writes straight into out
-    where "raise" buffers it; no id is out of range."""
+    ent and rel, and scores s(h, r, t_pos) and s(h, r, t_neg) with one
+    einsum each, over e_h, e_r and the tail rows in that order; returns them
+    as (4, m, d) and (2, m) views of the workspaces. Every take uses
+    mode="clip", which writes straight into out where "raise" buffers it; no
+    id is out of range."""
     m, d = r.shape[0], ent.shape[1]
     g = rows[:4 * m * d].reshape(4, m, d)
     np.take(ent, e, axis=0, out=g[:3], mode="clip")

@@ -157,6 +157,9 @@ def head_loss_and_grad(
     return loss, BiasHead(w_a=w_a, w_b=w_b, alpha_a=alpha_a, alpha_b=alpha_b)
 
 
+# no overflow warnings: a non-finite loss raises below, naming the epoch, as
+# the backbone trainer does
+@np.errstate(over="ignore", invalid="ignore")
 def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: str):
     """Mini-batch gradient descent on every field of head; returns head.
 

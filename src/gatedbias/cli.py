@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure-gated inference-time personalization over a frozen "
                     "knowledge-graph scorer.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="log at INFO level")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="print the traceback of a failure above its error line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run the full pipeline from a config file")

@@ -102,35 +102,44 @@ def query_set(store: TripleStore) -> QuerySet:
 BLOCK_CELLS = 1 << 15
 
 
-def _sweep(queries: QuerySet, table: EmbeddingTable):
+def _sweep(queries: QuerySet, table: EmbeddingTable, stack: np.ndarray):
     """Walk the keys in row chunks of at most BLOCK_CELLS cells (at least one
-    row). Yields the chunk's key slice, its base score rows, a work block of
-    the same shape, and the flat positions of its filter cells in a block.
-    The base rows come from one score_all_tails call per key. Both blocks
-    are reused, so a chunk must be consumed before the next is drawn."""
+    row), and each chunk under every bias of the stack. Yields the chunk's key
+    slice, the bias index b, the chunk's base score rows, and those rows plus
+    stack[b] with the chunk's filter cells at -inf. The base rows come from
+    one score_all_tails call per key. Both blocks are reused, so a yield must
+    be consumed before the next is drawn. This is the only place a bias meets
+    the score rows."""
     n_e, n_keys = table.num_entities, len(queries.key_heads)
     step = max(1, BLOCK_CELLS // n_e)
     base = np.empty((min(step, n_keys), n_e))
     work = np.empty_like(base)
     for start in range(0, n_keys, step):
         stop = min(start + step, n_keys)
-        block = base[:stop - start]
+        block, scores = base[:stop - start], work[:stop - start]
         for j, (h, r) in enumerate(zip(queries.key_heads[start:stop].tolist(),
                                        queries.key_rels[start:stop].tolist())):
             block[j] = table.score_all_tails(h, r)
         ptr = queries.filter_indptr[start:stop + 1]
         filt = np.repeat(np.arange(0, len(block) * n_e, n_e), np.diff(ptr))
         filt += queries.filter_indices[ptr[0]:ptr[-1]]
-        yield slice(start, stop), block, work[:stop - start], filt
+        for b, bias in enumerate(stack):
+            np.add(block, bias, out=scores)
+            scores.reshape(-1)[filt] = -np.inf
+            yield slice(start, stop), b, block, scores
 
 
 def _bias_stack(biases, n_entities: int) -> np.ndarray:
+    """The stack as float64 (None: one zero bias). Every score cell outside
+    the filter is then finite, so -inf marks exactly the filtered ones."""
     if biases is None:
         return np.zeros((1, n_entities))
     stack = np.asarray(biases, dtype=np.float64)
     if stack.ndim != 2 or stack.shape[1] != n_entities:
         raise ValueError(f"biases must be a stack of {n_entities}-entity vectors, "
                          f"got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("biases must be finite")
     return stack
 
 
@@ -143,9 +152,10 @@ def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None) ->
     to the middle of the tied block, rounded down:
     rank = 1 + #{strictly greater} + floor(#{equal, excluding self} / 2).
     Each key's filtered row is sorted once per bias and all the key's true
-    tails are looked up in it. A true tail inside its own filter F is not in
-    that row, so it has no self to exclude:
-    rank = 1 + greater + (equal - [t not in F]) // 2.
+    tails are looked up in it. A true tail's score is its base cell plus its
+    bias, the addition the sweep makes; it is inside its own filter F when
+    the sweep masked its cell. Such a tail is not in the sorted row, so it
+    has no self to exclude: rank = 1 + greater + (equal - [t not in F]) // 2.
     """
     if len(queries) == 0:
         raise ValueError("no test triples to rank")
@@ -155,27 +165,20 @@ def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None) ->
     by_key = np.argsort(queries.key_of, kind="stable")
     qptr = np.searchsorted(queries.key_of[by_key], np.arange(len(queries.key_heads) + 1))
     ranks = np.empty((len(stack), len(queries)), dtype=np.int64)
-    for keys, block, scores, filt in _sweep(queries, table):
+    for keys, b, block, scores in _sweep(queries, table, stack):
         ptr = qptr[keys.start:keys.stop + 1]
         members = by_key[ptr[0]:ptr[-1]]
-        per_row = [slice(a - ptr[0], z - ptr[0]) for a, z in zip(ptr[:-1], ptr[1:])]
-        true_cells = (queries.key_of[members] - keys.start) * n_e + queries.true_tails[members]
-        # filt ascends (rows in order, each key's tails in id order), so a
-        # true cell is unfiltered when no filter cell equals it
-        unfiltered = (np.searchsorted(filt, true_cells)
-                      == np.searchsorted(filt, true_cells, side="right"))
-        greater = np.empty(len(members), dtype=np.int64)
-        equal = np.empty_like(greater)
-        for b, bias in enumerate(stack):
-            np.add(block, bias, out=scores)
-            s_true = scores.reshape(-1)[true_cells]
-            scores.reshape(-1)[filt] = -np.inf
-            scores.sort(axis=1)
-            for row, q in zip(scores, per_row):
-                hi = np.searchsorted(row, s_true[q], side="right")
-                greater[q] = n_e - hi
-                equal[q] = hi - np.searchsorted(row, s_true[q], side="left")
-            ranks[b, members] = 1 + greater + (equal - unfiltered) // 2
+        rows, tails = queries.key_of[members] - keys.start, queries.true_tails[members]
+        s_true = block[rows, tails] + stack[b, tails]
+        unfiltered = scores[rows, tails] > -np.inf
+        scores.sort(axis=1)
+        greater, equal = np.empty((2, len(members)), dtype=np.int64)
+        bounds = (ptr - ptr[0]).tolist()
+        for row, a, z in zip(scores, bounds, bounds[1:]):
+            hi = np.searchsorted(row, s_true[a:z], side="right")
+            greater[a:z] = n_e - hi
+            equal[a:z] = hi - np.searchsorted(row, s_true[a:z], side="left")
+        ranks[b, members] = 1 + greater + (equal - unfiltered) // 2
     return ranks
 
 
@@ -277,11 +280,8 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     stack = _bias_stack(biases, table.num_entities)
     mask = aligned.mask()
     hits = np.empty((len(stack), len(queries.key_heads)), dtype=np.int64)
-    for keys, block, scores, filt in _sweep(queries, table):
-        for b, bias in enumerate(stack):
-            np.add(block, bias, out=scores)
-            scores.reshape(-1)[filt] = -np.inf
-            hits[b, keys] = _topk_hits(scores, mask, k)
+    for keys, b, _, scores in _sweep(queries, table, stack):
+        hits[b, keys] = _topk_hits(scores, mask, k)
     return hits[:, queries.key_of] / k
 
 

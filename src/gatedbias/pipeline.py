@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
-from .config import DataConfig, PipelineConfig
+from .config import METHODS, DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
 from .fileio import atomic_write, write_json
 from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
@@ -32,8 +32,6 @@ from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
 from .profile_builder import build_profile, load_interactions
 
 log = logging.getLogger(__name__)
-
-METHOD_ORDER = ("base", "patientnode", "gatedbias")
 
 
 @contextmanager
@@ -172,8 +170,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
         table = tables[c.backbone_load]
         per_seed: list[dict] = []
         rank_rows: list[tuple] = []
-        param_count = 0
-        base_ranks = None
+        head = ranks = None
         for run_seed in c.eval.seeds:
             head_cfg = dataclasses.replace(c.head, seed=c.head.seed + run_seed)
             with _stage("head"):
@@ -196,21 +193,17 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                         head = bias_head.load_head(ckpt, head_cfg, table, *gates)
             with _stage("evaluate"):
                 battery: dict = {}
-                if c.method == "base":
-                    if base_ranks is None:
-                        base_ranks = evaluator.compute_rank_table(queries, table)[0]
-                    ranks = base_ranks
-                elif c.method == "patientnode":
-                    param_count = bias_head.param_count(head)
-                    bias = bias_head.compute_bias_patientnode(head, table)
-                    ranks = evaluator.compute_rank_table(queries, table, [bias])[0]
-                else:
-                    param_count = bias_head.param_count(head)
+                if c.method == "gatedbias":
                     bias = bias_head.compute_bias(head, *gates, *features)
                     ranks, battery = evaluator.gated_battery(
                         queries, table, head, gates, features, bias, c.eval, run_seed)
+                elif head is not None or ranks is None:  # base (no head): once per run
+                    stack = None if head is None else [
+                        bias_head.compute_bias_patientnode(head, table)]
+                    ranks = evaluator.compute_rank_table(queries, table, stack)[0]
+                params = 0 if head is None else bias_head.param_count(head)
                 per_seed.append({**evaluator.ranking_metrics(ranks, c.eval.ks), **battery,
-                                 "param_count": param_count})
+                                 "param_count": params})
                 rank_rows += [(run_seed, *label, rank)
                               for label, rank in zip(labels, ranks.tolist())]
 
@@ -228,7 +221,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                 "test": int(store.test.shape[0]),
             },
             "universes": universes if c.method == "gatedbias" else None,
-            "param_count": param_count,
+            "param_count": per_seed[-1]["param_count"],
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "report": evaluator.eval_report(list(c.eval.seeds), per_seed),
         }
@@ -262,8 +255,8 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
     shared = cfg.backbone_load or os.path.join(out_dir, "base", "backbone.kge")
     runs = [(dataclasses.replace(cfg, method=m, data=data,
                                  backbone_load=cfg.backbone_load if m == "base" else shared),
-             os.path.join(out_dir, m)) for m in METHOD_ORDER]
-    reports = dict(zip(METHOD_ORDER, _run(runs, train=True)))
+             os.path.join(out_dir, m)) for m in METHODS]
+    reports = dict(zip(METHODS, _run(runs, train=True)))
 
     comparison = {
         "artifact": "gatedbias-compare",
@@ -287,13 +280,13 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
 def format_comparison(comparison: dict) -> str:
     """Side-by-side TSV of the headline metrics per method."""
     metric_keys: list[str] = []
-    for m in METHOD_ORDER:
+    for m in METHODS:
         agg = comparison["methods"][m]["aggregate"]
         for k in agg:
             if k not in metric_keys and (k == "mrr" or k.startswith(("hits@", "ndcg@"))):
                 metric_keys.append(k)
     lines = ["method\tadded_params\t" + "\t".join(metric_keys)]
-    for m in METHOD_ORDER:
+    for m in METHODS:
         entry = comparison["methods"][m]
         cells = [m, str(entry["param_count"])]
         for k in metric_keys:

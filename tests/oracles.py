@@ -11,7 +11,9 @@ sign_flip_p_value is the sign-flip test as one rng.choice draw of every
 sign; alignment_delta_test, which reads the signs off the raw generator
 stream in chunks, must give the same p-value.
 score and to_dense are the one-triple DistMult score and the dense form of a
-gate matrix, written out from the stored arrays.
+gate matrix, written out from the stored arrays. score_triples scores a
+batch of triples with one einsum over the table's float64 copies, in the
+order score_pairs multiplies them.
 corrupt_pairs is the heads' pair draw as it stood before the backbone and
 both heads shared one: the epoch's triples permuted and each repeated npp
 times, then one draw of every negative tail, shifted past its positive.
@@ -44,6 +46,12 @@ def score(table, h: int, r: int, t: int) -> float:
     ent = table.entity_emb.astype(np.float64)
     rel = table.relation_emb.astype(np.float64)
     return float(np.dot(ent[h] * rel[r], ent[t]))
+
+
+def score_triples(table, heads, rels, tails) -> np.ndarray:
+    """s(h, r, t) of each triple, one einsum over e_h, e_r, e_t in float64."""
+    ent = table._ent64
+    return np.einsum("ij,ij,ij->i", ent[heads], table._rel64[rels], ent[tails])
 
 
 def to_dense(gates) -> np.ndarray:
@@ -225,7 +233,7 @@ def head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, heads, rels, t_p
     gradient as a BiasHead; each group's gate rows gathered once for t_pos
     and once for t_neg."""
     n_pairs = len(t_pos)
-    s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
+    s_margin = score_triples(table, heads, rels, t_pos) - score_triples(table, heads, rels, t_neg)
 
     groups = ((gates_a, head.w_a, f_a, head.alpha_a), (gates_b, head.w_b, f_b, head.alpha_b))
     gathered, diffs = [], []
@@ -260,7 +268,7 @@ def patientnode_loss_and_grad(head, table, heads, rels, t_pos, t_neg):
     """The MLP head's unregularized batch hinge and its gradient as a
     PatientNodeHead, from fresh float64 copies of the tail embeddings."""
     n_pairs = len(t_pos)
-    s_margin = table.score_triples(heads, rels, t_pos) - table.score_triples(heads, rels, t_neg)
+    s_margin = score_triples(table, heads, rels, t_pos) - score_triples(table, heads, rels, t_neg)
 
     e_pos = table.entity_emb[t_pos].astype(np.float64)
     e_neg = table.entity_emb[t_neg].astype(np.float64)

@@ -24,6 +24,7 @@ from gatedbias.pipeline import run_compare, run_pipeline
 from gatedbias.synth import SynthParams, generate
 from helpers import (central_difference, make_features, make_head,
                      random_gates, random_store, random_table, store_from_labels)
+from oracles import score_triples
 
 
 @contextmanager
@@ -128,8 +129,8 @@ def gated_instance_error(rng):
 
     head = unpack(x)
     bias = bias_head.compute_bias(head, ga, gb, f_a, f_b)
-    margins = (table.score_triples(h, r, tp) + bias.values[tp]
-               - table.score_triples(h, r, tn) - bias.values[tn])
+    margins = (score_triples(table, h, r, tp) + bias.values[tp]
+               - score_triples(table, h, r, tn) - bias.values[tn])
     if np.any(np.abs(1.0 - margins) < 1e-3):
         return None  # hinge kink: central differences straddle a corner
 
@@ -168,8 +169,8 @@ def patientnode_instance_error(rng):
     z = np.concatenate([(ent[tp] @ head.w1.T + head.b1).ravel(),
                         (ent[tn] @ head.w1.T + head.b1).ravel()])
     bias = bias_head.compute_bias_patientnode(head, table)
-    margins = (table.score_triples(h, r, tp) + bias[tp]
-               - table.score_triples(h, r, tn) - bias[tn])
+    margins = (score_triples(table, h, r, tp) + bias[tp]
+               - score_triples(table, h, r, tn) - bias[tn])
     if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
         return None  # ReLU or hinge kink
 

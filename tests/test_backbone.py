@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable, _train_float64,
                                 corrupt_pairs, load_embeddings, save_embeddings,
-                                train_backbone)
+                                score_pairs, train_backbone)
 from gatedbias.errors import CheckpointError
 from gatedbias.evaluator import compute_rank_table, query_set, ranking_metrics
 from gatedbias.kg_store import load_triples
@@ -61,16 +61,17 @@ def test_score_all_tails_zero_relation():
     assert np.all(table.score_all_tails(0, 0) == 0.0)
 
 
-def test_score_triples_matches_score():
+def test_score_pairs_matches_score():
     rng = np.random.default_rng(2)
     table = random_table(rng, 10, 2, 8)
-    h = rng.integers(0, 10, size=6)
     r = rng.integers(0, 2, size=6)
-    t = rng.integers(0, 10, size=6)
-    batch = table.score_triples(h, r, t)
+    e = rng.integers(0, 10, size=(3, 6))  # h, t_pos, t_neg
+    rows, scores = np.empty(4 * 6 * 8), np.empty((2, 6))
+    _, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, rows, scores)
     for i in range(6):
-        assert np.isclose(batch[i], score(table, int(h[i]), int(r[i]), int(t[i])),
-                          rtol=1e-12)
+        h, tp, tn = e[:, i].tolist()
+        assert np.isclose(s_pos[i], score(table, h, int(r[i]), tp), rtol=1e-12)
+        assert np.isclose(s_neg[i], score(table, h, int(r[i]), tn), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

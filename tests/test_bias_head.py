@@ -201,8 +201,8 @@ def gated_fd_check(rng, lam1, lam2):
     # skip draws whose hinge sits on its kink (finite differences undefined)
     head = unpack(w)
     bias = compute_bias(head, ga, gb, f_a, f_b)
-    margins = (table.score_triples(h, r, tp) + bias.values[tp]
-               - table.score_triples(h, r, tn) - bias.values[tn])
+    margins = (oracles.score_triples(table, h, r, tp) + bias.values[tp]
+               - oracles.score_triples(table, h, r, tn) - bias.values[tn])
     if np.any(np.abs(1.0 - margins) < 1e-3):
         return None
     analytic = np.concatenate([grads.w_a, grads.w_b, [grads.alpha_a, grads.alpha_b]])
@@ -352,8 +352,8 @@ def test_patientnode_gradient_matches_finite_differences():
         z = np.concatenate([ent[tp] @ head.w1.T + head.b1,
                             ent[tn] @ head.w1.T + head.b1], axis=None)
         bias = compute_bias_patientnode(head, table)
-        margins = (table.score_triples(h, r, tp) + bias[tp]
-                   - table.score_triples(h, r, tn) - bias[tn])
+        margins = (oracles.score_triples(table, h, r, tp) + bias[tp]
+                   - oracles.score_triples(table, h, r, tn) - bias[tn])
         if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
             continue
         loss, grads = patientnode_loss_and_grad(head, table, r, np.stack([h, tp, tn]))

@@ -266,14 +266,15 @@ def test_diverging_head_fails_at_the_head_stage(method, checkpoint, cfg_path, tm
     path = str(tmp_path / "config.yaml")
     save_config(raw, path)
     out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["run", path, "--out", str(out), "--method", method])
     assert rc == 1
     last = capsys.readouterr().err.splitlines()[-1]
     what = "head" if method == "gatedbias" else method
     assert last.startswith(f"error: [head] non-finite {what} loss ")
     assert (out / "backbone.kge").exists() and not (out / checkpoint).exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_bad_config_file(tmp_path, capsys):

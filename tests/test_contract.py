@@ -16,8 +16,8 @@ import os
 import numpy as np
 import pytest
 
-from gatedbias.config import config_from_dict
-from gatedbias.pipeline import METHOD_ORDER, run_compare
+from gatedbias.config import METHODS, config_from_dict
+from gatedbias.pipeline import run_compare
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
@@ -45,7 +45,7 @@ def _relative(value, root: str):
 def contract_digest(out: str) -> str:
     """sha256 over the compare outputs under out, file by file in a fixed order."""
     files = ["compare.tsv", "compare.json", "base/backbone.kge"]
-    for m in METHOD_ORDER:
+    for m in METHODS:
         files += [f"{m}/ranks.tsv", f"{m}/report.json"]
     for seed in (0, 1):
         files += [f"patientnode/patientnode_seed{seed}.json", f"gatedbias/head_seed{seed}.json"]

@@ -265,6 +265,23 @@ def test_engine_rejects_a_bias_of_the_wrong_length():
         compute_rank_table(query_set(store), table, [np.zeros(store.num_entities + 1)])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_engine_rejects_a_non_finite_bias(value):
+    """A non-finite bias would pass for a filtered cell or win every tie:
+    both sweeps refuse it."""
+    rng = np.random.default_rng(0)
+    store = random_store(rng, n_entities=30, n_relations=2, n_train=80, n_test=10)
+    table = random_table(rng, 30, 2, 4)
+    queries = query_set(store)
+    bias = np.zeros(30)
+    bias[store.test[0, 2]] = value
+    aligned = AlignedSet(members=np.arange(5), threshold_tau=0.0, num_entities=30)
+    with pytest.raises(ValueError, match="biases must be finite"):
+        compute_rank_table(queries, table, [np.zeros(30), bias])
+    with pytest.raises(ValueError, match="biases must be finite"):
+        alignment_per_query(queries, table, [bias], aligned, 3)
+
+
 # ---------------------------------------------------------------------------
 # the query checksum, each query's filter read off its key's CSR slice
 # ---------------------------------------------------------------------------

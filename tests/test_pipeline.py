@@ -8,13 +8,14 @@ import shutil
 import numpy as np
 import pytest
 
-from gatedbias.config import config_from_dict
+from gatedbias import evaluator
+from gatedbias.config import METHODS, config_from_dict
 from gatedbias.errors import PipelineError
 from gatedbias.evaluator import query_set
 from gatedbias.kg_store import load_grouping, load_triples, make_grouping
 from gatedbias.profile_builder import load_interactions
-from gatedbias.pipeline import (METHOD_ORDER, _write_report, format_comparison,
-                                run_compare, run_eval, run_pipeline, task_train_store)
+from gatedbias.pipeline import (_write_report, format_comparison, run_compare,
+                                run_eval, run_pipeline, task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate
 from oracles import query_filters
 
@@ -146,7 +147,7 @@ def _refuse_training(*args, **kwargs):
     raise AssertionError("eval must not train")
 
 
-@pytest.mark.parametrize("method", METHOD_ORDER)
+@pytest.mark.parametrize("method", METHODS)
 def test_run_eval_reproduces_run_pipeline(method, data_dir, tmp_path, monkeypatch):
     out = str(tmp_path)
     report = run_pipeline(tiny_cfg(data_dir, method), out)
@@ -448,6 +449,30 @@ def test_compare_methods_share_one_backbone(tmp_path):
                   encoding="utf-8") as fh:
             checksums.add(json.load(fh)["backbone_checksum"])
     assert len(checksums) == 1
+
+
+def test_compare_ranks_base_once_and_each_head_once_per_seed(tmp_path, monkeypatch):
+    """The evaluate stage makes one rank-table call per head and seed (the
+    gated one for the adapted and both counterfactual biases), and one for
+    base whatever the number of seeds."""
+    stacks = []
+    original = evaluator.compute_rank_table
+
+    def counting(queries, table, biases=None):
+        stacks.append(None if biases is None else len(biases))
+        return original(queries, table, biases)
+
+    monkeypatch.setattr(evaluator, "compute_rank_table", counting)
+    cfg = config_from_dict({
+        "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5,
+                               "n_users": 5, "seed": 1}},
+        "backbone": {"dim": 8, "epochs": 5, "learning_rate": 0.5, "batch_size": 64},
+        "head": {"batch_size": 64, "learning_rate": 0.1, "epochs": 2,
+                 "patientnode_hidden": 4},
+        "eval": {"seeds": [0, 1, 2], "n_shuffles": 2},
+    })
+    run_compare(cfg, str(tmp_path))
+    assert stacks == [None, 1, 1, 1, 3, 3, 3]
 
 
 def test_format_comparison_layout():
