@@ -9,7 +9,7 @@ import traceback
 from dataclasses import fields
 from functools import partial
 
-from .config import METHODS, SECTIONS, load_config
+from .config import METHODS, SECTIONS, load_config, synth_params
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
 from .synth import SynthParams, generate
 
@@ -69,7 +69,7 @@ def cmd_report(args, stage) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = SynthParams(**{f.name: getattr(args, f.name) for f in fields(SynthParams)})
+    params = synth_params({key: getattr(args, key) for key in SECTIONS["data.synthetic"]})
     manifest = generate(params, args.out)
     counts = manifest["counts"]
     print(f"dataset written to {args.out}")

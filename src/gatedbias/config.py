@@ -17,7 +17,7 @@ import yaml
 from .backbone import BackboneTrainConfig
 from .bias_head import HeadTrainConfig
 from .errors import ConfigError
-from .synth import SynthParams
+from .synth import N_COMMUNITIES, SynthParams
 
 METHODS = ("base", "patientnode", "gatedbias")
 
@@ -106,8 +106,13 @@ _POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
 _NON_NEGATIVE = ("must be >= 0 and finite", lambda v: 0 <= v < math.inf)
 _AT_LEAST_ONE = ("must be >= 1", lambda v: v >= 1)
 
-# section -> key -> rule; data.synthetic is range-checked by SynthParams.validate
+# section -> key -> rule
 RANGES = {
+    "data.synthetic": {"n_items": (f"must be >= {N_COMMUNITIES}", lambda v: v >= N_COMMUNITIES),
+                       "n_attrs_per_group": ("must be >= 5", lambda v: v >= 5),
+                       "n_users": _AT_LEAST_ONE,
+                       "preference_skew": ("must be in [0, 1]", lambda v: 0 <= v <= 1),
+                       "seed": _NON_NEGATIVE},
     "backbone": {"dim": _POSITIVE, "learning_rate": _POSITIVE, "batch_size": _POSITIVE,
                  "negatives_per_positive": _POSITIVE, "margin": _POSITIVE,
                  "epochs": _NON_NEGATIVE,  # epochs=0 is the documented no-op training case
@@ -173,10 +178,15 @@ def _resolve(path: str, base_dir: str) -> str:
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base_dir, path))
 
 
+def synth_params(values: dict) -> SynthParams:
+    """The data.synthetic mapping values, typed and range-checked, as SynthParams."""
+    return SynthParams(**_section(values, "data.synthetic", SECTIONS["data.synthetic"]))
+
+
 def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
     """Parse and validate the YAML file at path. Each overrides entry replaces
-    the file's top-level value, or for a mapping is merged one level into it;
-    the merged mapping is validated as a whole."""
+    the file's top-level value; a mapping is merged one level into the file's
+    mapping or absent key only, so a section that is not a mapping is refused."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -188,8 +198,10 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigError(f"config: {path} must contain a mapping at top level")
     for key, value in (overrides or {}).items():
         node = raw.get(key)
-        merge = isinstance(value, dict) and isinstance(node, dict)
-        raw[key] = {**node, **value} if merge else value
+        if isinstance(value, dict) and isinstance(node, dict):
+            raw[key] = {**node, **value}
+        elif node is None or not isinstance(value, dict):
+            raw[key] = value
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -203,7 +215,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> PipelineConfig:
         if data:
             raise ConfigError(f"config: data.synthetic and data.{next(iter(data))} "
                               "are mutually exclusive")
-        SynthParams(**_section(synthetic, "data.synthetic", SECTIONS["data.synthetic"])).validate()
+        synth_params(synthetic)
     elif data.get("triples_dir") is None:
         raise ConfigError("config: data needs either triples_dir or synthetic")
     data = DataConfig(**{k: _resolve(v, base_dir) for k, v in data.items() if v is not None},

@@ -5,10 +5,6 @@ class ConfigError(ValueError):
     """Invalid configuration: bad value, unknown key, or unusable dataset layout."""
 
 
-class TripleParseError(ValueError):
-    """A triple file line could not be parsed."""
-
-
 class CheckpointError(ValueError):
     """A saved artifact (embeddings, head checkpoint) is corrupt or mismatched."""
 

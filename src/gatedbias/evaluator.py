@@ -247,8 +247,6 @@ def aligned_set(bias: BiasVector, percentile_p: int) -> AlignedSet:
     nearest-rank P-th percentile of margins (percentile over positives only)."""
     if percentile_p not in (60, 70, 80):
         log.warning("aligned_set: unusual percentile_p=%d (expected 60/70/80)", percentile_p)
-    if not 0 < percentile_p <= 100:
-        raise ValueError(f"percentile_p must be in (0, 100], got {percentile_p}")
     n = bias.values.shape[0]
     positive = np.maximum(bias.contrib_a, bias.contrib_b) > 0
     if not positive.any():

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError, TripleParseError
+from .errors import ConfigError
+from .fileio import read_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -22,40 +23,13 @@ GROUP_TAGS = ("A", "B")
 SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
 
 
-class Vocab:
-    """Bidirectional label <-> dense-id map, ids assigned in first-appearance order."""
-
-    def __init__(self):
-        self._label_to_id: dict[str, int] = {}
-        self._labels: list[str] = []
-
-    def add(self, label: str) -> int:
-        idx = self._label_to_id.get(label)
-        if idx is None:
-            idx = len(self._labels)
-            self._label_to_id[label] = idx
-            self._labels.append(label)
-        return idx
-
-    def id(self, label: str) -> int:
-        return self._label_to_id[label]
-
-    def label(self, idx: int) -> str:
-        return self._labels[idx]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._label_to_id
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-
 @dataclass
 class TripleStore:
-    """Integer-indexed triples with dense vocabularies."""
+    """Integer-indexed triples with dense vocabularies: label -> id dicts whose
+    insertion order is id order."""
 
-    entity_vocab: Vocab
-    relation_vocab: Vocab
+    entity_vocab: dict[str, int]
+    relation_vocab: dict[str, int]
     train: np.ndarray  # (n, 3) int64 rows of (head, relation, tail)
     valid: np.ndarray
     test: np.ndarray
@@ -72,37 +46,25 @@ class TripleStore:
         return {"train": self.train, "valid": self.valid, "test": self.test}[name]
 
 
-def _parse_triple_file(path: str, entity_vocab: Vocab,
-                       relation_vocab: Vocab) -> tuple[dict[tuple[int, int, int], None], int]:
-    """Parse one TSV split file. Returns its distinct triples, in order of
-    first appearance, as the keys of a dict, and the count of duplicates."""
-    triples: dict[tuple[int, int, int], None] = {}
-    parsed = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise TripleParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h = entity_vocab.add(fields[0])
-            r = relation_vocab.add(fields[1])
-            t = entity_vocab.add(fields[2])
-            triples[h, r, t] = None
-            parsed += 1
-    return triples, parsed - len(triples)
+def _parse_triple_file(path: str, entity_vocab: dict[str, int], relation_vocab: dict[str, int]
+                       ) -> tuple[dict[tuple[int, int, int], None], int]:
+    """Parse one TSV split file, giving each new label the next id. Returns
+    its distinct triples, in order of first appearance, as the keys of a
+    dict, and the count of duplicates."""
+    rows = [(entity_vocab.setdefault(h, len(entity_vocab)),
+             relation_vocab.setdefault(r, len(relation_vocab)),
+             entity_vocab.setdefault(t, len(entity_vocab))) for h, r, t in read_tsv(path, 3)]
+    triples = dict.fromkeys(rows)
+    return triples, len(rows) - len(triples)
 
 
 def load_triples(path: str) -> TripleStore:
     """Load a triple dataset from a directory holding train.tsv and optionally
     valid.tsv and test.tsv.
 
-    Lines starting with '#' are ignored; duplicates within a split are dropped
-    with a logged count; a triple appearing in two splits is an error
-    (filtered evaluation depends on split disjointness).
+    Blank lines and lines starting with '#' are skipped; duplicates within a
+    split are dropped with a logged count; a triple appearing in two splits
+    is an error (filtered evaluation depends on split disjointness).
     """
     if not os.path.isdir(path):
         if not os.path.exists(path):
@@ -111,8 +73,8 @@ def load_triples(path: str) -> TripleStore:
                           f"holding {', '.join(SPLIT_FILES.values())}")
     if not os.path.exists(os.path.join(path, SPLIT_FILES["train"])):
         raise ConfigError(f"missing {SPLIT_FILES['train']} in {path}")
-    entity_vocab = Vocab()
-    relation_vocab = Vocab()
+    entity_vocab: dict[str, int] = {}
+    relation_vocab: dict[str, int] = {}
     distinct: dict[str, dict[tuple[int, int, int], None]] = {}
     for name, filename in SPLIT_FILES.items():
         split_path = os.path.join(path, filename)
@@ -166,7 +128,7 @@ def make_grouping(store: TripleStore, group_a: list[str], group_b: list[str]) ->
             if label not in store.relation_vocab:
                 logger.warning("grouping lists unknown relation %r; ignored", label)
                 continue
-            groups[store.relation_vocab.id(label)] = tag
+            groups[store.relation_vocab[label]] = tag
     return RelationGrouping(groups=groups)
 
 
@@ -224,8 +186,6 @@ def build_universe(
     """
     if group not in GROUP_TAGS:
         raise ValueError(f"group must be one of {GROUP_TAGS}, got {group!r}")
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
 
     rel_ids = np.array(grouping.relations_in(group), dtype=np.int64)
     train = store.train

@@ -162,8 +162,8 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
     with _stage("evaluate"):
         queries = evaluator.query_set(store)
         checksum = queries.checksum()
-    ent, rel = store.entity_vocab.label, store.relation_vocab.label
-    labels = [(ent(h), rel(r), ent(t)) for h, r, t in store.test.tolist()]
+    ent, rel = list(store.entity_vocab), list(store.relation_vocab)
+    labels = [(ent[h], rel[r], ent[t]) for h, r, t in store.test.tolist()]
 
     reports = []
     for c, out in runs:

@@ -13,6 +13,7 @@ import logging
 
 import numpy as np
 
+from .fileio import read_tsv
 from .kg_store import GateMatrix, TripleStore
 
 logger = logging.getLogger(__name__)
@@ -23,19 +24,11 @@ def load_interactions(path: str, store: TripleStore) -> list[np.ndarray]:
     ascending order; repeated pairs collapse, unknown items are dropped."""
     raw: dict[str, set[int]] = {}
     unknown = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected user<TAB>item, got {len(fields)} fields")
-            user, item = fields
-            if item not in store.entity_vocab:
-                unknown += 1
-                continue
-            raw.setdefault(user, set()).add(store.entity_vocab.id(item))
+    for user, item in read_tsv(path, 2):
+        if item not in store.entity_vocab:
+            unknown += 1
+            continue
+        raw.setdefault(user, set()).add(store.entity_vocab[item])
     if unknown:
         logger.warning("%s: dropped %d interactions with unknown items", path, unknown)
     return [np.array(sorted(raw[user]), dtype=np.int64) for user in sorted(raw)]
@@ -53,8 +46,6 @@ def build_profile(histories: list[np.ndarray], gates: GateMatrix, scale_alpha: f
     frequencies p_u(a) = |{items with a}| / |items|, summed in order into w,
     then f[j] = clip(scale_alpha * w[j], 0, cap_tau). A per-user profile is
     a call with that user's history alone."""
-    if scale_alpha <= 0 or cap_tau <= 0:
-        raise ValueError("scale_alpha and cap_tau must be positive")
     total = np.zeros(gates.num_columns, dtype=np.float64)
     for items in histories:
         _, cols = gates.gather_rows(items)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError
 from .fileio import atomic_write, write_json
 
 REL_LIKES = "likes"
@@ -53,18 +52,6 @@ class SynthParams:
     n_users: int = 100
     preference_skew: float = 1.0
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.n_items < N_COMMUNITIES:
-            raise ConfigError(f"synth: n_items must be >= {N_COMMUNITIES}, got {self.n_items}")
-        if self.n_attrs_per_group < 5:
-            raise ConfigError("synth: n_attrs_per_group must be >= 5")
-        if self.n_users < 1:
-            raise ConfigError("synth: n_users must be >= 1")
-        if not 0.0 <= self.preference_skew <= 1.0:
-            raise ConfigError("synth: preference_skew must be in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError("synth: seed must be an unsigned int")
 
     @property
     def n_planted_attrs(self) -> int:
@@ -116,8 +103,8 @@ def generate(params: SynthParams, out_dir: str) -> dict:
     """Write triples/, interactions.tsv, grouping.yaml, config.yaml and
     manifest.json under out_dir. Returns the manifest. An existing manifest
     is removed first and the new one written last, so a generate that fails
-    partway leaves no manifest beside the files it did replace."""
-    params.validate()
+    partway leaves no manifest beside the files it did replace. params are
+    trusted to be in range: config.synth_params is where they are checked."""
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.exists(manifest_path):
         os.remove(manifest_path)

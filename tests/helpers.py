@@ -12,7 +12,7 @@ import numpy as np
 
 from gatedbias.backbone import EmbeddingTable
 from gatedbias.bias_head import BiasHead
-from gatedbias.kg_store import AttributeUniverse, GateMatrix, TripleStore, Vocab
+from gatedbias.kg_store import AttributeUniverse, GateMatrix, TripleStore
 
 
 def store_from_labels(train, valid=(), test=()):
@@ -21,10 +21,12 @@ def store_from_labels(train, valid=(), test=()):
     Vocabulary ids follow first appearance in train, then valid, then test,
     matching the file loader.
     """
-    ev, rv = Vocab(), Vocab()
+    ev: dict[str, int] = {}
+    rv: dict[str, int] = {}
 
     def conv(rows):
-        out = [(ev.add(h), rv.add(r), ev.add(t)) for h, r, t in rows]
+        out = [(ev.setdefault(h, len(ev)), rv.setdefault(r, len(rv)), ev.setdefault(t, len(ev)))
+               for h, r, t in rows]
         return np.asarray(out, dtype=np.int64).reshape(-1, 3)
 
     return TripleStore(entity_vocab=ev, relation_vocab=rv, train=conv(train),
@@ -33,11 +35,8 @@ def store_from_labels(train, valid=(), test=()):
 
 def random_store(rng, n_entities, n_relations, n_train, n_test, n_valid=0):
     """TripleStore of uniformly drawn triples."""
-    ev, rv = Vocab(), Vocab()
-    for i in range(n_entities):
-        ev.add(f"e{i}")
-    for r in range(n_relations):
-        rv.add(f"r{r}")
+    ev = {f"e{i}": i for i in range(n_entities)}
+    rv = {f"r{r}": r for r in range(n_relations)}
 
     def draw(n):
         return np.column_stack([rng.integers(0, n_entities, n),

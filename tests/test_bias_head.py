@@ -422,7 +422,7 @@ def test_trainers_match_the_oracles_without_active_pairs():
     # every positive outscores every negative by more than the margin: no
     # batch has an active pair, so both heads stay at their init
     store = store_from_labels([(f"u{i % 4}", "likes", "b0") for i in range(12)])
-    b0 = store.entity_vocab.id("b0")
+    b0 = store.entity_vocab["b0"]
     ent = np.ones((store.num_entities, 4), dtype=np.float32)
     ent[b0] = 10.0
     table = EmbeddingTable(ent, np.ones((1, 4), dtype=np.float32))

@@ -58,9 +58,17 @@ def test_synth_defaults_are_synth_params(tmp_path):
 
 
 def test_synth_rejects_bad_params(tmp_path, capsys):
-    rc = main(["synth", "--out", str(tmp_path), "--n-items", "5"])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    """Each flag is checked by its data.synthetic rule before anything is written."""
+    for flags, rule in [(["--n-items", "5"], "n_items must be >= 10"),
+                        (["--n-attrs-per-group", "4"], "n_attrs_per_group must be >= 5"),
+                        (["--n-users", "0"], "n_users must be >= 1"),
+                        (["--preference-skew", "1.5"], "preference_skew must be in [0, 1]"),
+                        (["--preference-skew", "nan"], "preference_skew must be in [0, 1]"),
+                        (["--seed", "-1"], "seed must be >= 0 and finite")]:
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out)] + flags) == 1, flags
+        assert capsys.readouterr().err.splitlines() == [f"error: config: data.synthetic.{rule}"]
+        assert not out.exists(), flags
 
 
 def test_run_writes_artifacts(run_out):
@@ -216,6 +224,20 @@ def test_out_of_range_override_refused_at_load(cfg_path, tmp_path, capsys, metho
     out = tmp_path / "out"
     assert main(["run", cfg_path, "--out", str(out), "--method", method] + flags) == 1
     assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node,kind", [(5, "int"), ([1], "list")], ids=["int", "list"])
+def test_override_leaves_a_non_mapping_section_refused(cfg_path, tmp_path, capsys, node, kind):
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["eval"] = node
+    path = str(tmp_path / "config.yaml")
+    save_config(raw, path)
+    out = tmp_path / "out"
+    assert main(["run", path, "--out", str(out), "--seeds", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: eval must be a mapping, got {kind}"]
     assert not out.exists()
 
 

@@ -67,8 +67,8 @@ def test_synthetic_data_block():
             config_from_dict({"data": {"synthetic": {}, key: "t"}})
     with pytest.raises(ConfigError, match="unknown key data.synthetic"):
         config_from_dict({"data": {"synthetic": {"planted": 1}}})
-    # synth's own ranges apply at load, before any stage runs
-    with pytest.raises(ConfigError, match="n_items must be >= 10, got 5"):
+    # synth's ranges are RANGES rules, applied at load before any stage runs
+    with pytest.raises(ConfigError, match="^config: data.synthetic.n_items must be >= 10$"):
         config_from_dict({"data": {"synthetic": {"n_items": 5}}})
 
 
@@ -125,6 +125,15 @@ def test_type_errors(raw, match):
     ({**MINIMAL, "profile": {"cap_tau": float("-inf")}},
      "config: profile.cap_tau must be positive and finite"),
     ({**MINIMAL, "eval": {"seeds": [0, -1]}}, "config: eval.seeds entries must be distinct and >= 0"),
+    ({"data": {"synthetic": {"n_items": 9}}}, "config: data.synthetic.n_items must be >= 10"),
+    ({"data": {"synthetic": {"n_attrs_per_group": 4}}},
+     "config: data.synthetic.n_attrs_per_group must be >= 5"),
+    ({"data": {"synthetic": {"n_users": 0}}}, "config: data.synthetic.n_users must be >= 1"),
+    ({"data": {"synthetic": {"preference_skew": 1.5}}},
+     r"config: data.synthetic.preference_skew must be in \[0, 1\]"),
+    ({"data": {"synthetic": {"preference_skew": float("nan")}}},
+     r"config: data.synthetic.preference_skew must be in \[0, 1\]"),
+    ({"data": {"synthetic": {"seed": -1}}}, "config: data.synthetic.seed must be >= 0"),
 ])
 def test_value_validation(raw, match):
     with pytest.raises(ConfigError, match=match):
@@ -234,16 +243,12 @@ def _sections(name):
 
 
 _PATH = st.sampled_from(["t", "sub/i.tsv", "/abs/g.yaml"])
-_SYNTHETIC = st.fixed_dictionaries({}, optional={
-    "n_items": st.integers(10, 500), "n_attrs_per_group": st.integers(5, 50),
-    "n_users": st.integers(1, 100), "preference_skew": st.sampled_from([0, 1, 0.5]),
-    "seed": st.integers(0, 10)})
 # deferred, so a section the walker cannot read fails the annotation test,
 # not the collection of this module
 _CONFIGS = st.deferred(lambda: st.fixed_dictionaries(
     {"data": st.fixed_dictionaries({"triples_dir": _PATH}, optional={
         "interactions_path": _PATH, "grouping_path": _PATH})
-     | st.fixed_dictionaries({"synthetic": _SYNTHETIC})},
+     | st.fixed_dictionaries({"synthetic": _sections("data.synthetic")})},
     optional={"backbone": _sections("backbone") | st.fixed_dictionaries({"load": _PATH}),
               **{name: _sections(name) for name in ("profile", "head", "eval", "gates")},
               "method": st.sampled_from(METHODS)}))

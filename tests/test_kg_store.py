@@ -1,11 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gatedbias.errors import ConfigError, TripleParseError
-from gatedbias.kg_store import (AttributeUniverse, Vocab, build_gates, build_universe,
+from gatedbias.errors import ConfigError
+from gatedbias.kg_store import (AttributeUniverse, build_gates, build_universe,
                                 expand_ranges, load_grouping, load_triples, make_grouping)
+from gatedbias.profile_builder import load_interactions
 from helpers import gates_from_dense, store_from_labels
 from oracles import query_filters, to_dense
 
@@ -22,22 +25,6 @@ def write_split(directory, name, lines):
 
 
 # ---------------------------------------------------------------------------
-# Vocab
-# ---------------------------------------------------------------------------
-
-def test_vocab_first_appearance_order():
-    v = Vocab()
-    assert v.add("b") == 0
-    assert v.add("a") == 1
-    assert v.add("b") == 0  # repeated label keeps its id
-    assert [v.label(i) for i in range(len(v))] == ["b", "a"]
-    assert v.id("a") == 1
-    assert v.label(0) == "b"
-    assert "a" in v and "c" not in v
-    assert len(v) == 2
-
-
-# ---------------------------------------------------------------------------
 # load_triples
 # ---------------------------------------------------------------------------
 
@@ -48,7 +35,7 @@ def test_load_triples_minimal_dir(tmp_path):
     store = load_triples(str(tmp_path))
     assert store.num_entities == 3
     assert store.num_relations == 1
-    assert query_filters(store)[0].tolist() == [store.entity_vocab.id("b")]
+    assert query_filters(store)[0].tolist() == [store.entity_vocab["b"]]
     assert store.test.shape == (1, 3)
 
 
@@ -70,24 +57,44 @@ def test_load_triples_hand_counted_fixture(tmp_path):
     write_split(tmp_path, "valid", valid)
     write_split(tmp_path, "test", test)
     store = load_triples(str(tmp_path))
-    assert store.num_entities == 7  # u1 i1 i2 u2 g1 g2 i3
+    assert store.num_entities == 7
     assert store.num_relations == 2
+    # ids follow first appearance, train then valid then test
+    assert list(store.entity_vocab) == ["u1", "i1", "i2", "u2", "g1", "g2", "i3"]
+    assert list(store.relation_vocab) == ["likes", "has"]
+    assert list(store.entity_vocab.values()) == list(range(7))
+    assert list(store.relation_vocab.values()) == [0, 1]
     assert (store.train.shape[0], store.valid.shape[0], store.test.shape[0]) == (6, 1, 3)
     # the filter of (u2, likes) holds its train and valid tails, not the test one
     assert query_filters(store)[1].tolist() == sorted(
-        [store.entity_vocab.id("i1"), store.entity_vocab.id("i2")])
+        [store.entity_vocab["i1"], store.entity_vocab["i2"]])
 
 
-def test_load_triples_skips_comments_and_blanks(tmp_path):
-    (tmp_path / "train.tsv").write_text("# header\n\na\tr\tb\n", encoding="utf-8")
-    store = load_triples(str(tmp_path))
-    assert store.train.shape[0] == 1
+# both TSV inputs: file name, one data line, and a loader returning the
+# number of records it read from a directory
+TSV_INPUTS = {
+    "triples": ("train.tsv", "a\tr\tb", lambda d: len(load_triples(str(d)).train)),
+    "interactions": ("inter.tsv", "alice\tb", lambda d: len(load_interactions(
+        str(d / "inter.tsv"), store_from_labels([("a", "r", "b")])))),
+}
 
 
-def test_load_triples_malformed_line_reports_lineno(tmp_path):
-    (tmp_path / "train.tsv").write_text("a\tr\tb\na\tb\n", encoding="utf-8")
-    with pytest.raises(TripleParseError, match=":2:"):
-        load_triples(str(tmp_path))
+@pytest.mark.parametrize("kind", list(TSV_INPUTS))
+def test_tsv_input_skips_comments_and_blanks(tmp_path, kind):
+    name, line, load = TSV_INPUTS[kind]
+    (tmp_path / name).write_text(f"# header\n\n{line}\n#\t\t\t\n", encoding="utf-8")
+    assert load(tmp_path) == 1
+
+
+@pytest.mark.parametrize("kind", list(TSV_INPUTS))
+def test_tsv_input_malformed_line_reports_path_and_lineno(tmp_path, kind):
+    name, line, load = TSV_INPUTS[kind]
+    path = tmp_path / name
+    path.write_text(f"# header\n{line}\noops\n", encoding="utf-8")
+    n = line.count("\t") + 1
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected {n} "
+                                         "tab-separated fields, got 1$"):
+        load(tmp_path)
 
 
 def test_load_triples_missing_train_raises(tmp_path):
@@ -128,10 +135,10 @@ def test_load_triples_split_overlap_raises(tmp_path):
 def test_make_grouping_tags_and_none_default():
     store = store_from_labels([("a", "likes", "b"), ("g", "genre", "b"), ("m", "brand", "b")])
     grouping = make_grouping(store, ["genre"], ["brand"])
-    assert grouping.groups[store.relation_vocab.id("genre")] == "A"
-    assert grouping.groups[store.relation_vocab.id("brand")] == "B"
-    assert grouping.groups[store.relation_vocab.id("likes")] == "none"
-    assert grouping.relations_in("none") == [store.relation_vocab.id("likes")]
+    assert grouping.groups[store.relation_vocab["genre"]] == "A"
+    assert grouping.groups[store.relation_vocab["brand"]] == "B"
+    assert grouping.groups[store.relation_vocab["likes"]] == "none"
+    assert grouping.relations_in("none") == [store.relation_vocab["likes"]]
     grouping.validate_for_personalization()
 
 
@@ -161,7 +168,7 @@ def test_load_grouping_file(tmp_path):
     path = tmp_path / "grouping.yaml"
     path.write_text("group_a: [genre]\ngroup_b: [brand]\n", encoding="utf-8")
     grouping = load_grouping(str(path), store)
-    assert grouping.groups[store.relation_vocab.id("genre")] == "A"
+    assert grouping.groups[store.relation_vocab["genre"]] == "A"
 
 
 def test_load_grouping_unknown_key_raises(tmp_path):
@@ -193,7 +200,7 @@ def test_build_universe_frequency_order_and_cap():
                                ("g2", "genre", "b1")])
     grouping = make_grouping(store, ["genre"], [])
     uni = build_universe(store, grouping, "A")
-    g1, g2 = store.entity_vocab.id("g1"), store.entity_vocab.id("g2")
+    g1, g2 = store.entity_vocab["g1"], store.entity_vocab["g2"]
     assert uni.attrs.tolist() == [g1, g2]
     assert build_universe(store, grouping, "A", cap=1).attrs.tolist() == [g1]
 
@@ -204,7 +211,7 @@ def test_build_universe_tie_break_ascending_entity_id():
     uni = build_universe(store, grouping, "A")
     # equal frequency 1: ascending entity id wins, and "x" was seen first
     assert uni.attrs.tolist() == sorted(
-        [store.entity_vocab.id("x"), store.entity_vocab.id("w")])
+        [store.entity_vocab["x"], store.entity_vocab["w"]])
 
 
 def test_build_universe_counts_distinct_tails_not_triples():
@@ -213,7 +220,7 @@ def test_build_universe_counts_distinct_tails_not_triples():
                                ("g2", "genre", "b1"), ("g2", "genre", "b2")])
     grouping = make_grouping(store, ["genre", "style"], [])
     uni = build_universe(store, grouping, "A")
-    g1, g2 = store.entity_vocab.id("g1"), store.entity_vocab.id("g2")
+    g1, g2 = store.entity_vocab["g1"], store.entity_vocab["g2"]
     assert uni.attrs.tolist() == [g2, g1]  # freqs 2, 1
 
 
@@ -227,12 +234,11 @@ def test_build_universe_empty_group_warns(caplog):
 
 
 def test_build_universe_bad_group_and_cap():
+    # cap is range-checked by the config (gates.cap_a/cap_b), not here
     store = store_from_labels([("g", "genre", "b")])
     grouping = make_grouping(store, ["genre"], [])
     with pytest.raises(ValueError):
         build_universe(store, grouping, "C")
-    with pytest.raises(ValueError):
-        build_universe(store, grouping, "A", cap=0)
 
 
 def test_universe_cap_prefix_property():
@@ -271,7 +277,7 @@ def test_build_gates_single_edge():
     grouping = make_grouping(store, ["genre"], [])
     uni = build_universe(store, grouping, "A")
     gates = build_gates(store, uni)
-    b1 = store.entity_vocab.id("b1")
+    b1 = store.entity_vocab["b1"]
     assert row(gates, b1).tolist() == [0]
     for t in range(store.num_entities):
         if t != b1:
@@ -292,7 +298,7 @@ def test_build_gates_brute_force_oracle():
         uni = build_universe(store, grouping, "A")
         gates = build_gates(store, uni)
 
-        group_ids = {store.relation_vocab.id(l) for l in ("genre", "style")
+        group_ids = {store.relation_vocab[l] for l in ("genre", "style")
                      if l in store.relation_vocab}
         column = {h: j for j, h in enumerate(uni.attrs.tolist())}
         expected = {}
@@ -313,8 +319,8 @@ def test_build_gates_ignore_non_group_relations():
     store = store_from_labels([("g1", "genre", "b1"), ("g1", "likes", "b2")])
     grouping = make_grouping(store, ["genre"], [])
     gates = build_gates(store, build_universe(store, grouping, "A"))
-    assert row(gates, store.entity_vocab.id("b1")).tolist() == [0]
-    assert row(gates, store.entity_vocab.id("b2")).size == 0
+    assert row(gates, store.entity_vocab["b1"]).tolist() == [0]
+    assert row(gates, store.entity_vocab["b2"]).size == 0
 
 
 def test_build_gates_reads_train_only():
@@ -365,7 +371,7 @@ def test_gather_rows_concatenates_in_order():
                                ("g2", "genre", "b2"), ("b3", "other", "g1")])
     grouping = make_grouping(store, ["genre"], [])
     gates = build_gates(store, build_universe(store, grouping, "A"))
-    b1, b2, b3 = (store.entity_vocab.id(x) for x in ("b1", "b2", "b3"))
+    b1, b2, b3 = (store.entity_vocab[x] for x in ("b1", "b2", "b3"))
     tails = np.array([b2, b1, b3, b2])
     owners, cols = gates.gather_rows(tails)
     # columns: g2 (two tails) is 0, g1 is 1; so row b1 = [0, 1], row b2 = [0],

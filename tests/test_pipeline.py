@@ -119,8 +119,8 @@ def test_gated_report_structure(gated_run, store):
     out, report, disk, _ = gated_run
     assert report["method"] == "gatedbias"
     uni = report["universes"]
-    rel_a = store.relation_vocab.id("pref_attr_of")
-    rel_b = store.relation_vocab.id("meta_attr_of")
+    rel_a = store.relation_vocab["pref_attr_of"]
+    rel_b = store.relation_vocab["meta_attr_of"]
     assert uni["size_a"] == len(set(store.train[store.train[:, 1] == rel_a, 0].tolist()))
     assert uni["size_b"] == len(set(store.train[store.train[:, 1] == rel_b, 0].tolist()))
     assert report["param_count"] == uni["size_a"] + uni["size_b"] + 2
@@ -270,10 +270,8 @@ def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
 
     lf_store = load_triples(os.path.join(data_dir, "triples"))
     crlf_store = load_triples(os.path.join(crlf, "triples"))
-    def labels(v):
-        return [v.label(i) for i in range(len(v))]
-    assert labels(crlf_store.entity_vocab) == labels(lf_store.entity_vocab)
-    assert labels(crlf_store.relation_vocab) == labels(lf_store.relation_vocab)
+    assert list(crlf_store.entity_vocab) == list(lf_store.entity_vocab)
+    assert list(crlf_store.relation_vocab) == list(lf_store.relation_vocab)
     lf_histories = load_interactions(os.path.join(data_dir, "interactions.tsv"), lf_store)
     crlf_histories = load_interactions(os.path.join(crlf, "interactions.tsv"), crlf_store)
     assert [h.tolist() for h in crlf_histories] == [h.tolist() for h in lf_histories]
@@ -335,7 +333,7 @@ def test_synthetic_data_is_materialized(tmp_path):
 def test_task_train_store_keeps_task_relations(store, data_dir, caplog):
     grouping = load_grouping(os.path.join(data_dir, "grouping.yaml"), store)
     task = task_train_store(store, grouping)
-    likes = store.relation_vocab.id(REL_LIKES)
+    likes = store.relation_vocab[REL_LIKES]
     assert np.all(task.train[:, 1] == likes)
     assert task.train.shape[0] == int((store.train[:, 1] == likes).sum())
     assert task.test is store.test

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gatedbias.config import load_config
-from gatedbias.errors import ConfigError
 from gatedbias.kg_store import load_grouping, load_triples
 from gatedbias.synth import (ATTRS_PER_ENTITY_B, ATTRS_PER_ITEM_A,
                              INTERACTIONS_PER_USER, REL_A, REL_B, REL_LIKES,
@@ -92,19 +91,6 @@ def test_different_seed_changes_output(tmp_path):
              str(tmp_path / "two"))
     left, right = walk_bytes(tmp_path / "one"), walk_bytes(tmp_path / "two")
     assert any(left[rel] != right[rel] for rel in left)
-
-
-def test_params_validation():
-    with pytest.raises(ConfigError, match="n_items"):
-        generate(SynthParams(n_items=9), "/tmp/unused")
-    with pytest.raises(ConfigError, match="n_attrs_per_group"):
-        generate(SynthParams(n_attrs_per_group=4), "/tmp/unused")
-    with pytest.raises(ConfigError, match="n_users"):
-        generate(SynthParams(n_users=0), "/tmp/unused")
-    with pytest.raises(ConfigError, match="preference_skew"):
-        generate(SynthParams(preference_skew=1.5), "/tmp/unused")
-    with pytest.raises(ConfigError, match="seed"):
-        generate(SynthParams(seed=-1), "/tmp/unused")
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +307,6 @@ def test_emitted_triples_and_grouping_load_cleanly(big):
     assert store.valid.shape[0] == counts["valid"]
     assert store.test.shape[0] == counts["test"]
     grouping = load_grouping(os.path.join(out, "grouping.yaml"), store)
-    assert grouping.groups[store.relation_vocab.id(REL_A)] == "A"
-    assert grouping.groups[store.relation_vocab.id(REL_B)] == "B"
-    assert grouping.groups[store.relation_vocab.id(REL_LIKES)] == "none"
+    assert grouping.groups[store.relation_vocab[REL_A]] == "A"
+    assert grouping.groups[store.relation_vocab[REL_B]] == "B"
+    assert grouping.groups[store.relation_vocab[REL_LIKES]] == "none"
