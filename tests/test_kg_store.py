@@ -28,6 +28,20 @@ def write_split(directory, name, lines):
 # load_triples
 # ---------------------------------------------------------------------------
 
+def test_vocab_first_appearance_order(tmp_path):
+    # ids follow first appearance, train then valid then test; a repeated
+    # label keeps its first id
+    write_split(tmp_path, "train", [("b", "likes", "a"), ("a", "has", "b")])
+    write_split(tmp_path, "valid", [("c", "likes", "b")])
+    write_split(tmp_path, "test", [("a", "owns", "d")])
+    store = load_triples(str(tmp_path))
+    assert store.entity_vocab == {"b": 0, "a": 1, "c": 2, "d": 3}
+    assert list(store.entity_vocab) == ["b", "a", "c", "d"]
+    assert store.relation_vocab == {"likes": 0, "has": 1, "owns": 2}
+    assert list(store.relation_vocab) == ["likes", "has", "owns"]
+    assert store.train.tolist() == [[0, 0, 1], [1, 1, 0]]
+
+
 def test_load_triples_minimal_dir(tmp_path):
     write_split(tmp_path, "train", [("a", "likes", "b")])
     write_split(tmp_path, "valid", [])
@@ -57,13 +71,8 @@ def test_load_triples_hand_counted_fixture(tmp_path):
     write_split(tmp_path, "valid", valid)
     write_split(tmp_path, "test", test)
     store = load_triples(str(tmp_path))
-    assert store.num_entities == 7
+    assert store.num_entities == 7  # u1 i1 i2 u2 g1 g2 i3
     assert store.num_relations == 2
-    # ids follow first appearance, train then valid then test
-    assert list(store.entity_vocab) == ["u1", "i1", "i2", "u2", "g1", "g2", "i3"]
-    assert list(store.relation_vocab) == ["likes", "has"]
-    assert list(store.entity_vocab.values()) == list(range(7))
-    assert list(store.relation_vocab.values()) == [0, 1]
     assert (store.train.shape[0], store.valid.shape[0], store.test.shape[0]) == (6, 1, 3)
     # the filter of (u2, likes) holds its train and valid tails, not the test one
     assert query_filters(store)[1].tolist() == sorted(
