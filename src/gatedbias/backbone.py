@@ -80,10 +80,15 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
     """Train DistMult with margin ranking loss over uniform corrupt tails.
 
     Deterministic given cfg.seed; returns a read-only table. Internal math runs
-    in float64, storage is float32.
+    in float64, storage is float32; a table float32 cannot hold raises.
     """
     ent, rel = _train_float64(store, cfg)
-    return EmbeddingTable(ent.astype(np.float32), rel.astype(np.float32))
+    with np.errstate(over="ignore"):  # a value past float32's range casts to inf
+        ent, rel = ent.astype(np.float32), rel.astype(np.float32)
+    if not (np.isfinite(ent).all() and np.isfinite(rel).all()):
+        raise FloatingPointError("backbone embeddings exceed float32 range after epoch "
+                                 f"{cfg.epochs - 1}")
+    return EmbeddingTable(ent, rel)
 
 
 def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Generator,

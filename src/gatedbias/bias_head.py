@@ -19,7 +19,7 @@ import numpy as np
 from .backbone import EmbeddingTable, corrupt_pairs, score_pairs
 from .errors import CheckpointError
 from .fileio import write_json
-from .kg_store import GateMatrix, TripleStore
+from .kg_store import GROUP_TAGS, GateMatrix, TripleStore
 
 
 @dataclass
@@ -54,24 +54,27 @@ class HeadTrainConfig:
     seed: int = 0
 
 
-def new_head(gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
-    """Zero-initialized head: the personalized scorer starts exactly at the backbone."""
-    return BiasHead(
-        w_a=np.zeros(gates_a.num_columns, dtype=np.float64),
-        w_b=np.zeros(gates_b.num_columns, dtype=np.float64),
-    )
+def new_head(gates: tuple[GateMatrix, GateMatrix]) -> BiasHead:
+    """Zero-initialized head over the (A, B) gate matrices: the personalized
+    scorer starts exactly at the backbone."""
+    return BiasHead(*(np.zeros(g.num_columns, dtype=np.float64) for g in gates))
 
 
-def compute_bias(head: BiasHead, gates_a: GateMatrix, gates_b: GateMatrix,
-                 f_a: np.ndarray, f_b: np.ndarray) -> BiasVector:
+def _groups(head: BiasHead, gates, features):
+    """Each group's (tag, gate matrix, w, f, alpha), in GROUP_TAGS order, from
+    the head and the (A, B) pairs of gate matrices and profile features."""
+    return zip(GROUP_TAGS, gates, (head.w_a, head.w_b), features, (head.alpha_a, head.alpha_b))
+
+
+def compute_bias(head: BiasHead, gates: tuple[GateMatrix, GateMatrix],
+                 features: tuple[np.ndarray, np.ndarray]) -> BiasVector:
     """One sparse pass over gate nonzeros; entities with empty rows get exactly 0."""
-    if len(head.w_a) != gates_a.num_columns or len(f_a) != gates_a.num_columns:
-        raise ValueError("group A dimensions disagree (w_a, f_a, gates_a)")
-    if len(head.w_b) != gates_b.num_columns or len(f_b) != gates_b.num_columns:
-        raise ValueError("group B dimensions disagree (w_b, f_b, gates_b)")
-    contrib_a = head.alpha_a * gates_a.matvec(head.w_a * f_a)
-    contrib_b = head.alpha_b * gates_b.matvec(head.w_b * f_b)
-    return BiasVector(values=contrib_a + contrib_b, contrib_a=contrib_a, contrib_b=contrib_b)
+    contrib = []
+    for tag, g, w, f, alpha in _groups(head, gates, features):
+        if len(w) != g.num_columns or len(f) != g.num_columns:
+            raise ValueError(f"group {tag} dimensions disagree (w, f, gates)")
+        contrib.append(alpha * g.matvec(w * f))
+    return BiasVector(contrib[0] + contrib[1], *contrib)
 
 
 class Workspace:
@@ -97,10 +100,8 @@ def _workspace(store: TripleStore, cfg: HeadTrainConfig, dim: int, hidden: int =
 def head_loss_and_grad(
     head: BiasHead,
     table: EmbeddingTable,
-    gates_a: GateMatrix,
-    gates_b: GateMatrix,
-    f_a: np.ndarray,
-    f_b: np.ndarray,
+    gates: tuple[GateMatrix, GateMatrix],
+    features: tuple[np.ndarray, np.ndarray],
     r: np.ndarray,
     e: np.ndarray,
     lambda1: float,
@@ -121,14 +122,14 @@ def head_loss_and_grad(
     _, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, work.rows, work.scores)
     s_margin = s_pos - s_neg
 
-    groups = ((gates_a, head.w_a, f_a, head.alpha_a), (gates_b, head.w_b, f_b, head.alpha_b))
+    groups = list(_groups(head, gates, features))
     # per group: one gather of the gate rows of t_pos, then of t_neg; the
     # t_pos cells come first, and there are n_pos of them
     tails, t_pos = e[1:].reshape(-1), e[1]
     gathered, diffs = [], []
-    for gates, w, f, _ in groups:
-        owners, cols = gates.gather_rows(tails)
-        n_pos = int(gates.indptr[t_pos + 1].sum() - gates.indptr[t_pos].sum())
+    for _, g, w, f, _ in groups:
+        owners, cols = g.gather_rows(tails)
+        n_pos = int(g.indptr[t_pos + 1].sum() - g.indptr[t_pos].sum())
         gathered.append((owners, cols, n_pos))
         dots = np.bincount(owners, weights=(w * f)[cols], minlength=2 * n_pairs)
         diffs.append(dots[:n_pairs] - dots[n_pairs:])
@@ -143,16 +144,16 @@ def head_loss_and_grad(
 
     active2 = np.concatenate((active, active))  # by owner: t_pos, then t_neg
     grads = []
-    for (gates, w, f, alpha), (owners, cols, n_pos), diff in zip(groups, gathered, diffs):
+    for (_, g, w, f, alpha), (owners, cols, n_pos), diff in zip(groups, gathered, diffs):
         weights = active2[owners] * f[cols]
         # float zeros, so a bincount over no cells (int64) adds in place too
-        g = np.zeros(gates.num_columns, dtype=np.float64)
+        grad = np.zeros(g.num_columns, dtype=np.float64)
         for update, part in ((np.subtract, slice(None, n_pos)), (np.add, slice(n_pos, None))):
-            update(g, np.bincount(cols[part], weights=weights[part],
-                                  minlength=gates.num_columns), out=g)
-        g *= alpha / n_pairs
-        g += lambda1 * np.sign(w) + 2.0 * lambda2 * w
-        grads.append((g, float(-(active * diff).sum() / n_pairs)))
+            update(grad, np.bincount(cols[part], weights=weights[part],
+                                     minlength=g.num_columns), out=grad)
+        grad *= alpha / n_pairs
+        grad += lambda1 * np.sign(w) + 2.0 * lambda2 * w
+        grads.append((grad, float(-(active * diff).sum() / n_pairs)))
     (w_a, alpha_a), (w_b, alpha_b) = grads
     return loss, BiasHead(w_a=w_a, w_b=w_b, alpha_a=alpha_a, alpha_b=alpha_b)
 
@@ -189,20 +190,18 @@ def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: st
 def train_head(
     store: TripleStore,
     table: EmbeddingTable,
-    gates_a: GateMatrix,
-    gates_b: GateMatrix,
-    f_a: np.ndarray,
-    f_b: np.ndarray,
+    gates: tuple[GateMatrix, GateMatrix],
+    features: tuple[np.ndarray, np.ndarray],
     cfg: HeadTrainConfig,
 ) -> BiasHead:
     """Train {w_a, w_b, alpha_a, alpha_b} from a zero head; nothing else moves."""
     work = _workspace(store, cfg, table.dim)
 
     def loss_and_grad(head, r, e):
-        return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, r, e,
+        return head_loss_and_grad(head, table, gates, features, r, e,
                                   cfg.lambda1, cfg.lambda2, work)
 
-    return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, cfg, "head")
+    return _sgd(new_head(gates), loss_and_grad, store, cfg, "head")
 
 
 # ---------------------------------------------------------------------------
@@ -377,20 +376,19 @@ def _read_checkpoint(path: str, template, cfg: HeadTrainConfig, table: Embedding
         raise CheckpointError(f"{path}: missing key {exc}") from exc
 
 
-def _universe_bindings(gates_a: GateMatrix, gates_b: GateMatrix) -> dict[str, str]:
-    return {"universe_checksum_a": gates_a.universe.checksum(),
-            "universe_checksum_b": gates_b.universe.checksum()}
+def _universe_bindings(gates: tuple[GateMatrix, GateMatrix]) -> dict[str, str]:
+    return {f"universe_checksum_{tag.lower()}": g.universe.checksum()
+            for tag, g in zip(GROUP_TAGS, gates)}
 
 
 def save_head(head: BiasHead, cfg: HeadTrainConfig, table: EmbeddingTable,
-              gates_a: GateMatrix, gates_b: GateMatrix, path: str) -> None:
-    _write_checkpoint(path, head, cfg, table, **_universe_bindings(gates_a, gates_b))
+              gates: tuple[GateMatrix, GateMatrix], path: str) -> None:
+    _write_checkpoint(path, head, cfg, table, **_universe_bindings(gates))
 
 
 def load_head(path: str, cfg: HeadTrainConfig, table: EmbeddingTable,
-              gates_a: GateMatrix, gates_b: GateMatrix) -> BiasHead:
-    return _read_checkpoint(path, new_head(gates_a, gates_b), cfg, table,
-                            **_universe_bindings(gates_a, gates_b))
+              gates: tuple[GateMatrix, GateMatrix]) -> BiasHead:
+    return _read_checkpoint(path, new_head(gates), cfg, table, **_universe_bindings(gates))
 
 
 def save_patientnode(head: PatientNodeHead, cfg: HeadTrainConfig, table: EmbeddingTable,

@@ -23,7 +23,7 @@ import numpy as np
 from .backbone import EmbeddingTable
 from .bias_head import BiasHead, BiasVector, compute_bias
 from .config import EvalSettings
-from .kg_store import TripleStore, expand_ranges
+from .kg_store import GROUP_TAGS, TripleStore, expand_ranges
 from .profile_builder import shuffle_features
 
 log = logging.getLogger(__name__)
@@ -356,8 +356,7 @@ def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.n
     true tails moved toward rank 1 relative to the rest. Both entries are
     None when every test true tail falls on one side of the split.
     """
-    contrib = {"A": bias.contrib_a, "B": bias.contrib_b}[group]
-    in_mask = contrib[true_tails] > 0
+    in_mask = dict(zip(GROUP_TAGS, (bias.contrib_a, bias.contrib_b)))[group][true_tails] > 0
     n_in, n_out = int(in_mask.sum()), int((~in_mask).sum())
     if n_in == 0 or n_out == 0:
         log.warning("CR_%s undefined: %d in-group / %d out-of-group test tails",
@@ -394,14 +393,13 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
     (both groups' features permuted, the aligned set that of the real ones)."""
     f_a, f_b = features
     boost = 1.0 + settings.epsilon
-    boosted = [compute_bias(head, *gates, f_a * boost, f_b).values,
-               compute_bias(head, *gates, f_a, f_b * boost).values]
+    boosted = [compute_bias(head, gates, (f_a * boost, f_b)).values,
+               compute_bias(head, gates, (f_a, f_b * boost)).values]
     ranks, *ranks_after = compute_rank_table(queries, table, [bias.values, *boosted])
     aligned = aligned_set(bias, settings.percentile_p)
     rng = np.random.default_rng(seed)
-    shuffled = [compute_bias(head, *gates, shuffle_features(f_a, seed_a),
-                             shuffle_features(f_b, seed_b)).values
-                for seed_a, seed_b in rng.integers(0, 2**63 - 1, (settings.n_shuffles, 2)).tolist()]
+    shuffled = [compute_bias(head, gates, tuple(map(shuffle_features, features, seeds))).values
+                for seeds in rng.integers(0, 2**63 - 1, (settings.n_shuffles, 2)).tolist()]
     pq = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias.values,
                                               *shuffled], aligned, ALIGNMENT_K)
     base_mean, adapted_mean = float(pq[0].mean()), float(pq[1].mean())
@@ -409,7 +407,7 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
                f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,
                f"alignment@{ALIGNMENT_K}_delta": float(adapted_mean - base_mean),
                "alignment_p_value": alignment_delta_test(pq[:2].T, seed=seed)}
-    for group, after in zip("AB", ranks_after):
+    for group, after in zip(GROUP_TAGS, ranks_after):
         entries.update(counterfactual_responsiveness(bias, group, queries.true_tails,
                                                      ranks, after))
     entries.update(placebo_validation(pq), aligned_set_size=len(aligned))

@@ -102,38 +102,26 @@ def load_triples(path: str) -> TripleStore:
     return TripleStore(entity_vocab=entity_vocab, relation_vocab=relation_vocab, **splits)
 
 
-@dataclass
-class RelationGrouping:
-    """Assignment of every relation id to group 'A', 'B' or 'none'."""
-
-    groups: dict[int, str]
-
-    def relations_in(self, tag: str) -> list[int]:
-        return sorted(r for r, g in self.groups.items() if g == tag)
-
-    def validate_for_personalization(self) -> None:
-        for tag in GROUP_TAGS:
-            if not self.relations_in(tag):
-                raise ConfigError(f"relation group {tag} is empty; personalization needs both groups")
-
-
-def make_grouping(store: TripleStore, group_a: list[str], group_b: list[str]) -> RelationGrouping:
-    """Build a grouping from relation labels. Unlisted relations map to 'none'."""
+def make_grouping(store: TripleStore, group_a: list[str], group_b: list[str]
+                  ) -> dict[str, list[int]]:
+    """The sorted relation ids of each tag of GROUP_TAGS, from relation
+    labels, and under 'none' those of every unlisted relation."""
     both = set(group_a) & set(group_b)
     if both:
         raise ConfigError(f"relations listed in both groups: {sorted(both)}")
-    groups = {r: "none" for r in range(store.num_relations)}
-    for tag, labels in (("A", group_a), ("B", group_b)):
+    tag_of = {}
+    for tag, labels in zip(GROUP_TAGS, (group_a, group_b)):
         for label in labels:
             if label not in store.relation_vocab:
                 logger.warning("grouping lists unknown relation %r; ignored", label)
                 continue
-            groups[store.relation_vocab[label]] = tag
-    return RelationGrouping(groups=groups)
+            tag_of[store.relation_vocab[label]] = tag
+    return {tag: [r for r in range(store.num_relations) if tag_of.get(r, "none") == tag]
+            for tag in (*GROUP_TAGS, "none")}
 
 
-def load_grouping(path: str, store: TripleStore) -> RelationGrouping:
-    """Read a grouping file with keys ``group_a`` and ``group_b`` (lists of relation labels)."""
+def load_grouping(path: str, store: TripleStore) -> dict[str, list[int]]:
+    """make_grouping of a file whose keys ``group_a`` and ``group_b`` list relation labels."""
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -175,7 +163,7 @@ class AttributeUniverse:
 
 def build_universe(
     store: TripleStore,
-    grouping: RelationGrouping,
+    grouping: dict[str, list[int]],
     group: str,
     cap: int | None = None,
 ) -> AttributeUniverse:
@@ -187,7 +175,7 @@ def build_universe(
     if group not in GROUP_TAGS:
         raise ValueError(f"group must be one of {GROUP_TAGS}, got {group!r}")
 
-    rel_ids = np.array(grouping.relations_in(group), dtype=np.int64)
+    rel_ids = np.array(grouping[group], dtype=np.int64)
     train = store.train
     mask = np.isin(train[:, 1], rel_ids) if len(rel_ids) else np.zeros(len(train), dtype=bool)
     if not mask.any():

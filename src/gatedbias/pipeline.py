@@ -27,8 +27,8 @@ from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_ba
 from .config import METHODS, DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
 from .fileio import atomic_write, write_json
-from .kg_store import (TripleStore, build_gates, build_universe, load_grouping,
-                       load_triples)
+from .kg_store import (GROUP_TAGS, TripleStore, build_gates, build_universe,
+                       load_grouping, load_triples)
 from .profile_builder import build_profile, load_interactions
 
 log = logging.getLogger(__name__)
@@ -44,12 +44,12 @@ def _stage(name: str):
         raise PipelineError(name, str(exc)) from exc
 
 
-def task_train_store(store: TripleStore, grouping) -> TripleStore:
+def task_train_store(store: TripleStore, grouping: dict[str, list[int]]) -> TripleStore:
     """View of the store whose train split keeps only task relations (those
     in neither attribute group). Heads train on the prediction task itself;
     grouped triples shape gates and universes but are not hinge supervision.
     Falls back to the full split when every relation is grouped."""
-    task_rels = np.array(grouping.relations_in("none"), dtype=np.int64)
+    task_rels = np.array(grouping["none"], dtype=np.int64)
     mask = np.isin(store.train[:, 1], task_rels)
     if not mask.any():
         log.warning("every relation is grouped; heads train on all train triples")
@@ -132,8 +132,10 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
         grouping = None
         if data.grouping_path is not None and methods != {"base"}:
             grouping = load_grouping(data.grouping_path, store)
-            if "gatedbias" in methods:
-                grouping.validate_for_personalization()
+            for tag in GROUP_TAGS:
+                if "gatedbias" in methods and not grouping[tag]:
+                    raise ConfigError(f"relation group {tag} is empty; "
+                                      "personalization needs both groups")
         head_store = store if grouping is None else task_train_store(store, grouping)
 
     with _stage("backbone"):
@@ -147,13 +149,12 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
     gates = features = universes = None
     if "gatedbias" in methods:
         with _stage("gates"):
-            uni_a = build_universe(store, grouping, "A", cap=cfg.gates.cap_a)
-            uni_b = build_universe(store, grouping, "B", cap=cfg.gates.cap_b)
-            gates = (build_gates(store, uni_a), build_gates(store, uni_b))
-            universes = {
-                "size_a": len(uni_a), "size_b": len(uni_b),
-                "checksum_a": uni_a.checksum(), "checksum_b": uni_b.checksum(),
-            }
+            gates = tuple(build_gates(store, build_universe(store, grouping, tag, cap=cap))
+                          for tag, cap in zip(GROUP_TAGS, (cfg.gates.cap_a, cfg.gates.cap_b)))
+            universes = {}
+            for tag, g in zip(GROUP_TAGS, gates):
+                universes.update({f"size_{tag.lower()}": g.num_columns,
+                                  f"checksum_{tag.lower()}": g.universe.checksum()})
         with _stage("profiles"):
             histories = load_interactions(data.interactions_path, store)
             features = tuple(build_profile(histories, g, cfg.profile.scale_alpha,
@@ -186,15 +187,14 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                 elif c.method == "gatedbias":
                     ckpt = os.path.join(out, f"head_seed{run_seed}.json")
                     if train:
-                        head = bias_head.train_head(head_store, table, *gates, *features,
-                                                    head_cfg)
-                        bias_head.save_head(head, head_cfg, table, *gates, ckpt)
+                        head = bias_head.train_head(head_store, table, gates, features, head_cfg)
+                        bias_head.save_head(head, head_cfg, table, gates, ckpt)
                     else:
-                        head = bias_head.load_head(ckpt, head_cfg, table, *gates)
+                        head = bias_head.load_head(ckpt, head_cfg, table, gates)
             with _stage("evaluate"):
                 battery: dict = {}
                 if c.method == "gatedbias":
-                    bias = bias_head.compute_bias(head, *gates, *features)
+                    bias = bias_head.compute_bias(head, gates, features)
                     ranks, battery = evaluator.gated_battery(
                         queries, table, head, gates, features, bias, c.eval, run_seed)
                 elif head is not None or ranks is None:  # base (no head): once per run

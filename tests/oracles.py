@@ -227,11 +227,13 @@ def train_backbone(store, cfg) -> tuple[np.ndarray, np.ndarray]:
     return ent, rel
 
 
-def head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, heads, rels, t_pos, t_neg,
+def head_loss_and_grad(head, table, gates, features, heads, rels, t_pos, t_neg,
                        lambda1: float, lambda2: float):
     """The gated head's batch hinge (margin 1) plus L1 and L2, and its
-    gradient as a BiasHead; each group's gate rows gathered once for t_pos
-    and once for t_neg."""
+    gradient as a BiasHead, over the (A, B) pairs of gate matrices and
+    features; each group's gate rows gathered once for t_pos and once for
+    t_neg."""
+    (gates_a, gates_b), (f_a, f_b) = gates, features
     n_pairs = len(t_pos)
     s_margin = score_triples(table, heads, rels, t_pos) - score_triples(table, heads, rels, t_neg)
 
@@ -308,13 +310,13 @@ def _sgd(head, loss_and_grad, store, cfg):
     return head
 
 
-def train_head(store, table, gates_a, gates_b, f_a, f_b, cfg):
+def train_head(store, table, gates, features, cfg):
     """The gated head from zero, trained by _sgd on head_loss_and_grad."""
     def loss_and_grad(head, *batch):
-        return head_loss_and_grad(head, table, gates_a, gates_b, f_a, f_b, *batch,
+        return head_loss_and_grad(head, table, gates, features, *batch,
                                   cfg.lambda1, cfg.lambda2)
 
-    return _sgd(new_head(gates_a, gates_b), loss_and_grad, store, cfg)
+    return _sgd(new_head(gates), loss_and_grad, store, cfg)
 
 
 def train_patientnode(store, table, cfg, hidden: int = 16):

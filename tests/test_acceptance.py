@@ -128,18 +128,18 @@ def gated_instance_error(rng):
         return make_head(v[:ua], v[ua:ua + ub], alpha_a=float(v[-2]), alpha_b=float(v[-1]))
 
     head = unpack(x)
-    bias = bias_head.compute_bias(head, ga, gb, f_a, f_b)
+    bias = bias_head.compute_bias(head, (ga, gb), (f_a, f_b))
     margins = (score_triples(table, h, r, tp) + bias.values[tp]
                - score_triples(table, h, r, tn) - bias.values[tn])
     if np.any(np.abs(1.0 - margins) < 1e-3):
         return None  # hinge kink: central differences straddle a corner
 
-    _, grads = bias_head.head_loss_and_grad(head, table, ga, gb, f_a, f_b,
+    _, grads = bias_head.head_loss_and_grad(head, table, (ga, gb), (f_a, f_b),
                                             r, np.stack([h, tp, tn]), lam1, lam2)
     analytic = np.concatenate([grads.w_a, grads.w_b, [grads.alpha_a, grads.alpha_b]])
 
     def loss_at(v):
-        loss, _ = bias_head.head_loss_and_grad(unpack(v), table, ga, gb, f_a, f_b,
+        loss, _ = bias_head.head_loss_and_grad(unpack(v), table, (ga, gb), (f_a, f_b),
                                                r, np.stack([h, tp, tn]), lam1, lam2)
         return loss
 
@@ -220,7 +220,7 @@ def test_c3_bias_oracle_equivalence():
                              alpha_a=float(rng.normal()), alpha_b=float(rng.normal()))
             f_a = make_features(ga, rng.random(ua))
             f_b = make_features(gb, rng.random(ub))
-            bias = bias_head.compute_bias(head, ga, gb, f_a, f_b)
+            bias = bias_head.compute_bias(head, (ga, gb), (f_a, f_b))
             dense = (head.alpha_a * (da @ (head.w_a * f_a))
                      + head.alpha_b * (db @ (head.w_b * f_b)))
             assert np.max(np.abs(bias.values - dense)) <= 1e-12

@@ -16,7 +16,8 @@ from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  save_patientnode, train_head, train_patientnode)
 from gatedbias.config import load_config
 from gatedbias.errors import CheckpointError
-from gatedbias.kg_store import build_gates, build_universe, load_grouping, load_triples
+from gatedbias.kg_store import (GROUP_TAGS, build_gates, build_universe, load_grouping,
+                                load_triples)
 from gatedbias.pipeline import task_train_store
 from gatedbias.profile_builder import build_profile, load_interactions
 from gatedbias.synth import SynthParams, generate
@@ -37,7 +38,7 @@ def zero_table(n_entities, n_relations=1, dim=4):
 def test_new_head_is_zero_with_unit_gates():
     ga = gates_from_dense(np.ones((3, 4)))
     gb = gates_from_dense(np.ones((3, 2)), group="B")
-    head = new_head(ga, gb)
+    head = new_head((ga, gb))
     assert head.w_a.tolist() == [0.0] * 4
     assert head.w_b.tolist() == [0.0] * 2
     assert head.alpha_a == 1.0 and head.alpha_b == 1.0
@@ -49,8 +50,8 @@ def test_compute_bias_zero_features_is_zero():
     ga, _ = random_gates(rng, 6, 3)
     gb, _ = random_gates(rng, 6, 2, group="B")
     head = make_head(rng.standard_normal(3), rng.standard_normal(2))
-    bias = compute_bias(head, ga, gb, make_features(ga, np.zeros(3)),
-                        make_features(gb, np.zeros(2)))
+    bias = compute_bias(head, (ga, gb), (make_features(ga, np.zeros(3)),
+                                         make_features(gb, np.zeros(2))))
     assert np.all(bias.values == 0.0)
 
 
@@ -58,7 +59,7 @@ def test_compute_bias_single_entity_hand_value():
     ga = gates_from_dense([[1]])
     gb = gates_from_dense([[0]], group="B")
     head = make_head([2.0], [5.0])
-    bias = compute_bias(head, ga, gb, make_features(ga, [0.5]), make_features(gb, [0.9]))
+    bias = compute_bias(head, (ga, gb), (make_features(ga, [0.5]), make_features(gb, [0.9])))
     assert bias.contrib_a.tolist() == [1.0]  # 1 * 2 * 0.5
     assert bias.contrib_b.tolist() == [0.0]  # empty row
     assert bias.values.tolist() == [1.0]
@@ -72,7 +73,7 @@ def test_compute_bias_matches_dense_oracle():
                      alpha_a=1.7, alpha_b=-0.4)
     f_a = make_features(ga, rng.random(5))
     f_b = make_features(gb, rng.random(3))
-    bias = compute_bias(head, ga, gb, f_a, f_b)
+    bias = compute_bias(head, (ga, gb), (f_a, f_b))
     want_a = head.alpha_a * (da @ (head.w_a * f_a))
     want_b = head.alpha_b * (db @ (head.w_b * f_b))
     assert np.allclose(bias.contrib_a, want_a, atol=1e-12)
@@ -86,8 +87,8 @@ def test_compute_bias_empty_rows_exact_zero():
     ga = gates_from_dense(dense)
     gb = gates_from_dense(np.zeros((5, 2)), group="B")
     head = make_head([0.3, -0.2, 0.9], [1.0, 1.0])
-    bias = compute_bias(head, ga, gb, make_features(ga, [0.5, 0.5, 0.5]),
-                        make_features(gb, [0.5, 0.5]))
+    bias = compute_bias(head, (ga, gb), (make_features(ga, [0.5, 0.5, 0.5]),
+                                         make_features(gb, [0.5, 0.5])))
     for t in (0, 1, 3, 4):
         assert bias.values[t] == 0.0
 
@@ -97,8 +98,12 @@ def test_compute_bias_dimension_mismatch_raises():
     gb = gates_from_dense(np.ones((2, 2)), group="B")
     head = make_head(np.zeros(4), np.zeros(2))
     with pytest.raises(ValueError, match="group A"):
-        compute_bias(head, ga, gb, make_features(ga, np.zeros(3)),
-                     make_features(gb, np.zeros(2)))
+        compute_bias(head, (ga, gb), (make_features(ga, np.zeros(3)),
+                                      make_features(gb, np.zeros(2))))
+    # the one check names whichever group disagrees: here B's features
+    head = make_head(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="^group B dimensions disagree"):
+        compute_bias(head, (ga, gb), (make_features(ga, np.zeros(3)), np.zeros(5)))
 
 
 def test_compute_bias_scaling_equivariant_in_features():
@@ -108,9 +113,9 @@ def test_compute_bias_scaling_equivariant_in_features():
     head = make_head(rng.standard_normal(4), rng.standard_normal(4))
     f_a = make_features(ga, rng.random(4))
     f_b = make_features(gb, rng.random(4))
-    base = compute_bias(head, ga, gb, f_a, f_b)
+    base = compute_bias(head, (ga, gb), (f_a, f_b))
     for c in (2.0, 0.5):  # powers of two keep float scaling exact
-        boosted = compute_bias(head, ga, gb, f_a * c, f_b)
+        boosted = compute_bias(head, (ga, gb), (f_a * c, f_b))
         assert np.array_equal(boosted.contrib_a, c * base.contrib_a)
         assert np.array_equal(boosted.contrib_b, base.contrib_b)
 
@@ -125,11 +130,11 @@ def test_head_gradient_hand_value_single_pair():
     ga = gates_from_dense([[1], [0]])
     gb = gates_from_dense([[0], [0]], group="B")
     table = zero_table(2)
-    head = new_head(ga, gb)
+    head = new_head((ga, gb))
     f_a = make_features(ga, [0.5])
     f_b = make_features(gb, [0.0])
     loss, grads = head_loss_and_grad(
-        head, table, ga, gb, f_a, f_b,
+        head, table, (ga, gb), (f_a, f_b),
         np.array([0]), np.array([[0], [0], [1]]),
         lambda1=0.0, lambda2=0.0)
     assert loss == 1.0
@@ -156,7 +161,7 @@ def test_head_loss_matches_manual_formula():
     tn = rng.integers(0, 12, size=7)
     lam1, lam2 = 3e-3, 2e-3
 
-    loss, _ = head_loss_and_grad(head, table, ga, gb, f_a, f_b, r, np.stack([h, tp, tn]),
+    loss, _ = head_loss_and_grad(head, table, (ga, gb), (f_a, f_b), r, np.stack([h, tp, tn]),
                                  lam1, lam2)
 
     bias = (head.alpha_a * (da @ (head.w_a * f_a))
@@ -192,15 +197,15 @@ def gated_fd_check(rng, lam1, lam2):
         return make_head(x[:ua], x[ua:ua + ub], alpha_a=float(x[-2]), alpha_b=float(x[-1]))
 
     def loss_at(x):
-        loss, _ = head_loss_and_grad(unpack(x), table, ga, gb, f_a, f_b,
+        loss, _ = head_loss_and_grad(unpack(x), table, (ga, gb), (f_a, f_b),
                                      r, np.stack([h, tp, tn]), lam1, lam2)
         return loss
 
-    loss, grads = head_loss_and_grad(unpack(w), table, ga, gb, f_a, f_b,
+    loss, grads = head_loss_and_grad(unpack(w), table, (ga, gb), (f_a, f_b),
                                      r, np.stack([h, tp, tn]), lam1, lam2)
     # skip draws whose hinge sits on its kink (finite differences undefined)
     head = unpack(w)
-    bias = compute_bias(head, ga, gb, f_a, f_b)
+    bias = compute_bias(head, (ga, gb), (f_a, f_b))
     margins = (oracles.score_triples(table, h, r, tp) + bias.values[tp]
                - oracles.score_triples(table, h, r, tn) - bias.values[tn])
     if np.any(np.abs(1.0 - margins) < 1e-3):
@@ -239,24 +244,24 @@ def small_training_setup(seed=0):
     table = random_table(rng, n_e, store.num_relations, 6)
     f_a = make_features(ga, rng.random(3))
     f_b = make_features(gb, rng.random(2))
-    return store, table, ga, gb, f_a, f_b
+    return store, table, (ga, gb), (f_a, f_b)
 
 
 def test_train_head_deterministic():
-    store, table, ga, gb, f_a, f_b = small_training_setup()
+    store, table, (ga, gb), (f_a, f_b) = small_training_setup()
     cfg = HeadTrainConfig(batch_size=8, learning_rate=0.1, epochs=3, seed=7)
-    h1 = train_head(store, table, ga, gb, f_a, f_b, cfg)
-    h2 = train_head(store, table, ga, gb, f_a, f_b, cfg)
+    h1 = train_head(store, table, (ga, gb), (f_a, f_b), cfg)
+    h2 = train_head(store, table, (ga, gb), (f_a, f_b), cfg)
     assert np.array_equal(h1.w_a, h2.w_a)
     assert np.array_equal(h1.w_b, h2.w_b)
     assert h1.alpha_a == h2.alpha_a and h1.alpha_b == h2.alpha_b
 
 
 def test_train_head_empty_train_raises():
-    store, table, ga, gb, f_a, f_b = small_training_setup()
+    store, table, (ga, gb), (f_a, f_b) = small_training_setup()
     empty = dataclasses.replace(store, train=np.empty((0, 3), dtype=np.int64))
     with pytest.raises(ValueError, match="empty train"):
-        train_head(empty, table, ga, gb, f_a, f_b, HeadTrainConfig(epochs=1))
+        train_head(empty, table, (ga, gb), (f_a, f_b), HeadTrainConfig(epochs=1))
 
 
 def test_train_heads_one_entity_store_raises():
@@ -265,25 +270,25 @@ def test_train_heads_one_entity_store_raises():
     gb = gates_from_dense(np.ones((1, 2)), group="B")
     table, cfg = zero_table(1), HeadTrainConfig(epochs=1)
     with pytest.raises(ValueError, match="head: corrupt tails need at least two entities"):
-        train_head(store, table, ga, gb, make_features(ga, np.ones(2)),
-                   make_features(gb, np.ones(2)), cfg)
+        train_head(store, table, (ga, gb), (make_features(ga, np.ones(2)),
+                                            make_features(gb, np.ones(2))), cfg)
     with pytest.raises(ValueError, match="patientnode: corrupt tails need at least two"):
         train_patientnode(store, table, cfg)
 
 
 def test_train_head_never_touches_backbone():
-    store, table, ga, gb, f_a, f_b = small_training_setup()
+    store, table, (ga, gb), (f_a, f_b) = small_training_setup()
     before = table.checksum()
-    train_head(store, table, ga, gb, f_a, f_b,
+    train_head(store, table, (ga, gb), (f_a, f_b),
                HeadTrainConfig(batch_size=8, learning_rate=0.5, epochs=3))
     assert table.checksum() == before
 
 
 def test_train_head_zero_features_stays_at_init():
-    store, table, ga, gb, _, _ = small_training_setup()
+    store, table, (ga, gb), _ = small_training_setup()
     f_a = make_features(ga, np.zeros(3))
     f_b = make_features(gb, np.zeros(2))
-    head = train_head(store, table, ga, gb, f_a, f_b,
+    head = train_head(store, table, (ga, gb), (f_a, f_b),
                       HeadTrainConfig(batch_size=8, learning_rate=0.5, epochs=3,
                                       lambda1=1e-3, lambda2=1e-3))
     # gated-out gradient: w stays at 0 (L1 subgradient at 0 is 0), alphas at 1
@@ -292,11 +297,11 @@ def test_train_head_zero_features_stays_at_init():
 
 
 def test_train_head_l1_shrinkage():
-    store, table, ga, gb, f_a, f_b = small_training_setup(seed=1)
-    free = train_head(store, table, ga, gb, f_a, f_b,
+    store, table, (ga, gb), (f_a, f_b) = small_training_setup(seed=1)
+    free = train_head(store, table, (ga, gb), (f_a, f_b),
                       HeadTrainConfig(batch_size=8, learning_rate=0.05, epochs=10,
                                       lambda1=0.0, lambda2=0.0))
-    pinned = train_head(store, table, ga, gb, f_a, f_b,
+    pinned = train_head(store, table, (ga, gb), (f_a, f_b),
                         HeadTrainConfig(batch_size=8, learning_rate=0.05, epochs=10,
                                         lambda1=1.0, lambda2=0.0))
     free_mag = max(np.abs(free.w_a).max(), np.abs(free.w_b).max())
@@ -411,8 +416,8 @@ def test_trainers_match_the_oracles(batch, seed, hub, n_entities, n_relations, n
     table = EmbeddingTable(base.entity_emb * np.float32(scale), base.relation_emb)
     cfg = HeadTrainConfig(batch_size=BATCH_SIZES[batch], learning_rate=0.3, epochs=epochs,
                           lambda1=2e-3, lambda2=1e-4, negatives_per_positive=npp, seed=seed)
-    assert same_head(train_head(store, table, ga, gb, f_a, f_b, cfg),
-                     oracles.train_head(store, table, ga, gb, f_a, f_b, cfg))
+    assert same_head(train_head(store, table, (ga, gb), (f_a, f_b), cfg),
+                     oracles.train_head(store, table, (ga, gb), (f_a, f_b), cfg))
     hidden = 1 + seed % 5
     assert same_head(train_patientnode(store, table, cfg, hidden),
                      oracles.train_patientnode(store, table, cfg, hidden))
@@ -431,9 +436,9 @@ def test_trainers_match_the_oracles_without_active_pairs():
     f_a, f_b = make_features(ga, [0.5, 1.0, 2.0]), make_features(gb, [1.0, 1.0])
     cfg = HeadTrainConfig(batch_size=5, learning_rate=0.5, epochs=3, lambda1=1e-2,
                           lambda2=1e-2, seed=3)
-    zero = new_head(ga, gb)
-    assert same_head(train_head(store, table, ga, gb, f_a, f_b, cfg), zero)
-    assert same_head(oracles.train_head(store, table, ga, gb, f_a, f_b, cfg), zero)
+    zero = new_head((ga, gb))
+    assert same_head(train_head(store, table, (ga, gb), (f_a, f_b), cfg), zero)
+    assert same_head(oracles.train_head(store, table, (ga, gb), (f_a, f_b), cfg), zero)
     init = new_patientnode(4, 3, cfg.seed)
     assert same_head(train_patientnode(store, table, cfg, hidden=3), init)
     assert same_head(oracles.train_patientnode(store, table, cfg, hidden=3), init)
@@ -449,7 +454,7 @@ def desk(tmp_path_factory):
     cfg = load_config(str(out / "config.yaml"))
     store = load_triples(cfg.data.triples_dir)
     grouping = load_grouping(cfg.data.grouping_path, store)
-    gates = tuple(build_gates(store, build_universe(store, grouping, g)) for g in "AB")
+    gates = tuple(build_gates(store, build_universe(store, grouping, g)) for g in GROUP_TAGS)
     histories = load_interactions(cfg.data.interactions_path, store)
     features = tuple(build_profile(histories, g, cfg.profile.scale_alpha, cfg.profile.cap_tau)
                      for g in gates)
@@ -462,8 +467,8 @@ def test_trainers_match_the_oracles_at_desk_shape(desk, npp):
     store, table, gates, features, head_cfg = desk
     assert head_cfg.batch_size == 256 and store.train.shape[0] % 256 != 0
     cfg = dataclasses.replace(head_cfg, epochs=4, negatives_per_positive=npp)
-    assert same_head(train_head(store, table, *gates, *features, cfg),
-                     oracles.train_head(store, table, *gates, *features, cfg))
+    assert same_head(train_head(store, table, gates, features, cfg),
+                     oracles.train_head(store, table, gates, features, cfg))
     assert same_head(train_patientnode(store, table, cfg),
                      oracles.train_patientnode(store, table, cfg))
 
@@ -471,10 +476,10 @@ def test_trainers_match_the_oracles_at_desk_shape(desk, npp):
 def test_head_workspaces_are_sized_to_the_epochs_pairs():
     # a 4096-pair batch over 20 train pairs: the workspace holds 20 pairs,
     # not 4096, so the trainers' peak stays below the rows of a 4096-pair one
-    store, table, ga, gb, f_a, f_b = small_training_setup()
+    store, table, (ga, gb), (f_a, f_b) = small_training_setup()
     cfg = HeadTrainConfig(batch_size=4096, learning_rate=0.1, epochs=2)
     full_rows = 4 * 4096 * table.dim * 8
-    for train in (lambda: train_head(store, table, ga, gb, f_a, f_b, cfg),
+    for train in (lambda: train_head(store, table, (ga, gb), (f_a, f_b), cfg),
                   lambda: train_patientnode(store, table, cfg)):
         tracemalloc.start()
         try:
@@ -496,42 +501,42 @@ def checkpoint_setup(seed):
     rng = np.random.default_rng(seed)
     ga, _ = random_gates(rng, 8, 3)
     gb, _ = random_gates(rng, 8, 2, group="B")
-    return ga, gb, random_table(rng, 8, 1, 6)
+    return (ga, gb), random_table(rng, 8, 1, 6)
 
 
 def test_save_load_head_round_trip(tmp_path):
-    ga, gb, table = checkpoint_setup(7)
+    gates, table = checkpoint_setup(7)
     rng = np.random.default_rng(7)
     head = make_head(rng.standard_normal(3), rng.standard_normal(2),
                      alpha_a=1.5, alpha_b=0.25)
     cfg = HeadTrainConfig(epochs=2, seed=3)
     path = str(tmp_path / "head.json")
-    save_head(head, cfg, table, ga, gb, path)
-    loaded = load_head(path, cfg, table, ga, gb)
+    save_head(head, cfg, table, gates, path)
+    loaded = load_head(path, cfg, table, gates)
     assert np.array_equal(loaded.w_a, head.w_a)
     assert np.array_equal(loaded.w_b, head.w_b)
     assert loaded.alpha_a == head.alpha_a and loaded.alpha_b == head.alpha_b
 
 
 def test_load_head_universe_mismatch_raises(tmp_path):
-    ga, gb, table = checkpoint_setup(8)
+    gates, table = checkpoint_setup(8)
     path = str(tmp_path / "head.json")
-    save_head(make_head(np.zeros(3), np.zeros(2)), HeadTrainConfig(), table, ga, gb, path)
+    save_head(make_head(np.zeros(3), np.zeros(2)), HeadTrainConfig(), table, gates, path)
     other = gates_from_dense(np.ones((8, 3)), attrs=np.array([5, 6, 7]))
     with pytest.raises(CheckpointError, match="universe_checksum_a mismatch"):
-        load_head(path, HeadTrainConfig(), table, other, gb)
+        load_head(path, HeadTrainConfig(), table, (other, gates[1]))
 
 
 def test_load_head_wrong_kind_raises(tmp_path):
     path = tmp_path / "head.json"
     path.write_text('{"kind": "something-else"}', encoding="utf-8")
-    ga, gb, table = checkpoint_setup(0)
+    gates, table = checkpoint_setup(0)
     with pytest.raises(CheckpointError, match="not a gatedbias-head checkpoint"):
-        load_head(str(path), HeadTrainConfig(), table, ga, gb)
+        load_head(str(path), HeadTrainConfig(), table, gates)
 
 
 def test_save_load_patientnode_round_trip(tmp_path):
-    _, _, table = checkpoint_setup(2)
+    _, table = checkpoint_setup(2)
     head = new_patientnode(dim=6, hidden=4, seed=2)
     head.w2 = np.arange(4, dtype=np.float64)
     head.b2 = -0.5
@@ -554,25 +559,25 @@ def test_save_load_patientnode_round_trip(tmp_path):
         load_patientnode(path, cfg, table, hidden=4)
 
 
-def save_zero_checkpoint(kind, path, table, ga, gb):
+def save_zero_checkpoint(kind, path, table, gates):
     if kind == "head":
-        save_head(new_head(ga, gb), HeadTrainConfig(), table, ga, gb, path)
+        save_head(new_head(gates), HeadTrainConfig(), table, gates, path)
     else:
         save_patientnode(new_patientnode(6, 4, seed=0), HeadTrainConfig(), table, path)
 
 
-def load_checkpoint(kind, path, table, ga, gb):
+def load_checkpoint(kind, path, table, gates):
     if kind == "head":
-        return load_head(path, HeadTrainConfig(), table, ga, gb)
+        return load_head(path, HeadTrainConfig(), table, gates)
     return load_patientnode(path, HeadTrainConfig(), table, hidden=4)
 
 
 @pytest.mark.parametrize("kind,key", [("head", "w_b"), ("patientnode", "w2")])
 @pytest.mark.parametrize("fault", ["truncated", "missing key", "no backbone", "other backbone"])
 def test_checkpoint_faults_name_the_file(kind, key, fault, tmp_path):
-    ga, gb, table = checkpoint_setup(11)
+    gates, table = checkpoint_setup(11)
     path = str(tmp_path / f"{kind}.json")
-    save_zero_checkpoint(kind, path, table, ga, gb)
+    save_zero_checkpoint(kind, path, table, gates)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     payload = json.loads(text)
@@ -587,7 +592,7 @@ def test_checkpoint_faults_name_the_file(kind, key, fault, tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     with pytest.raises(CheckpointError) as exc:
-        load_checkpoint(kind, path, table, ga, gb)
+        load_checkpoint(kind, path, table, gates)
     message = str(exc.value)
     assert message.startswith(f"{path}: ")
     if fault == "missing key":
@@ -617,30 +622,30 @@ def test_checkpoint_faults_name_the_file(kind, key, fault, tmp_path):
         "w_b-scalar"])
 def test_checkpoint_field_of_another_shape_or_type_raises(kind, key, value, fragment,
                                                           tmp_path):
-    ga, gb, table = checkpoint_setup(13)
+    gates, table = checkpoint_setup(13)
     path = str(tmp_path / f"{kind}.json")
-    save_zero_checkpoint(kind, path, table, ga, gb)
+    save_zero_checkpoint(kind, path, table, gates)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     payload[key] = value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     with pytest.raises(CheckpointError) as exc:
-        load_checkpoint(kind, path, table, ga, gb)
+        load_checkpoint(kind, path, table, gates)
     assert str(exc.value) == f"{path}: {fragment}"
 
 
 @pytest.mark.parametrize("kind", ["head", "patientnode"])
 @pytest.mark.parametrize("value", [[1], "x", None], ids=["list", "string", "null"])
 def test_checkpoint_train_config_not_a_mapping_names_the_file(kind, value, tmp_path):
-    ga, gb, table = checkpoint_setup(14)
+    gates, table = checkpoint_setup(14)
     path = str(tmp_path / f"{kind}.json")
-    save_zero_checkpoint(kind, path, table, ga, gb)
+    save_zero_checkpoint(kind, path, table, gates)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     payload["train_config"] = value
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
     with pytest.raises(CheckpointError) as exc:
-        load_checkpoint(kind, path, table, ga, gb)
+        load_checkpoint(kind, path, table, gates)
     assert str(exc.value) == f"{path}: train_config must be a mapping"

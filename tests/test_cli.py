@@ -279,6 +279,22 @@ def test_diverging_backbone_fails_at_its_epoch(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_backbone_beyond_float32_range_fails_after_its_last_epoch(data_dir, tmp_path, capsys):
+    # finite in float64 after every epoch, but past float32's range when stored
+    path = str(tmp_path / "config.yaml")
+    save_config({"data": {"triples_dir": os.path.join(data_dir, "triples")},
+                 "backbone": {"learning_rate": 50, "epochs": 10}, "method": "base"}, path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", path, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "error: [backbone] backbone embeddings exceed float32 range after epoch 9"
+    assert not (out / "backbone.kge").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("method,checkpoint", [("gatedbias", "head_seed0.json"),
                                                ("patientnode", "patientnode_seed0.json")])
 def test_diverging_head_fails_at_the_head_stage(method, checkpoint, cfg_path, tmp_path, capsys):

@@ -319,19 +319,19 @@ def test_alignment_delta_test_refuses_fewer_than_one_resample(n_resamples):
 # counterfactual responsiveness
 # ---------------------------------------------------------------------------
 
-def gated_setup(store, head, ga, gb, f_a, f_b):
+def gated_setup(store, head, gates, features):
     """Queries, zero backbone, head inputs and adapted bias of one trained head."""
     return {"queries": query_set(store), "table": zero_table(store.num_entities),
-            "head": head, "gates": (ga, gb), "features": (f_a, f_b),
-            "bias": compute_bias(head, ga, gb, f_a, f_b)}
+            "head": head, "gates": gates, "features": features,
+            "bias": compute_bias(head, gates, features)}
 
 
 def cr_of(setup, group, epsilon):
     """CR entries of one group, its boosted bias computed from hand-scaled features."""
     f_a, f_b = setup["features"]
     boost = 1.0 + epsilon
-    boosted = compute_bias(setup["head"], *setup["gates"], f_a * boost if group == "A" else f_a,
-                           f_b * boost if group == "B" else f_b)
+    boosted = compute_bias(setup["head"], setup["gates"], (f_a * boost if group == "A" else f_a,
+                                                           f_b * boost if group == "B" else f_b))
     ranks, after = compute_rank_table(setup["queries"], setup["table"],
                                       [setup["bias"].values, boosted.values])
     return counterfactual_responsiveness(setup["bias"], group, setup["queries"].true_tails,
@@ -360,7 +360,7 @@ def crossing_context():
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(dense_b, group="B")
     head = make_head([2.0], [4.0])
-    return gated_setup(store, head, ga, gb, make_features(ga, [0.5]), make_features(gb, [0.5]))
+    return gated_setup(store, head, (ga, gb), (make_features(ga, [0.5]), make_features(gb, [0.5])))
 
 
 def test_cr_zero_epsilon_is_exactly_zero():
@@ -398,7 +398,8 @@ def test_cr_one_sided_split_returns_none(caplog):
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(np.zeros((n, 1)), group="B")
     head = make_head([1.0], [0.0])
-    setup = gated_setup(store, head, ga, gb, make_features(ga, [0.5]), make_features(gb, [0.0]))
+    setup = gated_setup(store, head, (ga, gb), (make_features(ga, [0.5]),
+                                                make_features(gb, [0.0])))
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
         assert cr_of(setup, "A", 0.1) == {"cr_A": None, "cr_A_pct_improved": None}
         _, entries = battery_of(setup, n_shuffles=1)
@@ -431,8 +432,8 @@ def placebo_context(w_a=3.0):
     ga = gates_from_dense(dense_a)
     gb = gates_from_dense(np.zeros((n, 2)), group="B")
     head = make_head([w_a, 0.0], [0.0, 0.0])
-    return gated_setup(store, head, ga, gb, make_features(ga, [0.4, 0.4]),
-                       make_features(gb, [0.25, 0.25]))
+    return gated_setup(store, head, (ga, gb), (make_features(ga, [0.4, 0.4]),
+                                               make_features(gb, [0.25, 0.25])))
 
 
 def test_placebo_validation_hand_rows():

@@ -143,12 +143,12 @@ def test_load_triples_split_overlap_raises(tmp_path):
 
 def test_make_grouping_tags_and_none_default():
     store = store_from_labels([("a", "likes", "b"), ("g", "genre", "b"), ("m", "brand", "b")])
-    grouping = make_grouping(store, ["genre"], ["brand"])
-    assert grouping.groups[store.relation_vocab["genre"]] == "A"
-    assert grouping.groups[store.relation_vocab["brand"]] == "B"
-    assert grouping.groups[store.relation_vocab["likes"]] == "none"
-    assert grouping.relations_in("none") == [store.relation_vocab["likes"]]
-    grouping.validate_for_personalization()
+    rel = store.relation_vocab
+    assert make_grouping(store, ["genre"], ["brand"]) == \
+        {"A": [rel["genre"]], "B": [rel["brand"]], "none": [rel["likes"]]}
+    # each tag's ids are sorted, whatever the order of the labels
+    assert make_grouping(store, ["brand", "genre"], []) == \
+        {"A": [rel["genre"], rel["brand"]], "B": [], "none": [rel["likes"]]}
 
 
 def test_make_grouping_overlap_raises():
@@ -162,22 +162,15 @@ def test_make_grouping_unknown_label_ignored_with_warning(caplog):
     with caplog.at_level("WARNING"):
         grouping = make_grouping(store, ["genre"], ["nope"])
     assert "unknown relation" in caplog.text
-    assert grouping.relations_in("B") == []
-
-
-def test_validate_for_personalization_empty_group_raises():
-    store = store_from_labels([("g", "genre", "b")])
-    grouping = make_grouping(store, ["genre"], [])
-    with pytest.raises(ConfigError, match="group B"):
-        grouping.validate_for_personalization()
+    assert grouping == {"A": [store.relation_vocab["genre"]], "B": [], "none": []}
 
 
 def test_load_grouping_file(tmp_path):
     store = store_from_labels([("g", "genre", "b"), ("m", "brand", "b")])
     path = tmp_path / "grouping.yaml"
     path.write_text("group_a: [genre]\ngroup_b: [brand]\n", encoding="utf-8")
-    grouping = load_grouping(str(path), store)
-    assert grouping.groups[store.relation_vocab["genre"]] == "A"
+    assert load_grouping(str(path), store) == \
+        {"A": [store.relation_vocab["genre"]], "B": [store.relation_vocab["brand"]], "none": []}
 
 
 def test_load_grouping_unknown_key_raises(tmp_path):

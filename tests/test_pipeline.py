@@ -376,6 +376,31 @@ def test_gatedbias_requires_profile_inputs(data_dir, tmp_path):
     assert "interactions_path" in str(exc.value)
 
 
+def one_group_cfg(data_dir, tmp_path, method):
+    """tiny_cfg whose grouping file lists the attribute relation of group A
+    and leaves group B empty."""
+    path = tmp_path / "grouping.yaml"
+    path.write_text("group_a: [pref_attr_of]\ngroup_b: []\n", encoding="utf-8")
+    cfg = tiny_cfg(data_dir, method)
+    return dataclasses.replace(cfg, data=dataclasses.replace(cfg.data, grouping_path=str(path)))
+
+
+def test_gatedbias_refuses_an_empty_group_at_data(data_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr("gatedbias.pipeline.train_backbone", _refuse_training)
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(one_group_cfg(data_dir, tmp_path, "gatedbias"), str(tmp_path / "out"))
+    assert str(exc.value) == \
+        "[data] relation group B is empty; personalization needs both groups"
+    assert not (tmp_path / "out").exists()
+
+
+def test_patientnode_runs_with_an_empty_group(data_dir, tmp_path):
+    report = run_pipeline(one_group_cfg(data_dir, tmp_path, "patientnode"),
+                          str(tmp_path / "out"))
+    assert report["method"] == "patientnode"
+    assert (tmp_path / "out" / "patientnode_seed1.json").exists()
+
+
 def test_missing_backbone_checkpoint_tags_backbone_stage(data_dir, tmp_path):
     cfg = tiny_cfg(data_dir, backbone={"load": str(tmp_path / "absent.kge")})
     with pytest.raises(PipelineError) as exc:

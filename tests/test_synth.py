@@ -306,7 +306,6 @@ def test_emitted_triples_and_grouping_load_cleanly(big):
                                     + counts["attr_b_triples"])
     assert store.valid.shape[0] == counts["valid"]
     assert store.test.shape[0] == counts["test"]
-    grouping = load_grouping(os.path.join(out, "grouping.yaml"), store)
-    assert grouping.groups[store.relation_vocab[REL_A]] == "A"
-    assert grouping.groups[store.relation_vocab[REL_B]] == "B"
-    assert grouping.groups[store.relation_vocab[REL_LIKES]] == "none"
+    rel = store.relation_vocab
+    assert load_grouping(os.path.join(out, "grouping.yaml"), store) == \
+        {"A": [rel[REL_A]], "B": [rel[REL_B]], "none": [rel[REL_LIKES]]}
