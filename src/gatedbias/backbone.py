@@ -35,7 +35,8 @@ class BackboneTrainConfig:
 
 
 class EmbeddingTable:
-    """Read-only entity and relation embeddings with DistMult scoring."""
+    """Read-only DistMult embeddings in one (|E| + |R|, d) table: the entity
+    rows, then the relation rows, relation r at row |E| + r."""
 
     def __init__(self, entity_emb: np.ndarray, relation_emb: np.ndarray):
         if entity_emb.ndim != 2 or relation_emb.ndim != 2:
@@ -44,17 +45,17 @@ class EmbeddingTable:
             raise ValueError("entity and relation embeddings disagree on dim")
         if not (np.all(np.isfinite(entity_emb)) and np.all(np.isfinite(relation_emb))):
             raise ValueError("embeddings contain non-finite values")
-        self.entity_emb = np.ascontiguousarray(entity_emb, dtype=np.float32)
-        self.relation_emb = np.ascontiguousarray(relation_emb, dtype=np.float32)
-        # float64 copies for scoring, cached once
-        self._ent64 = self.entity_emb.astype(np.float64)
-        self._rel64 = self.relation_emb.astype(np.float64)
-        for arr in (self.entity_emb, self.relation_emb, self._ent64, self._rel64):
+        # emb holds the KGE1 payload; rows64 is its float64 copy for scoring
+        self.emb = np.concatenate((entity_emb, relation_emb), dtype=np.float32)
+        self.rows64 = self.emb.astype(np.float64)
+        for arr in (self.emb, self.rows64):
             arr.flags.writeable = False
+        n = entity_emb.shape[0]
+        self.entity_emb, self.relation_emb = self.emb[:n], self.emb[n:]
 
     @property
     def dim(self) -> int:
-        return self.entity_emb.shape[1]
+        return self.emb.shape[1]
 
     @property
     def num_entities(self) -> int:
@@ -66,13 +67,13 @@ class EmbeddingTable:
 
     def score_all_tails(self, h: int, r: int) -> np.ndarray:
         """Scores of every entity as tail of (h, r, ?)."""
-        return self._ent64 @ (self._ent64[h] * self._rel64[r])
+        ent = self.rows64[:self.num_entities]
+        return ent @ (ent[h] * self.rows64[self.num_entities + r])
 
     def checksum(self) -> str:
         h = hashlib.sha256()
         h.update(_HEADER.pack(MAGIC, self.num_entities, self.num_relations, self.dim))
-        h.update(self.entity_emb.tobytes())
-        h.update(self.relation_emb.tobytes())
+        h.update(self.emb.tobytes())
         return h.hexdigest()
 
 
@@ -94,11 +95,11 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
 def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Generator,
                   what: str):
     """The training pairs of each epoch, for the backbone and both heads:
-    yields (epoch, ids), ids being one (4, len(train) * npp) array of
-    (r, h, t_pos, t_neg) rewritten each epoch. An epoch permutes the train
-    triples and repeats each npp times, its pairs adjacent; t_neg is uniform
-    over the entities other than t_pos. The first next() refuses a store
-    that cannot be trained, even for zero epochs."""
+    yields (epoch, ids), ids being one (4, len(train) * npp) array of table
+    rows (|E| + r, h, t_pos, t_neg) rewritten each epoch. An epoch permutes
+    the train triples and repeats each npp times, its pairs adjacent; t_neg
+    is uniform over the entities other than t_pos. The first next() refuses
+    a store that cannot be trained, even for zero epochs."""
     if store.train.shape[0] == 0:
         raise ValueError(f"cannot train {what} on an empty train split")
     if store.num_entities < 2:
@@ -106,8 +107,8 @@ def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Gene
                          f"the store has {store.num_entities}")
     train = store.train
     n = train.shape[0]
-    # r comes first so one gather takes the three entity rows of a batch
     cols = np.ascontiguousarray(train[:, [1, 0, 2]].T)
+    cols[0] += store.num_entities
     ids = np.empty((4, n * npp), dtype=train.dtype)
     t_neg = ids[3]
     for epoch in range(epochs):
@@ -119,25 +120,22 @@ def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Gene
         yield epoch, ids
 
 
-def score_pairs(ent: np.ndarray, rel: np.ndarray, r: np.ndarray, e: np.ndarray,
-                rows: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One batch's gather and scores, for the backbone and both heads. r holds
-    the relations of m pairs and e their (h, t_pos, t_neg) rows; rows and
-    scores are workspaces for at least m pairs, of 4 * m * d floats and of
-    shape (2, >= m). Gathers e_h, e_tp, e_tn and e_r from the float64 tables
-    ent and rel, and scores s(h, r, t_pos) and s(h, r, t_neg) with one
-    einsum each, over e_h, e_r and the tail rows in that order; returns them
-    as (4, m, d) and (2, m) views of the workspaces. Every take uses
-    mode="clip", which writes straight into out where "raise" buffers it; no
-    id is out of range."""
-    m, d = r.shape[0], ent.shape[1]
+def score_pairs(table: np.ndarray, ids: np.ndarray, rows: np.ndarray,
+                scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One batch's gather and scores, for the backbone and both heads. ids
+    holds the table rows (|E| + r, h, t_pos, t_neg) of m pairs, table is
+    EmbeddingTable.rows64 or the trainer's float64 table of that layout, and
+    rows and scores are workspaces for at least m pairs, of 4 * m * d floats
+    and of shape (2, >= m). Gathers e_r, e_h, e_tp and e_tn with one take and
+    scores s(h, r, t_pos) and s(h, r, t_neg) with one einsum, over e_h, e_r
+    and the tail rows in that order; returns them as (4, m, d) and (2, m)
+    views of the workspaces. Every take uses mode="clip", which writes
+    straight into out where "raise" buffers it; no id is out of range."""
+    m, d = ids.shape[1], table.shape[1]
     g = rows[:4 * m * d].reshape(4, m, d)
-    np.take(ent, e, axis=0, out=g[:3], mode="clip")
-    np.take(rel, r, axis=0, out=g[3], mode="clip")
-    e_h, e_tp, e_tn, e_r = g
+    np.take(table, ids, axis=0, out=g, mode="clip")
     s = scores[:, :m]
-    np.einsum("ij,ij,ij->i", e_h, e_r, e_tp, out=s[0])
-    np.einsum("ij,ij,ij->i", e_h, e_r, e_tn, out=s[1])
+    np.einsum("ij,ij,kij->ki", g[1], g[0], g[2:], out=s)
     return g, s
 
 
@@ -145,35 +143,33 @@ def score_pairs(ent: np.ndarray, rel: np.ndarray, r: np.ndarray, e: np.ndarray,
 # each epoch names the epoch
 @np.errstate(over="ignore", invalid="ignore")
 def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """train_backbone's entity and relation tables before float32 storage.
-    Raises at the end of the first epoch that leaves a non-finite value."""
-    nE, nR, d = store.num_entities, store.num_relations, cfg.dim
+    """train_backbone's entity and relation tables before float32 storage, as
+    views of one table in EmbeddingTable's row layout. Raises at the end of
+    the first epoch that leaves a non-finite value."""
+    nE, d = store.num_entities, cfg.dim
     rng = np.random.default_rng(cfg.seed)
     bound = 0.5 / np.sqrt(d)
-    ent = rng.uniform(-bound, bound, size=(nE, d))
-    rel = rng.uniform(-bound, bound, size=(nR, d))
+    # one draw of both tables is the entity draw, then the relation draw
+    emb = rng.uniform(-bound, bound, size=(nE + store.num_relations, d))
 
     npp = cfg.negatives_per_positive
     # a batch of b triples is b * npp pairs; step is the pair count of a full batch
     step = min(cfg.batch_size, store.train.shape[0]) * npp
-    # flat cell indices of every entity and relation row
-    ent_cells = np.arange(nE * d).reshape(nE, d)
-    rel_cells = np.arange(nR * d).reshape(nR, d)
+    cells = np.arange(emb.size).reshape(emb.shape)  # flat cell indices of each row
     # workspaces reused by every batch, so no batch allocates a large temporary;
     # a short batch uses views of their heads. Every take uses mode="clip",
     # as in score_pairs
-    rows = np.empty(4 * step * d)        # gathered e_h, e_tp, e_tn, e_r
+    rows = np.empty(4 * step * d)        # gathered e_r, e_h, e_tp, e_tn
     act_rows = np.empty(4 * step * d)    # their active rows, then the updates
-    ent_idx = np.empty(3 * step * d, dtype=np.intp)
-    rel_idx = np.empty(step * d, dtype=np.intp)
+    act_cells = np.empty(4 * step * d, dtype=np.intp)
     scores, hinge = np.empty((2, step)), np.empty(step)
     active = np.empty(step, dtype=bool)
 
     for epoch, ids in corrupt_pairs(store, cfg.epochs, npp, rng, "backbone"):
         for start in range(0, ids.shape[1], step):
-            r, e = ids[0, start:start + step], ids[1:, start:start + step]
-            m = r.shape[0]
-            g, (s_pos, s_neg) = score_pairs(ent, rel, r, e, rows, scores)
+            batch = ids[:, start:start + step]
+            m = batch.shape[1]
+            g, (s_pos, s_neg) = score_pairs(emb, batch, rows, scores)
             np.subtract(cfg.margin, s_pos, out=hinge[:m])
             np.add(hinge[:m], s_neg, out=hinge[:m])
             act = np.flatnonzero(np.greater(hinge[:m], 0, out=active[:m]))
@@ -184,37 +180,35 @@ def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.nda
             scale = cfg.learning_rate / m
             w = act_rows[:4 * k * d].reshape(4, k, d)
             np.take(g, act, axis=1, out=w, mode="clip")
-            a_h, a_tp, a_tn, a_r = w
-            g_r = rows[:k * d].reshape(k, d)      # g is spent once copied
+            a_r, a_h, a_tp, a_tn = w
+            g_h = rows[:k * d].reshape(k, d)      # g is spent once copied
             np.subtract(a_tn, a_tp, out=a_tp)     # diff
             np.multiply(a_h, a_r, out=a_tn)       # g_core
-            np.multiply(a_h, a_tp, out=g_r)
-            np.multiply(a_r, a_tp, out=a_h)       # g_h
-            # the updates of h, t_pos, t_neg and r
-            np.multiply(a_h, -scale, out=a_h)
+            np.multiply(a_r, a_tp, out=g_h)
+            np.multiply(a_h, a_tp, out=a_r)       # g_r
+            # the updates of r, h, t_pos and t_neg
+            np.multiply(a_r, -scale, out=a_r)
+            np.multiply(g_h, -scale, out=a_h)
             np.multiply(a_tn, scale, out=a_tp)
             np.multiply(a_tn, -scale, out=a_tn)
-            np.multiply(g_r, -scale, out=g_r)
-            # one scatter per table; the entity table takes the h rows, then
-            # t_pos, then t_neg, so repeated rows add in the order they always did
-            e_idx = ent_idx[:3 * k * d].reshape(3, k, d)
-            r_idx = rel_idx[:k * d].reshape(k, d)
-            np.take(ent_cells, e[:, act], axis=0, out=e_idx, mode="clip")
-            np.take(rel_cells, r[act], axis=0, out=r_idx, mode="clip")
-            np.add.at(ent.reshape(-1), e_idx.reshape(-1), w[:3].reshape(-1))
-            np.add.at(rel.reshape(-1), r_idx.reshape(-1), g_r.reshape(-1))
-        if not (np.isfinite(ent).all() and np.isfinite(rel).all()):
+            # one scatter; the entity rows take the h rows, then t_pos, then
+            # t_neg, so repeated rows add in the order they always did, and no
+            # relation row is an entity row
+            idx = act_cells[:4 * k * d].reshape(4, k, d)
+            np.take(cells, batch[:, act], axis=0, out=idx, mode="clip")
+            np.add.at(emb.reshape(-1), idx.reshape(-1), w.reshape(-1))
+        if not np.isfinite(emb).all():
             raise FloatingPointError(f"non-finite backbone embeddings at epoch {epoch}")
 
-    return ent, rel
+    return emb[:nE], emb[nE:]
 
 
 def save_embeddings(table: EmbeddingTable, path: str) -> None:
-    """Write magic + (|E|, |R|, d) header + row-major little-endian float32 data."""
+    """Write magic + (|E|, |R|, d) header + the row-major little-endian float32
+    table, entity rows then relation rows."""
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, table.num_entities, table.num_relations, table.dim))
-        fh.write(np.ascontiguousarray(table.entity_emb, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(table.relation_emb, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(table.emb, dtype="<f4").tobytes())
 
 
 def load_embeddings(

@@ -102,30 +102,29 @@ def head_loss_and_grad(
     table: EmbeddingTable,
     gates: tuple[GateMatrix, GateMatrix],
     features: tuple[np.ndarray, np.ndarray],
-    r: np.ndarray,
-    e: np.ndarray,
+    ids: np.ndarray,
     lambda1: float,
     lambda2: float,
     work: Workspace | None = None,
 ) -> tuple[float, BiasHead]:
     """Batch hinge loss (margin 1) plus regularizers, with analytic gradients
-    returned as a BiasHead of the same shape. r holds the pairs' relations
-    and e their (h, t_pos, t_neg) rows; work is a Workspace for at least
-    len(r) pairs, a new one if None.
+    returned as a BiasHead of the same shape. ids holds the pairs' table rows
+    (|E| + r, h, t_pos, t_neg), as corrupt_pairs yields them; work is a
+    Workspace for at least ids.shape[1] pairs, a new one if None.
 
     The hinge term is averaged over pairs; regularizers enter at full strength.
     L1 subgradient at zero is taken as 0.
     """
-    n_pairs = r.shape[0]
+    n_pairs = ids.shape[1]
     if work is None:
         work = Workspace(n_pairs, table.dim)
-    _, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, work.rows, work.scores)
+    _, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows, work.scores)
     s_margin = s_pos - s_neg
 
     groups = list(_groups(head, gates, features))
     # per group: one gather of the gate rows of t_pos, then of t_neg; the
     # t_pos cells come first, and there are n_pos of them
-    tails, t_pos = e[1:].reshape(-1), e[1]
+    tails, t_pos = ids[2:].reshape(-1), ids[2]
     gathered, diffs = [], []
     for _, g, w, f, _ in groups:
         owners, cols = g.gather_rows(tails)
@@ -164,9 +163,9 @@ def head_loss_and_grad(
 def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: str):
     """Mini-batch gradient descent on every field of head; returns head.
 
-    loss_and_grad(head, r, e) returns the batch loss and a gradient of head's
-    own type, r and e being the batch's relation row and (h, t_pos, t_neg)
-    rows. The pairs are the backbone's corrupt_pairs, a batch being
+    loss_and_grad(head, ids) returns the batch loss and a gradient of head's
+    own type, ids being the batch's table rows (|E| + r, h, t_pos, t_neg).
+    The pairs are the backbone's corrupt_pairs, a batch being
     cfg.batch_size pairs. Deterministic given cfg.seed; the backbone is
     read-only, so only head moves.
     """
@@ -175,8 +174,7 @@ def _sgd(head, loss_and_grad, store: TripleStore, cfg: HeadTrainConfig, what: st
     step = cfg.batch_size
     for epoch, ids in corrupt_pairs(store, cfg.epochs, cfg.negatives_per_positive, rng, what):
         for start in range(0, ids.shape[1], step):
-            loss, grad = loss_and_grad(head, ids[0, start:start + step],
-                                       ids[1:, start:start + step])
+            loss, grad = loss_and_grad(head, ids[:, start:start + step])
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite {what} loss {loss} at epoch {epoch}, batch offset {start}"
@@ -197,8 +195,8 @@ def train_head(
     """Train {w_a, w_b, alpha_a, alpha_b} from a zero head; nothing else moves."""
     work = _workspace(store, cfg, table.dim)
 
-    def loss_and_grad(head, r, e):
-        return head_loss_and_grad(head, table, gates, features, r, e,
+    def loss_and_grad(head, ids):
+        return head_loss_and_grad(head, table, gates, features, ids,
                                   cfg.lambda1, cfg.lambda2, work)
 
     return _sgd(new_head(gates), loss_and_grad, store, cfg, "head")
@@ -238,23 +236,22 @@ def new_patientnode(dim: int, hidden: int, seed: int) -> PatientNodeHead:
 def patientnode_loss_and_grad(
     head: PatientNodeHead,
     table: EmbeddingTable,
-    r: np.ndarray,
-    e: np.ndarray,
+    ids: np.ndarray,
     work: Workspace | None = None,
 ) -> tuple[float, PatientNodeHead]:
     """Same pairwise hinge as the gated head, unregularized; backprop through
     the tiny MLP. The gradient is returned as a PatientNodeHead of the same
-    shape. r, e and work are as for head_loss_and_grad, work also holding
+    shape. ids and work are as for head_loss_and_grad, work also holding
     the MLP's hidden width."""
-    n_pairs = r.shape[0]
+    n_pairs = ids.shape[1]
     if work is None:
         work = Workspace(n_pairs, table.dim, head.w1.shape[0])
-    g, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, work.rows, work.scores)
+    g, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows, work.scores)
     s_margin = s_pos - s_neg
 
     # the gathered tail rows are entity_emb[t].astype(float64); t_pos and
     # t_neg pass the MLP apart, as a BLAS row may round differently with M
-    e_tails = g[1:3]
+    e_tails = g[2:]
     z, a, dz, mask = (x[:, :n_pairs] for x in (work.z, work.relu, work.dz, work.mask))
     for k in (0, 1):
         np.matmul(e_tails[k], head.w1.T, out=z[k])
@@ -294,8 +291,8 @@ def train_patientnode(
     """
     work = _workspace(store, cfg, table.dim, hidden)
 
-    def loss_and_grad(head, r, e):
-        return patientnode_loss_and_grad(head, table, r, e, work)
+    def loss_and_grad(head, ids):
+        return patientnode_loss_and_grad(head, table, ids, work)
 
     return _sgd(new_patientnode(table.dim, hidden, cfg.seed), loss_and_grad, store, cfg,
                 "patientnode")
@@ -303,7 +300,7 @@ def train_patientnode(
 
 def compute_bias_patientnode(head: PatientNodeHead, table: EmbeddingTable) -> np.ndarray:
     """Fixed bias per entity from its embedding; identical for every profile."""
-    z = table.entity_emb.astype(np.float64) @ head.w1.T + head.b1
+    z = table.rows64[:table.num_entities] @ head.w1.T + head.b1
     return np.maximum(z, 0.0) @ head.w2 + head.b2
 
 

@@ -164,13 +164,13 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
         queries = evaluator.query_set(store)
         checksum = queries.checksum()
     ent, rel = list(store.entity_vocab), list(store.relation_vocab)
-    labels = [(ent[h], rel[r], ent[t]) for h, r, t in store.test.tolist()]
+    labels = [f"{ent[h]}\t{rel[r]}\t{ent[t]}" for h, r, t in store.test.tolist()]
 
     reports = []
     for c, out in runs:
         table = tables[c.backbone_load]
         per_seed: list[dict] = []
-        rank_rows: list[tuple] = []
+        seed_ranks: list[tuple[int, np.ndarray]] = []
         head = ranks = None
         for run_seed in c.eval.seeds:
             head_cfg = dataclasses.replace(c.head, seed=c.head.seed + run_seed)
@@ -204,8 +204,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                 params = 0 if head is None else bias_head.param_count(head)
                 per_seed.append({**evaluator.ranking_metrics(ranks, c.eval.ks), **battery,
                                  "param_count": params})
-                rank_rows += [(run_seed, *label, rank)
-                              for label, rank in zip(labels, ranks.tolist())]
+                seed_ranks.append((run_seed, ranks))
 
         report = {
             "artifact": "gatedbias-run" if train else "gatedbias-eval",
@@ -225,17 +224,21 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "report": evaluator.eval_report(list(c.eval.seeds), per_seed),
         }
-        _write_report(report, rank_rows, out)
+        _write_report(report, labels, seed_ranks, out)
         reports.append(report)
     return reports
 
 
-def _write_report(report: dict, rank_rows: list[tuple], out_dir: str) -> None:
+def _write_report(report: dict, labels: list[str], seed_ranks: list[tuple[int, np.ndarray]],
+                  out_dir: str) -> None:
+    """report.json, and ranks.tsv from each seed's rank row: one line per
+    seed and test query, the query's tab-joined labels from labels."""
     write_json(os.path.join(out_dir, "report.json"), report)
     with atomic_write(os.path.join(out_dir, "ranks.tsv")) as fh:
         fh.write("seed\thead\trelation\ttrue_tail\trank\n")
-        for row in rank_rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
+        for seed, ranks in seed_ranks:
+            fh.writelines(f"{seed}\t{label}\t{rank}\n"
+                          for label, rank in zip(labels, ranks.tolist()))
 
 
 def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:

@@ -12,8 +12,8 @@ sign; alignment_delta_test, which reads the signs off the raw generator
 stream in chunks, must give the same p-value.
 score and to_dense are the one-triple DistMult score and the dense form of a
 gate matrix, written out from the stored arrays. score_triples scores a
-batch of triples with one einsum over the table's float64 copies, in the
-order score_pairs multiplies them.
+batch of triples with one einsum over the table's float64 rows (relation r
+at row |E| + r), in the order score_pairs multiplies them.
 corrupt_pairs is the heads' pair draw as it stood before the backbone and
 both heads shared one: the epoch's triples permuted and each repeated npp
 times, then one draw of every negative tail, shifted past its positive.
@@ -50,8 +50,8 @@ def score(table, h: int, r: int, t: int) -> float:
 
 def score_triples(table, heads, rels, tails) -> np.ndarray:
     """s(h, r, t) of each triple, one einsum over e_h, e_r, e_t in float64."""
-    ent = table._ent64
-    return np.einsum("ij,ij,ij->i", ent[heads], table._rel64[rels], ent[tails])
+    rows = table.rows64
+    return np.einsum("ij,ij,ij->i", rows[heads], rows[table.num_entities + rels], rows[tails])
 
 
 def to_dense(gates) -> np.ndarray:

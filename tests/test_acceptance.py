@@ -120,6 +120,7 @@ def gated_instance_error(rng):
     r = rng.integers(0, 2, size=6)
     tp = rng.integers(0, n_e, size=6)
     tn = rng.integers(0, n_e, size=6)
+    ids = np.stack([table.num_entities + r, h, tp, tn])  # table rows
     lam1, lam2 = 3e-4, 1e-4
     x = np.concatenate([rng.uniform(0.1, 0.5, ua + ub) * rng.choice([-1, 1], ua + ub),
                         rng.uniform(0.5, 1.5, 2)])
@@ -135,12 +136,12 @@ def gated_instance_error(rng):
         return None  # hinge kink: central differences straddle a corner
 
     _, grads = bias_head.head_loss_and_grad(head, table, (ga, gb), (f_a, f_b),
-                                            r, np.stack([h, tp, tn]), lam1, lam2)
+                                            ids, lam1, lam2)
     analytic = np.concatenate([grads.w_a, grads.w_b, [grads.alpha_a, grads.alpha_b]])
 
     def loss_at(v):
         loss, _ = bias_head.head_loss_and_grad(unpack(v), table, (ga, gb), (f_a, f_b),
-                                               r, np.stack([h, tp, tn]), lam1, lam2)
+                                               ids, lam1, lam2)
         return loss
 
     return fd_error(analytic, central_difference(loss_at, x))
@@ -153,6 +154,7 @@ def patientnode_instance_error(rng):
     r = rng.integers(0, 2, size=6)
     tp = rng.integers(0, n_e, size=6)
     tn = rng.integers(0, n_e, size=6)
+    ids = np.stack([table.num_entities + r, h, tp, tn])  # table rows
     sizes = (hid * d, hid, hid, 1)
     offs = np.cumsum((0,) + sizes)
 
@@ -174,12 +176,11 @@ def patientnode_instance_error(rng):
     if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
         return None  # ReLU or hinge kink
 
-    _, grads = bias_head.patientnode_loss_and_grad(head, table, r, np.stack([h, tp, tn]))
+    _, grads = bias_head.patientnode_loss_and_grad(head, table, ids)
     analytic = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
 
     def loss_at(v):
-        loss, _ = bias_head.patientnode_loss_and_grad(unpack(v), table, r,
-                                                      np.stack([h, tp, tn]))
+        loss, _ = bias_head.patientnode_loss_and_grad(unpack(v), table, ids)
         return loss
 
     return fd_error(analytic, central_difference(loss_at, x))

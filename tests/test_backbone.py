@@ -67,7 +67,8 @@ def test_score_pairs_matches_score():
     r = rng.integers(0, 2, size=6)
     e = rng.integers(0, 10, size=(3, 6))  # h, t_pos, t_neg
     rows, scores = np.empty(4 * 6 * 8), np.empty((2, 6))
-    _, (s_pos, s_neg) = score_pairs(table._ent64, table._rel64, r, e, rows, scores)
+    # relation r is table row |E| + r
+    _, (s_pos, s_neg) = score_pairs(table.rows64, np.vstack([10 + r, e]), rows, scores)
     for i in range(6):
         h, tp, tn = e[:, i].tolist()
         assert np.isclose(s_pos[i], score(table, h, int(r[i]), tp), rtol=1e-12)
@@ -95,9 +96,18 @@ def test_frozen_table_rejects_writes(tmp_path):
     path = str(tmp_path / "emb.kge")
     save_embeddings(direct, path)
     for table in (direct, trained, load_embeddings(path)):
-        for emb in (table.entity_emb, table.relation_emb):
+        for emb in (table.emb, table.rows64, table.entity_emb, table.relation_emb):
             with pytest.raises(ValueError, match="read-only"):
                 emb[0, 0] = 1.0
+
+
+def test_table_rows_are_entities_then_relations():
+    rng = np.random.default_rng(3)
+    table = random_table(rng, 7, 3, 5)
+    assert table.emb.shape == (10, 5) and table.rows64.dtype == np.float64
+    assert np.array_equal(table.entity_emb, table.emb[:7])
+    for r in range(3):
+        assert table.rows64[7 + r].tolist() == table.relation_emb[r].astype(np.float64).tolist()
 
 
 def test_checksum_distinguishes_tables():
@@ -160,11 +170,14 @@ def test_corrupt_pairs_match_the_oracle_draw(npp):
            corrupt_pairs(store, 4, npp, np.random.default_rng(5), "backbone")]
     want = oracle_corrupt_pairs(store, 4, npp, np.random.default_rng(5))
     assert [epoch for epoch, _ in got] == [0, 1, 2, 3]
+    n_e = store.num_entities
     for (_, ids), expected in zip(got, want, strict=True):
-        assert ids.shape == (4, 37 * npp) and np.array_equal(ids, expected)
-        r, h, t_pos, t_neg = ids
+        r_row, h, t_pos, t_neg = ids
+        # relation r is table row |E| + r
+        assert r_row.min() >= n_e and r_row.max() < n_e + store.num_relations
+        assert ids.shape == (4, 37 * npp)
+        assert np.array_equal(ids - [[n_e], [0], [0], [0]], expected)
         assert np.all(t_neg != t_pos)
-        assert r.min() >= 0 and r.max() < store.num_relations
         for e in (h, t_pos, t_neg):
             assert e.min() >= 0 and e.max() < store.num_entities
 
@@ -340,6 +353,12 @@ def test_embedding_file_layout(tmp_path):
     assert magic == MAGIC and (n_e, n_r, d) == (1, 1, 2)
     floats = np.frombuffer(data, dtype="<f4", offset=struct.calcsize("<4sQQQ"))
     assert floats.tolist() == [1.5, -2.0, 0.25, 4.0]
+    # the payload is the table's one block of rows, entities then relations
+    rng = np.random.default_rng(8)
+    table = random_table(rng, 6, 2, 3)
+    save_embeddings(table, path)
+    with open(path, "rb") as f:
+        assert f.read()[struct.calcsize("<4sQQQ"):] == table.emb.tobytes()
 
 
 def test_load_truncated_file_raises(tmp_path):

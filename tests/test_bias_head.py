@@ -135,7 +135,7 @@ def test_head_gradient_hand_value_single_pair():
     f_b = make_features(gb, [0.0])
     loss, grads = head_loss_and_grad(
         head, table, (ga, gb), (f_a, f_b),
-        np.array([0]), np.array([[0], [0], [1]]),
+        np.array([[2], [0], [0], [1]]),  # relation 0 is table row 2
         lambda1=0.0, lambda2=0.0)
     assert loss == 1.0
     assert grads.w_a.tolist() == [-0.5]
@@ -159,9 +159,10 @@ def test_head_loss_matches_manual_formula():
     r = rng.integers(0, 2, size=7)
     tp = rng.integers(0, 12, size=7)
     tn = rng.integers(0, 12, size=7)
+    ids = np.stack([table.num_entities + r, h, tp, tn])  # table rows
     lam1, lam2 = 3e-3, 2e-3
 
-    loss, _ = head_loss_and_grad(head, table, (ga, gb), (f_a, f_b), r, np.stack([h, tp, tn]),
+    loss, _ = head_loss_and_grad(head, table, (ga, gb), (f_a, f_b), ids,
                                  lam1, lam2)
 
     bias = (head.alpha_a * (da @ (head.w_a * f_a))
@@ -188,6 +189,7 @@ def gated_fd_check(rng, lam1, lam2):
     r = rng.integers(0, 2, size=6)
     tp = rng.integers(0, n_e, size=6)
     tn = rng.integers(0, n_e, size=6)
+    ids = np.stack([table.num_entities + r, h, tp, tn])  # table rows
     # parameters away from the L1 kink at 0
     w = np.concatenate([rng.uniform(0.1, 0.5, ua) * rng.choice([-1, 1], ua),
                         rng.uniform(0.1, 0.5, ub) * rng.choice([-1, 1], ub),
@@ -198,11 +200,11 @@ def gated_fd_check(rng, lam1, lam2):
 
     def loss_at(x):
         loss, _ = head_loss_and_grad(unpack(x), table, (ga, gb), (f_a, f_b),
-                                     r, np.stack([h, tp, tn]), lam1, lam2)
+                                     ids, lam1, lam2)
         return loss
 
     loss, grads = head_loss_and_grad(unpack(w), table, (ga, gb), (f_a, f_b),
-                                     r, np.stack([h, tp, tn]), lam1, lam2)
+                                     ids, lam1, lam2)
     # skip draws whose hinge sits on its kink (finite differences undefined)
     head = unpack(w)
     bias = compute_bias(head, (ga, gb), (f_a, f_b))
@@ -335,6 +337,7 @@ def test_patientnode_gradient_matches_finite_differences():
     r = rng.integers(0, 2, size=5)
     tp = rng.integers(0, n_e, size=5)
     tn = rng.integers(0, n_e, size=5)
+    ids = np.stack([table.num_entities + r, h, tp, tn])  # table rows
     sizes = (hid * d, hid, hid, 1)
 
     def unpack(x):
@@ -345,7 +348,7 @@ def test_patientnode_gradient_matches_finite_differences():
                                b2=float(x[o[3]]))
 
     def loss_at(x):
-        loss, _ = patientnode_loss_and_grad(unpack(x), table, r, np.stack([h, tp, tn]))
+        loss, _ = patientnode_loss_and_grad(unpack(x), table, ids)
         return loss
 
     checked = 0
@@ -361,7 +364,7 @@ def test_patientnode_gradient_matches_finite_differences():
                    - oracles.score_triples(table, h, r, tn) - bias[tn])
         if np.any(np.abs(z) < 1e-3) or np.any(np.abs(1.0 - margins) < 1e-3):
             continue
-        loss, grads = patientnode_loss_and_grad(head, table, r, np.stack([h, tp, tn]))
+        loss, grads = patientnode_loss_and_grad(head, table, ids)
         analytic = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
         numeric = central_difference(loss_at, x)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-3)

@@ -170,6 +170,46 @@ def test_run_eval_reproduces_run_pipeline(method, data_dir, tmp_path, monkeypatc
         assert fh.read() == ranks_bytes
 
 
+
+def test_run_eval_with_one_users_log_adapts_without_training(tmp_path, monkeypatch):
+    # eval over another interaction log is the inference-time adaptation: the
+    # trained heads meet a new profile, and nothing the checkpoints bind
+    # moves. 200 items, as 20 leave every user's aligned set the population's
+    data_dir = str(tmp_path / "data")
+    generate(SynthParams(n_items=200), data_dir)
+    out = str(tmp_path / "run")
+    report = run_pipeline(tiny_cfg(data_dir), out)
+
+    def checkpoints():
+        files = {}
+        for name in ("backbone.kge", "head_seed0.json", "head_seed1.json"):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = fh.read()
+        return files
+
+    before = checkpoints()
+    with open(os.path.join(data_dir, "interactions.tsv"), encoding="utf-8") as fh:
+        lines = [line for line in fh if not line.startswith("#")]
+    user = lines[0].split("\t")[0]
+    user_log = tmp_path / "user.tsv"
+    user_log.write_text("".join(line for line in lines if line.split("\t")[0] == user),
+                        encoding="utf-8")
+    for target in ("gatedbias.pipeline.train_backbone", "gatedbias.bias_head.train_head",
+                   "gatedbias.bias_head.train_patientnode"):
+        monkeypatch.setattr(target, _refuse_training)
+    cfg = tiny_cfg(data_dir)
+    cfg = dataclasses.replace(cfg, data=dataclasses.replace(
+        cfg.data, interactions_path=str(user_log)))
+    adapted = run_eval(cfg, out)
+
+    assert checkpoints() == before
+    for key in ("backbone_checksum", "query_checksum", "universes"):
+        assert adapted[key] == report[key]
+    for key in ("aligned_set_size", "alignment@10_adapted"):
+        assert ([s[key] for s in adapted["report"]["per_seed"]]
+                != [s[key] for s in report["report"]["per_seed"]]), key
+
+
 @pytest.mark.parametrize("method,field,trained,configured", [
     ("gatedbias", "epochs", 2, 7),
     ("gatedbias", "seed", 0, 5),
@@ -295,7 +335,7 @@ def test_failed_report_write_keeps_the_previous_report(gated_run, tmp_path):
         before = fh.read()
     # json.dump has written "{" and the "a" entry to disk when it meets the object
     with pytest.raises(TypeError, match="not JSON serializable"):
-        _write_report({"a": 1, "z": object()}, [], out)
+        _write_report({"a": 1, "z": object()}, [], [], out)
     with open(os.path.join(out, "report.json"), "rb") as fh:
         assert fh.read() == before
     assert sorted(os.listdir(out)) == listing
