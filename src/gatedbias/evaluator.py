@@ -262,10 +262,10 @@ def aligned_set(bias: BiasVector, percentile_p: int) -> AlignedSet:
 
 def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
                         aligned: AlignedSet, k: int) -> np.ndarray:
-    """Per-query |top-k ∩ A| / k, one row per bias vector of the stack (None:
-    the backbone alone), from one scoring sweep over the keys: top-k depends
-    on (h, r) and the bias alone, so each key's value is computed once and
-    read by all its queries.
+    """Per-key |top-k ∩ A| / k, one row per bias vector of the stack (None:
+    the backbone alone), from one scoring sweep over the keys: an
+    (n_biases, n_keys) array. Top-k depends on (h, r) and the bias alone, so
+    query i's value is column queries.key_of[i] of its bias's row.
 
     Top-k holds the k best unfiltered candidates, score descending and ties
     by lower id; only its set matters. Every filtered tail stays out, so a
@@ -280,19 +280,18 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     hits = np.empty((len(stack), len(queries.key_heads)), dtype=np.int64)
     for keys, b, _, scores in _sweep(queries, table, stack):
         hits[b, keys] = _topk_hits(scores, mask, k)
-    return hits[:, queries.key_of] / k
+    return hits / k
 
 
 _SIGN_BIT = np.uint64(1 << 63)
 
 
-def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
-                         seed: int = 0) -> float:
+def alignment_delta_test(diffs: np.ndarray, n_resamples: int = 10000, seed: int = 0) -> float:
     """Two-sided paired sign-flip permutation test on per-query alignment.
 
-    per_query_pairs is (n, 2) and finite: column 0 base, column 1 adapted.
+    diffs is 1-D and finite: per query, adapted minus base alignment.
     Returns the add-one p-value estimate (count + 1) / (resamples + 1), which
-    is exactly 1.0 when all pairs are identical.
+    is exactly 1.0 when every difference is zero.
 
     The signs are those of default_rng(seed).choice((-1.0, 1.0),
     size=(n_resamples, n)), read by value off the raw PCG64 stream: numpy
@@ -307,16 +306,15 @@ def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
     by n as mean() does, so the p-value is the draw's bit for bit
     (tests/oracles.py keeps the rng.choice form).
     """
-    pairs = np.asarray(per_query_pairs, dtype=np.float64)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("per_query_pairs must have shape (n, 2)")
-    if pairs.shape[0] < 2:
+    diffs = np.asarray(diffs, dtype=np.float64)
+    if diffs.ndim != 1:
+        raise ValueError(f"diffs must be 1-D, got shape {diffs.shape}")
+    if diffs.shape[0] < 2:
         raise ValueError("paired test needs at least 2 queries")
-    if not np.isfinite(pairs).all():
-        raise ValueError("per_query_pairs must be finite")
+    if not np.isfinite(diffs).all():
+        raise ValueError("diffs must be finite")
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be at least 1, got {n_resamples}")
-    diffs = pairs[:, 1] - pairs[:, 0]
     n = diffs.shape[0]
     t_obs = abs(diffs.mean())
     negated = (-diffs).view(np.uint64)
@@ -345,18 +343,18 @@ def alignment_delta_test(per_query_pairs: np.ndarray, n_resamples: int = 10000,
 # Counterfactual and placebo checks
 # ---------------------------------------------------------------------------
 
-def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.ndarray,
+def counterfactual_responsiveness(contrib: np.ndarray, group: str, true_tails: np.ndarray,
                                   ranks_adapted: np.ndarray,
                                   ranks_after: np.ndarray) -> dict[str, float | None]:
     """Report entries cr_<group> and cr_<group>_pct_improved: the mean rank
     change of the queries' true tails, from the adapted ranks to the ranks
     with group's features scaled by (1 + epsilon), inside minus outside the
-    group's positive-contribution set of the real bias, and the fraction of
-    in-group true tails that moved toward rank 1. Negative CR means in-group
-    true tails moved toward rank 1 relative to the rest. Both entries are
-    None when every test true tail falls on one side of the split.
-    """
-    in_mask = dict(zip(GROUP_TAGS, (bias.contrib_a, bias.contrib_b)))[group][true_tails] > 0
+    entities where contrib, group's contribution to the real bias, is
+    positive, and the fraction of in-group true tails that moved toward rank
+    1. Negative CR means in-group true tails moved toward rank 1 relative to
+    the rest. Both entries are None when every test true tail falls on one
+    side of the split."""
+    in_mask = contrib[true_tails] > 0
     n_in, n_out = int(in_mask.sum()), int((~in_mask).sum())
     if n_in == 0 or n_out == 0:
         log.warning("CR_%s undefined: %d in-group / %d out-of-group test tails",
@@ -367,18 +365,18 @@ def counterfactual_responsiveness(bias: BiasVector, group: str, true_tails: np.n
             f"cr_{group}_pct_improved": float((delta[in_mask] < 0).mean())}
 
 
-def placebo_validation(alignment: np.ndarray) -> dict[str, float | None]:
+def placebo_validation(means: list[float]) -> dict[str, float | None]:
     """Report entries placebo_real_delta, placebo_shuffled_delta and
     placebo_ratio: ΔAlignment@10 with real features and its mean over
-    feature-shuffled reruns, each against the same base alignment, from
-    per-query alignment rows: base, adapted, then one per shuffle. The ratio
+    feature-shuffled reruns, each against the same base alignment, from one
+    mean alignment per bias: base, adapted, then one per shuffle. The ratio
     is real / shuffled-mean, None when the denominator is numerically zero."""
-    if len(alignment) < 3:
+    if len(means) < 3:
         raise ValueError("placebo_validation needs base, adapted and at least one shuffled "
-                         f"alignment row, got {len(alignment)} rows")
-    base_mean = alignment[0].mean()
-    real_delta = float(alignment[1].mean() - base_mean)
-    shuffled_mean = float(np.mean([float(pq.mean() - base_mean) for pq in alignment[2:]]))
+                         f"alignment mean, got {len(means)}")
+    base_mean, adapted_mean, *shuffled = means
+    real_delta = float(adapted_mean - base_mean)
+    shuffled_mean = float(np.mean([float(m - base_mean) for m in shuffled]))
     return {"placebo_real_delta": real_delta, "placebo_shuffled_delta": shuffled_mean,
             "placebo_ratio": real_delta / shuffled_mean if abs(shuffled_mean) >= 1e-12 else None}
 
@@ -390,7 +388,8 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
     is computed from. One rank sweep serves the adapted bias and both
     counterfactual ones (one group's features scaled by 1 + epsilon), one
     alignment sweep the base, adapted and settings.n_shuffles placebo biases
-    (both groups' features permuted, the aligned set that of the real ones)."""
+    (both groups' features permuted, the aligned set that of the real ones),
+    whose per-key rows yield each bias's mean and the sign-flip differences."""
     f_a, f_b = features
     boost = 1.0 + settings.epsilon
     boosted = [compute_bias(head, gates, (f_a * boost, f_b)).values,
@@ -400,17 +399,19 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
     rng = np.random.default_rng(seed)
     shuffled = [compute_bias(head, gates, tuple(map(shuffle_features, features, seeds))).values
                 for seeds in rng.integers(0, 2**63 - 1, (settings.n_shuffles, 2)).tolist()]
-    pq = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias.values,
-                                              *shuffled], aligned, ALIGNMENT_K)
-    base_mean, adapted_mean = float(pq[0].mean()), float(pq[1].mean())
-    entries = {f"alignment@{ALIGNMENT_K}_base": base_mean,
-               f"alignment@{ALIGNMENT_K}_adapted": adapted_mean,
-               f"alignment@{ALIGNMENT_K}_delta": float(adapted_mean - base_mean),
-               "alignment_p_value": alignment_delta_test(pq[:2].T, seed=seed)}
-    for group, after in zip(GROUP_TAGS, ranks_after):
-        entries.update(counterfactual_responsiveness(bias, group, queries.true_tails,
+    per_key = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias.values,
+                                                   *shuffled], aligned, ALIGNMENT_K)
+    key_of = queries.key_of
+    means = [float(row[key_of].mean()) for row in per_key]
+    entries = {f"alignment@{ALIGNMENT_K}_base": means[0],
+               f"alignment@{ALIGNMENT_K}_adapted": means[1],
+               f"alignment@{ALIGNMENT_K}_delta": means[1] - means[0],
+               "alignment_p_value": alignment_delta_test(per_key[1, key_of] - per_key[0, key_of],
+                                                         seed=seed)}
+    for group, contrib, after in zip(GROUP_TAGS, (bias.contrib_a, bias.contrib_b), ranks_after):
+        entries.update(counterfactual_responsiveness(contrib, group, queries.true_tails,
                                                      ranks, after))
-    entries.update(placebo_validation(pq), aligned_set_size=len(aligned))
+    entries.update(placebo_validation(means), aligned_set_size=len(aligned))
     return ranks, entries
 
 
@@ -418,23 +419,14 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
 # Multi-seed aggregation
 # ---------------------------------------------------------------------------
 
-def mean_stderr(values: list) -> tuple[float | None, float | None]:
-    """Mean and stderr (sample stddev / sqrt(n)) over the non-absent values."""
-    vals = [float(v) for v in values if v is not None]
-    if not vals:
-        return None, None
-    m = float(np.mean(vals))
-    if len(vals) == 1:
-        return m, None
-    return m, float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-
-
 def eval_report(seeds: list[int], per_seed: list[dict]) -> dict:
-    """The seeds, their per-seed entries, and each entry's mean ± stderr over
-    the seeds where it is present (every value is a number or None)."""
+    """The seeds, their per-seed entries, and each entry's mean ± stderr
+    (sample stddev / sqrt(n)) over the seeds where it is present (every value
+    is a number or None)."""
     aggregate = {}
     for k in dict.fromkeys(k for d in per_seed for k in d):
-        vals = [d[k] for d in per_seed if d.get(k) is not None]
-        m, se = mean_stderr(vals)
-        aggregate[k] = {"mean": m, "stderr": se, "n": len(vals)}
+        vals = [float(d[k]) for d in per_seed if d.get(k) is not None]
+        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else None
+        aggregate[k] = {"mean": float(np.mean(vals)) if vals else None, "stderr": se,
+                        "n": len(vals)}
     return {"seeds": seeds, "per_seed": per_seed, "aggregate": aggregate}

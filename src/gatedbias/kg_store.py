@@ -67,10 +67,10 @@ def load_triples(path: str) -> TripleStore:
     is an error (filtered evaluation depends on split disjointness).
     """
     if not os.path.isdir(path):
+        holding = f"data.triples_dir must be a directory holding {', '.join(SPLIT_FILES.values())}"
         if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        raise ConfigError(f"{path} is not a directory; data.triples_dir must be a directory "
-                          f"holding {', '.join(SPLIT_FILES.values())}")
+            raise FileNotFoundError(f"{path} does not exist; {holding}")
+        raise ConfigError(f"{path} is not a directory; {holding}")
     if not os.path.exists(os.path.join(path, SPLIT_FILES["train"])):
         raise ConfigError(f"missing {SPLIT_FILES['train']} in {path}")
     entity_vocab: dict[str, int] = {}

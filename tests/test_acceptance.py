@@ -335,11 +335,12 @@ def test_c8_metric_formula_checks():
                    - math.fsum(1.0 / math.log2(r + 1) for r in range(1, 11)) / 10) <= 1e-12
 
         pairs = np.column_stack([np.full(100, 0.5), np.full(100, 0.5)])
-        assert evaluator.alignment_delta_test(pairs) == 1.0
+        assert evaluator.alignment_delta_test(pairs[:, 1] - pairs[:, 0]) == 1.0
 
         rng = np.random.default_rng(4)
         base = rng.random(100)
-        assert evaluator.alignment_delta_test(np.column_stack([base, base + 0.1])) <= 0.001
+        pairs = np.column_stack([base, base + 0.1])
+        assert evaluator.alignment_delta_test(pairs[:, 1] - pairs[:, 0]) <= 0.001
 
 
 # ---------------------------------------------------------------------------

@@ -336,21 +336,30 @@ def test_profile_range_fails_before_training(cfg_path, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,stage", [("run", "data"), ("compare", "data"),
-                                           ("eval", "backbone")])
-def test_refused_run_leaves_no_out_directory(command, stage, cfg_path, data_dir, tmp_path,
-                                             capsys):
-    """run and compare refused at load, and eval with no checkpoint to load,
-    create no --out directory: it is made only when a file goes into it."""
+@pytest.mark.parametrize("command,stage,triples,reason", [
+    ("run", "data", "train.tsv", "is not a directory"),
+    ("compare", "data", "train.tsv", "is not a directory"),
+    ("run", "data", "nowhere", "does not exist"),
+    ("eval", "data", "nowhere", "does not exist"),
+    ("eval", "backbone", None, "no backbone checkpoint"),
+], ids=["run-data", "compare-data", "run-data-missing", "eval-data-missing", "eval-backbone"])
+def test_refused_run_leaves_no_out_directory(command, stage, triples, reason, cfg_path, data_dir,
+                                             tmp_path, capsys):
+    """run and compare refused at load, eval with no triples directory or no
+    checkpoint to load, create no --out directory: it is made only when a
+    file goes into it. A refused triples_dir says why."""
     with open(cfg_path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    if stage == "data":
-        raw["data"]["triples_dir"] = os.path.join(data_dir, "triples", "train.tsv")
+    if triples is not None:
+        raw["data"]["triples_dir"] = os.path.join(data_dir, "triples", triples)
     path = str(tmp_path / "config.yaml")
     save_config(raw, path)
     out = tmp_path / "out"
     assert main([command, path, "--out", str(out)]) == 1
-    assert f"error: [{stage}]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{stage}] ") and reason in err
+    if triples is not None:
+        assert "data.triples_dir must be a directory holding train.tsv" in err
     assert not out.exists()
 
 

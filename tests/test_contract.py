@@ -5,8 +5,11 @@ The digest covers compare.tsv, each method's ranks.tsv, backbone.kge, the
 head and patientnode checkpoints, and compare.json and each report.json with
 `timestamp` dropped and the paths under the output directory made relative.
 A refactor that changes one bit of a score, a trained weight or a report
-value fails here. The arithmetic is numpy's and BLAS's, so the test skips
-when either differs from the versions the digest was recorded with.
+value fails here. Every synth alignment_p_value sits at the floor
+1 / (10,000 + 1), so the digest cannot see a changed sign stream; a tiny
+`run` on preference-free data pins a p-value off the floor. The arithmetic
+is numpy's and BLAS's, so both tests skip when either differs from the
+versions the pins were recorded with.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 from gatedbias.config import METHODS, config_from_dict
-from gatedbias.pipeline import run_compare
+from gatedbias.pipeline import run_compare, run_pipeline
 
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
@@ -61,11 +64,15 @@ def contract_digest(out: str) -> str:
     return h.hexdigest()
 
 
-def test_tiny_compare_matches_recorded_digest(tmp_path):
+def _skip_unless_recorded_arithmetic():
     have = (np.__version__, _blas())
     if have != (RECORDED_NUMPY, RECORDED_BLAS):
-        pytest.skip(f"digest recorded with numpy {RECORDED_NUMPY} and {RECORDED_BLAS}; "
+        pytest.skip(f"recorded with numpy {RECORDED_NUMPY} and {RECORDED_BLAS}; "
                     f"running numpy {have[0]} and {have[1]}")
+
+
+def test_tiny_compare_matches_recorded_digest(tmp_path):
+    _skip_unless_recorded_arithmetic()
     cfg = config_from_dict({
         "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5, "n_users": 10,
                                "seed": 0}},
@@ -77,3 +84,19 @@ def test_tiny_compare_matches_recorded_digest(tmp_path):
     out = str(tmp_path / "cmp")
     run_compare(cfg, out)
     assert contract_digest(out) == DIGEST
+
+
+def test_tiny_run_pins_the_sign_flip_p_values(tmp_path):
+    """With no preference skew the adapted alignment barely moves, so seed 1's
+    p-value lands off the floor and depends on every sign the test draws."""
+    _skip_unless_recorded_arithmetic()
+    cfg = config_from_dict({
+        "data": {"synthetic": {"n_items": 20, "n_attrs_per_group": 5, "n_users": 10,
+                               "seed": 0, "preference_skew": 0}},
+        "backbone": {"dim": 8, "epochs": 5, "learning_rate": 0.5, "batch_size": 32},
+        "head": {"batch_size": 32, "learning_rate": 0.02, "epochs": 1},
+        "eval": {"seeds": [0, 1], "n_shuffles": 2},
+    })
+    report = run_pipeline(cfg, str(tmp_path / "run"))["report"]
+    assert [entry["alignment_p_value"] for entry in report["per_seed"]] == [
+        9.999000099990002e-05, 0.8295170482951705]

@@ -37,12 +37,13 @@ def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
     for bias, row in zip(biases, ranks):
         assert np.array_equal(row, oracles.compute_rank_table(store, table, bias))
 
+    assert got.shape == (len(biases), len(queries.key_heads))
     pairs = [(int(h), int(r)) for h, r, _ in store.test]
     filters = oracles.query_filters(store)
-    for bias, row in zip(biases, got):
+    for bias, row in zip(biases, got):  # per key: query i reads column key_of[i]
         want = oracles.alignment_per_query(pairs, filters, oracles.biased_scores(table, bias),
                                            aligned, k)
-        assert np.array_equal(row, want)
+        assert np.array_equal(row[queries.key_of], want)
     assert queries.checksum() == oracles.query_checksum(store)
 
 
@@ -117,8 +118,8 @@ def test_engine_matches_oracle_on_degenerate_queries(k, block_cells):
     queries = query_set(store)
     aligned = AlignedSet(members=np.arange(n), threshold_tau=0.0, num_entities=n)
     everyone = alignment_per_query(queries, equal_table(n, 1), None, aligned, k)
-    assert everyone[0, 0] == 0.0  # nothing left to recommend
-    assert everyone[0, 2] == min(k, n) / k
+    assert everyone[0, queries.key_of[0]] == 0.0  # nothing left to recommend
+    assert everyone[0, queries.key_of[2]] == min(k, n) / k
 
 
 def test_engine_scores_each_key_once_per_sweep(monkeypatch):
@@ -359,7 +360,7 @@ def alignment_like_pairs(n_queries, seed):
 def test_delta_test_chunks_give_the_unchunked_p_value(n_queries, n_resamples, seed):
     pairs = alignment_like_pairs(n_queries, seed)
     want = oracles.sign_flip_p_value(pairs, n_resamples, seed)
-    assert alignment_delta_test(pairs, n_resamples, seed) == want
+    assert alignment_delta_test(pairs[:, 1] - pairs[:, 0], n_resamples, seed) == want
 
 
 def test_delta_test_uneven_chunk_remainder(monkeypatch):
@@ -373,7 +374,7 @@ def test_delta_test_uneven_chunk_remainder(monkeypatch):
                       2 * 333 * 13,  # 333 rows before rounding: chunks of 332
                       999):          # 38 rows
             monkeypatch.setattr(evaluator, "BLOCK_CELLS", cells)
-            assert alignment_delta_test(pairs, n_resamples, 2) == want
+            assert alignment_delta_test(pairs[:, 1] - pairs[:, 0], n_resamples, 2) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,4 +385,4 @@ def test_delta_test_matches_oracle_on_random_shapes(n_queries, n_resamples, seed
     want = oracles.sign_flip_p_value(pairs, n_resamples, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "BLOCK_CELLS", block_cells)
-        assert alignment_delta_test(pairs, n_resamples, seed) == want
+        assert alignment_delta_test(pairs[:, 1] - pairs[:, 0], n_resamples, seed) == want

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from gatedbias.bias_head import BiasVector, compute_bias
 from gatedbias.config import EvalSettings
 from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, aligned_set, alignment_delta_test,
                                  compute_rank_table, counterfactual_responsiveness,
-                                 eval_report, gated_battery, mean_stderr, placebo_validation,
+                                 eval_report, gated_battery, placebo_validation,
                                  query_set, ranking_metrics)
-from helpers import (gates_from_dense, make_features, make_head, random_table,
-                     store_from_labels)
+from helpers import (gates_from_dense, make_features, make_head, random_gates, random_store,
+                     random_table, store_from_labels)
 from oracles import (alignment_at_k, alignment_per_query, filtered_rank, query_filters,
                      topk_filtered)
 
@@ -280,39 +281,45 @@ def test_alignment_validation():
 
 def test_alignment_delta_test_identical_pairs():
     pairs = np.column_stack([np.full(20, 0.3), np.full(20, 0.3)])
-    assert alignment_delta_test(pairs) == 1.0
+    assert alignment_delta_test(pairs[:, 1] - pairs[:, 0]) == 1.0
 
 
 def test_alignment_delta_test_detects_shift():
     rng = np.random.default_rng(5)
     base = rng.random(100)
     pairs = np.column_stack([base, base + 0.1])
-    assert alignment_delta_test(pairs) <= 0.001
+    assert alignment_delta_test(pairs[:, 1] - pairs[:, 0]) <= 0.001
 
 
 def test_alignment_delta_test_validation():
-    with pytest.raises(ValueError, match="shape"):
-        alignment_delta_test(np.zeros(5))
+    with pytest.raises(ValueError, match="1-D"):
+        alignment_delta_test(np.zeros((5, 2)))  # the old (n, 2) pairs
+    with pytest.raises(ValueError, match="1-D"):
+        alignment_delta_test(np.float64(0.5))
     with pytest.raises(ValueError, match="at least 2"):
-        alignment_delta_test(np.zeros((1, 2)))
+        alignment_delta_test(np.zeros(1))
+    with pytest.raises(ValueError, match="at least 2"):
+        alignment_delta_test(np.zeros(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("column", [0, 1])
 def test_alignment_delta_test_refuses_non_finite_pairs(bad, column):
-    # a NaN difference never ties the observed statistic, so it read as p ~ 1e-4
+    # a NaN difference never ties the observed statistic, so it read as p ~ 1e-4;
+    # a non-finite base or adapted value gives a NaN or ±inf difference
     pairs = np.column_stack([np.zeros(20), np.full(20, 0.1)])
     pairs[3, column] = bad
+    diffs = pairs[:, 1] - pairs[:, 0]
+    assert not np.isfinite(diffs[3])
     with pytest.raises(ValueError, match="finite"):
-        alignment_delta_test(pairs)
+        alignment_delta_test(diffs)
 
 
 @pytest.mark.parametrize("n_resamples", [0, -5])
 def test_alignment_delta_test_refuses_fewer_than_one_resample(n_resamples):
     # n_resamples=-5 gave the p-value (0 + 1) / (-5 + 1) = -0.25
-    pairs = np.column_stack([np.zeros(5), np.arange(5.0)])
     with pytest.raises(ValueError, match="n_resamples"):
-        alignment_delta_test(pairs, n_resamples=n_resamples)
+        alignment_delta_test(np.arange(5.0), n_resamples=n_resamples)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +341,9 @@ def cr_of(setup, group, epsilon):
                                                            f_b * boost if group == "B" else f_b))
     ranks, after = compute_rank_table(setup["queries"], setup["table"],
                                       [setup["bias"].values, boosted.values])
-    return counterfactual_responsiveness(setup["bias"], group, setup["queries"].true_tails,
-                                         ranks, after)
+    contrib = setup["bias"].contrib_a if group == "A" else setup["bias"].contrib_b
+    return counterfactual_responsiveness(contrib, group, setup["queries"].true_tails, ranks,
+                                         after)
 
 
 def battery_of(setup, **settings):
@@ -407,14 +415,6 @@ def test_cr_one_sided_split_returns_none(caplog):
     assert entries["cr_A"] is None and entries["cr_A_pct_improved"] is None
 
 
-def test_cr_validation():
-    setup = crossing_context()
-    ranks = np.ones(2, dtype=np.int64)
-    with pytest.raises(KeyError):
-        counterfactual_responsiveness(setup["bias"], "C", np.zeros(2, dtype=np.int64),
-                                      ranks, ranks)
-
-
 # ---------------------------------------------------------------------------
 # placebo validation
 # ---------------------------------------------------------------------------
@@ -437,18 +437,19 @@ def placebo_context(w_a=3.0):
 
 
 def test_placebo_validation_hand_rows():
-    # rows: base, adapted, then one per shuffle; base mean 0.25
-    # shuffled deltas 0.0 and -0.25
-    res = placebo_validation(np.array([[0.0, 0.5], [0.5, 0.5], [0.25, 0.25], [0.0, 0.0]]))
+    # means of the rows base, adapted, then one per shuffle:
+    # [0.0, 0.5], [0.5, 0.5], [0.25, 0.25], [0.0, 0.0]; shuffled deltas 0.0 and -0.25
+    res = placebo_validation([0.25, 0.5, 0.25, 0.0])
     assert res == {"placebo_real_delta": 0.25, "placebo_shuffled_delta": -0.125,
                    "placebo_ratio": -2.0}
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2])
 def test_placebo_validation_refuses_fewer_than_three_rows(rows):
-    # with no shuffled row the shuffled mean was NaN, with a RuntimeWarning
+    # one mean per alignment row; with no shuffled row the shuffled mean was
+    # NaN, with a RuntimeWarning
     with pytest.raises(ValueError, match="at least one shuffled"):
-        placebo_validation(np.zeros((rows, 4)))
+        placebo_validation([0.0] * rows)
 
 
 def test_placebo_constant_features_give_ratio_one():
@@ -470,18 +471,53 @@ def test_placebo_zero_bias_has_no_ratio(caplog):
     assert entries["placebo_ratio"] is None
 
 
+def battery_peak(setup, n_shuffles):
+    tracemalloc.start()
+    try:
+        battery_of(setup, n_shuffles=n_shuffles)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_battery_memory_grows_with_shuffles_by_biases_and_keys_only():
+    """Each extra shuffle adds one bias vector, its stack row, and per key an
+    int64 hit count and a float64 rate; nothing per query. 5,000 queries on
+    30 keys: a per-query alignment row would cost 40 KB a shuffle."""
+    rng = np.random.default_rng(0)
+    n_e = 1000
+    store = random_store(rng, n_entities=n_e, n_relations=3, n_train=2000, n_test=5000)
+    store.test[:, 0] %= 10  # ten heads by three relations: 30 keys
+    ga, _ = random_gates(rng, n_e, 6)
+    gb, _ = random_gates(rng, n_e, 4, group="B")
+    head = make_head(rng.standard_normal(6), rng.standard_normal(4))
+    setup = gated_setup(store, head, (ga, gb), (rng.random(6), rng.random(4)))
+    setup["table"] = random_table(rng, n_e, 3, 8)
+    n_keys = len(setup["queries"].key_heads)
+    assert n_keys == 30
+    battery_of(setup, n_shuffles=2)  # one-time allocations stay out of both peaks
+    growth = battery_peak(setup, 20) - battery_peak(setup, 2)
+    slack = 64 * 1024  # allocator and interpreter noise
+    assert growth <= 18 * (2 * n_e + 2 * n_keys) * 8 + slack
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
 
 def test_mean_stderr_hand_values():
-    m, se = mean_stderr([1.0, 2.0, 3.0])
+    """eval_report's mean and stderr of one entry over the seeds."""
+    def aggregate_of(values):
+        entry = eval_report(list(range(len(values))), [{"x": v} for v in values])["aggregate"]
+        return entry["x"]["mean"], entry["x"]["stderr"]
+
+    m, se = aggregate_of([1.0, 2.0, 3.0])
     assert m == 2.0
     assert se == 1.0 / np.sqrt(3.0)
-    assert mean_stderr([5.0]) == (5.0, None)
-    assert mean_stderr([1.0, None, 3.0]) == (2.0, 1.0)  # std([1, 3], ddof=1) = sqrt(2)
-    assert mean_stderr([]) == (None, None)
-    assert mean_stderr([None, None]) == (None, None)
+    assert aggregate_of([5.0]) == (5.0, None)
+    assert aggregate_of([1.0, None, 3.0]) == (2.0, 1.0)  # std([1, 3], ddof=1) = sqrt(2)
+    assert aggregate_of([None, None]) == (None, None)
+    assert eval_report([], [])["aggregate"] == {}  # no seed: no entry to aggregate
 
 
 def test_eval_report_aggregate():

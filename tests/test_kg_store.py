@@ -126,7 +126,8 @@ def test_load_triples_file_path_raises(tmp_path):
 
 
 def test_load_triples_missing_path_raises(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match="nope does not exist; data.triples_dir must be "
+                                                "a directory holding train.tsv"):
         load_triples(str(tmp_path / "nope"))
 
 

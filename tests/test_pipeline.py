@@ -209,6 +209,17 @@ def test_run_eval_with_one_users_log_adapts_without_training(tmp_path, monkeypat
         assert ([s[key] for s in adapted["report"]["per_seed"]]
                 != [s[key] for s in report["report"]["per_seed"]]), key
 
+    # the same log under gates the heads were not trained on is refused
+    # before anything is written
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        written = fh.read()
+    capped = dataclasses.replace(cfg, gates=dataclasses.replace(cfg.gates, cap_a=1))
+    with pytest.raises(PipelineError) as exc:
+        run_eval(capped, out)
+    assert exc.value.stage == "head" and "universe_checksum_a mismatch" in str(exc.value)
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        assert fh.read() == written
+
 
 @pytest.mark.parametrize("method,field,trained,configured", [
     ("gatedbias", "epochs", 2, 7),
