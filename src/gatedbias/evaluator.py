@@ -30,8 +30,6 @@ log = logging.getLogger(__name__)
 
 ALIGNMENT_K = 10
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 # ---------------------------------------------------------------------------
 # Test queries
@@ -227,45 +225,29 @@ def ranking_metrics(ranks: np.ndarray, ks: list[int]) -> dict[str, float]:
 # Aligned set and Alignment@k
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AlignedSet:
-    members: np.ndarray  # sorted entity ids
-    threshold_tau: float
-    num_entities: int
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.num_entities, dtype=bool)
-        m[self.members] = True
-        return m
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def aligned_set(bias: BiasVector, percentile_p: int) -> AlignedSet:
-    """Entities with positive contribution and inter-group margin above the
-    nearest-rank P-th percentile of margins (percentile over positives only)."""
+def aligned_set(bias: BiasVector, percentile_p: int) -> tuple[np.ndarray, float]:
+    """A bool mask over the entities, True where the contribution is positive
+    and the inter-group margin reaches tau, the nearest-rank P-th percentile
+    of margins over the positives; and tau (0.0 when none is positive)."""
     if percentile_p not in (60, 70, 80):
         log.warning("aligned_set: unusual percentile_p=%d (expected 60/70/80)", percentile_p)
-    n = bias.values.shape[0]
     positive = np.maximum(bias.contrib_a, bias.contrib_b) > 0
     if not positive.any():
         log.warning("aligned_set: no entity has a positive contribution; set is empty")
-        return AlignedSet(members=_EMPTY_IDS, threshold_tau=0.0, num_entities=n)
+        return positive, 0.0
     margins = np.abs(bias.contrib_a - bias.contrib_b)
     pool = np.sort(margins[positive])
     idx = max(math.ceil(percentile_p / 100.0 * pool.size) - 1, 0)
     tau = float(pool[idx])
-    members = np.flatnonzero(positive & (margins >= tau)).astype(np.int64)
-    return AlignedSet(members=members, threshold_tau=tau, num_entities=n)
+    return positive & (margins >= tau), tau
 
 
 def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
-                        aligned: AlignedSet, k: int) -> np.ndarray:
-    """Per-key |top-k ∩ A| / k, one row per bias vector of the stack (None:
-    the backbone alone), from one scoring sweep over the keys: an
-    (n_biases, n_keys) array. Top-k depends on (h, r) and the bias alone, so
-    query i's value is column queries.key_of[i] of its bias's row.
+                        aligned: np.ndarray, k: int) -> np.ndarray:
+    """Per-key |top-k ∩ A| / k, A the entity mask aligned, one row per bias
+    vector of the stack (None: the backbone alone), from one scoring sweep
+    over the keys: an (n_biases, n_keys) array. Top-k depends on (h, r) and
+    the bias alone, so query i's value is column queries.key_of[i] of each row.
 
     Top-k holds the k best unfiltered candidates, score descending and ties
     by lower id; only its set matters. Every filtered tail stays out, so a
@@ -276,10 +258,13 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     if len(queries) == 0:
         raise ValueError("alignment needs at least one query")
     stack = _bias_stack(biases, table.num_entities)
-    mask = aligned.mask()
+    aligned = np.asarray(aligned)
+    if aligned.dtype != bool or aligned.shape != stack.shape[1:]:
+        raise ValueError(f"aligned must be a bool mask over the {stack.shape[1]} entities, "
+                         f"got {aligned.dtype} of shape {aligned.shape}")
     hits = np.empty((len(stack), len(queries.key_heads)), dtype=np.int64)
     for keys, b, _, scores in _sweep(queries, table, stack):
-        hits[b, keys] = _topk_hits(scores, mask, k)
+        hits[b, keys] = _topk_hits(scores, aligned, k)
     return hits / k
 
 
@@ -395,7 +380,7 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
     boosted = [compute_bias(head, gates, (f_a * boost, f_b)).values,
                compute_bias(head, gates, (f_a, f_b * boost)).values]
     ranks, *ranks_after = compute_rank_table(queries, table, [bias.values, *boosted])
-    aligned = aligned_set(bias, settings.percentile_p)
+    aligned, _ = aligned_set(bias, settings.percentile_p)
     rng = np.random.default_rng(seed)
     shuffled = [compute_bias(head, gates, tuple(map(shuffle_features, features, seeds))).values
                 for seeds in rng.integers(0, 2**63 - 1, (settings.n_shuffles, 2)).tolist()]
@@ -411,7 +396,7 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
     for group, contrib, after in zip(GROUP_TAGS, (bias.contrib_a, bias.contrib_b), ranks_after):
         entries.update(counterfactual_responsiveness(contrib, group, queries.true_tails,
                                                      ranks, after))
-    entries.update(placebo_validation(means), aligned_set_size=len(aligned))
+    entries.update(placebo_validation(means), aligned_set_size=int(aligned.sum()))
     return ranks, entries
 
 

@@ -38,8 +38,6 @@ log = logging.getLogger(__name__)
 def _stage(name: str):
     try:
         yield
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(name, str(exc)) from exc
 

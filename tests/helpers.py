@@ -87,6 +87,13 @@ def random_table(rng, n_entities, n_relations, dim):
     return EmbeddingTable(ent, rel)
 
 
+def mask_of(members, n_entities):
+    """Bool mask over n_entities entities, True at the given ids."""
+    mask = np.zeros(n_entities, dtype=bool)
+    mask[np.asarray(members, dtype=np.int64)] = True
+    return mask
+
+
 def make_head(w_a, w_b, alpha_a=1.0, alpha_b=1.0):
     return BiasHead(w_a=np.asarray(w_a, dtype=np.float64),
                     w_b=np.asarray(w_b, dtype=np.float64),

@@ -38,7 +38,6 @@ import hashlib
 import numpy as np
 
 from gatedbias.bias_head import BiasHead, PatientNodeHead, new_head, new_patientnode
-from gatedbias.evaluator import AlignedSet
 
 
 def score(table, h: int, r: int, t: int) -> float:
@@ -128,21 +127,21 @@ def compute_rank_table(store, table, bias_values=None, split: str = "test") -> n
 
 
 def alignment_per_query(queries: list[tuple[int, int]], filters: list[np.ndarray],
-                        scores_fn, aligned: AlignedSet, k: int) -> np.ndarray:
-    """Per-query |top-k ∩ A| / k over the filtered candidate set."""
+                        scores_fn, aligned: np.ndarray, k: int) -> np.ndarray:
+    """Per-query |top-k ∩ A| / k over the filtered candidate set, A the bool
+    entity mask aligned."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(queries) != len(filters):
         raise ValueError("queries and filters disagree on length")
-    mask = aligned.mask()
     out = np.empty(len(queries), dtype=np.float64)
     for i, (h, r) in enumerate(queries):
         top = topk_filtered(scores_fn(h, r), filters[i], k)
-        out[i] = mask[top].sum() / k
+        out[i] = aligned[top].sum() / k
     return out
 
 
-def alignment_at_k(queries, filters, scores_fn, aligned: AlignedSet, k: int) -> float:
+def alignment_at_k(queries, filters, scores_fn, aligned: np.ndarray, k: int) -> float:
     if len(queries) == 0:
         raise ValueError("alignment needs at least one query")
     return float(alignment_per_query(queries, filters, scores_fn, aligned, k).mean())

@@ -371,6 +371,10 @@ def test_load_truncated_file_raises(tmp_path):
         f.write(data[:-3])
     with pytest.raises(CheckpointError, match="bytes"):
         load_embeddings(path)
+    with open(path, "wb") as f:
+        f.write(data[:27])  # one byte short of the 28-byte header
+    with pytest.raises(CheckpointError, match="truncated header"):
+        load_embeddings(path)
 
 
 def test_load_bad_magic_raises(tmp_path):

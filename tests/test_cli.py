@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from gatedbias.backbone import EmbeddingTable, load_embeddings, save_embeddings
-from gatedbias.cli import build_parser, main
+from gatedbias.cli import _print_aggregate, build_parser, main
 from gatedbias.config import SECTIONS
 from gatedbias.synth import SynthParams, save_config
 
@@ -99,6 +99,17 @@ def test_run_overrides_method_and_seeds(cfg_path, tmp_path, capsys):
     assert report["config"]["eval"] == {"ks": [1, 5], "percentile_p": 80, "epsilon": 0.25,
                                         "n_shuffles": 3, "seeds": [0, 1]}
     assert not os.path.exists(os.path.join(out, "head_seed0.json"))
+
+
+def test_print_aggregate_marks_an_entry_without_a_mean_absent(capsys):
+    aggregate = {"mrr": {"mean": 0.5, "stderr": 0.25, "n": 2},
+                 "placebo_ratio": {"mean": None, "stderr": None, "n": 0},
+                 "cr_A": {"mean": -1.5, "stderr": None, "n": 1}}
+    _print_aggregate({"method": "gatedbias", "param_count": 12,
+                      "report": {"aggregate": aggregate}})
+    assert capsys.readouterr().out.splitlines() == [
+        "method: gatedbias", "parameters added: 12", "mrr: 0.5 ± 0.25",
+        "placebo_ratio: absent", "cr_A: -1.5"]
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "eval"])

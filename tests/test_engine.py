@@ -20,15 +20,14 @@ from hypothesis import strategies as st
 import oracles
 from gatedbias import evaluator
 from gatedbias.backbone import EmbeddingTable
-from gatedbias.evaluator import (AlignedSet, alignment_delta_test, alignment_per_query,
-                                 compute_rank_table, query_set)
-from helpers import random_store, random_table, store_from_labels
+from gatedbias.evaluator import (alignment_delta_test, alignment_per_query, compute_rank_table,
+                                 query_set)
+from helpers import mask_of, random_store, random_table, store_from_labels
 
 
 def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
     queries = query_set(store)
-    aligned = AlignedSet(members=np.asarray(members, dtype=np.int64), threshold_tau=0.0,
-                         num_entities=store.num_entities)
+    aligned = mask_of(members, store.num_entities)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluator, "BLOCK_CELLS", block_cells)
         ranks = compute_rank_table(queries, table, biases)
@@ -116,7 +115,7 @@ def test_engine_matches_oracle_on_degenerate_queries(k, block_cells):
         assert_engine_matches_oracle(store, table, biases, np.arange(0, n, 2), k, block_cells)
 
     queries = query_set(store)
-    aligned = AlignedSet(members=np.arange(n), threshold_tau=0.0, num_entities=n)
+    aligned = np.ones(n, dtype=bool)
     everyone = alignment_per_query(queries, equal_table(n, 1), None, aligned, k)
     assert everyone[0, queries.key_of[0]] == 0.0  # nothing left to recommend
     assert everyone[0, queries.key_of[2]] == min(k, n) / k
@@ -140,7 +139,7 @@ def test_engine_scores_each_key_once_per_sweep(monkeypatch):
     compute_rank_table(queries, table, biases)
     assert calls == keys
     calls.clear()
-    aligned = AlignedSet(members=np.arange(0, 30, 2), threshold_tau=0.0, num_entities=30)
+    aligned = mask_of(np.arange(0, 30, 2), 30)
     monkeypatch.setattr(evaluator, "BLOCK_CELLS", 3 * 30 - 1)
     alignment_per_query(queries, table, biases, aligned, 5)
     assert calls == keys
@@ -276,7 +275,7 @@ def test_engine_rejects_a_non_finite_bias(value):
     queries = query_set(store)
     bias = np.zeros(30)
     bias[store.test[0, 2]] = value
-    aligned = AlignedSet(members=np.arange(5), threshold_tau=0.0, num_entities=30)
+    aligned = mask_of(np.arange(5), 30)
     with pytest.raises(ValueError, match="biases must be finite"):
         compute_rank_table(queries, table, [np.zeros(30), bias])
     with pytest.raises(ValueError, match="biases must be finite"):

@@ -1,17 +1,19 @@
+import dataclasses
 import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gatedbias import evaluator
 from gatedbias.bias_head import BiasVector, compute_bias
 from gatedbias.config import EvalSettings
-from gatedbias.evaluator import (ALIGNMENT_K, AlignedSet, aligned_set, alignment_delta_test,
+from gatedbias.evaluator import (ALIGNMENT_K, aligned_set, alignment_delta_test,
                                  compute_rank_table, counterfactual_responsiveness,
                                  eval_report, gated_battery, placebo_validation,
                                  query_set, ranking_metrics)
-from helpers import (gates_from_dense, make_features, make_head, random_gates, random_store,
-                     random_table, store_from_labels)
+from helpers import (gates_from_dense, make_features, make_head, mask_of, random_gates,
+                     random_store, random_table, store_from_labels)
 from oracles import (alignment_at_k, alignment_per_query, filtered_rank, query_filters,
                      topk_filtered)
 
@@ -177,48 +179,46 @@ def bias_of(contrib_a, contrib_b):
 
 
 def test_aligned_set_single_positive():
-    aligned = aligned_set(bias_of([2.0, 0.0, -1.0], [0.0, 0.0, 0.0]), 60)
-    assert aligned.members.tolist() == [0]
-    assert aligned.threshold_tau == 2.0
-    assert len(aligned) == 1
-    assert aligned.mask().tolist() == [True, False, False]
+    mask, tau = aligned_set(bias_of([2.0, 0.0, -1.0], [0.0, 0.0, 0.0]), 60)
+    assert mask.dtype == bool
+    assert mask.tolist() == [True, False, False]
+    assert tau == 2.0
 
 
 def test_aligned_set_no_positives_is_empty(caplog):
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        aligned = aligned_set(bias_of([0.0, -1.0], [0.0, -2.0]), 70)
-    assert len(aligned) == 0
+        mask, tau = aligned_set(bias_of([0.0, -1.0], [0.0, -2.0]), 70)
+    assert mask.dtype == bool
+    assert mask.tolist() == [False, False]
+    assert tau == 0.0
     assert "empty" in caplog.text
 
 
 def test_aligned_set_nearest_rank_percentile():
     # 10 positives with margins 1..10; ceil(0.7 * 10) = 7 -> tau = 7
     contrib_a = np.arange(1.0, 11.0)
-    aligned = aligned_set(bias_of(contrib_a, np.zeros(10)), 70)
-    assert aligned.threshold_tau == 7.0
-    assert aligned.members.tolist() == [6, 7, 8, 9]
+    mask, tau = aligned_set(bias_of(contrib_a, np.zeros(10)), 70)
+    assert tau == 7.0
+    assert np.flatnonzero(mask).tolist() == [6, 7, 8, 9]
 
 
 def test_aligned_set_monotone_in_percentile():
     rng = np.random.default_rng(3)
     bias = bias_of(rng.random(40), rng.random(40) * 0.5)
-    low = aligned_set(bias, 60)
-    high = aligned_set(bias, 80)
-    assert set(high.members.tolist()) <= set(low.members.tolist())
-    assert high.threshold_tau >= low.threshold_tau
+    low, low_tau = aligned_set(bias, 60)
+    high, high_tau = aligned_set(bias, 80)
+    assert not (high & ~low).any()
+    assert high_tau >= low_tau
 
 
 def test_aligned_set_members_satisfy_definition():
     rng = np.random.default_rng(4)
     bias = bias_of(rng.standard_normal(30), rng.standard_normal(30))
-    aligned = aligned_set(bias, 80)
+    mask, tau = aligned_set(bias, 80)
     positive = np.maximum(bias.contrib_a, bias.contrib_b) > 0
     margins = np.abs(bias.contrib_a - bias.contrib_b)
-    for t in aligned.members:
-        assert positive[t] and margins[t] >= aligned.threshold_tau
-    for t in np.flatnonzero(positive):
-        if margins[t] >= aligned.threshold_tau:
-            assert t in aligned.members
+    assert mask.any()
+    assert np.array_equal(mask, positive & (margins >= tau))
 
 
 def test_aligned_set_percentile_validation(caplog):
@@ -241,8 +241,8 @@ def test_alignment_full_and_empty_sets():
     queries = [(0, 0), (1, 0)]
     filters = [np.empty(0, dtype=np.int64)] * 2
     fn = scores_by_head({0: [3.0, 2.0, 1.0, 0.0], 1: [0.0, 1.0, 2.0, 3.0]})
-    everyone = AlignedSet(members=np.arange(4), threshold_tau=0.0, num_entities=4)
-    nobody = AlignedSet(members=np.empty(0, dtype=np.int64), threshold_tau=0.0, num_entities=4)
+    everyone = np.ones(4, dtype=bool)
+    nobody = np.zeros(4, dtype=bool)
     assert alignment_at_k(queries, filters, fn, everyone, k=2) == 1.0
     assert alignment_at_k(queries, filters, fn, nobody, k=2) == 0.0
 
@@ -252,7 +252,7 @@ def test_alignment_hand_enumeration():
     queries = [(0, 0), (1, 0)]
     filters = [np.empty(0, dtype=np.int64)] * 2
     fn = scores_by_head({0: [9.0, 8.0, 1.0, 0.0], 1: [0.0, 1.0, 8.0, 9.0]})
-    aligned = AlignedSet(members=np.array([0]), threshold_tau=1.0, num_entities=4)
+    aligned = mask_of([0], 4)
     per_query = alignment_per_query(queries, filters, fn, aligned, k=2)
     assert per_query.tolist() == [0.5, 0.0]
     assert alignment_at_k(queries, filters, fn, aligned, k=2) == 0.25
@@ -261,7 +261,7 @@ def test_alignment_hand_enumeration():
 def test_alignment_respects_filters():
     queries = [(0, 0)]
     fn = scores_by_head({0: [9.0, 8.0, 1.0, 0.0]})
-    aligned = AlignedSet(members=np.array([0]), threshold_tau=1.0, num_entities=4)
+    aligned = mask_of([0], 4)
     unfiltered = alignment_at_k(queries, [np.empty(0, dtype=np.int64)], fn, aligned, k=2)
     filtered = alignment_at_k(queries, [np.array([0])], fn, aligned, k=2)
     assert unfiltered == 0.5
@@ -269,7 +269,7 @@ def test_alignment_respects_filters():
 
 
 def test_alignment_validation():
-    aligned = AlignedSet(members=np.array([0]), threshold_tau=1.0, num_entities=2)
+    aligned = mask_of([0], 2)
     fn = scores_by_head({0: [1.0, 0.0]})
     with pytest.raises(ValueError, match="at least one query"):
         alignment_at_k([], [], fn, aligned, k=2)
@@ -277,6 +277,28 @@ def test_alignment_validation():
         alignment_per_query([(0, 0)], [np.empty(0, dtype=np.int64)], fn, aligned, k=0)
     with pytest.raises(ValueError, match="disagree"):
         alignment_per_query([(0, 0)], [], fn, aligned, k=1)
+
+
+def test_engine_alignment_validation():
+    """The library's refusals: k below 1, no query, and an aligned set that
+    is not a bool mask over the table's entities. A 1-entity mask would
+    broadcast against every score row and count each top-k place a hit."""
+    rng = np.random.default_rng(0)
+    store = random_store(rng, 30, 3, 60, 12)
+    table = random_table(rng, 30, 3, 4)
+    queries = query_set(store)
+    aligned = mask_of([0], 30)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evaluator.alignment_per_query(queries, table, None, aligned, 0)
+    empty = query_set(dataclasses.replace(store, test=store.test[:0]))
+    with pytest.raises(ValueError, match="at least one query"):
+        evaluator.alignment_per_query(empty, table, None, aligned, 3)
+    for bad in (np.ones(1, dtype=bool), np.flatnonzero(aligned)):
+        with pytest.raises(ValueError, match="bool mask over the 30 entities"):
+            evaluator.alignment_per_query(queries, table, None, bad, 3)
+    got = evaluator.alignment_per_query(queries, table, None, aligned, 3)
+    assert got.shape == (1, len(queries.key_heads))
+    assert got.max() < 1.0
 
 
 def test_alignment_delta_test_identical_pairs():
@@ -471,10 +493,11 @@ def test_placebo_zero_bias_has_no_ratio(caplog):
     assert entries["placebo_ratio"] is None
 
 
-def battery_peak(setup, n_shuffles):
+def traced_peak(fn, *args, **kwargs):
+    """tracemalloc's peak over one call of fn."""
     tracemalloc.start()
     try:
-        battery_of(setup, n_shuffles=n_shuffles)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,9 +519,41 @@ def test_battery_memory_grows_with_shuffles_by_biases_and_keys_only():
     n_keys = len(setup["queries"].key_heads)
     assert n_keys == 30
     battery_of(setup, n_shuffles=2)  # one-time allocations stay out of both peaks
-    growth = battery_peak(setup, 20) - battery_peak(setup, 2)
+    growth = (traced_peak(battery_of, setup, n_shuffles=20)
+              - traced_peak(battery_of, setup, n_shuffles=2))
     slack = 64 * 1024  # allocator and interpreter noise
     assert growth <= 18 * (2 * n_e + 2 * n_keys) * 8 + slack
+
+
+def test_engine_memory_grows_with_queries_by_the_rank_tables_grouping_only():
+    """22 biases over 30 keys (1,000 entities), from 5,000 to 20,000 queries.
+    The rank table's peak less its (22, Q) int64 output grows by ~73 B per
+    added query, whatever the stack: the queries grouped by key and their
+    per-chunk lookups. Alignment@k keeps nothing per query, so its peak stays
+    flat. A (22, Q) float64 temporary would add 176 B per query to either."""
+    rng = np.random.default_rng(0)
+    n_e, n_biases = 1000, 22
+    store = random_store(rng, n_entities=n_e, n_relations=3, n_train=2000, n_test=20000)
+    store.test[:, 0] %= 10  # ten heads by three relations: 30 keys
+    table = random_table(rng, n_e, 3, 8)
+    biases = rng.standard_normal((n_biases, n_e))
+    aligned = rng.random(n_e) < 0.1
+    small = query_set(dataclasses.replace(store, test=store.test[:5000]))
+    large = query_set(store)
+    assert len(small.key_heads) == len(large.key_heads) == 30
+    compute_rank_table(small, table, biases)  # one-time allocations stay out of the peaks
+    evaluator.alignment_per_query(small, table, biases, aligned, ALIGNMENT_K)
+
+    def rank_peak(queries):
+        return traced_peak(compute_rank_table, queries, table, biases) - n_biases * len(queries) * 8
+
+    def alignment_peak(queries):
+        return traced_peak(evaluator.alignment_per_query, queries, table, biases, aligned,
+                           ALIGNMENT_K)
+
+    slack = 64 * 1024  # allocator and interpreter noise
+    assert rank_peak(large) - rank_peak(small) <= 10 * 8 * (len(large) - len(small)) + slack
+    assert alignment_peak(large) - alignment_peak(small) <= slack
 
 
 # ---------------------------------------------------------------------------

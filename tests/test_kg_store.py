@@ -180,6 +180,9 @@ def test_load_grouping_unknown_key_raises(tmp_path):
     path.write_text("group_a: [genre]\ngroup_c: [x]\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="group_c"):
         load_grouping(str(path), store)
+    path.write_text("- group_a\n- group_b\n", encoding="utf-8")  # a list, not a mapping
+    with pytest.raises(ConfigError, match="grouping file must be a mapping"):
+        load_grouping(str(path), store)
 
 
 @pytest.mark.parametrize("text, key", [
