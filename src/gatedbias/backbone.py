@@ -23,7 +23,8 @@ _HEADER = struct.Struct("<4sQQQ")
 
 @dataclass
 class BackboneTrainConfig:
-    """Backbone trainer settings; config_from_dict checks their ranges."""
+    """Backbone trainer settings, checked by config_from_dict. batch_size counts
+    train triples, so a batch holds batch_size * negatives_per_positive pairs."""
 
     dim: int = 32
     epochs: int = 200
@@ -35,23 +36,20 @@ class BackboneTrainConfig:
 
 
 class EmbeddingTable:
-    """Read-only DistMult embeddings in one (|E| + |R|, d) table: the entity
-    rows, then the relation rows, relation r at row |E| + r."""
+    """Read-only DistMult embeddings, a float32 copy of one (|E| + |R|, d)
+    block: the |E| entity rows, then the relation rows, relation r at row |E| + r."""
 
-    def __init__(self, entity_emb: np.ndarray, relation_emb: np.ndarray):
-        if entity_emb.ndim != 2 or relation_emb.ndim != 2:
-            raise ValueError("embeddings must be 2-d arrays")
-        if entity_emb.shape[1] != relation_emb.shape[1]:
-            raise ValueError("entity and relation embeddings disagree on dim")
-        if not (np.all(np.isfinite(entity_emb)) and np.all(np.isfinite(relation_emb))):
+    def __init__(self, emb: np.ndarray, num_entities: int):
+        if emb.ndim != 2 or not 0 <= num_entities <= emb.shape[0]:
+            raise ValueError(f"embeddings must be 2-d with at least {num_entities} rows, got {emb.shape}")
+        if not np.all(np.isfinite(emb)):
             raise ValueError("embeddings contain non-finite values")
-        # emb holds the KGE1 payload; rows64 is its float64 copy for scoring
-        self.emb = np.concatenate((entity_emb, relation_emb), dtype=np.float32)
+        # emb holds the KGE1 payload, a copy; rows64 is its float64 copy for scoring
+        self.emb = np.array(emb, dtype=np.float32, order="C")
         self.rows64 = self.emb.astype(np.float64)
         for arr in (self.emb, self.rows64):
             arr.flags.writeable = False
-        n = entity_emb.shape[0]
-        self.entity_emb, self.relation_emb = self.emb[:n], self.emb[n:]
+        self._num_entities = num_entities
 
     @property
     def dim(self) -> int:
@@ -59,11 +57,11 @@ class EmbeddingTable:
 
     @property
     def num_entities(self) -> int:
-        return self.entity_emb.shape[0]
+        return self._num_entities
 
     @property
     def num_relations(self) -> int:
-        return self.relation_emb.shape[0]
+        return self.emb.shape[0] - self._num_entities
 
     def score_all_tails(self, h: int, r: int) -> np.ndarray:
         """Scores of every entity as tail of (h, r, ?)."""
@@ -83,13 +81,12 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
     Deterministic given cfg.seed; returns a read-only table. Internal math runs
     in float64, storage is float32; a table float32 cannot hold raises.
     """
-    ent, rel = _train_float64(store, cfg)
     with np.errstate(over="ignore"):  # a value past float32's range casts to inf
-        ent, rel = ent.astype(np.float32), rel.astype(np.float32)
-    if not (np.isfinite(ent).all() and np.isfinite(rel).all()):
+        emb = _train_float64(store, cfg).astype(np.float32)
+    if not np.isfinite(emb).all():
         raise FloatingPointError("backbone embeddings exceed float32 range after epoch "
                                  f"{cfg.epochs - 1}")
-    return EmbeddingTable(ent, rel)
+    return EmbeddingTable(emb, store.num_entities)
 
 
 def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Generator,
@@ -142,10 +139,9 @@ def score_pairs(table: np.ndarray, ids: np.ndarray, rows: np.ndarray,
 # no overflow warnings: a non-finite value stays non-finite, and the check after
 # each epoch names the epoch
 @np.errstate(over="ignore", invalid="ignore")
-def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """train_backbone's entity and relation tables before float32 storage, as
-    views of one table in EmbeddingTable's row layout. Raises at the end of
-    the first epoch that leaves a non-finite value."""
+def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> np.ndarray:
+    """train_backbone's table before float32 storage, in EmbeddingTable's row
+    layout. Raises at the end of the first epoch leaving a non-finite value."""
     nE, d = store.num_entities, cfg.dim
     rng = np.random.default_rng(cfg.seed)
     bound = 0.5 / np.sqrt(d)
@@ -200,7 +196,7 @@ def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> tuple[np.nda
         if not np.isfinite(emb).all():
             raise FloatingPointError(f"non-finite backbone embeddings at epoch {epoch}")
 
-    return emb[:nE], emb[nE:]
+    return emb
 
 
 def save_embeddings(table: EmbeddingTable, path: str) -> None:
@@ -234,4 +230,4 @@ def load_embeddings(
     if expected_relations is not None and nR != expected_relations:
         raise CheckpointError(f"{path}: file has {nR} relations, vocabulary has {expected_relations}")
     floats = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    return EmbeddingTable(floats[: nE * d].reshape(nE, d), floats[nE * d:].reshape(nR, d))
+    return EmbeddingTable(floats.reshape(nE + nR, d), nE)

@@ -43,7 +43,7 @@ class BiasVector:
 
 @dataclass
 class HeadTrainConfig:
-    """Head trainer settings; config_from_dict checks their ranges."""
+    """Head trainer settings, checked by config_from_dict; batch_size counts pairs."""
 
     batch_size: int = 4096
     learning_rate: float = 1e-3
@@ -249,7 +249,7 @@ def patientnode_loss_and_grad(
     g, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows, work.scores)
     s_margin = s_pos - s_neg
 
-    # the gathered tail rows are entity_emb[t].astype(float64); t_pos and
+    # the gathered tail rows are table.emb[t].astype(float64); t_pos and
     # t_neg pass the MLP apart, as a BLAS row may round differently with M
     e_tails = g[2:]
     z, a, dz, mask = (x[:, :n_pairs] for x in (work.z, work.relu, work.dz, work.mask))
@@ -281,7 +281,7 @@ def train_patientnode(
     store: TripleStore,
     table: EmbeddingTable,
     cfg: HeadTrainConfig,
-    hidden: int = 16,
+    hidden: int,
 ) -> PatientNodeHead:
     """Train the MLP ablation; profile features and gates are never consulted.
 

@@ -40,9 +40,9 @@ class QuerySet:
     """The (h, r, t*) test queries, keyed by their distinct (h, r), built once
     per run.
 
-    Query i has key key_of[i] and true tail true_tails[i]; keys are the
-    distinct test (h, r) pairs in ascending (h, r) order, key j being
-    (key_heads[j], key_rels[j]). The filter of key j, the known train+valid
+    Query i has key key_of[i] and true tail true_tails[i]; keys is the
+    (n_keys, 2) array of the distinct test (h, r) pairs in ascending (h, r)
+    order, key j being keys[j]. The filter of key j, the known train+valid
     tails of its (h, r) in id order, is
     filter_indices[filter_indptr[j]:filter_indptr[j + 1]], stored once
     however many queries share the key.
@@ -50,8 +50,7 @@ class QuerySet:
 
     true_tails: np.ndarray
     key_of: np.ndarray  # one entry per query
-    key_heads: np.ndarray
-    key_rels: np.ndarray
+    keys: np.ndarray  # int64, (n_keys, 2)
     filter_indptr: np.ndarray  # int64, one more entry than there are keys
     filter_indices: np.ndarray  # int32
 
@@ -63,8 +62,7 @@ class QuerySet:
         the (h, r, t*) triples as int64, then each query's filter as int64,
         in query order, each read off its key's slice of the CSR."""
         h = hashlib.sha256()
-        triples = np.column_stack([self.key_heads[self.key_of], self.key_rels[self.key_of],
-                                   self.true_tails])
+        triples = np.column_stack([self.keys[self.key_of], self.true_tails])
         h.update(triples.astype(np.int64).tobytes())
         ptr, filters = self.filter_indptr.tolist(), self.filter_indices.astype(np.int64)
         for k in self.key_of.tolist():
@@ -85,8 +83,7 @@ def query_set(store: TripleStore) -> QuerySet:
     indptr = np.zeros(len(keys) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(hi - lo)
     return QuerySet(true_tails=triples[:, 2].copy(), key_of=key_of.reshape(-1),
-                    key_heads=keys[:, 0].copy(), key_rels=keys[:, 1].copy(),
-                    filter_indptr=indptr,
+                    keys=keys, filter_indptr=indptr,
                     filter_indices=known[expand_ranges(lo, hi - lo), 2].astype(np.int32))
 
 
@@ -108,15 +105,14 @@ def _sweep(queries: QuerySet, table: EmbeddingTable, stack: np.ndarray):
     one score_all_tails call per key. Both blocks are reused, so a yield must
     be consumed before the next is drawn. This is the only place a bias meets
     the score rows."""
-    n_e, n_keys = table.num_entities, len(queries.key_heads)
+    n_e, n_keys = table.num_entities, len(queries.keys)
     step = max(1, BLOCK_CELLS // n_e)
     base = np.empty((min(step, n_keys), n_e))
     work = np.empty_like(base)
     for start in range(0, n_keys, step):
         stop = min(start + step, n_keys)
         block, scores = base[:stop - start], work[:stop - start]
-        for j, (h, r) in enumerate(zip(queries.key_heads[start:stop].tolist(),
-                                       queries.key_rels[start:stop].tolist())):
+        for j, (h, r) in enumerate(queries.keys[start:stop].tolist()):
             block[j] = table.score_all_tails(h, r)
         ptr = queries.filter_indptr[start:stop + 1]
         filt = np.repeat(np.arange(0, len(block) * n_e, n_e), np.diff(ptr))
@@ -161,7 +157,7 @@ def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None) ->
     stack = _bias_stack(biases, n_e)
     # the queries grouped by key: those of key j are by_key[qptr[j]:qptr[j + 1]]
     by_key = np.argsort(queries.key_of, kind="stable")
-    qptr = np.searchsorted(queries.key_of[by_key], np.arange(len(queries.key_heads) + 1))
+    qptr = np.searchsorted(queries.key_of[by_key], np.arange(len(queries.keys) + 1))
     ranks = np.empty((len(stack), len(queries)), dtype=np.int64)
     for keys, b, block, scores in _sweep(queries, table, stack):
         ptr = qptr[keys.start:keys.stop + 1]
@@ -262,7 +258,7 @@ def alignment_per_query(queries: QuerySet, table: EmbeddingTable, biases,
     if aligned.dtype != bool or aligned.shape != stack.shape[1:]:
         raise ValueError(f"aligned must be a bool mask over the {stack.shape[1]} entities, "
                          f"got {aligned.dtype} of shape {aligned.shape}")
-    hits = np.empty((len(stack), len(queries.key_heads)), dtype=np.int64)
+    hits = np.empty((len(stack), len(queries.keys)), dtype=np.int64)
     for keys, b, _, scores in _sweep(queries, table, stack):
         hits[b, keys] = _topk_hits(scores, aligned, k)
     return hits / k

@@ -65,7 +65,7 @@ def materialize_data(cfg: PipelineConfig, out_dir: str, write: bool = True) -> D
     if write:
         synth.generate(params, dataset_dir)
     else:
-        manifest = os.path.join(dataset_dir, "manifest.json")
+        manifest = os.path.join(dataset_dir, synth.MANIFEST)
         if not os.path.exists(manifest):
             raise FileNotFoundError(f"no synthetic dataset at {dataset_dir}; "
                                     "run the pipeline first")
@@ -74,11 +74,8 @@ def materialize_data(cfg: PipelineConfig, out_dir: str, write: bool = True) -> D
         if written != vars(params):
             raise ValueError(f"{dataset_dir} was generated with {written}, "
                              f"not with data.synthetic {vars(params)}")
-    return DataConfig(
-        triples_dir=os.path.join(dataset_dir, "triples"),
-        interactions_path=os.path.join(dataset_dir, "interactions.tsv"),
-        grouping_path=os.path.join(dataset_dir, "grouping.yaml"),
-    )
+    return DataConfig(**{field: os.path.join(dataset_dir, rel)
+                         for field, rel in synth.DATA_LAYOUT.items()})
 
 
 def _obtain_backbone(cfg: PipelineConfig, store: TripleStore, out_dir: str,

@@ -30,6 +30,7 @@ import numpy as np
 import yaml
 
 from .fileio import atomic_write, write_json
+from .kg_store import SPLIT_FILES
 
 REL_LIKES = "likes"
 REL_A = "pref_attr_of"
@@ -43,6 +44,11 @@ ATTRS_PER_ENTITY_B = 3
 EXTRA_LIKES_PER_PLANTED_ITEM = 4
 INTERACTIONS_PER_USER = 20
 TEST_SHARE = 2.0 / 3.0
+
+# a generated dataset's files, relative to its directory: DataConfig's paths, then the manifest
+DATA_LAYOUT = {"triples_dir": "triples", "interactions_path": "interactions.tsv",
+               "grouping_path": "grouping.yaml"}
+MANIFEST = "manifest.json"
 
 
 @dataclass
@@ -105,7 +111,8 @@ def generate(params: SynthParams, out_dir: str) -> dict:
     is removed first and the new one written last, so a generate that fails
     partway leaves no manifest beside the files it did replace. params are
     trusted to be in range: config.synth_params is where they are checked."""
-    manifest_path = os.path.join(out_dir, "manifest.json")
+    manifest_path = os.path.join(out_dir, MANIFEST)
+    paths = {field: os.path.join(out_dir, rel) for field, rel in DATA_LAYOUT.items()}
     if os.path.exists(manifest_path):
         os.remove(manifest_path)
     rng = np.random.default_rng(params.seed)
@@ -187,14 +194,14 @@ def generate(params: SynthParams, out_dir: str) -> dict:
             hold_out(*extras[i][int(rng.integers(len(extras[i])))], i)
     like_rows = [like_row(*edge) for edge in sorted(likes)]
 
-    for name, rows in (("train.tsv", like_rows + attr_a_rows + attr_b_rows),
-                       ("valid.tsv", valid_rows), ("test.tsv", test_rows)):
-        with atomic_write(os.path.join(out_dir, "triples", name)) as fh:
+    for split, rows in (("train", like_rows + attr_a_rows + attr_b_rows),
+                        ("valid", valid_rows), ("test", test_rows)):
+        with atomic_write(os.path.join(paths["triples_dir"], SPLIT_FILES[split])) as fh:
             fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in rows)
 
     # interaction histories: each draw lands on a planted item with
     # probability preference_skew, otherwise on a uniform item
-    with atomic_write(os.path.join(out_dir, "interactions.tsv")) as fh:
+    with atomic_write(paths["interactions_path"]) as fh:
         for u in range(params.n_users):
             for _ in range(INTERACTIONS_PER_USER):
                 if rng.random() < params.preference_skew:
@@ -203,15 +210,11 @@ def generate(params: SynthParams, out_dir: str) -> dict:
                     i = int(rng.integers(n_items))
                 fh.write(f"user_{u}\t{_item(i)}\n")
 
-    with atomic_write(os.path.join(out_dir, "grouping.yaml")) as fh:
+    with atomic_write(paths["grouping_path"]) as fh:
         fh.write(f"group_a: [{REL_A}]\ngroup_b: [{REL_B}]\n")
 
     save_config({
-        "data": {
-            "triples_dir": "triples",
-            "interactions_path": "interactions.tsv",
-            "grouping_path": "grouping.yaml",
-        },
+        "data": dict(DATA_LAYOUT),
         "backbone": dict(DESK_BACKBONE),
         "head": dict(DESK_HEAD),
         "profile": {"scale_alpha": 0.1, "cap_tau": 0.5},

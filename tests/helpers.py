@@ -82,9 +82,8 @@ def make_features(gates, values):
 
 
 def random_table(rng, n_entities, n_relations, dim):
-    ent = rng.standard_normal((n_entities, dim)).astype(np.float32)
-    rel = rng.standard_normal((n_relations, dim)).astype(np.float32)
-    return EmbeddingTable(ent, rel)
+    emb = rng.standard_normal((n_entities + n_relations, dim)).astype(np.float32)
+    return EmbeddingTable(emb, n_entities)
 
 
 def mask_of(members, n_entities):

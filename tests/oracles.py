@@ -42,8 +42,8 @@ from gatedbias.bias_head import BiasHead, PatientNodeHead, new_head, new_patient
 
 def score(table, h: int, r: int, t: int) -> float:
     """DistMult s(h, r, t) = sum_j e_h[j] * e_r[j] * e_t[j], in float64."""
-    ent = table.entity_emb.astype(np.float64)
-    rel = table.relation_emb.astype(np.float64)
+    rows = table.emb.astype(np.float64)
+    ent, rel = rows[:table.num_entities], rows[table.num_entities:]
     return float(np.dot(ent[h] * rel[r], ent[t]))
 
 
@@ -271,8 +271,9 @@ def patientnode_loss_and_grad(head, table, heads, rels, t_pos, t_neg):
     n_pairs = len(t_pos)
     s_margin = score_triples(table, heads, rels, t_pos) - score_triples(table, heads, rels, t_neg)
 
-    e_pos = table.entity_emb[t_pos].astype(np.float64)
-    e_neg = table.entity_emb[t_neg].astype(np.float64)
+    ent = table.emb[:table.num_entities]
+    e_pos = ent[t_pos].astype(np.float64)
+    e_neg = ent[t_neg].astype(np.float64)
     z_pos = e_pos @ head.w1.T + head.b1
     z_neg = e_neg @ head.w1.T + head.b1
     a_pos, a_neg = np.maximum(z_pos, 0.0), np.maximum(z_neg, 0.0)
@@ -318,7 +319,7 @@ def train_head(store, table, gates, features, cfg):
     return _sgd(new_head(gates), loss_and_grad, store, cfg)
 
 
-def train_patientnode(store, table, cfg, hidden: int = 16):
+def train_patientnode(store, table, cfg, hidden: int):
     """The MLP head from its seeded init, trained by _sgd on
     patientnode_loss_and_grad."""
     def loss_and_grad(head, *batch):

@@ -21,7 +21,7 @@ from oracles import train_backbone as oracle_train_backbone
 
 
 def table_from(ent, rel):
-    return EmbeddingTable(np.asarray(ent, dtype=np.float32), np.asarray(rel, dtype=np.float32))
+    return EmbeddingTable(np.vstack([ent, rel]).astype(np.float32), len(ent))
 
 
 # ---------------------------------------------------------------------------
@@ -81,13 +81,13 @@ def test_score_pairs_matches_score():
 
 def test_table_shape_and_finite_validation():
     with pytest.raises(ValueError, match="2-d"):
-        EmbeddingTable(np.zeros(4, dtype=np.float32), np.zeros((1, 4), dtype=np.float32))
-    with pytest.raises(ValueError, match="dim"):
-        EmbeddingTable(np.zeros((2, 4), dtype=np.float32), np.zeros((1, 3), dtype=np.float32))
-    bad = np.zeros((2, 4), dtype=np.float32)
-    bad[0, 0] = np.nan
+        EmbeddingTable(np.zeros(4, dtype=np.float32), 2)
+    with pytest.raises(ValueError, match=r"at least 4 rows, got \(3, 4\)"):
+        EmbeddingTable(np.zeros((3, 4), dtype=np.float32), 4)
+    bad = np.zeros((3, 4), dtype=np.float32)
+    bad[2, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        EmbeddingTable(bad, np.zeros((1, 4), dtype=np.float32))
+        EmbeddingTable(bad, 2)
 
 
 def test_frozen_table_rejects_writes(tmp_path):
@@ -96,7 +96,7 @@ def test_frozen_table_rejects_writes(tmp_path):
     path = str(tmp_path / "emb.kge")
     save_embeddings(direct, path)
     for table in (direct, trained, load_embeddings(path)):
-        for emb in (table.emb, table.rows64, table.entity_emb, table.relation_emb):
+        for emb in (table.emb, table.rows64):
             with pytest.raises(ValueError, match="read-only"):
                 emb[0, 0] = 1.0
 
@@ -105,9 +105,22 @@ def test_table_rows_are_entities_then_relations():
     rng = np.random.default_rng(3)
     table = random_table(rng, 7, 3, 5)
     assert table.emb.shape == (10, 5) and table.rows64.dtype == np.float64
-    assert np.array_equal(table.entity_emb, table.emb[:7])
-    for r in range(3):
-        assert table.rows64[7 + r].tolist() == table.relation_emb[r].astype(np.float64).tolist()
+    assert (table.num_entities, table.num_relations, table.dim) == (7, 3, 5)
+    rows = table.emb.astype(np.float64)
+    assert table.rows64.tolist() == rows.tolist()
+    for r in range(3):  # relation r is row 7 + r
+        assert table.score_all_tails(2, r).tolist() == (rows[:7] @ (rows[2] * rows[7 + r])).tolist()
+    with pytest.raises(AttributeError):
+        table.num_entities = 8
+
+
+def test_table_copies_its_block():
+    block = np.zeros((3, 4), dtype=np.float32)
+    table = EmbeddingTable(block, 2)
+    before = table.checksum()
+    block[:] = 1.0
+    assert not table.emb.any() and not table.rows64.any()
+    assert table.checksum() == before == EmbeddingTable(np.zeros((3, 4)), 2).checksum()
 
 
 def test_checksum_distinguishes_tables():
@@ -131,8 +144,7 @@ def test_train_deterministic():
     cfg = BackboneTrainConfig(dim=8, epochs=20, learning_rate=0.5, batch_size=4, seed=5)
     t1 = train_backbone(store, cfg)
     t2 = train_backbone(store, cfg)
-    assert np.array_equal(t1.entity_emb, t2.entity_emb)
-    assert np.array_equal(t1.relation_emb, t2.relation_emb)
+    assert np.array_equal(t1.emb, t2.emb)
     assert t1.checksum() == t2.checksum()
 
 
@@ -144,8 +156,9 @@ def test_train_epochs_zero_returns_seeded_init():
     bound = 0.5 / np.sqrt(8)
     expected_ent = rng.uniform(-bound, bound, size=(store.num_entities, 8))
     expected_rel = rng.uniform(-bound, bound, size=(store.num_relations, 8))
-    assert np.array_equal(table.entity_emb, expected_ent.astype(np.float32))
-    assert np.array_equal(table.relation_emb, expected_rel.astype(np.float32))
+    n = store.num_entities
+    assert np.array_equal(table.emb[:n], expected_ent.astype(np.float32))
+    assert np.array_equal(table.emb[n:], expected_rel.astype(np.float32))
 
 
 def test_train_empty_store_raises():
@@ -241,7 +254,8 @@ def test_train_matches_oracle(batch, seed, hub, n_entities, n_relations, n_train
         with pytest.raises(FloatingPointError, match=f"^{re.escape(str(want))}$"):
             _train_float64(store, cfg)
         return
-    lib_ent, lib_rel = _train_float64(store, cfg)
+    emb = _train_float64(store, cfg)
+    lib_ent, lib_rel = emb[:store.num_entities], emb[store.num_entities:]
     assert lib_ent.tobytes() == ent.tobytes() and lib_rel.tobytes() == rel.tobytes()
     if max(np.abs(ent).max(), np.abs(rel).max()) >= 2.0**128 - 2.0**103:
         with pytest.raises(FloatingPointError, match="^backbone embeddings exceed float32 "
@@ -286,7 +300,8 @@ def test_train_matches_oracle_at_desk_shape(desk_store, npp):
     cfg = BackboneTrainConfig(dim=32, epochs=3, learning_rate=2.0, batch_size=256,
                               negatives_per_positive=npp, margin=0.5, seed=0)
     ent, rel = oracle_train_backbone(desk_store, cfg)
-    lib_ent, lib_rel = _train_float64(desk_store, cfg)
+    emb = _train_float64(desk_store, cfg)
+    lib_ent, lib_rel = emb[:desk_store.num_entities], emb[desk_store.num_entities:]
     assert lib_ent.tobytes() == ent.tobytes() and lib_rel.tobytes() == rel.tobytes()
 
 
@@ -338,8 +353,8 @@ def test_save_load_round_trip(tmp_path):
     path = str(tmp_path / "emb.kge")
     save_embeddings(table, path)
     loaded = load_embeddings(path, expected_entities=7, expected_relations=3)
-    assert np.array_equal(loaded.entity_emb, table.entity_emb)
-    assert np.array_equal(loaded.relation_emb, table.relation_emb)
+    assert (loaded.num_entities, loaded.num_relations) == (7, 3)
+    assert np.array_equal(loaded.emb, table.emb)
     assert loaded.checksum() == table.checksum()
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gatedbias.backbone import EmbeddingTable, train_backbone
+from gatedbias import backbone, bias_head
+from gatedbias.backbone import BackboneTrainConfig, EmbeddingTable, train_backbone
 from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  compute_bias_patientnode, head_loss_and_grad,
                                  load_head, load_patientnode, new_head, new_patientnode,
@@ -27,8 +28,8 @@ from oracles import score
 
 
 def zero_table(n_entities, n_relations=1, dim=4):
-    return EmbeddingTable(np.zeros((n_entities, dim), dtype=np.float32),
-                          np.zeros((n_relations, dim), dtype=np.float32))
+    return EmbeddingTable(np.zeros((n_entities + n_relations, dim), dtype=np.float32),
+                          n_entities)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def test_train_heads_one_entity_store_raises():
         train_head(store, table, (ga, gb), (make_features(ga, np.ones(2)),
                                             make_features(gb, np.ones(2))), cfg)
     with pytest.raises(ValueError, match="patientnode: corrupt tails need at least two"):
-        train_patientnode(store, table, cfg)
+        train_patientnode(store, table, cfg, hidden=4)
 
 
 def test_train_head_never_touches_backbone():
@@ -356,7 +357,7 @@ def test_patientnode_gradient_matches_finite_differences():
         x = rng.uniform(0.1, 0.6, sum(sizes)) * rng.choice([-1, 1], sum(sizes))
         head = unpack(x)
         # keep every ReLU input and hinge margin away from its kink
-        ent = table.entity_emb.astype(np.float64)
+        ent = table.emb[:table.num_entities].astype(np.float64)
         z = np.concatenate([ent[tp] @ head.w1.T + head.b1,
                             ent[tn] @ head.w1.T + head.b1], axis=None)
         bias = compute_bias_patientnode(head, table)
@@ -416,7 +417,9 @@ def test_trainers_match_the_oracles(batch, seed, hub, n_entities, n_relations, n
     gb, _ = random_gates(rng, n_entities, 3, density, group="B")
     f_a, f_b = make_features(ga, rng.random(4)), make_features(gb, rng.random(3))
     base = random_table(rng, n_entities, n_relations, dim)
-    table = EmbeddingTable(base.entity_emb * np.float32(scale), base.relation_emb)
+    emb = base.emb.copy()
+    emb[:n_entities] *= np.float32(scale)
+    table = EmbeddingTable(emb, n_entities)
     cfg = HeadTrainConfig(batch_size=BATCH_SIZES[batch], learning_rate=0.3, epochs=epochs,
                           lambda1=2e-3, lambda2=1e-4, negatives_per_positive=npp, seed=seed)
     assert same_head(train_head(store, table, (ga, gb), (f_a, f_b), cfg),
@@ -431,9 +434,9 @@ def test_trainers_match_the_oracles_without_active_pairs():
     # batch has an active pair, so both heads stay at their init
     store = store_from_labels([(f"u{i % 4}", "likes", "b0") for i in range(12)])
     b0 = store.entity_vocab["b0"]
-    ent = np.ones((store.num_entities, 4), dtype=np.float32)
-    ent[b0] = 10.0
-    table = EmbeddingTable(ent, np.ones((1, 4), dtype=np.float32))
+    emb = np.ones((store.num_entities + 1, 4), dtype=np.float32)
+    emb[b0] = 10.0
+    table = EmbeddingTable(emb, store.num_entities)
     ga = gates_from_dense(np.eye(store.num_entities, 3))
     gb = gates_from_dense(np.zeros((store.num_entities, 2)), group="B")
     f_a, f_b = make_features(ga, [0.5, 1.0, 2.0]), make_features(gb, [1.0, 1.0])
@@ -472,8 +475,39 @@ def test_trainers_match_the_oracles_at_desk_shape(desk, npp):
     cfg = dataclasses.replace(head_cfg, epochs=4, negatives_per_positive=npp)
     assert same_head(train_head(store, table, gates, features, cfg),
                      oracles.train_head(store, table, gates, features, cfg))
-    assert same_head(train_patientnode(store, table, cfg),
-                     oracles.train_patientnode(store, table, cfg))
+    assert same_head(train_patientnode(store, table, cfg, hidden=16),
+                     oracles.train_patientnode(store, table, cfg, hidden=16))
+
+
+def test_backbone_batches_count_triples_and_head_batches_count_pairs(monkeypatch):
+    # 50 train triples at npp 2 are 100 pairs an epoch. The backbone's batch of
+    # 16 triples is 32 pairs: 4 batches an epoch; a head's batch of 16 pairs:
+    # 7 batches an epoch
+    rng = np.random.default_rng(0)
+    store = random_store(rng, 20, 2, 50, 0)
+    ga, _ = random_gates(rng, 20, 3)
+    gb, _ = random_gates(rng, 20, 2, group="B")
+    features = (make_features(ga, rng.random(3)), make_features(gb, rng.random(2)))
+    pairs = {"backbone": [], "head": [], "patientnode": []}
+
+    def counted(module, name, what, ids_at):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            pairs[what].append(args[ids_at].shape[1])
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(backbone, "score_pairs", "backbone", 1)
+    counted(bias_head, "head_loss_and_grad", "head", 4)
+    counted(bias_head, "patientnode_loss_and_grad", "patientnode", 2)
+    table = train_backbone(store, BackboneTrainConfig(dim=4, epochs=3, batch_size=16,
+                                                      negatives_per_positive=2))
+    cfg = HeadTrainConfig(batch_size=16, epochs=3, negatives_per_positive=2)
+    train_head(store, table, (ga, gb), features, cfg)
+    train_patientnode(store, table, cfg, hidden=4)
+    assert pairs["backbone"] == [32, 32, 32, 4] * 3  # 12 batches
+    assert pairs["head"] == pairs["patientnode"] == ([16] * 6 + [4]) * 3  # 21 batches
 
 
 def test_head_workspaces_are_sized_to_the_epochs_pairs():
@@ -483,7 +517,7 @@ def test_head_workspaces_are_sized_to_the_epochs_pairs():
     cfg = HeadTrainConfig(batch_size=4096, learning_rate=0.1, epochs=2)
     full_rows = 4 * 4096 * table.dim * 8
     for train in (lambda: train_head(store, table, (ga, gb), (f_a, f_b), cfg),
-                  lambda: train_patientnode(store, table, cfg)):
+                  lambda: train_patientnode(store, table, cfg, hidden=16)):
         tracemalloc.start()
         try:
             train()

@@ -1,0 +1,41 @@
+"""numpy and pyyaml are the package's only runtime dependencies: every import
+under src/gatedbias is one of them, the standard library or the package
+itself, and pyproject.toml declares exactly those two."""
+
+import ast
+import glob
+import os
+import re
+import sys
+
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ALLOWED = {"numpy", "yaml"} | set(sys.stdlib_module_names)
+
+
+def test_source_imports_only_numpy_yaml_and_the_standard_library():
+    paths = sorted(glob.glob(os.path.join(REPO, "src", "gatedbias", "*.py")))
+    assert paths
+    outside = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(os.path.basename(path), node.lineno, name) for name in names
+                        if name.split(".")[0] not in ALLOWED]
+    assert outside == []
+
+
+def test_pyproject_declares_exactly_numpy_and_pyyaml():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(REPO, "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in deps]
+    assert sorted(names) == ["numpy", "pyyaml"]

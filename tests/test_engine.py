@@ -36,7 +36,7 @@ def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
     for bias, row in zip(biases, ranks):
         assert np.array_equal(row, oracles.compute_rank_table(store, table, bias))
 
-    assert got.shape == (len(biases), len(queries.key_heads))
+    assert got.shape == (len(biases), len(queries.keys))
     pairs = [(int(h), int(r)) for h, r, _ in store.test]
     filters = oracles.query_filters(store)
     for bias, row in zip(biases, got):  # per key: query i reads column key_of[i]
@@ -48,8 +48,8 @@ def assert_engine_matches_oracle(store, table, biases, members, k, block_cells):
 
 def equal_table(n_entities, n_relations, dim=3, value=0.5):
     """Every entity embedding equal: each score row is one tied block."""
-    return EmbeddingTable(np.full((n_entities, dim), value, dtype=np.float32),
-                          np.full((n_relations, dim), value, dtype=np.float32))
+    return EmbeddingTable(np.full((n_entities + n_relations, dim), value, dtype=np.float32),
+                          n_entities)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +171,7 @@ def test_engine_matches_oracle_on_queries_sharing_a_key(seed):
     rng = np.random.default_rng(seed)
     store = hub_store(rng, n_entities=40, n_heads=3, n_test=60, n_train=50, n_in_train=0)
     queries = query_set(store)
-    assert len(queries.key_heads) <= 3 < len(queries)
+    assert len(queries.keys) <= 3 < len(queries)
     n = store.num_entities
     table = random_table(rng, n, 1, 4)
     biases = [np.zeros(n), rng.standard_normal(n), rng.choice([-1.0, 0.0, 1.0], size=n)]
@@ -218,7 +218,7 @@ def test_engine_matches_oracle_across_key_chunk_boundaries(rows, spare):
     chunk), and chunk boundaries that split the run of keys unevenly."""
     rng = np.random.default_rng(rows * 3 + spare + 1)
     store = hub_store(rng, n_entities=30, n_heads=7, n_test=50, n_train=30, n_in_train=10)
-    assert len(query_set(store).key_heads) == 7
+    assert len(query_set(store).keys) == 7
     n = store.num_entities
     table = random_table(rng, n, 1, 4)
     biases = [rng.standard_normal(n), rng.choice([0.0, 1.0], size=n)]
@@ -250,12 +250,13 @@ def test_query_set_stores_one_filter_per_key(seed):
     filters = oracles.query_filters(store)
     by_key = {(int(h), int(r)): f for (h, r, _), f in zip(store.test, filters)}
     assert queries.filter_indices.size == sum(f.size for f in by_key.values())
-    assert [(int(h), int(r)) for h, r in zip(queries.key_heads, queries.key_rels)] == sorted(by_key)
+    assert queries.keys.dtype == np.int64 and queries.keys.shape == (len(by_key), 2)
+    assert [tuple(key) for key in queries.keys.tolist()] == sorted(by_key)
     ptr = queries.filter_indptr
     for i in range(len(queries)):
         key = queries.key_of[i]
         assert np.array_equal(queries.filter_indices[ptr[key]:ptr[key + 1]], filters[i])
-        assert (queries.key_heads[key], queries.key_rels[key]) == tuple(store.test[i, :2])
+        assert tuple(queries.keys[key]) == tuple(store.test[i, :2])
 
 
 def test_engine_rejects_a_bias_of_the_wrong_length():
@@ -299,7 +300,7 @@ def test_query_checksum_matches_oracle_when_keys_are_near_queries():
     rng = np.random.default_rng(11)
     store = random_store(rng, n_entities=200, n_relations=6, n_train=800, n_test=90, n_valid=30)
     queries = query_set(store)
-    assert 0.9 * len(queries) <= len(queries.key_heads) < len(queries)
+    assert 0.9 * len(queries) <= len(queries.keys) < len(queries)
     assert queries.filter_indices.size > 0
     assert queries.checksum() == oracles.query_checksum(store)
 

@@ -20,8 +20,8 @@ from oracles import (alignment_at_k, alignment_per_query, filtered_rank, query_f
 
 def zero_table(n_entities, n_relations=1, dim=4):
     from gatedbias.backbone import EmbeddingTable
-    return EmbeddingTable(np.zeros((n_entities, dim), dtype=np.float32),
-                          np.zeros((n_relations, dim), dtype=np.float32))
+    return EmbeddingTable(np.zeros((n_entities + n_relations, dim), dtype=np.float32),
+                          n_entities)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_compute_rank_table_matches_manual_loop():
         equal = sum(1 for j in kept if scores[j] == s_true) - 1
         assert got[i] == 1 + greater + equal // 2
         key = queries.key_of[i]
-        assert (queries.key_heads[key], queries.key_rels[key], queries.true_tails[i]) == (h, r, t)
+        assert (*queries.keys[key], queries.true_tails[i]) == (h, r, t)
 
 
 def test_compute_rank_table_empty_split_raises():
@@ -297,7 +297,7 @@ def test_engine_alignment_validation():
         with pytest.raises(ValueError, match="bool mask over the 30 entities"):
             evaluator.alignment_per_query(queries, table, None, bad, 3)
     got = evaluator.alignment_per_query(queries, table, None, aligned, 3)
-    assert got.shape == (1, len(queries.key_heads))
+    assert got.shape == (1, len(queries.keys))
     assert got.max() < 1.0
 
 
@@ -516,7 +516,7 @@ def test_battery_memory_grows_with_shuffles_by_biases_and_keys_only():
     head = make_head(rng.standard_normal(6), rng.standard_normal(4))
     setup = gated_setup(store, head, (ga, gb), (rng.random(6), rng.random(4)))
     setup["table"] = random_table(rng, n_e, 3, 8)
-    n_keys = len(setup["queries"].key_heads)
+    n_keys = len(setup["queries"].keys)
     assert n_keys == 30
     battery_of(setup, n_shuffles=2)  # one-time allocations stay out of both peaks
     growth = (traced_peak(battery_of, setup, n_shuffles=20)
@@ -540,7 +540,7 @@ def test_engine_memory_grows_with_queries_by_the_rank_tables_grouping_only():
     aligned = rng.random(n_e) < 0.1
     small = query_set(dataclasses.replace(store, test=store.test[:5000]))
     large = query_set(store)
-    assert len(small.key_heads) == len(large.key_heads) == 30
+    assert len(small.keys) == len(large.keys) == 30
     compute_rank_table(small, table, biases)  # one-time allocations stay out of the peaks
     evaluator.alignment_per_query(small, table, biases, aligned, ALIGNMENT_K)
 
