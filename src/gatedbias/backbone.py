@@ -1,8 +1,8 @@
 """Frozen DistMult scorer and a small deterministic trainer for desk-scale runs.
 
-The scorer is s(h,r,t) = sum_j e_h[j] * e_r[j] * e_t[j], stored in float32
-with float64 accumulation. A table is read-only from construction on;
-personalization never writes through this module.
+The scorer is s(h,r,t) = sum_j e_h[j] * e_r[j] * e_t[j], over values
+rounded to float32 and held in float64. A table is read-only from
+construction on; personalization never writes through this module.
 """
 
 from __future__ import annotations
@@ -36,24 +36,23 @@ class BackboneTrainConfig:
 
 
 class EmbeddingTable:
-    """Read-only DistMult embeddings, a float32 copy of one (|E| + |R|, d)
-    block: the |E| entity rows, then the relation rows, relation r at row |E| + r."""
+    """Read-only DistMult embeddings of one (|E| + |R|, d) block, entity rows
+    then relation rows (relation r at row |E| + r): rows64, the block rounded
+    to float32 and held as float64, narrows back to the KGE1 payload exactly."""
 
     def __init__(self, emb: np.ndarray, num_entities: int):
         if emb.ndim != 2 or not 0 <= num_entities <= emb.shape[0]:
             raise ValueError(f"embeddings must be 2-d with at least {num_entities} rows, got {emb.shape}")
-        if not np.all(np.isfinite(emb)):
+        with np.errstate(over="ignore"):  # a value past float32's range rounds to inf
+            self.rows64 = np.asarray(emb, dtype=np.float32).astype(np.float64, order="C")
+        if not np.isfinite(self.rows64).all():
             raise ValueError("embeddings contain non-finite values")
-        # emb holds the KGE1 payload, a copy; rows64 is its float64 copy for scoring
-        self.emb = np.array(emb, dtype=np.float32, order="C")
-        self.rows64 = self.emb.astype(np.float64)
-        for arr in (self.emb, self.rows64):
-            arr.flags.writeable = False
+        self.rows64.flags.writeable = False
         self._num_entities = num_entities
 
     @property
     def dim(self) -> int:
-        return self.emb.shape[1]
+        return self.rows64.shape[1]
 
     @property
     def num_entities(self) -> int:
@@ -61,7 +60,7 @@ class EmbeddingTable:
 
     @property
     def num_relations(self) -> int:
-        return self.emb.shape[0] - self._num_entities
+        return self.rows64.shape[0] - self._num_entities
 
     def score_all_tails(self, h: int, r: int) -> np.ndarray:
         """Scores of every entity as tail of (h, r, ?)."""
@@ -71,7 +70,7 @@ class EmbeddingTable:
     def checksum(self) -> str:
         h = hashlib.sha256()
         h.update(_HEADER.pack(MAGIC, self.num_entities, self.num_relations, self.dim))
-        h.update(self.emb.tobytes())
+        h.update(self.rows64.astype("<f4"))
         return h.hexdigest()
 
 
@@ -79,14 +78,14 @@ def train_backbone(store: TripleStore, cfg: BackboneTrainConfig) -> EmbeddingTab
     """Train DistMult with margin ranking loss over uniform corrupt tails.
 
     Deterministic given cfg.seed; returns a read-only table. Internal math runs
-    in float64, storage is float32; a table float32 cannot hold raises.
+    in float64, the table rounds to float32; a table float32 cannot hold raises.
     """
-    with np.errstate(over="ignore"):  # a value past float32's range casts to inf
-        emb = _train_float64(store, cfg).astype(np.float32)
-    if not np.isfinite(emb).all():
+    emb = _train_float64(store, cfg)
+    try:
+        return EmbeddingTable(emb, store.num_entities)
+    except ValueError:  # emb is finite, so only rounding to float32 made inf
         raise FloatingPointError("backbone embeddings exceed float32 range after epoch "
-                                 f"{cfg.epochs - 1}")
-    return EmbeddingTable(emb, store.num_entities)
+                                 f"{cfg.epochs - 1}") from None
 
 
 def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Generator,
@@ -113,7 +112,7 @@ def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Gene
         # one draw for the epoch consumes the generator's stream as one draw
         # per batch did
         t_neg[:] = rng.integers(0, store.num_entities - 1, size=t_neg.shape[0])
-        t_neg[t_neg >= ids[2]] += 1
+        np.add(t_neg, t_neg >= ids[2], out=t_neg)
         yield epoch, ids
 
 
@@ -140,7 +139,7 @@ def score_pairs(table: np.ndarray, ids: np.ndarray, rows: np.ndarray,
 # each epoch names the epoch
 @np.errstate(over="ignore", invalid="ignore")
 def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> np.ndarray:
-    """train_backbone's table before float32 storage, in EmbeddingTable's row
+    """train_backbone's table before float32 rounding, in EmbeddingTable's row
     layout. Raises at the end of the first epoch leaving a non-finite value."""
     nE, d = store.num_entities, cfg.dim
     rng = np.random.default_rng(cfg.seed)
@@ -204,7 +203,7 @@ def save_embeddings(table: EmbeddingTable, path: str) -> None:
     table, entity rows then relation rows."""
     with atomic_write(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, table.num_entities, table.num_relations, table.dim))
-        fh.write(np.ascontiguousarray(table.emb, dtype="<f4").tobytes())
+        fh.write(table.rows64.astype("<f4"))
 
 
 def load_embeddings(

@@ -249,8 +249,8 @@ def patientnode_loss_and_grad(
     g, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows, work.scores)
     s_margin = s_pos - s_neg
 
-    # the gathered tail rows are table.emb[t].astype(float64); t_pos and
-    # t_neg pass the MLP apart, as a BLAS row may round differently with M
+    # the gathered tail rows are table.rows64[t]; t_pos and t_neg pass the
+    # MLP apart, as a BLAS row may round differently with M
     e_tails = g[2:]
     z, a, dz, mask = (x[:, :n_pairs] for x in (work.z, work.relu, work.dz, work.mask))
     for k in (0, 1):

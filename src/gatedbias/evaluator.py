@@ -276,16 +276,16 @@ def alignment_delta_test(diffs: np.ndarray, n_resamples: int = 10000, seed: int 
 
     The signs are those of default_rng(seed).choice((-1.0, 1.0),
     size=(n_resamples, n)), read by value off the raw PCG64 stream: numpy
-    takes sign 2i from bit 31 of word i and sign 2i + 1 from bit 63 (1 is
-    +1.0), keeping an unused high half for its next draw. A product is -diff
-    with its float64 sign bit flipped where the sign is +1.0, exactly
-    diff * sign. Row chunks of at most BLOCK_CELLS // 2 cells (but at least
-    two rows) share two buffers, so no per-chunk temporary reaches glibc's
-    128 KiB mmap threshold. Every chunk but the last has an even number of
-    rows, so it reads whole words and the next starts on a fresh one, as
-    the single draw does. Rows are summed in that draw's layout and divided
-    by n as mean() does, so the p-value is the draw's bit for bit
-    (tests/oracles.py keeps the rng.choice form).
+    takes sign c from bit 31 of 32-bit draw c (1 is +1.0), each 64-bit word
+    two draws, low half first, keeping an unused high half for its next
+    draw. Bit 31 goes to the float64 sign bit of a product, which XOR-ed
+    with -diff is exactly diff * sign. Row chunks of at most BLOCK_CELLS // 2
+    cells (but at least two rows) reuse one buffer, so no per-chunk
+    temporary reaches glibc's 128 KiB mmap threshold. Every chunk but the
+    last has an even number of rows, so it reads whole words and the next
+    starts on a fresh one, as the single draw does. Rows are summed in that
+    draw's layout and divided by n as mean() does, so the p-value is the
+    draw's bit for bit (tests/oracles.py keeps the rng.choice form).
     """
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.ndim != 1:
@@ -302,18 +302,15 @@ def alignment_delta_test(diffs: np.ndarray, n_resamples: int = 10000, seed: int 
     bits = np.random.default_rng(seed).bit_generator
     step = min(2 * max(1, BLOCK_CELLS // (4 * n)), n_resamples)
     products = np.empty((step, n))
-    signs = np.empty(step * n + 1, dtype=np.uint64)  # sign bits at bit 63, one spare cell
     sums = np.empty(n_resamples)
     for start in range(0, n_resamples, step):
         rows = min(step, n_resamples - start)
-        cells = rows * n
-        words = bits.random_raw((cells + 1) // 2)
-        drawn = signs[:2 * len(words)]
-        np.left_shift(words, 32, out=drawn[::2])
-        drawn[1::2] = words
-        np.bitwise_and(drawn, _SIGN_BIT, out=drawn)
-        np.bitwise_xor(drawn[:cells].reshape(rows, n), negated,
-                       out=products[:rows].view(np.uint64))
+        # the 32-bit draws by value; a big-endian host swaps into a copy
+        draws = bits.random_raw((rows * n + 1) // 2).astype("<u8", copy=False).view("<u4")
+        out = products[:rows].view(np.uint64)
+        np.left_shift(draws[:rows * n].reshape(rows, n), 32, out=out, dtype=np.uint64)
+        np.bitwise_and(out, _SIGN_BIT, out=out)
+        np.bitwise_xor(out, negated, out=out)
         np.add.reduce(products[:rows], axis=1, out=sums[start:start + rows])
     t_perm = np.abs(sums / n)  # each row's mean, as products.mean(axis=1) forms it
     count = int((t_perm >= t_obs - 1e-15).sum())

@@ -42,7 +42,7 @@ from gatedbias.bias_head import BiasHead, PatientNodeHead, new_head, new_patient
 
 def score(table, h: int, r: int, t: int) -> float:
     """DistMult s(h, r, t) = sum_j e_h[j] * e_r[j] * e_t[j], in float64."""
-    rows = table.emb.astype(np.float64)
+    rows = table.rows64
     ent, rel = rows[:table.num_entities], rows[table.num_entities:]
     return float(np.dot(ent[h] * rel[r], ent[t]))
 
@@ -271,9 +271,9 @@ def patientnode_loss_and_grad(head, table, heads, rels, t_pos, t_neg):
     n_pairs = len(t_pos)
     s_margin = score_triples(table, heads, rels, t_pos) - score_triples(table, heads, rels, t_neg)
 
-    ent = table.emb[:table.num_entities]
-    e_pos = ent[t_pos].astype(np.float64)
-    e_neg = ent[t_neg].astype(np.float64)
+    ent = table.rows64[:table.num_entities]
+    e_pos = ent[t_pos]
+    e_neg = ent[t_neg]
     z_pos = e_pos @ head.w1.T + head.b1
     z_neg = e_neg @ head.w1.T + head.b1
     a_pos, a_neg = np.maximum(z_pos, 0.0), np.maximum(z_neg, 0.0)

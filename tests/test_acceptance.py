@@ -167,7 +167,7 @@ def patientnode_instance_error(rng):
 
     x = rng.uniform(0.1, 0.6, int(offs[-1])) * rng.choice([-1, 1], int(offs[-1]))
     head = unpack(x)
-    ent = table.emb[:table.num_entities].astype(np.float64)
+    ent = table.rows64[:table.num_entities]
     z = np.concatenate([(ent[tp] @ head.w1.T + head.b1).ravel(),
                         (ent[tn] @ head.w1.T + head.b1).ravel()])
     bias = bias_head.compute_bias_patientnode(head, table)

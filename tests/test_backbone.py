@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ def test_table_shape_and_finite_validation():
     bad[2, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
         EmbeddingTable(bad, 2)
+    # finite in float64 but past float32's range: refused, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^embeddings contain non-finite values$"):
+            EmbeddingTable(np.array([[1e300, 0.0], [1.0, 2.0]]), 1)
 
 
 def test_frozen_table_rejects_writes(tmp_path):
@@ -96,18 +102,17 @@ def test_frozen_table_rejects_writes(tmp_path):
     path = str(tmp_path / "emb.kge")
     save_embeddings(direct, path)
     for table in (direct, trained, load_embeddings(path)):
-        for emb in (table.emb, table.rows64):
-            with pytest.raises(ValueError, match="read-only"):
-                emb[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.rows64[0, 0] = 1.0
 
 
 def test_table_rows_are_entities_then_relations():
     rng = np.random.default_rng(3)
     table = random_table(rng, 7, 3, 5)
-    assert table.emb.shape == (10, 5) and table.rows64.dtype == np.float64
+    assert table.rows64.shape == (10, 5) and table.rows64.dtype == np.float64
     assert (table.num_entities, table.num_relations, table.dim) == (7, 3, 5)
-    rows = table.emb.astype(np.float64)
-    assert table.rows64.tolist() == rows.tolist()
+    rows = np.random.default_rng(3).standard_normal((10, 5)).astype(np.float32).astype(np.float64)
+    assert table.rows64.tolist() == rows.tolist()  # the block random_table drew, widened
     for r in range(3):  # relation r is row 7 + r
         assert table.score_all_tails(2, r).tolist() == (rows[:7] @ (rows[2] * rows[7 + r])).tolist()
     with pytest.raises(AttributeError):
@@ -119,7 +124,7 @@ def test_table_copies_its_block():
     table = EmbeddingTable(block, 2)
     before = table.checksum()
     block[:] = 1.0
-    assert not table.emb.any() and not table.rows64.any()
+    assert not table.rows64.any()
     assert table.checksum() == before == EmbeddingTable(np.zeros((3, 4)), 2).checksum()
 
 
@@ -144,7 +149,7 @@ def test_train_deterministic():
     cfg = BackboneTrainConfig(dim=8, epochs=20, learning_rate=0.5, batch_size=4, seed=5)
     t1 = train_backbone(store, cfg)
     t2 = train_backbone(store, cfg)
-    assert np.array_equal(t1.emb, t2.emb)
+    assert np.array_equal(t1.rows64, t2.rows64)
     assert t1.checksum() == t2.checksum()
 
 
@@ -157,8 +162,8 @@ def test_train_epochs_zero_returns_seeded_init():
     expected_ent = rng.uniform(-bound, bound, size=(store.num_entities, 8))
     expected_rel = rng.uniform(-bound, bound, size=(store.num_relations, 8))
     n = store.num_entities
-    assert np.array_equal(table.emb[:n], expected_ent.astype(np.float32))
-    assert np.array_equal(table.emb[n:], expected_rel.astype(np.float32))
+    assert np.array_equal(table.rows64[:n], expected_ent.astype(np.float32))
+    assert np.array_equal(table.rows64[n:], expected_rel.astype(np.float32))
 
 
 def test_train_empty_store_raises():
@@ -354,7 +359,7 @@ def test_save_load_round_trip(tmp_path):
     save_embeddings(table, path)
     loaded = load_embeddings(path, expected_entities=7, expected_relations=3)
     assert (loaded.num_entities, loaded.num_relations) == (7, 3)
-    assert np.array_equal(loaded.emb, table.emb)
+    assert np.array_equal(loaded.rows64, table.rows64)
     assert loaded.checksum() == table.checksum()
 
 
@@ -373,7 +378,7 @@ def test_embedding_file_layout(tmp_path):
     table = random_table(rng, 6, 2, 3)
     save_embeddings(table, path)
     with open(path, "rb") as f:
-        assert f.read()[struct.calcsize("<4sQQQ"):] == table.emb.tobytes()
+        assert f.read()[struct.calcsize("<4sQQQ"):] == table.rows64.astype("<f4").tobytes()
 
 
 def test_load_truncated_file_raises(tmp_path):

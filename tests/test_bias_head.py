@@ -357,7 +357,7 @@ def test_patientnode_gradient_matches_finite_differences():
         x = rng.uniform(0.1, 0.6, sum(sizes)) * rng.choice([-1, 1], sum(sizes))
         head = unpack(x)
         # keep every ReLU input and hinge margin away from its kink
-        ent = table.emb[:table.num_entities].astype(np.float64)
+        ent = table.rows64[:table.num_entities]
         z = np.concatenate([ent[tp] @ head.w1.T + head.b1,
                             ent[tn] @ head.w1.T + head.b1], axis=None)
         bias = compute_bias_patientnode(head, table)
@@ -417,7 +417,7 @@ def test_trainers_match_the_oracles(batch, seed, hub, n_entities, n_relations, n
     gb, _ = random_gates(rng, n_entities, 3, density, group="B")
     f_a, f_b = make_features(ga, rng.random(4)), make_features(gb, rng.random(3))
     base = random_table(rng, n_entities, n_relations, dim)
-    emb = base.emb.copy()
+    emb = base.rows64.copy()
     emb[:n_entities] *= np.float32(scale)
     table = EmbeddingTable(emb, n_entities)
     cfg = HeadTrainConfig(batch_size=BATCH_SIZES[batch], learning_rate=0.3, epochs=epochs,

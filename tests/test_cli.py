@@ -149,7 +149,7 @@ def test_eval_refuses_heads_trained_on_another_backbone(method, cfg_path, run_ou
     trained_on = os.path.join(run_out, "backbone.kge")
     table = load_embeddings(trained_on)
     other = str(tmp_path / "other.kge")
-    emb = table.emb.copy()
+    emb = table.rows64.copy()
     emb[:table.num_entities] *= 2
     save_embeddings(EmbeddingTable(emb, table.num_entities), other)
     with open(cfg_path, encoding="utf-8") as fh:

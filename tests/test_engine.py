@@ -334,6 +334,11 @@ def test_choice_signs_are_the_top_bits_of_the_raw_stream():
                 "bit 31 (even i) or bit 63 (odd i) of PCG64 word i // 2, low half first, "
                 "keeping an unused high half for the next call; alignment_delta_test "
                 f"assumes it (seed {seed}, size {n})")
+            # the same bits as alignment_delta_test reads them: bit 31 of 32-bit draw i
+            draws = words.astype("<u8", copy=False).view("<u4")
+            assert np.array_equal(signs, np.where(draws >> 31 == 1, 1.0, -1.0)), (
+                f"numpy {np.__version__}: rng.choice((-1.0, 1.0)) sign i is no longer bit 31 "
+                f"of little-endian 32-bit draw i (seed {seed}, size {n})")
 
 
 def alignment_like_pairs(n_queries, seed):
