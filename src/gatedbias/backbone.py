@@ -206,12 +206,10 @@ def save_embeddings(table: EmbeddingTable, path: str) -> None:
         fh.write(table.rows64.astype("<f4"))
 
 
-def load_embeddings(
-    path: str,
-    expected_entities: int | None = None,
-    expected_relations: int | None = None,
-) -> EmbeddingTable:
-    """Load a saved table (read-only). Corrupt or mismatched files raise."""
+def load_embeddings(path: str, expected_entities: int, expected_relations: int
+                    ) -> EmbeddingTable:
+    """Load a saved table (read-only) for a vocabulary of expected_entities
+    entities and expected_relations relations. Corrupt or mismatched files raise."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -224,9 +222,9 @@ def load_embeddings(
     expected_len = _HEADER.size + 4 * (nE * d + nR * d)
     if len(data) != expected_len:
         raise CheckpointError(f"{path}: expected {expected_len} bytes, found {len(data)}")
-    if expected_entities is not None and nE != expected_entities:
+    if nE != expected_entities:
         raise CheckpointError(f"{path}: file has {nE} entities, vocabulary has {expected_entities}")
-    if expected_relations is not None and nR != expected_relations:
+    if nR != expected_relations:
         raise CheckpointError(f"{path}: file has {nR} relations, vocabulary has {expected_relations}")
     floats = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
     return EmbeddingTable(floats.reshape(nE + nR, d), nE)

@@ -23,7 +23,7 @@ import numpy as np
 from .backbone import EmbeddingTable
 from .bias_head import BiasHead, BiasVector, compute_bias
 from .config import EvalSettings
-from .kg_store import GROUP_TAGS, TripleStore, expand_ranges
+from .kg_store import GROUP_TAGS, TripleStore, pair_csr
 from .profile_builder import shuffle_features
 
 log = logging.getLogger(__name__)
@@ -71,20 +71,19 @@ class QuerySet:
 
 
 def query_set(store: TripleStore) -> QuerySet:
-    """The test queries keyed by (h, r), each key's filter being the distinct
-    train+valid tails of its (h, r): the known rows sorted by (h, r, t) and
-    located by their h * |R| + r code."""
-    triples = store.test
-    keys, key_of = np.unique(triples[:, :2], axis=0, return_inverse=True)
-    known = np.unique(np.concatenate([store.train, store.valid]), axis=0)
-    code = known[:, 0] * store.num_relations + known[:, 1]
-    key_code = keys[:, 0] * store.num_relations + keys[:, 1]
-    lo, hi = np.searchsorted(code, key_code), np.searchsorted(code, key_code, side="right")
-    indptr = np.zeros(len(keys) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(hi - lo)
-    return QuerySet(true_tails=triples[:, 2].copy(), key_of=key_of.reshape(-1),
-                    keys=keys, filter_indptr=indptr,
-                    filter_indices=known[expand_ranges(lo, hi - lo), 2].astype(np.int32))
+    """The test queries keyed by their h * |R| + r code, each key's filter
+    being the distinct train+valid tails of its (h, r): the pair_csr of the
+    known triples whose code is a key's."""
+    n_r, triples = store.num_relations, store.test
+    key_codes, key_of = np.unique(triples[:, 0] * n_r + triples[:, 1], return_inverse=True)
+    known = np.concatenate([store.train, store.valid])
+    code = known[:, 0] * n_r + known[:, 1]
+    key = np.searchsorted(key_codes, code)
+    keyed = np.append(key_codes, -1)[key] == code  # -1: the slot past the last key
+    indptr, indices = pair_csr(key[keyed], known[keyed, 2], len(key_codes), store.num_entities)
+    return QuerySet(true_tails=triples[:, 2].copy(), key_of=key_of,
+                    keys=np.column_stack(np.divmod(key_codes, n_r)), filter_indptr=indptr,
+                    filter_indices=indices.astype(np.int32))
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +155,8 @@ def compute_rank_table(queries: QuerySet, table: EmbeddingTable, biases=None) ->
     n_e = table.num_entities
     stack = _bias_stack(biases, n_e)
     # the queries grouped by key: those of key j are by_key[qptr[j]:qptr[j + 1]]
-    by_key = np.argsort(queries.key_of, kind="stable")
-    qptr = np.searchsorted(queries.key_of[by_key], np.arange(len(queries.keys) + 1))
+    qptr, by_key = pair_csr(queries.key_of, np.arange(len(queries)), len(queries.keys),
+                            len(queries))
     ranks = np.empty((len(stack), len(queries)), dtype=np.int64)
     for keys, b, block, scores in _sweep(queries, table, stack):
         ptr = qptr[keys.start:keys.stop + 1]

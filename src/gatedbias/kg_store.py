@@ -176,19 +176,30 @@ def build_universe(
         raise ValueError(f"group must be one of {GROUP_TAGS}, got {group!r}")
 
     rel_ids = np.array(grouping[group], dtype=np.int64)
-    train = store.train
-    mask = np.isin(train[:, 1], rel_ids) if len(rel_ids) else np.zeros(len(train), dtype=bool)
-    if not mask.any():
+    group_triples = store.train[np.isin(store.train[:, 1], rel_ids)]
+    if not len(group_triples):
         logger.warning("relation group %s has no train triples; universe is empty", group)
-        return AttributeUniverse(group=group, attrs=np.empty(0, dtype=np.int64), relations=rel_ids)
+    n_e = store.num_entities
+    indptr, _ = pair_csr(group_triples[:, 0], group_triples[:, 2], n_e, n_e)
+    freqs = np.diff(indptr)  # distinct tails per head
+    attrs = np.argsort(-freqs, kind="stable")[:np.count_nonzero(freqs)]  # ties: lower id first
+    return AttributeUniverse(group=group, attrs=attrs[:cap], relations=rel_ids)
 
-    pairs = np.unique(train[mask][:, [0, 2]], axis=0)  # distinct (head, tail)
-    heads, freqs = np.unique(pairs[:, 0], return_counts=True)
-    order = np.lexsort((heads, -freqs))  # frequency desc, entity id asc
-    attrs = heads[order]
-    if cap is not None:
-        attrs = attrs[:cap]
-    return AttributeUniverse(group=group, attrs=attrs.astype(np.int64), relations=rel_ids)
+
+def pair_csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (row, col) pairs as a CSR: row i's columns, ascending, are
+    indices[indptr[i]:indptr[i + 1]], and indptr has n_rows + 1 entries.
+
+    The pairs are sorted as int64 codes row * n_cols + col, repeated codes
+    dropped, and each row's start found by one searchsorted. Every code stays
+    below 2**63 for any store that can be loaded: the largest is |E|**2, or
+    n_keys * n_queries.
+    """
+    codes = np.sort(np.asarray(rows, dtype=np.int64) * n_cols + cols)
+    codes = codes[np.diff(codes, prepend=-1) > 0]
+    row_of, indices = np.divmod(codes, n_cols)
+    return np.searchsorted(row_of, np.arange(n_rows + 1)), indices
 
 
 def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -241,17 +252,5 @@ def build_gates(store: TripleStore, universe: AttributeUniverse) -> GateMatrix:
     in_universe = np.isin(train[:, 0], universe.attrs) & np.isin(train[:, 1], universe.relations)
     column = np.zeros(nE, dtype=np.int64)  # entity id -> universe column
     column[universe.attrs] = np.arange(nU)
-    cols = column[train[in_universe, 0]]
-    tails = train[in_universe, 2]
-
-    # distinct (tail, col) pairs, sorted so each row's columns are ascending
-    keys = np.unique(tails * np.int64(nU) + cols)
-    row_of = keys // nU
-    col_of = keys % nU
-    indptr = np.searchsorted(row_of, np.arange(nE + 1))  # first key of a row >= t
-
-    # structural invariants: columns in range, rows duplicate-free and ascending
-    # (strictly increasing keys encode strictly increasing (row, col) pairs)
-    assert col_of.size == 0 or (col_of.min() >= 0 and col_of.max() < nU)
-    assert np.all(np.diff(keys) > 0)
-    return GateMatrix(universe, nE, indptr, col_of.astype(np.int64))
+    indptr, indices = pair_csr(train[in_universe, 2], column[train[in_universe, 0]], nE, nU)
+    return GateMatrix(universe, nE, indptr, indices)

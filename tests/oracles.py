@@ -11,7 +11,9 @@ sign_flip_p_value is the sign-flip test as one rng.choice draw of every
 sign; alignment_delta_test, which reads the signs off the raw generator
 stream in chunks, must give the same p-value.
 score and to_dense are the one-triple DistMult score and the dense form of a
-gate matrix, written out from the stored arrays. score_triples scores a
+gate matrix, written out from the stored arrays. universe_attrs is
+build_universe's ordering as it stood before the CSR builder: distinct
+(head, tail) rows by np.unique(axis=0), then lexsort. score_triples scores a
 batch of triples with one einsum over the table's float64 rows (relation r
 at row |E| + r), in the order score_pairs multiplies them.
 corrupt_pairs is the heads' pair draw as it stood before the backbone and
@@ -59,6 +61,17 @@ def to_dense(gates) -> np.ndarray:
     for t in range(gates.num_entities):
         dense[t, gates.indices[gates.indptr[t]:gates.indptr[t + 1]]] = 1.0
     return dense
+
+
+def universe_attrs(store, relations, cap=None) -> np.ndarray:
+    """The heads of the train triples through relations, by number of
+    distinct tails descending, ties by ascending id, the first cap kept."""
+    group = store.train[np.isin(store.train[:, 1], np.asarray(relations, dtype=np.int64))]
+    if not len(group):
+        return np.empty(0, dtype=np.int64)
+    pairs = np.unique(group[:, [0, 2]], axis=0)
+    heads, freqs = np.unique(pairs[:, 0], return_counts=True)
+    return heads[np.lexsort((heads, -freqs))][:cap].astype(np.int64)
 
 
 def filtered_rank(scores: np.ndarray, true_tail: int, filter_out: np.ndarray) -> int:

@@ -101,7 +101,7 @@ def test_frozen_table_rejects_writes(tmp_path):
     trained = train_backbone(chain_store(), BackboneTrainConfig(dim=4, epochs=1))
     path = str(tmp_path / "emb.kge")
     save_embeddings(direct, path)
-    for table in (direct, trained, load_embeddings(path)):
+    for table in (direct, trained, load_embeddings(path, 2, 1)):
         with pytest.raises(ValueError, match="read-only"):
             table.rows64[0, 0] = 1.0
 
@@ -390,25 +390,25 @@ def test_load_truncated_file_raises(tmp_path):
     with open(path, "wb") as f:
         f.write(data[:-3])
     with pytest.raises(CheckpointError, match="bytes"):
-        load_embeddings(path)
+        load_embeddings(path, 4, 2)
     with open(path, "wb") as f:
         f.write(data[:27])  # one byte short of the 28-byte header
     with pytest.raises(CheckpointError, match="truncated header"):
-        load_embeddings(path)
+        load_embeddings(path, 4, 2)
 
 
 def test_load_bad_magic_raises(tmp_path):
     path = tmp_path / "emb.kge"
     path.write_bytes(b"NOPE" + b"\x00" * 24)
     with pytest.raises(CheckpointError, match="magic"):
-        load_embeddings(str(path))
+        load_embeddings(str(path), 1, 1)
 
 
 def test_load_zero_dim_header_raises(tmp_path):
     path = tmp_path / "emb.kge"
     path.write_bytes(struct.pack("<4sQQQ", MAGIC, 1, 1, 0))
     with pytest.raises(CheckpointError, match="invalid header"):
-        load_embeddings(str(path))
+        load_embeddings(str(path), 1, 1)
 
 
 def test_load_vocab_mismatch_raises(tmp_path):
@@ -416,6 +416,6 @@ def test_load_vocab_mismatch_raises(tmp_path):
     path = str(tmp_path / "emb.kge")
     save_embeddings(random_table(rng, 4, 2, 4), path)
     with pytest.raises(CheckpointError, match="entities"):
-        load_embeddings(path, expected_entities=5)
+        load_embeddings(path, expected_entities=5, expected_relations=2)
     with pytest.raises(CheckpointError, match="relations"):
-        load_embeddings(path, expected_relations=3)
+        load_embeddings(path, expected_entities=4, expected_relations=3)

@@ -9,6 +9,7 @@ import yaml
 from gatedbias.backbone import EmbeddingTable, load_embeddings, save_embeddings
 from gatedbias.cli import _print_aggregate, build_parser, main
 from gatedbias.config import SECTIONS
+from gatedbias.kg_store import load_triples
 from gatedbias.synth import SynthParams, save_config
 
 
@@ -144,10 +145,11 @@ def test_eval_refuses_heads_trained_with_other_epochs(cfg_path, tmp_path, capsys
 
 
 @pytest.mark.parametrize("method", ["patientnode", "gatedbias"])
-def test_eval_refuses_heads_trained_on_another_backbone(method, cfg_path, run_out, tmp_path,
-                                                        capsys):
+def test_eval_refuses_heads_trained_on_another_backbone(method, data_dir, cfg_path, run_out,
+                                                        tmp_path, capsys):
     trained_on = os.path.join(run_out, "backbone.kge")
-    table = load_embeddings(trained_on)
+    store = load_triples(os.path.join(data_dir, "triples"))
+    table = load_embeddings(trained_on, store.num_entities, store.num_relations)
     other = str(tmp_path / "other.kge")
     emb = table.rows64.copy()
     emb[:table.num_entities] *= 2

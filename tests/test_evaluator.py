@@ -556,6 +556,22 @@ def test_engine_memory_grows_with_queries_by_the_rank_tables_grouping_only():
     assert alignment_peak(large) - alignment_peak(small) <= slack
 
 
+def test_query_set_memory_follows_the_triples_not_entities_by_relations():
+    """200,000 entities by 1,000 relations, 20,000 train and 2,000 test
+    triples on 20 hub heads: every key has a filter. The filters are keyed by
+    the test (h, r) codes, so the peak follows the triples: ~1.5 MiB. One
+    int64 slot per (h, r) would take 1.6 GB."""
+    rng = np.random.default_rng(0)
+    store = random_store(rng, n_entities=200_000, n_relations=1_000, n_train=20_000,
+                         n_test=2_000)
+    for split in (store.train, store.test):
+        split[:, 0] %= 20
+        split[:, 1] %= 50
+    queries = query_set(store)  # one-time allocations stay out of the peak
+    assert (np.diff(queries.filter_indptr) > 0).all()
+    assert traced_peak(query_set, store) < 4 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------

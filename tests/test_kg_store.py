@@ -2,15 +2,16 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatedbias.errors import ConfigError
-from gatedbias.kg_store import (AttributeUniverse, build_gates, build_universe,
-                                expand_ranges, load_grouping, load_triples, make_grouping)
+from gatedbias.kg_store import (GROUP_TAGS, AttributeUniverse, build_gates, build_universe,
+                                expand_ranges, load_grouping, load_triples, make_grouping,
+                                pair_csr)
 from gatedbias.profile_builder import load_interactions
-from helpers import gates_from_dense, store_from_labels
-from oracles import query_filters, to_dense
+from helpers import gates_from_dense, random_store, store_from_labels
+from oracles import query_filters, to_dense, universe_attrs
 
 
 def row(gates, t):
@@ -259,6 +260,22 @@ def test_universe_cap_prefix_property():
             assert build_universe(store, grouping, "A", cap=cap).attrs.tolist() == full[:cap]
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_entities=st.integers(1, 25), n_train=st.integers(0, 80),
+       cap=st.one_of(st.none(), st.integers(1, 12)))
+def test_build_universe_matches_the_unique_lexsort_oracle(seed, n_entities, n_train, cap):
+    """Few entities and many triples: repeated (head, tail) pairs and
+    frequency ties at every cap."""
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_entities, 4, n_train, 0)
+    tags = rng.choice(["A", "B", "none"], size=4).tolist()
+    grouping = {tag: [r for r in range(4) if tags[r] == tag] for tag in (*GROUP_TAGS, "none")}
+    for tag in GROUP_TAGS:
+        got = build_universe(store, grouping, tag, cap=cap).attrs
+        assert got.dtype == np.int64
+        assert got.tolist() == universe_attrs(store, grouping[tag], cap).tolist()
+
+
 def test_universe_checksum_depends_on_order():
     def universe(attrs):
         return AttributeUniverse(group="A", attrs=np.array(attrs, dtype=np.int64),
@@ -419,6 +436,27 @@ def test_expand_ranges_matches_a_list_oracle(ranges, dtype):
     got = expand_ranges(starts, counts)
     assert got.dtype == np.int64
     assert got.tolist() == [s + i for s, c in ranges for i in range(c)]
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40),
+       spare_rows=st.integers(0, 3), n_cols=st.sampled_from([6, 7, 88_572]))
+@example(pairs=[], spare_rows=0, n_cols=6)
+@example(pairs=[], spare_rows=3, n_cols=6)
+@example(pairs=[(2, 1), (2, 1), (2, 0), (2, 1)], spare_rows=2, n_cols=6)
+@example(pairs=[(5, 3), (0, 2), (5, 3), (0, 2), (0, 0)], spare_rows=0, n_cols=6)
+def test_pair_csr_matches_a_set_oracle(pairs, spare_rows, n_cols):
+    """Distinct pairs, each row's columns ascending, empty rows (the first
+    and last among them) and rows past every row id all have their slice."""
+    n_rows = max((r for r, _ in pairs), default=-1) + 1 + spare_rows
+    rows = np.array([r for r, _ in pairs], dtype=np.int64)
+    cols = np.array([c for _, c in pairs], dtype=np.int64)
+    indptr, indices = pair_csr(rows, cols, n_rows, n_cols)
+    assert indptr.dtype == indices.dtype == np.int64
+    assert indptr.shape == (n_rows + 1,) and indptr[0] == 0 and indptr[-1] == indices.size
+    distinct = set(pairs)
+    for i in range(n_rows):
+        want = sorted(c for r, c in distinct if r == i)
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == want
 
 
 def test_gate_checksum_changes_with_structure():
