@@ -1,11 +1,12 @@
 """Trainable personalization heads over a frozen backbone.
 
 The gated head holds per-group weight vectors and scalar gates; its per-entity
-bias is alpha_A * <w_A, g_A(t) * f_A> + alpha_B * <w_B, g_B(t) * f_B>,
-precomputed in one sparse pass. Training minimizes a pairwise hinge loss with
-L1/L2 regularization, touching only the head parameters. A profile-agnostic
-MLP head (PatientNode) is provided as an ablation; both heads share one SGD
-loop and one checkpoint format, which binds a head to its backbone.
+bias is alpha_A * <w_A, g_A(t) * f_A> + alpha_B * <w_B, g_B(t) * f_B>, whose
+two terms are precomputed in one sparse pass as the rows of one array.
+Training minimizes a pairwise hinge loss with L1/L2 regularization, touching
+only the head parameters. A profile-agnostic MLP head (PatientNode) is
+provided as an ablation; both heads share one SGD loop and one checkpoint
+format, which binds a head to its backbone.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ class BiasHead:
     w_b: np.ndarray
     alpha_a: float = 1.0
     alpha_b: float = 1.0
-
-
-@dataclass
-class BiasVector:
-    """Per-entity additive bias split into per-group contributions."""
-
-    values: np.ndarray
-    contrib_a: np.ndarray
-    contrib_b: np.ndarray
 
 
 @dataclass
@@ -67,14 +59,16 @@ def _groups(head: BiasHead, gates, features):
 
 
 def compute_bias(head: BiasHead, gates: tuple[GateMatrix, GateMatrix],
-                 features: tuple[np.ndarray, np.ndarray]) -> BiasVector:
-    """One sparse pass over gate nonzeros; entities with empty rows get exactly 0."""
+                 features: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(2, |E|) float64 group contributions, row k alpha_k * G_k(w_k * f_k)
+    for GROUP_TAGS[k], from one sparse pass (empty gate rows give exactly 0).
+    The bias is contrib[0] + contrib[1]; an axis-0 sum may turn -0.0 to +0.0."""
     contrib = []
     for tag, g, w, f, alpha in _groups(head, gates, features):
         if len(w) != g.num_columns or len(f) != g.num_columns:
             raise ValueError(f"group {tag} dimensions disagree (w, f, gates)")
         contrib.append(alpha * g.matvec(w * f))
-    return BiasVector(contrib[0] + contrib[1], *contrib)
+    return np.stack(contrib)
 
 
 class Workspace:

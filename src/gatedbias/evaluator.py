@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import EmbeddingTable
-from .bias_head import BiasHead, BiasVector, compute_bias
+from .bias_head import BiasHead, compute_bias
 from .config import EvalSettings
 from .kg_store import GROUP_TAGS, TripleStore, pair_csr
 from .profile_builder import shuffle_features
@@ -73,10 +73,12 @@ class QuerySet:
 def query_set(store: TripleStore) -> QuerySet:
     """The test queries keyed by their h * |R| + r code, each key's filter
     being the distinct train+valid tails of its (h, r): the pair_csr of the
-    known triples whose code is a key's."""
+    known triples whose code is a key's, coding only those with a test head."""
     n_r, triples = store.num_relations, store.test
     key_codes, key_of = np.unique(triples[:, 0] * n_r + triples[:, 1], return_inverse=True)
-    known = np.concatenate([store.train, store.valid])
+    test_head = np.zeros(store.num_entities, dtype=bool)
+    test_head[triples[:, 0]] = True
+    known = np.concatenate([split[test_head[split[:, 0]]] for split in (store.train, store.valid)])
     code = known[:, 0] * n_r + known[:, 1]
     key = np.searchsorted(key_codes, code)
     keyed = np.append(key_codes, -1)[key] == code  # -1: the slot past the last key
@@ -220,17 +222,17 @@ def ranking_metrics(ranks: np.ndarray, ks: list[int]) -> dict[str, float]:
 # Aligned set and Alignment@k
 # ---------------------------------------------------------------------------
 
-def aligned_set(bias: BiasVector, percentile_p: int) -> tuple[np.ndarray, float]:
-    """A bool mask over the entities, True where the contribution is positive
-    and the inter-group margin reaches tau, the nearest-rank P-th percentile
-    of margins over the positives; and tau (0.0 when none is positive)."""
+def aligned_set(contrib: np.ndarray, percentile_p: int) -> tuple[np.ndarray, float]:
+    """A bool mask over the entities, True where a group's contribution is
+    positive and the inter-group margin reaches tau, the nearest-rank P-th
+    percentile of margins over the positives; and tau (0.0 if none is)."""
     if percentile_p not in (60, 70, 80):
         log.warning("aligned_set: unusual percentile_p=%d (expected 60/70/80)", percentile_p)
-    positive = np.maximum(bias.contrib_a, bias.contrib_b) > 0
+    positive = np.maximum(*contrib) > 0
     if not positive.any():
         log.warning("aligned_set: no entity has a positive contribution; set is empty")
         return positive, 0.0
-    margins = np.abs(bias.contrib_a - bias.contrib_b)
+    margins = np.abs(contrib[0] - contrib[1])
     pool = np.sort(margins[positive])
     idx = max(math.ceil(percentile_p / 100.0 * pool.size) - 1, 0)
     tau = float(pool[idx])
@@ -359,24 +361,26 @@ def placebo_validation(means: list[float]) -> dict[str, float | None]:
 
 
 def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gates, features,
-                  bias: BiasVector, settings: EvalSettings, seed: int) -> tuple[np.ndarray, dict]:
+                  contrib, settings: EvalSettings, seed: int) -> tuple[np.ndarray, dict]:
     """Adapted ranks and the personalization entries of one trained head,
-    whose adapted bias is bias; gates and features are the (A, B) pairs it
-    is computed from. One rank sweep serves the adapted bias and both
-    counterfactual ones (one group's features scaled by 1 + epsilon), one
-    alignment sweep the base, adapted and settings.n_shuffles placebo biases
-    (both groups' features permuted, the aligned set that of the real ones),
-    whose per-key rows yield each bias's mean and the sign-flip differences."""
+    whose compute_bias rows are contrib, the adapted bias being their sum;
+    gates and features are the (A, B) pairs they are computed from. One rank
+    sweep serves the adapted bias and both counterfactual ones (one group's
+    features scaled by 1 + epsilon), one alignment sweep the base, adapted
+    and settings.n_shuffles placebo biases (both groups' features permuted,
+    the aligned set that of the real ones), whose per-key rows yield each
+    bias's mean and the sign-flip differences."""
     f_a, f_b = features
     boost = 1.0 + settings.epsilon
-    boosted = [compute_bias(head, gates, (f_a * boost, f_b)).values,
-               compute_bias(head, gates, (f_a, f_b * boost)).values]
-    ranks, *ranks_after = compute_rank_table(queries, table, [bias.values, *boosted])
-    aligned, _ = aligned_set(bias, settings.percentile_p)
+    bias = np.add(*contrib)
+    boosted = [np.add(*compute_bias(head, gates, (f_a * boost, f_b))),
+               np.add(*compute_bias(head, gates, (f_a, f_b * boost)))]
+    ranks, *ranks_after = compute_rank_table(queries, table, [bias, *boosted])
+    aligned, _ = aligned_set(contrib, settings.percentile_p)
     rng = np.random.default_rng(seed)
-    shuffled = [compute_bias(head, gates, tuple(map(shuffle_features, features, seeds))).values
+    shuffled = [np.add(*compute_bias(head, gates, tuple(map(shuffle_features, features, seeds))))
                 for seeds in rng.integers(0, 2**63 - 1, (settings.n_shuffles, 2)).tolist()]
-    per_key = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias.values,
+    per_key = alignment_per_query(queries, table, [np.zeros(table.num_entities), bias,
                                                    *shuffled], aligned, ALIGNMENT_K)
     key_of = queries.key_of
     means = [float(row[key_of].mean()) for row in per_key]
@@ -385,8 +389,8 @@ def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gate
                f"alignment@{ALIGNMENT_K}_delta": means[1] - means[0],
                "alignment_p_value": alignment_delta_test(per_key[1, key_of] - per_key[0, key_of],
                                                          seed=seed)}
-    for group, contrib, after in zip(GROUP_TAGS, (bias.contrib_a, bias.contrib_b), ranks_after):
-        entries.update(counterfactual_responsiveness(contrib, group, queries.true_tails,
+    for group, row, after in zip(GROUP_TAGS, contrib, ranks_after):
+        entries.update(counterfactual_responsiveness(row, group, queries.true_tails,
                                                      ranks, after))
     entries.update(placebo_validation(means), aligned_set_size=int(aligned.sum()))
     return ranks, entries

@@ -1,8 +1,8 @@
-"""End-to-end orchestration: data → backbone → gates → profiles → head → eval.
+"""End-to-end orchestration: data → gates → profiles → backbone → head → eval.
 
 Each stage failure is re-raised as a PipelineError tagged with the stage name.
 `run`, `eval` and `compare` share one body: it prepares the data, the gates
-and profiles, the query set and the backbone once, then runs each method's
+and profiles, the backbone and the query set once, then runs each method's
 seed loop and writes that method's report. `run` and `eval` pass one method
 and differ only in where the backbone and the per-seed heads come from: `run`
 trains and saves them, `eval` loads them. `compare` runs all three methods.
@@ -133,14 +133,7 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
                                       "personalization needs both groups")
         head_store = store if grouping is None else task_train_store(store, grouping)
 
-    with _stage("backbone"):
-        # one table per backbone source: compare's patientnode and gatedbias
-        # share one read of the checkpoint its base run saved
-        tables: dict[str | None, EmbeddingTable] = {}
-        for c, out in runs:
-            if c.backbone_load not in tables:
-                tables[c.backbone_load] = _obtain_backbone(c, store, out, train)
-
+    # gates and profiles read no backbone, so a bad log fails before it trains
     gates = features = universes = None
     if "gatedbias" in methods:
         with _stage("gates"):
@@ -154,6 +147,14 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
             histories = load_interactions(data.interactions_path, store)
             features = tuple(build_profile(histories, g, cfg.profile.scale_alpha,
                                            cfg.profile.cap_tau) for g in gates)
+
+    with _stage("backbone"):
+        # one table per backbone source: compare's patientnode and gatedbias
+        # share one read of the checkpoint its base run saved
+        tables: dict[str | None, EmbeddingTable] = {}
+        for c, out in runs:
+            if c.backbone_load not in tables:
+                tables[c.backbone_load] = _obtain_backbone(c, store, out, train)
 
     with _stage("evaluate"):
         queries = evaluator.query_set(store)
@@ -189,9 +190,9 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
             with _stage("evaluate"):
                 battery: dict = {}
                 if c.method == "gatedbias":
-                    bias = bias_head.compute_bias(head, gates, features)
+                    contrib = bias_head.compute_bias(head, gates, features)
                     ranks, battery = evaluator.gated_battery(
-                        queries, table, head, gates, features, bias, c.eval, run_seed)
+                        queries, table, head, gates, features, contrib, c.eval, run_seed)
                 elif head is not None or ranks is None:  # base (no head): once per run
                     stack = None if head is None else [
                         bias_head.compute_bias_patientnode(head, table)]

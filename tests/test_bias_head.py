@@ -51,19 +51,19 @@ def test_compute_bias_zero_features_is_zero():
     ga, _ = random_gates(rng, 6, 3)
     gb, _ = random_gates(rng, 6, 2, group="B")
     head = make_head(rng.standard_normal(3), rng.standard_normal(2))
-    bias = compute_bias(head, (ga, gb), (make_features(ga, np.zeros(3)),
-                                         make_features(gb, np.zeros(2))))
-    assert np.all(bias.values == 0.0)
+    contrib = compute_bias(head, (ga, gb), (make_features(ga, np.zeros(3)),
+                                            make_features(gb, np.zeros(2))))
+    assert np.all(contrib[0] + contrib[1] == 0.0)
 
 
 def test_compute_bias_single_entity_hand_value():
     ga = gates_from_dense([[1]])
     gb = gates_from_dense([[0]], group="B")
     head = make_head([2.0], [5.0])
-    bias = compute_bias(head, (ga, gb), (make_features(ga, [0.5]), make_features(gb, [0.9])))
-    assert bias.contrib_a.tolist() == [1.0]  # 1 * 2 * 0.5
-    assert bias.contrib_b.tolist() == [0.0]  # empty row
-    assert bias.values.tolist() == [1.0]
+    contrib = compute_bias(head, (ga, gb), (make_features(ga, [0.5]), make_features(gb, [0.9])))
+    assert contrib[0].tolist() == [1.0]  # 1 * 2 * 0.5
+    assert contrib[1].tolist() == [0.0]  # empty row
+    assert (contrib[0] + contrib[1]).tolist() == [1.0]
 
 
 def test_compute_bias_matches_dense_oracle():
@@ -74,12 +74,13 @@ def test_compute_bias_matches_dense_oracle():
                      alpha_a=1.7, alpha_b=-0.4)
     f_a = make_features(ga, rng.random(5))
     f_b = make_features(gb, rng.random(3))
-    bias = compute_bias(head, (ga, gb), (f_a, f_b))
+    contrib = compute_bias(head, (ga, gb), (f_a, f_b))
     want_a = head.alpha_a * (da @ (head.w_a * f_a))
     want_b = head.alpha_b * (db @ (head.w_b * f_b))
-    assert np.allclose(bias.contrib_a, want_a, atol=1e-12)
-    assert np.allclose(bias.contrib_b, want_b, atol=1e-12)
-    assert np.array_equal(bias.values, bias.contrib_a + bias.contrib_b)
+    # one row per group, in GROUP_TAGS order
+    assert contrib.shape == (2, 20) and contrib.dtype == np.float64
+    assert np.allclose(contrib[0], want_a, atol=1e-12)
+    assert np.allclose(contrib[1], want_b, atol=1e-12)
 
 
 def test_compute_bias_empty_rows_exact_zero():
@@ -88,10 +89,10 @@ def test_compute_bias_empty_rows_exact_zero():
     ga = gates_from_dense(dense)
     gb = gates_from_dense(np.zeros((5, 2)), group="B")
     head = make_head([0.3, -0.2, 0.9], [1.0, 1.0])
-    bias = compute_bias(head, (ga, gb), (make_features(ga, [0.5, 0.5, 0.5]),
-                                         make_features(gb, [0.5, 0.5])))
+    contrib = compute_bias(head, (ga, gb), (make_features(ga, [0.5, 0.5, 0.5]),
+                                            make_features(gb, [0.5, 0.5])))
     for t in (0, 1, 3, 4):
-        assert bias.values[t] == 0.0
+        assert contrib[0, t] + contrib[1, t] == 0.0
 
 
 def test_compute_bias_dimension_mismatch_raises():
@@ -117,8 +118,8 @@ def test_compute_bias_scaling_equivariant_in_features():
     base = compute_bias(head, (ga, gb), (f_a, f_b))
     for c in (2.0, 0.5):  # powers of two keep float scaling exact
         boosted = compute_bias(head, (ga, gb), (f_a * c, f_b))
-        assert np.array_equal(boosted.contrib_a, c * base.contrib_a)
-        assert np.array_equal(boosted.contrib_b, base.contrib_b)
+        assert np.array_equal(boosted[0], c * base[0])
+        assert np.array_equal(boosted[1], base[1])
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +209,9 @@ def gated_fd_check(rng, lam1, lam2):
                                      ids, lam1, lam2)
     # skip draws whose hinge sits on its kink (finite differences undefined)
     head = unpack(w)
-    bias = compute_bias(head, (ga, gb), (f_a, f_b))
-    margins = (oracles.score_triples(table, h, r, tp) + bias.values[tp]
-               - oracles.score_triples(table, h, r, tn) - bias.values[tn])
+    bias = np.add(*compute_bias(head, (ga, gb), (f_a, f_b)))
+    margins = (oracles.score_triples(table, h, r, tp) + bias[tp]
+               - oracles.score_triples(table, h, r, tn) - bias[tn])
     if np.any(np.abs(1.0 - margins) < 1e-3):
         return None
     analytic = np.concatenate([grads.w_a, grads.w_b, [grads.alpha_a, grads.alpha_b]])

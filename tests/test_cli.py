@@ -310,6 +310,27 @@ def test_backbone_beyond_float32_range_fails_after_its_last_epoch(data_dir, tmp_
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("log,reason", [
+    pytest.param(None, "No such file or directory", id="missing"),
+    pytest.param("u0\n", "log.tsv:1: expected 2 tab-separated fields, got 1", id="malformed")])
+def test_unreadable_log_fails_at_profiles_before_training(command, log, reason, cfg_path,
+                                                          tmp_path, capsys):
+    # the profiles are built before the backbone trains, so nothing is written
+    with open(cfg_path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["data"]["interactions_path"] = str(tmp_path / "log.tsv")
+    if log is not None:
+        (tmp_path / "log.tsv").write_text(log, encoding="utf-8")
+    path = str(tmp_path / "config.yaml")
+    save_config(raw, path)
+    out = tmp_path / "out"
+    assert main([command, path, "--out", str(out)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: [profiles] ") and reason in last
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method,checkpoint", [("gatedbias", "head_seed0.json"),
                                                ("patientnode", "patientnode_seed0.json")])
 def test_diverging_head_fails_at_the_head_stage(method, checkpoint, cfg_path, tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gatedbias import evaluator
-from gatedbias.bias_head import BiasVector, compute_bias
+from gatedbias.bias_head import compute_bias
 from gatedbias.config import EvalSettings
 from gatedbias.evaluator import (ALIGNMENT_K, aligned_set, alignment_delta_test,
                                  compute_rank_table, counterfactual_responsiveness,
@@ -172,14 +172,13 @@ def test_ranking_metrics_empty_raises():
 # aligned set
 # ---------------------------------------------------------------------------
 
-def bias_of(contrib_a, contrib_b):
-    a = np.asarray(contrib_a, dtype=np.float64)
-    b = np.asarray(contrib_b, dtype=np.float64)
-    return BiasVector(values=a + b, contrib_a=a, contrib_b=b)
+def contrib_of(contrib_a, contrib_b):
+    """The (2, |E|) group contributions, as compute_bias returns them."""
+    return np.array([contrib_a, contrib_b], dtype=np.float64)
 
 
 def test_aligned_set_single_positive():
-    mask, tau = aligned_set(bias_of([2.0, 0.0, -1.0], [0.0, 0.0, 0.0]), 60)
+    mask, tau = aligned_set(contrib_of([2.0, 0.0, -1.0], [0.0, 0.0, 0.0]), 60)
     assert mask.dtype == bool
     assert mask.tolist() == [True, False, False]
     assert tau == 2.0
@@ -187,7 +186,7 @@ def test_aligned_set_single_positive():
 
 def test_aligned_set_no_positives_is_empty(caplog):
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        mask, tau = aligned_set(bias_of([0.0, -1.0], [0.0, -2.0]), 70)
+        mask, tau = aligned_set(contrib_of([0.0, -1.0], [0.0, -2.0]), 70)
     assert mask.dtype == bool
     assert mask.tolist() == [False, False]
     assert tau == 0.0
@@ -197,35 +196,35 @@ def test_aligned_set_no_positives_is_empty(caplog):
 def test_aligned_set_nearest_rank_percentile():
     # 10 positives with margins 1..10; ceil(0.7 * 10) = 7 -> tau = 7
     contrib_a = np.arange(1.0, 11.0)
-    mask, tau = aligned_set(bias_of(contrib_a, np.zeros(10)), 70)
+    mask, tau = aligned_set(contrib_of(contrib_a, np.zeros(10)), 70)
     assert tau == 7.0
     assert np.flatnonzero(mask).tolist() == [6, 7, 8, 9]
 
 
 def test_aligned_set_monotone_in_percentile():
     rng = np.random.default_rng(3)
-    bias = bias_of(rng.random(40), rng.random(40) * 0.5)
-    low, low_tau = aligned_set(bias, 60)
-    high, high_tau = aligned_set(bias, 80)
+    contrib = contrib_of(rng.random(40), rng.random(40) * 0.5)
+    low, low_tau = aligned_set(contrib, 60)
+    high, high_tau = aligned_set(contrib, 80)
     assert not (high & ~low).any()
     assert high_tau >= low_tau
 
 
 def test_aligned_set_members_satisfy_definition():
     rng = np.random.default_rng(4)
-    bias = bias_of(rng.standard_normal(30), rng.standard_normal(30))
-    mask, tau = aligned_set(bias, 80)
-    positive = np.maximum(bias.contrib_a, bias.contrib_b) > 0
-    margins = np.abs(bias.contrib_a - bias.contrib_b)
+    contrib = contrib_of(rng.standard_normal(30), rng.standard_normal(30))
+    mask, tau = aligned_set(contrib, 80)
+    positive = np.maximum(contrib[0], contrib[1]) > 0
+    margins = np.abs(contrib[0] - contrib[1])
     assert mask.any()
     assert np.array_equal(mask, positive & (margins >= tau))
 
 
 def test_aligned_set_percentile_validation(caplog):
     # the range of percentile_p is checked by the config (eval.percentile_p)
-    bias = bias_of([1.0], [0.0])
+    contrib = contrib_of([1.0], [0.0])
     with caplog.at_level(logging.WARNING, logger="gatedbias.evaluator"):
-        aligned_set(bias, 50)
+        aligned_set(contrib, 50)
     assert "unusual percentile_p" in caplog.text
 
 
@@ -349,10 +348,11 @@ def test_alignment_delta_test_refuses_fewer_than_one_resample(n_resamples):
 # ---------------------------------------------------------------------------
 
 def gated_setup(store, head, gates, features):
-    """Queries, zero backbone, head inputs and adapted bias of one trained head."""
+    """Queries, zero backbone, head inputs and group contributions of one
+    trained head."""
     return {"queries": query_set(store), "table": zero_table(store.num_entities),
             "head": head, "gates": gates, "features": features,
-            "bias": compute_bias(head, gates, features)}
+            "contrib": compute_bias(head, gates, features)}
 
 
 def cr_of(setup, group, epsilon):
@@ -362,8 +362,8 @@ def cr_of(setup, group, epsilon):
     boosted = compute_bias(setup["head"], setup["gates"], (f_a * boost if group == "A" else f_a,
                                                            f_b * boost if group == "B" else f_b))
     ranks, after = compute_rank_table(setup["queries"], setup["table"],
-                                      [setup["bias"].values, boosted.values])
-    contrib = setup["bias"].contrib_a if group == "A" else setup["bias"].contrib_b
+                                      [np.add(*setup["contrib"]), np.add(*boosted)])
+    contrib = setup["contrib"][0 if group == "A" else 1]
     return counterfactual_responsiveness(contrib, group, setup["queries"].true_tails, ranks,
                                          after)
 
@@ -371,7 +371,7 @@ def cr_of(setup, group, epsilon):
 def battery_of(setup, **settings):
     """gated_battery of the setup's head under EvalSettings(**settings), seed 0."""
     return gated_battery(setup["queries"], setup["table"], setup["head"], setup["gates"],
-                         setup["features"], setup["bias"], EvalSettings(**settings), seed=0)
+                         setup["features"], setup["contrib"], EvalSettings(**settings), seed=0)
 
 
 def crossing_context():
@@ -413,9 +413,31 @@ def test_gated_battery_boosts_each_group_in_turn():
     setup = crossing_context()
     ranks, entries = battery_of(setup, epsilon=1.5, n_shuffles=1)
     assert ranks.tolist() == compute_rank_table(setup["queries"], setup["table"],
-                                                [setup["bias"].values])[0].tolist()
+                                                [np.add(*setup["contrib"])])[0].tolist()
     assert (entries["cr_A"], entries["cr_A_pct_improved"]) == (-2.0, 1.0)
     assert entries["cr_B"] == 0.0
+
+
+def test_gated_battery_adapted_bias_keeps_negative_zeros(monkeypatch):
+    # negative alphas give an entity with empty gate rows in both groups
+    # -0.0 + -0.0 = -0.0; a sum over axis 0 would hand the engine +0.0
+    setup = crossing_context()
+    head = setup["head"]
+    head.alpha_a, head.alpha_b = -1.0, -1.0
+    contrib = setup["contrib"] = compute_bias(head, setup["gates"], setup["features"])
+    want = (contrib[0] + contrib[1]).view(np.uint64)
+    assert (want == np.float64(-0.0).view(np.uint64)).any()
+    seen = []
+    # the adapted bias is row 0 of the rank stack and row 1 of the alignment one
+    for name, row in (("compute_rank_table", 0), ("alignment_per_query", 1)):
+        def record(queries, table, biases, *args, _engine=getattr(evaluator, name), _row=row):
+            seen.append(np.asarray(biases)[_row])
+            return _engine(queries, table, biases, *args)
+        monkeypatch.setattr(evaluator, name, record)
+    battery_of(setup, n_shuffles=1)
+    assert len(seen) == 2
+    for adapted in seen:
+        assert np.array_equal(adapted.view(np.uint64), want)
 
 
 def test_cr_one_sided_split_returns_none(caplog):
@@ -570,6 +592,26 @@ def test_query_set_memory_follows_the_triples_not_entities_by_relations():
     queries = query_set(store)  # one-time allocations stay out of the peak
     assert (np.diff(queries.filter_indptr) > 0).all()
     assert traced_peak(query_set, store) < 4 * 2**20
+
+
+def test_query_set_memory_skips_train_triples_without_a_test_head():
+    """200,000 train triples whose head no test triple has add nothing to any
+    filter, and at most a few bytes each to the peak: the known triples are
+    coded only where the head is a test head. Coding every train+valid
+    triple costs ~49 B a triple."""
+    rng = np.random.default_rng(0)
+    store = random_store(rng, n_entities=10_000, n_relations=10, n_train=2_000, n_test=500)
+    for split in (store.train, store.test):
+        split[:, 0] %= 100  # test heads among 0..99
+    extra = random_store(rng, n_entities=10_000, n_relations=10, n_train=200_000,
+                         n_test=0).train
+    extra[:, 0] = 100 + extra[:, 0] % 9_900  # heads no test triple has
+    more = dataclasses.replace(store, train=np.concatenate([store.train, extra]))
+    small, large = query_set(store), query_set(more)  # one-time allocations stay out
+    for name in ("key_of", "keys", "filter_indptr", "filter_indices"):
+        assert np.array_equal(getattr(small, name), getattr(large, name))
+    slack = 64 * 1024  # allocator and interpreter noise
+    assert traced_peak(query_set, more) - traced_peak(query_set, store) <= 4 * len(extra) + slack
 
 
 # ---------------------------------------------------------------------------
