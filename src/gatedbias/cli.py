@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import traceback
 from dataclasses import fields
 from functools import partial
+
+# Set before numpy loads: a second OpenBLAS thread busy-waits ~0.13 s of CPU
+# per process, and no BLAS call in an op is large enough to pay for it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import METHODS, SECTIONS, load_config, synth_params
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline

@@ -91,7 +91,9 @@ def load_triples(path: str) -> TripleStore:
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
         overlap = distinct[a].keys() & distinct[b].keys()
         if overlap:
-            sample = sorted(overlap)[0]
+            h, r, t = sorted(overlap)[0]
+            entities, relations = list(entity_vocab), list(relation_vocab)  # labels by id
+            sample = (entities[h], relations[r], entities[t])
             raise ConfigError(
                 f"splits {a} and {b} share {len(overlap)} triple(s), e.g. {sample}; "
                 "splits must be disjoint"

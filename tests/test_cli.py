@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -11,6 +13,8 @@ from gatedbias.cli import _print_aggregate, build_parser, main
 from gatedbias.config import SECTIONS
 from gatedbias.kg_store import load_triples
 from gatedbias.synth import SynthParams, save_config
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -465,3 +469,33 @@ def test_missing_subcommand_exits():
 def test_malformed_int_list_exits(cfg_path):
     with pytest.raises(SystemExit):
         main(["run", cfg_path, "--ks", "abc"])
+
+
+# Records OPENBLAS_NUM_THREADS when numpy is first imported, which is when
+# OpenBLAS reads it, and whether the package root alone loads numpy.
+NUMPY_IMPORT_PROBE = """
+import importlib.abc, json, os, sys
+seen = []
+class Probe(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Probe())
+import gatedbias
+root_loads_numpy = "numpy" in sys.modules
+import gatedbias.cli
+print(json.dumps([root_loads_numpy, seen]))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_cli_sets_one_blas_thread_before_numpy_loads(preset, expected):
+    """The CLI's default of one BLAS thread is in place when numpy loads, a
+    value the user set is kept, and `import gatedbias` alone loads no numpy."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", NUMPY_IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout) == [False, [expected]]

@@ -9,12 +9,15 @@ value fails here. Every synth alignment_p_value sits at the floor
 1 / (10,000 + 1), so the digest cannot see a changed sign stream; a tiny
 `run` on preference-free data pins a p-value off the floor. The arithmetic
 is numpy's and BLAS's, so both tests skip when either differs from the
-versions the pins were recorded with.
+versions the pins were recorded with. The BLAS thread count, which a user
+may set through OPENBLAS_NUM_THREADS, must not change a byte.
 """
 
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ import pytest
 from gatedbias.config import METHODS, config_from_dict
 from gatedbias.pipeline import run_compare, run_pipeline
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 RECORDED_NUMPY = "2.4.6"
 RECORDED_BLAS = "scipy-openblas 0.3.31.188.0"
 DIGEST = "c1aac2ba008beeadb1ef850f3e80040704925b56f6259aad102a194a7b738b22"
@@ -100,3 +104,35 @@ def test_tiny_run_pins_the_sign_flip_p_values(tmp_path):
     report = run_pipeline(cfg, str(tmp_path / "run"))["report"]
     assert [entry["alignment_p_value"] for entry in report["per_seed"]] == [
         9.999000099990002e-05, 0.8295170482951705]
+
+
+# Shapes large enough for OpenBLAS to split the gemv and the gemms across threads.
+BLAS_CALLS = """
+import hashlib
+import numpy as np
+from gatedbias.backbone import EmbeddingTable
+from gatedbias.bias_head import (PatientNodeHead, compute_bias_patientnode,
+                                 patientnode_loss_and_grad)
+rng = np.random.default_rng(0)
+n_e, n_r, d, hidden, m = 4000, 8, 32, 16, 4096
+table = EmbeddingTable(rng.standard_normal((n_e + n_r, d)), n_e)
+head = PatientNodeHead(w1=rng.standard_normal((hidden, d)), b1=rng.standard_normal(hidden),
+                       w2=rng.standard_normal(hidden), b2=0.5)
+ids = np.stack([n_e + rng.integers(0, n_r, m), *rng.integers(0, n_e, (3, m))])
+loss, grad = patientnode_loss_and_grad(head, table, ids)
+h = hashlib.sha256()
+for x in (*(table.score_all_tails(i, i % n_r) for i in range(50)),
+          compute_bias_patientnode(head, table), loss, grad.w1, grad.b1, grad.w2, grad.b2):
+    h.update(np.asarray(x).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=SRC)
+        out = subprocess.run([sys.executable, "-c", BLAS_CALLS], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

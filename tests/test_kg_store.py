@@ -133,9 +133,12 @@ def test_load_triples_missing_path_raises(tmp_path):
 
 
 def test_load_triples_split_overlap_raises(tmp_path):
-    write_split(tmp_path, "train", [("a", "r", "b")])
-    write_split(tmp_path, "test", [("a", "r", "b")])
-    with pytest.raises(ConfigError, match="disjoint"):
+    write_split(tmp_path, "train", [("a", "r", "b"), ("bob", "likes", "pen")])
+    write_split(tmp_path, "test", [("bob", "likes", "pen")])
+    # the sample is named by the labels in the files, not by internal ids
+    with pytest.raises(ConfigError, match=re.escape(
+            "splits train and test share 1 triple(s), e.g. ('bob', 'likes', 'pen'); "
+            "splits must be disjoint")):
         load_triples(str(tmp_path))
 
 
