@@ -368,7 +368,7 @@ def _read_checkpoint(path: str, template, cfg: HeadTrainConfig, table: Embedding
 
 
 def _universe_bindings(gates: tuple[GateMatrix, GateMatrix]) -> dict[str, str]:
-    return {f"universe_checksum_{tag.lower()}": g.universe.checksum()
+    return {f"universe_checksum_{tag.lower()}": g.checksum()
             for tag, g in zip(GROUP_TAGS, gates)}
 
 

@@ -1,4 +1,4 @@
-"""Triple store, relation grouping, attribute universes and binary gate matrices.
+"""Triple store, relation grouping and binary gate matrices over attribute universes.
 
 Gates are built from training triples only: the bit pattern of a GateMatrix
 never depends on the contents of the valid/test splits.
@@ -140,52 +140,29 @@ def load_grouping(path: str, store: TripleStore) -> dict[str, list[int]]:
     return make_grouping(store, *groups)
 
 
-@dataclass
-class AttributeUniverse:
-    """Ordered attribute columns for one relation group.
-
-    Membership and ordering are determined by train triples only: attrs are
-    the head entities of group triples, ordered by descending number of
-    distinct connected tails, ties broken by ascending entity id.
-    """
-
-    group: str
-    attrs: np.ndarray  # entity ids, ordered
-    relations: np.ndarray  # the group's relation ids
-
-    def __len__(self) -> int:
-        return len(self.attrs)
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.group.encode())
-        h.update(np.ascontiguousarray(self.attrs, dtype=np.int64).tobytes())
-        return h.hexdigest()
-
-
 def build_universe(
     store: TripleStore,
     grouping: dict[str, list[int]],
     group: str,
     cap: int | None = None,
-) -> AttributeUniverse:
-    """Collect the attribute universe of a relation group from train triples.
+) -> np.ndarray:
+    """The attribute universe of a relation group from train triples: the
+    entity ids heading its triples, ordered by descending number of distinct
+    connected tails, ties broken by ascending entity id.
 
-    With ``cap`` set, only the cap most frequent attributes are kept
-    (frequency = number of distinct tails an attribute connects to).
+    With ``cap`` set, only the cap most frequent attributes are kept.
     """
     if group not in GROUP_TAGS:
         raise ValueError(f"group must be one of {GROUP_TAGS}, got {group!r}")
 
-    rel_ids = np.array(grouping[group], dtype=np.int64)
-    group_triples = store.train[np.isin(store.train[:, 1], rel_ids)]
+    group_triples = store.train[np.isin(store.train[:, 1], grouping[group])]
     if not len(group_triples):
         logger.warning("relation group %s has no train triples; universe is empty", group)
     n_e = store.num_entities
     indptr, _ = pair_csr(group_triples[:, 0], group_triples[:, 2], n_e, n_e)
     freqs = np.diff(indptr)  # distinct tails per head
     attrs = np.argsort(-freqs, kind="stable")[:np.count_nonzero(freqs)]  # ties: lower id first
-    return AttributeUniverse(group=group, attrs=attrs[:cap], relations=rel_ids)
+    return attrs[:cap]
 
 
 def pair_csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
@@ -204,24 +181,18 @@ def pair_csr(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
     return np.searchsorted(row_of, np.arange(n_rows + 1)), indices
 
 
-def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The int64 positions of the ranges [starts[i], starts[i] + counts[i]),
-    concatenated in range order: the flat cells of a CSR row selection."""
-    counts = np.asarray(counts, dtype=np.int64)
-    firsts = np.cumsum(counts) - counts  # where each range begins in the output
-    return np.repeat(np.asarray(starts, dtype=np.int64) - firsts, counts) + np.arange(counts.sum())
-
-
 class GateMatrix:
     """Sparse binary |E| x |U_k| matrix in CSR layout (column indices only).
 
-    Row t, indices[indptr[t]:indptr[t + 1]], lists which universe columns
+    Column j is attrs[j], the j-th attribute of relation group ``group``'s
+    universe. Row t, indices[indptr[t]:indptr[t + 1]], lists which columns
     connect to entity t through a group relation in the training graph.
     """
 
-    def __init__(self, universe: AttributeUniverse, num_entities: int,
+    def __init__(self, group: str, attrs: np.ndarray, num_entities: int,
                  indptr: np.ndarray, indices: np.ndarray):
-        self.universe = universe
+        self.group = group
+        self.attrs = attrs
         self.num_entities = num_entities
         self.indptr = indptr
         self.indices = indices
@@ -229,7 +200,14 @@ class GateMatrix:
 
     @property
     def num_columns(self) -> int:
-        return len(self.universe)
+        return len(self.attrs)
+
+    def checksum(self) -> str:
+        """sha256 of the group tag, then the universe attrs as int64."""
+        h = hashlib.sha256()
+        h.update(self.group.encode())
+        h.update(np.ascontiguousarray(self.attrs, dtype=np.int64).tobytes())
+        return h.hexdigest()
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """G @ v with per-row summation in ascending column order."""
@@ -242,17 +220,20 @@ class GateMatrix:
         """Concatenate the rows of ``tails``; returns (owner positions, column ids)."""
         starts = self.indptr[tails]
         counts = self.indptr[tails + 1] - starts
+        firsts = np.cumsum(counts) - counts  # where each row begins in the output
+        cells = np.repeat(starts - firsts, counts) + np.arange(counts.sum())
         owners = np.repeat(np.arange(len(tails)), counts)
-        return owners, self.indices[expand_ranges(starts, counts)]
+        return owners, self.indices[cells]
 
 
-def build_gates(store: TripleStore, universe: AttributeUniverse) -> GateMatrix:
-    """Build the binary gate matrix of a universe from train triples only."""
+def build_gates(store: TripleStore, grouping: dict[str, list[int]], group: str,
+                attrs: np.ndarray) -> GateMatrix:
+    """Build the binary gate matrix of a group's universe attrs from train triples only."""
     nE = store.num_entities
-    nU = len(universe)
+    nU = len(attrs)
     train = store.train
-    in_universe = np.isin(train[:, 0], universe.attrs) & np.isin(train[:, 1], universe.relations)
+    in_universe = np.isin(train[:, 0], attrs) & np.isin(train[:, 1], grouping[group])
     column = np.zeros(nE, dtype=np.int64)  # entity id -> universe column
-    column[universe.attrs] = np.arange(nU)
+    column[attrs] = np.arange(nU)
     indptr, indices = pair_csr(train[in_universe, 2], column[train[in_universe, 0]], nE, nU)
-    return GateMatrix(universe, nE, indptr, indices)
+    return GateMatrix(group, attrs, nE, indptr, indices)

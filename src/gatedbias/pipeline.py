@@ -137,12 +137,13 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
     gates = features = universes = None
     if "gatedbias" in methods:
         with _stage("gates"):
-            gates = tuple(build_gates(store, build_universe(store, grouping, tag, cap=cap))
+            gates = tuple(build_gates(store, grouping, tag,
+                                      build_universe(store, grouping, tag, cap=cap))
                           for tag, cap in zip(GROUP_TAGS, (cfg.gates.cap_a, cfg.gates.cap_b)))
             universes = {}
             for tag, g in zip(GROUP_TAGS, gates):
                 universes.update({f"size_{tag.lower()}": g.num_columns,
-                                  f"checksum_{tag.lower()}": g.universe.checksum()})
+                                  f"checksum_{tag.lower()}": g.checksum()})
         with _stage("profiles"):
             histories = load_interactions(data.interactions_path, store)
             features = tuple(build_profile(histories, g, cfg.profile.scale_alpha,

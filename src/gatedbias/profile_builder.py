@@ -13,6 +13,7 @@ import logging
 
 import numpy as np
 
+from .errors import ConfigError
 from .fileio import read_tsv
 from .kg_store import GateMatrix, TripleStore
 
@@ -21,7 +22,9 @@ logger = logging.getLogger(__name__)
 
 def load_interactions(path: str, store: TripleStore) -> list[np.ndarray]:
     """Read a user\\titem TSV into each user's sorted item ids, users in
-    ascending order; repeated pairs collapse, unknown items are dropped."""
+    ascending order; repeated pairs collapse, unknown items are dropped. A
+    log with no known item at all is refused: it would train a head on no
+    profile."""
     raw: dict[str, set[int]] = {}
     unknown = 0
     for user, item in read_tsv(path, 2):
@@ -29,6 +32,9 @@ def load_interactions(path: str, store: TripleStore) -> list[np.ndarray]:
             unknown += 1
             continue
         raw.setdefault(user, set()).add(store.entity_vocab[item])
+    if not raw:
+        raise ConfigError(f"{path}: no interaction names an item of the graph "
+                          f"({unknown} lines with unknown items)")
     if unknown:
         logger.warning("%s: dropped %d interactions with unknown items", path, unknown)
     return [np.array(sorted(raw[user]), dtype=np.int64) for user in sorted(raw)]

@@ -12,7 +12,7 @@ import numpy as np
 
 from gatedbias.backbone import EmbeddingTable
 from gatedbias.bias_head import BiasHead
-from gatedbias.kg_store import AttributeUniverse, GateMatrix, TripleStore
+from gatedbias.kg_store import GateMatrix, TripleStore
 
 
 def store_from_labels(train, valid=(), test=()):
@@ -49,14 +49,11 @@ def random_store(rng, n_entities, n_relations, n_train, n_test, n_valid=0):
 
 
 def gates_from_dense(dense, group="A", attrs=None):
-    """GateMatrix built row by row from a dense 0/1 membership matrix; its
-    universe's one relation is id 0."""
+    """GateMatrix built row by row from a dense 0/1 membership matrix."""
     dense = np.asarray(dense)
     n_e, n_u = dense.shape
     if attrs is None:
         attrs = np.arange(n_u, dtype=np.int64)
-    uni = AttributeUniverse(group=group, attrs=np.asarray(attrs, dtype=np.int64),
-                            relations=np.zeros(1, dtype=np.int64))
     indptr = np.zeros(n_e + 1, dtype=np.int64)
     cols = []
     for t in range(n_e):
@@ -64,7 +61,8 @@ def gates_from_dense(dense, group="A", attrs=None):
         cols.append(row)
         indptr[t + 1] = indptr[t] + row.size
     indices = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    return GateMatrix(uni, n_e, indptr, indices.astype(np.int64))
+    return GateMatrix(group, np.asarray(attrs, dtype=np.int64), n_e, indptr,
+                      indices.astype(np.int64))
 
 
 def random_gates(rng, n_entities, n_cols, density=0.4, group="A"):

@@ -252,14 +252,12 @@ def test_c4_no_test_leakage_into_gates():
                       for _ in range(2)]
             assert stores[0].num_entities == stores[1].num_entities
             for tag in ("A", "B"):
-                unis, gates = [], []
+                gates = []
                 for s in stores:
                     grouping = make_grouping(s, ["ra"], ["rb"])
-                    uni = build_universe(s, grouping, tag)
-                    unis.append(uni)
-                    gates.append(build_gates(s, uni))
-                assert np.array_equal(unis[0].attrs, unis[1].attrs)
-                assert unis[0].checksum() == unis[1].checksum()
+                    gates.append(build_gates(s, grouping, tag, build_universe(s, grouping, tag)))
+                assert np.array_equal(gates[0].attrs, gates[1].attrs)
+                assert gates[0].checksum() == gates[1].checksum()
                 assert gates[0].indptr.tobytes() == gates[1].indptr.tobytes()
                 assert gates[0].indices.tobytes() == gates[1].indices.tobytes()
 

@@ -461,7 +461,8 @@ def desk(tmp_path_factory):
     cfg = load_config(str(out / "config.yaml"))
     store = load_triples(cfg.data.triples_dir)
     grouping = load_grouping(cfg.data.grouping_path, store)
-    gates = tuple(build_gates(store, build_universe(store, grouping, g)) for g in GROUP_TAGS)
+    gates = tuple(build_gates(store, grouping, g, build_universe(store, grouping, g))
+                  for g in GROUP_TAGS)
     histories = load_interactions(cfg.data.interactions_path, store)
     features = tuple(build_profile(histories, g, cfg.profile.scale_alpha, cfg.profile.cap_tau)
                      for g in gates)

@@ -317,7 +317,11 @@ def test_backbone_beyond_float32_range_fails_after_its_last_epoch(data_dir, tmp_
 @pytest.mark.parametrize("command", ["run", "compare"])
 @pytest.mark.parametrize("log,reason", [
     pytest.param(None, "No such file or directory", id="missing"),
-    pytest.param("u0\n", "log.tsv:1: expected 2 tab-separated fields, got 1", id="malformed")])
+    pytest.param("u0\n", "log.tsv:1: expected 2 tab-separated fields, got 1", id="malformed"),
+    pytest.param("", "log.tsv: no interaction names an item of the graph "
+                 "(0 lines with unknown items)", id="empty"),
+    pytest.param("u0\tITEM-1\nu1\tITEM-2\n", "log.tsv: no interaction names an item of the "
+                 "graph (2 lines with unknown items)", id="unknown-items")])
 def test_unreadable_log_fails_at_profiles_before_training(command, log, reason, cfg_path,
                                                           tmp_path, capsys):
     # the profiles are built before the backbone trains, so nothing is written

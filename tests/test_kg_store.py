@@ -1,4 +1,6 @@
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -6,9 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gatedbias.errors import ConfigError
-from gatedbias.kg_store import (GROUP_TAGS, AttributeUniverse, build_gates, build_universe,
-                                expand_ranges, load_grouping, load_triples, make_grouping,
-                                pair_csr)
+from gatedbias.kg_store import (GROUP_TAGS, GateMatrix, build_gates, build_universe,
+                                load_grouping, load_triples, make_grouping, pair_csr)
 from gatedbias.profile_builder import load_interactions
 from helpers import gates_from_dense, random_store, store_from_labels
 from oracles import query_filters, to_dense, universe_attrs
@@ -17,6 +18,11 @@ from oracles import query_filters, to_dense, universe_attrs
 def row(gates, t):
     """Column ids of gate row t."""
     return gates.gather_rows(np.array([t]))[1]
+
+
+def group_gates(store, grouping, tag="A"):
+    """The gate matrix of a group's full universe, as the pipeline builds it."""
+    return build_gates(store, grouping, tag, build_universe(store, grouping, tag))
 
 
 def write_split(directory, name, lines):
@@ -209,18 +215,16 @@ def test_build_universe_frequency_order_and_cap():
     store = store_from_labels([("g1", "genre", "b1"), ("g1", "genre", "b2"),
                                ("g2", "genre", "b1")])
     grouping = make_grouping(store, ["genre"], [])
-    uni = build_universe(store, grouping, "A")
     g1, g2 = store.entity_vocab["g1"], store.entity_vocab["g2"]
-    assert uni.attrs.tolist() == [g1, g2]
-    assert build_universe(store, grouping, "A", cap=1).attrs.tolist() == [g1]
+    assert build_universe(store, grouping, "A").tolist() == [g1, g2]
+    assert build_universe(store, grouping, "A", cap=1).tolist() == [g1]
 
 
 def test_build_universe_tie_break_ascending_entity_id():
     store = store_from_labels([("x", "genre", "b1"), ("w", "genre", "b2")])
     grouping = make_grouping(store, ["genre"], [])
-    uni = build_universe(store, grouping, "A")
     # equal frequency 1: ascending entity id wins, and "x" was seen first
-    assert uni.attrs.tolist() == sorted(
+    assert build_universe(store, grouping, "A").tolist() == sorted(
         [store.entity_vocab["x"], store.entity_vocab["w"]])
 
 
@@ -229,17 +233,16 @@ def test_build_universe_counts_distinct_tails_not_triples():
     store = store_from_labels([("g1", "genre", "b1"), ("g1", "style", "b1"),
                                ("g2", "genre", "b1"), ("g2", "genre", "b2")])
     grouping = make_grouping(store, ["genre", "style"], [])
-    uni = build_universe(store, grouping, "A")
     g1, g2 = store.entity_vocab["g1"], store.entity_vocab["g2"]
-    assert uni.attrs.tolist() == [g2, g1]  # freqs 2, 1
+    assert build_universe(store, grouping, "A").tolist() == [g2, g1]  # freqs 2, 1
 
 
 def test_build_universe_empty_group_warns(caplog):
     store = store_from_labels([("g", "genre", "b")])
     grouping = make_grouping(store, ["genre"], [])
     with caplog.at_level("WARNING"):
-        uni = build_universe(store, grouping, "B")
-    assert len(uni) == 0
+        attrs = build_universe(store, grouping, "B")
+    assert len(attrs) == 0
     assert "no train triples" in caplog.text
 
 
@@ -258,9 +261,9 @@ def test_universe_cap_prefix_property():
                    for _ in range(40)]
         store = store_from_labels(triples)
         grouping = make_grouping(store, ["genre"], [])
-        full = build_universe(store, grouping, "A").attrs.tolist()
+        full = build_universe(store, grouping, "A").tolist()
         for cap in range(1, len(full) + 1):
-            assert build_universe(store, grouping, "A", cap=cap).attrs.tolist() == full[:cap]
+            assert build_universe(store, grouping, "A", cap=cap).tolist() == full[:cap]
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,24 +277,29 @@ def test_build_universe_matches_the_unique_lexsort_oracle(seed, n_entities, n_tr
     tags = rng.choice(["A", "B", "none"], size=4).tolist()
     grouping = {tag: [r for r in range(4) if tags[r] == tag] for tag in (*GROUP_TAGS, "none")}
     for tag in GROUP_TAGS:
-        got = build_universe(store, grouping, tag, cap=cap).attrs
+        got = build_universe(store, grouping, tag, cap=cap)
         assert got.dtype == np.int64
         assert got.tolist() == universe_attrs(store, grouping[tag], cap).tolist()
 
 
 def test_universe_checksum_depends_on_order():
     def universe(attrs):
-        return AttributeUniverse(group="A", attrs=np.array(attrs, dtype=np.int64),
-                                 relations=np.array([0], dtype=np.int64))
+        return gates_from_dense(np.zeros((1, 2)), attrs=attrs)
 
     assert universe([1, 2]).checksum() != universe([2, 1]).checksum()
     assert universe([1, 2]).checksum() == universe([1, 2]).checksum()
 
 
-def test_universe_requires_its_relations():
-    """A universe without relation ids would gate nothing; it cannot be made."""
-    with pytest.raises(TypeError, match="relations"):
-        AttributeUniverse(group="A", attrs=np.array([1], dtype=np.int64))
+def test_gate_checksum_is_the_sha256_of_the_tag_then_the_int64_attrs():
+    """The bytes behind a report's universe checksums and a head checkpoint's
+    universe_checksum_* fields, written out by hand."""
+    store = store_from_labels([("g1", "genre", "b1"), ("g2", "genre", "b1"),
+                               ("g2", "genre", "b2"), ("m", "brand", "b2")])
+    grouping = make_grouping(store, ["genre"], ["brand"])
+    g1, g2, m = (store.entity_vocab[x] for x in ("g1", "g2", "m"))
+    want = {"A": hashlib.sha256(b"A" + struct.pack("<2q", g2, g1)).hexdigest(),
+            "B": hashlib.sha256(b"B" + struct.pack("<q", m)).hexdigest()}
+    assert {tag: group_gates(store, grouping, tag).checksum() for tag in GROUP_TAGS} == want
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +309,7 @@ def test_universe_requires_its_relations():
 def test_build_gates_single_edge():
     store = store_from_labels([("g1", "genre", "b1")])
     grouping = make_grouping(store, ["genre"], [])
-    uni = build_universe(store, grouping, "A")
-    gates = build_gates(store, uni)
+    gates = group_gates(store, grouping)
     b1 = store.entity_vocab["b1"]
     assert row(gates, b1).tolist() == [0]
     for t in range(store.num_entities):
@@ -321,12 +328,11 @@ def test_build_gates_brute_force_oracle():
                    for _ in range(60)]
         store = store_from_labels(triples)
         grouping = make_grouping(store, ["genre", "style"], [])
-        uni = build_universe(store, grouping, "A")
-        gates = build_gates(store, uni)
+        gates = group_gates(store, grouping)
 
         group_ids = {store.relation_vocab[l] for l in ("genre", "style")
                      if l in store.relation_vocab}
-        column = {h: j for j, h in enumerate(uni.attrs.tolist())}
+        column = {h: j for j, h in enumerate(gates.attrs.tolist())}
         expected = {}
         for h, r, t in store.train.tolist():
             if r in group_ids and h in column:
@@ -335,7 +341,7 @@ def test_build_gates_brute_force_oracle():
         for t in range(store.num_entities):
             cols = row(gates, t)
             assert cols.tolist() == sorted(expected.get(t, set()))
-            assert cols.size == 0 or (cols.min() >= 0 and cols.max() < len(uni))
+            assert cols.size == 0 or (cols.min() >= 0 and cols.max() < gates.num_columns)
             assert np.all(np.diff(cols) > 0)  # sorted, duplicate-free
 
 
@@ -344,7 +350,7 @@ def test_build_gates_ignore_non_group_relations():
     # edge contributes a gate bit
     store = store_from_labels([("g1", "genre", "b1"), ("g1", "likes", "b2")])
     grouping = make_grouping(store, ["genre"], [])
-    gates = build_gates(store, build_universe(store, grouping, "A"))
+    gates = group_gates(store, grouping)
     assert row(gates, store.entity_vocab["b1"]).tolist() == [0]
     assert row(gates, store.entity_vocab["b2"]).size == 0
 
@@ -354,8 +360,8 @@ def test_build_gates_reads_train_only():
     store1 = store_from_labels(base, valid=[("u", "likes", "b2")])
     store2 = store_from_labels(base, valid=[("g2", "genre", "b1")],
                                test=[("g1", "genre", "b2")])
-    g1 = build_gates(store1, build_universe(store1, make_grouping(store1, ["genre"], []), "A"))
-    g2 = build_gates(store2, build_universe(store2, make_grouping(store2, ["genre"], []), "A"))
+    g1 = group_gates(store1, make_grouping(store1, ["genre"], []))
+    g2 = group_gates(store2, make_grouping(store2, ["genre"], []))
     assert np.array_equal(g1.indptr, g2.indptr)
     assert np.array_equal(g1.indices, g2.indices)
 
@@ -363,7 +369,7 @@ def test_build_gates_reads_train_only():
 def test_build_gates_empty_universe():
     store = store_from_labels([("u", "likes", "b")])
     grouping = make_grouping(store, [], [])
-    gates = build_gates(store, build_universe(store, grouping, "A"))
+    gates = group_gates(store, grouping)
     assert gates.indices.size == 0
     assert gates.indptr.tolist() == [0] * (store.num_entities + 1)
     assert gates.indptr.dtype == np.int64
@@ -378,7 +384,7 @@ def test_gate_matvec_matches_dense():
                    for _ in range(30)]
         store = store_from_labels(triples)
         grouping = make_grouping(store, ["genre"], [])
-        gates = build_gates(store, build_universe(store, grouping, "A"))
+        gates = group_gates(store, grouping)
         dense = to_dense(gates)
         v = rng.standard_normal(gates.num_columns)
         assert np.allclose(gates.matvec(v), dense @ v, atol=1e-12)
@@ -387,7 +393,7 @@ def test_gate_matvec_matches_dense():
 def test_gate_matvec_length_check():
     store = store_from_labels([("g1", "genre", "b1")])
     grouping = make_grouping(store, ["genre"], [])
-    gates = build_gates(store, build_universe(store, grouping, "A"))
+    gates = group_gates(store, grouping)
     with pytest.raises(ValueError, match="universe size"):
         gates.matvec(np.zeros(5))
 
@@ -396,7 +402,7 @@ def test_gather_rows_concatenates_in_order():
     store = store_from_labels([("g1", "genre", "b1"), ("g2", "genre", "b1"),
                                ("g2", "genre", "b2"), ("b3", "other", "g1")])
     grouping = make_grouping(store, ["genre"], [])
-    gates = build_gates(store, build_universe(store, grouping, "A"))
+    gates = group_gates(store, grouping)
     b1, b2, b3 = (store.entity_vocab[x] for x in ("b1", "b2", "b3"))
     tails = np.array([b2, b1, b3, b2])
     owners, cols = gates.gather_rows(tails)
@@ -427,18 +433,28 @@ def test_gather_rows_of_concatenated_tails_split_at_the_first_cell_count(seed, n
         assert np.array_equal(cols[part], want_cols)
 
 
-@given(ranges=st.lists(st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 6)), max_size=12),
+@given(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+       picks=st.lists(st.integers(0, 11), max_size=12),
        dtype=st.sampled_from([np.int32, np.int64]))
-@example(ranges=[], dtype=np.int64)
-@example(ranges=[(3, 0), (5, 2), (0, 0), (9, 1), (4, 0)], dtype=np.int64)
-@example(ranges=[(7, 2), (7, 3), (7, 0), (7, 1)], dtype=np.int64)
-@example(ranges=[(2**31 - 2, 4), (0, 2)], dtype=np.int32)
-def test_expand_ranges_matches_a_list_oracle(ranges, dtype):
-    starts = np.array([s for s, _ in ranges], dtype=dtype)
-    counts = np.array([c for _, c in ranges], dtype=dtype)
-    got = expand_ranges(starts, counts)
-    assert got.dtype == np.int64
-    assert got.tolist() == [s + i for s, c in ranges for i in range(c)]
+@example(lengths=[0], picks=[], dtype=np.int64)
+@example(lengths=[0, 2, 0, 1, 0], picks=[4, 1, 0, 3, 2], dtype=np.int64)
+@example(lengths=[2, 3, 0, 1], picks=[1, 1, 0, 3, 2, 0], dtype=np.int64)
+@example(lengths=[4, 0, 2], picks=[2, 0], dtype=np.int32)
+def test_gather_rows_matches_a_list_oracle(lengths, picks, dtype):
+    """Rows of the given lengths, empty ones among them, gathered in any
+    order with repeats, from an indptr and tails of either integer width.
+    Each cell holds its own position, so a cell read from the wrong place
+    shows in the columns."""
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(dtype)
+    n_cells = int(indptr[-1])
+    gates = GateMatrix("A", np.arange(n_cells), len(lengths), indptr, np.arange(n_cells))
+    tails = np.array([p % len(lengths) for p in picks], dtype=dtype)
+    owners, cols = gates.gather_rows(tails)
+    assert owners.dtype == cols.dtype == np.int64
+    want = [(k, cell) for k, t in enumerate(tails.tolist())
+            for cell in range(indptr[t], indptr[t + 1])]
+    assert owners.tolist() == [k for k, _ in want]
+    assert cols.tolist() == [cell for _, cell in want]
 
 
 @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40),
@@ -465,8 +481,8 @@ def test_pair_csr_matches_a_set_oracle(pairs, spare_rows, n_cols):
 def test_gate_checksum_changes_with_structure():
     s1 = store_from_labels([("g1", "genre", "b1")])
     s2 = store_from_labels([("g1", "genre", "b1"), ("g1", "genre", "b2")])
-    g1 = build_gates(s1, build_universe(s1, make_grouping(s1, ["genre"], []), "A"))
-    g2 = build_gates(s2, build_universe(s2, make_grouping(s2, ["genre"], []), "A"))
+    g1 = group_gates(s1, make_grouping(s1, ["genre"], []))
+    g2 = group_gates(s2, make_grouping(s2, ["genre"], []))
     assert g1.indptr.tolist() == [0, 0, 1]  # entities g1, b1
     assert g2.indptr.tolist() == [0, 0, 1, 2]  # entities g1, b1, b2
     assert g1.indices.tolist() == [0] and g2.indices.tolist() == [0, 0]
