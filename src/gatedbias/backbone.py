@@ -116,23 +116,21 @@ def corrupt_pairs(store: TripleStore, epochs: int, npp: int, rng: np.random.Gene
         yield epoch, ids
 
 
-def score_pairs(table: np.ndarray, ids: np.ndarray, rows: np.ndarray,
-                scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def score_pairs(table: np.ndarray, ids: np.ndarray,
+                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One batch's gather and scores, for the backbone and both heads. ids
     holds the table rows (|E| + r, h, t_pos, t_neg) of m pairs, table is
     EmbeddingTable.rows64 or the trainer's float64 table of that layout, and
-    rows and scores are workspaces for at least m pairs, of 4 * m * d floats
-    and of shape (2, >= m). Gathers e_r, e_h, e_tp and e_tn with one take and
-    scores s(h, r, t_pos) and s(h, r, t_neg) with one einsum, over e_h, e_r
-    and the tail rows in that order; returns them as (4, m, d) and (2, m)
-    views of the workspaces. Every take uses mode="clip", which writes
-    straight into out where "raise" buffers it; no id is out of range."""
+    rows is a workspace of at least 4 * m * d floats. Gathers e_r, e_h, e_tp
+    and e_tn with one take into a (4, m, d) view of rows and scores
+    s(h, r, t_pos) and s(h, r, t_neg) with one einsum, over e_h, e_r and the
+    tail rows in that order; returns the view and the (2, m) scores. Every
+    take uses mode="clip", which writes straight into out where "raise"
+    buffers it; no id is out of range."""
     m, d = ids.shape[1], table.shape[1]
     g = rows[:4 * m * d].reshape(4, m, d)
     np.take(table, ids, axis=0, out=g, mode="clip")
-    s = scores[:, :m]
-    np.einsum("ij,ij,kij->ki", g[1], g[0], g[2:], out=s)
-    return g, s
+    return g, np.einsum("ij,ij,kij->ki", g[1], g[0], g[2:])
 
 
 # no overflow warnings: a non-finite value stays non-finite, and the check after
@@ -151,46 +149,38 @@ def _train_float64(store: TripleStore, cfg: BackboneTrainConfig) -> np.ndarray:
     # a batch of b triples is b * npp pairs; step is the pair count of a full batch
     step = min(cfg.batch_size, store.train.shape[0]) * npp
     cells = np.arange(emb.size).reshape(emb.shape)  # flat cell indices of each row
-    # workspaces reused by every batch, so no batch allocates a large temporary;
-    # a short batch uses views of their heads. Every take uses mode="clip",
-    # as in score_pairs
-    rows = np.empty(4 * step * d)        # gathered e_r, e_h, e_tp, e_tn
-    act_rows = np.empty(4 * step * d)    # their active rows, then the updates
-    act_cells = np.empty(4 * step * d, dtype=np.intp)
-    scores, hinge = np.empty((2, step)), np.empty(step)
-    active = np.empty(step, dtype=bool)
+    # the (4, pairs, d) workspaces, reused by every batch so that none allocates
+    # a large temporary; a short batch uses views of their heads. Every take
+    # uses mode="clip", as in score_pairs
+    rows = np.empty(4 * step * d)          # gathered e_r, e_h, e_tp, e_tn
+    updates = np.empty(4 * step * d)       # the active pairs' rows, then their updates
+    update_cells = np.empty(4 * step * d, dtype=np.intp)
+    scatter_rows = np.array([[1], [0], [2], [3]])  # h, r, t_pos, t_neg, as rows of ids
 
     for epoch, ids in corrupt_pairs(store, cfg.epochs, npp, rng, "backbone"):
         for start in range(0, ids.shape[1], step):
             batch = ids[:, start:start + step]
             m = batch.shape[1]
-            g, (s_pos, s_neg) = score_pairs(emb, batch, rows, scores)
-            np.subtract(cfg.margin, s_pos, out=hinge[:m])
-            np.add(hinge[:m], s_neg, out=hinge[:m])
-            act = np.flatnonzero(np.greater(hinge[:m], 0, out=active[:m]))
+            g, (s_pos, s_neg) = score_pairs(emb, batch, rows)
+            act = np.flatnonzero(cfg.margin - s_pos + s_neg > 0)
             k = act.shape[0]
             if k == 0:
                 continue
 
+            # the updates of h, r, t_pos and t_neg, in place
             scale = cfg.learning_rate / m
-            w = act_rows[:4 * k * d].reshape(4, k, d)
-            np.take(g, act, axis=1, out=w, mode="clip")
-            a_r, a_h, a_tp, a_tn = w
-            g_h = rows[:k * d].reshape(k, d)      # g is spent once copied
-            np.subtract(a_tn, a_tp, out=a_tp)     # diff
-            np.multiply(a_h, a_r, out=a_tn)       # g_core
-            np.multiply(a_r, a_tp, out=g_h)
-            np.multiply(a_h, a_tp, out=a_r)       # g_r
-            # the updates of r, h, t_pos and t_neg
-            np.multiply(a_r, -scale, out=a_r)
-            np.multiply(g_h, -scale, out=a_h)
-            np.multiply(a_tn, scale, out=a_tp)
-            np.multiply(a_tn, -scale, out=a_tn)
-            # one scatter; the entity rows take the h rows, then t_pos, then
-            # t_neg, so repeated rows add in the order they always did, and no
-            # relation row is an entity row
-            idx = act_cells[:4 * k * d].reshape(4, k, d)
-            np.take(cells, batch[:, act], axis=0, out=idx, mode="clip")
+            w = updates[:4 * k * d].reshape(4, k, d)
+            np.take(g, act, axis=1, out=w, mode="clip")  # e_r, e_h, e_tp, e_tn
+            np.subtract(w[3], w[2], out=w[2])            # diff = e_tn - e_tp
+            np.multiply(w[1], w[0], out=w[3])            # e_h * e_r
+            w[:2] *= w[2]                                # the gradients of h, then r
+            w[:2] *= -scale
+            np.multiply(w[3], scale, out=w[2])
+            np.negative(w[2], out=w[3])                  # exact: e_h * e_r * -scale
+            # one scatter: entity rows take h, then t_pos, then t_neg, relation
+            # rows only r, so repeated rows add in the order they always did
+            idx = update_cells[:4 * k * d].reshape(4, k, d)
+            np.take(cells, batch[scatter_rows, act], axis=0, out=idx, mode="clip")
             np.add.at(emb.reshape(-1), idx.reshape(-1), w.reshape(-1))
         if not np.isfinite(emb).all():
             raise FloatingPointError(f"non-finite backbone embeddings at epoch {epoch}")

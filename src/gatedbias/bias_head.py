@@ -73,14 +73,13 @@ def compute_bias(head: BiasHead, gates: tuple[GateMatrix, GateMatrix],
 
 class Workspace:
     """Buffers that every batch of a head's training reuses, so no batch
-    allocates a large temporary: the gathered rows and the scores of up to
-    step pairs for score_pairs, and PatientNode's pre-activations z, relu(z),
-    their gradient dz and the ReLU mask, each (2, step, hidden) for t_pos and
-    t_neg. A short batch uses views of their heads."""
+    allocates a large temporary: the gathered rows of up to step pairs for
+    score_pairs, and PatientNode's pre-activations z, relu(z), their gradient
+    dz and the ReLU mask, each (2, step, hidden) for t_pos and t_neg. A short
+    batch uses views of their heads."""
 
     def __init__(self, step: int, dim: int, hidden: int = 0):
         self.rows = np.empty(4 * step * dim)
-        self.scores = np.empty((2, step))
         self.z, self.relu, self.dz = np.empty((3, 2, step, hidden))
         self.mask = np.empty((2, step, hidden), dtype=bool)
 
@@ -112,7 +111,7 @@ def head_loss_and_grad(
     n_pairs = ids.shape[1]
     if work is None:
         work = Workspace(n_pairs, table.dim)
-    _, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows, work.scores)
+    _, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows)
     s_margin = s_pos - s_neg
 
     groups = list(_groups(head, gates, features))
@@ -240,7 +239,7 @@ def patientnode_loss_and_grad(
     n_pairs = ids.shape[1]
     if work is None:
         work = Workspace(n_pairs, table.dim, head.w1.shape[0])
-    g, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows, work.scores)
+    g, (s_pos, s_neg) = score_pairs(table.rows64, ids, work.rows)
     s_margin = s_pos - s_neg
 
     # the gathered tail rows are table.rows64[t]; t_pos and t_neg pass the
@@ -361,6 +360,8 @@ def _read_checkpoint(path: str, template, cfg: HeadTrainConfig, table: Embedding
                 raise CheckpointError(f"{path}: {f.name} holds non-finite values")
             fields[f.name] = array if want else float(value)
         return type(template)(**fields)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no {kind} checkpoint at {path}; run the pipeline first") from None
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     except KeyError as exc:

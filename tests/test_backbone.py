@@ -17,7 +17,7 @@ from gatedbias.kg_store import load_triples
 from gatedbias.synth import SynthParams, generate
 from helpers import random_store, random_table, store_from_labels
 from oracles import corrupt_pairs as oracle_corrupt_pairs
-from oracles import score
+from oracles import score, score_triples
 from oracles import train_backbone as oracle_train_backbone
 
 
@@ -63,17 +63,19 @@ def test_score_all_tails_zero_relation():
 
 
 def test_score_pairs_matches_score():
+    # bit for bit against the one-einsum oracle, through a NaN-filled
+    # workspace larger than the batch needs
     rng = np.random.default_rng(2)
-    table = random_table(rng, 10, 2, 8)
-    r = rng.integers(0, 2, size=6)
-    e = rng.integers(0, 10, size=(3, 6))  # h, t_pos, t_neg
-    rows, scores = np.empty(4 * 6 * 8), np.empty((2, 6))
-    # relation r is table row |E| + r
-    _, (s_pos, s_neg) = score_pairs(table.rows64, np.vstack([10 + r, e]), rows, scores)
-    for i in range(6):
-        h, tp, tn = e[:, i].tolist()
-        assert np.isclose(s_pos[i], score(table, h, int(r[i]), tp), rtol=1e-12)
-        assert np.isclose(s_neg[i], score(table, h, int(r[i]), tn), rtol=1e-12)
+    for n_entities, dim in ((10, 8), (270, 32), (50, 64)):
+        table = random_table(rng, n_entities, 2, dim)
+        r = rng.integers(0, 2, size=6)
+        h, tp, tn = e = rng.integers(0, n_entities, size=(3, 6))
+        rows = np.full(4 * 9 * dim + 5, np.nan)
+        # relation r is table row |E| + r
+        g, (s_pos, s_neg) = score_pairs(table.rows64, np.vstack([n_entities + r, e]), rows)
+        assert np.shares_memory(g, rows) and g.shape == (4, 6, dim)
+        assert np.array_equal(s_pos, score_triples(table, h, r, tp))
+        assert np.array_equal(s_neg, score_triples(table, h, r, tn))
 
 
 # ---------------------------------------------------------------------------

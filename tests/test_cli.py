@@ -193,6 +193,28 @@ def test_eval_refuses_checkpoint_fields_of_another_shape(method, checkpoint, key
     assert f"error: [head] {path}: {key} " in err
 
 
+@pytest.mark.parametrize("method,checkpoint", [
+    ("patientnode", "patientnode_seed5.json"),
+    ("gatedbias", "head_seed5.json"),
+])
+def test_eval_without_a_seeds_head_fails_as_without_a_backbone(method, checkpoint, cfg_path,
+                                                               tmp_path, capsys):
+    # the run trains seed 0 only; eval of seed 5 names the missing file
+    # the way a missing backbone does, and leaves the run's report alone
+    out = str(tmp_path / "run")
+    assert main(["run", cfg_path, "--out", out, "--method", method]) == 0
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        report = fh.read()
+    capsys.readouterr()
+    assert main(["eval", cfg_path, "--out", out, "--method", method, "--seeds", "5"]) == 1
+    err = capsys.readouterr().err
+    path = os.path.join(out, checkpoint)
+    assert (f"error: [head] no {method}-head checkpoint at {path}; run the pipeline first"
+            in err)
+    with open(os.path.join(out, "report.json"), "rb") as fh:
+        assert fh.read() == report
+
+
 def test_eval_without_checkpoints_fails(cfg_path, tmp_path, capsys):
     rc = main(["eval", cfg_path, "--out", str(tmp_path)])
     assert rc == 1
