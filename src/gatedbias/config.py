@@ -96,10 +96,9 @@ SECTIONS = {
     "gates": _fields(GatesConfig),
 }
 
-# the annotations _typed handles, each also as "X | None"
+# the scalar annotations _typed handles: the types each accepts, and its noun
 _SCALARS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
             "str": (str, "a string")}
-KINDS = (*_SCALARS, "list[int]", "dict")
 
 # each rule is (message, test the value must pass, which NaN fails); None is exempt
 _POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
@@ -146,7 +145,8 @@ def _reject_unknown(node: dict, allowed, prefix: str) -> None:
 
 
 def _typed(value, where: str, annotation: str):
-    """value checked against a field annotation from KINDS; ints widen to float."""
+    """value checked against a field annotation: a key of _SCALARS, list[int]
+    or dict, each also as "X | None"; ints widen to float."""
     kind = annotation.removesuffix(" | None")
     if value is None and kind != annotation:
         return None

@@ -24,7 +24,6 @@ from .backbone import EmbeddingTable
 from .bias_head import BiasHead, compute_bias
 from .config import EvalSettings
 from .kg_store import GROUP_TAGS, TripleStore, pair_csr
-from .profile_builder import shuffle_features
 
 log = logging.getLogger(__name__)
 
@@ -358,6 +357,12 @@ def placebo_validation(means: list[float]) -> dict[str, float | None]:
     shuffled_mean = float(np.mean([float(m - base_mean) for m in shuffled]))
     return {"placebo_real_delta": real_delta, "placebo_shuffled_delta": shuffled_mean,
             "placebo_ratio": real_delta / shuffled_mean if abs(shuffled_mean) >= 1e-12 else None}
+
+
+def shuffle_features(values: np.ndarray, seed: int) -> np.ndarray:
+    """Permute feature values uniformly at random; the multiset is preserved."""
+    rng = np.random.default_rng(seed)
+    return values[rng.permutation(len(values))]
 
 
 def gated_battery(queries: QuerySet, table: EmbeddingTable, head: BiasHead, gates, features,

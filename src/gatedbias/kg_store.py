@@ -1,7 +1,11 @@
-"""Triple store, relation grouping and binary gate matrices over attribute universes.
+"""The dataset's readers (triple store, relation grouping, user interaction
+histories), the binary gate matrices over attribute universes, and the
+profiles read through them.
 
 Gates are built from training triples only: the bit pattern of a GateMatrix
-never depends on the contents of the valid/test splits.
+never depends on the contents of the valid/test splits. A profile sums each
+user's attribute frequencies p_u(a) in [0, 1] in ascending user order, then
+scales and clips the sum into [0, cap_tau].
 """
 
 from __future__ import annotations
@@ -140,6 +144,26 @@ def load_grouping(path: str, store: TripleStore) -> dict[str, list[int]]:
     return make_grouping(store, *groups)
 
 
+def load_interactions(path: str, store: TripleStore) -> list[np.ndarray]:
+    """Read a user\\titem TSV into each user's sorted item ids, users in
+    ascending order; repeated pairs collapse, unknown items are dropped. A
+    log with no known item at all is refused: it would train a head on no
+    profile."""
+    raw: dict[str, set[int]] = {}
+    unknown = 0
+    for user, item in read_tsv(path, 2):
+        if item not in store.entity_vocab:
+            unknown += 1
+            continue
+        raw.setdefault(user, set()).add(store.entity_vocab[item])
+    if not raw:
+        raise ConfigError(f"{path}: no interaction names an item of the graph "
+                          f"({unknown} lines with unknown items)")
+    if unknown:
+        logger.warning("%s: dropped %d interactions with unknown items", path, unknown)
+    return [np.array(sorted(raw[user]), dtype=np.int64) for user in sorted(raw)]
+
+
 def build_universe(
     store: TripleStore,
     grouping: dict[str, list[int]],
@@ -189,14 +213,13 @@ class GateMatrix:
     connect to entity t through a group relation in the training graph.
     """
 
-    def __init__(self, group: str, attrs: np.ndarray, num_entities: int,
-                 indptr: np.ndarray, indices: np.ndarray):
+    def __init__(self, group: str, attrs: np.ndarray, indptr: np.ndarray, indices: np.ndarray):
         self.group = group
         self.attrs = attrs
-        self.num_entities = num_entities
+        self.num_entities = len(indptr) - 1
         self.indptr = indptr
         self.indices = indices
-        self._row_ids = np.repeat(np.arange(num_entities), np.diff(indptr))
+        self._row_ids = np.repeat(np.arange(self.num_entities), np.diff(indptr))
 
     @property
     def num_columns(self) -> int:
@@ -236,4 +259,20 @@ def build_gates(store: TripleStore, grouping: dict[str, list[int]], group: str,
     column = np.zeros(nE, dtype=np.int64)  # entity id -> universe column
     column[attrs] = np.arange(nU)
     indptr, indices = pair_csr(train[in_universe, 2], column[train[in_universe, 0]], nE, nU)
-    return GateMatrix(group, attrs, nE, indptr, indices)
+    return GateMatrix(group, attrs, indptr, indices)
+
+
+def build_profile(histories: list[np.ndarray], gates: GateMatrix, scale_alpha: float,
+                  cap_tau: float) -> np.ndarray:
+    """The feature vector f_k of one relation group: each history's attribute
+    frequencies p_u(a) = |{items with a}| / |items|, summed in order into w,
+    then f[j] = clip(scale_alpha * w[j], 0, cap_tau). A per-user profile is
+    a call with that user's history alone."""
+    total = np.zeros(gates.num_columns, dtype=np.float64)
+    for items in histories:
+        _, cols = gates.gather_rows(items)
+        counts = np.bincount(cols, minlength=gates.num_columns).astype(np.float64)
+        total += counts / len(items)
+    if not np.all(np.isfinite(total)):
+        raise ValueError("aggregated weights contain non-finite values")
+    return np.clip(scale_alpha * total, 0.0, cap_tau)

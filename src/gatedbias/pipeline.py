@@ -27,9 +27,8 @@ from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_ba
 from .config import METHODS, DataConfig, PipelineConfig
 from .errors import ConfigError, PipelineError
 from .fileio import atomic_write, write_json
-from .kg_store import (GROUP_TAGS, TripleStore, build_gates, build_universe,
-                       load_grouping, load_triples)
-from .profile_builder import build_profile, load_interactions
+from .kg_store import (GROUP_TAGS, TripleStore, build_gates, build_profile, build_universe,
+                       load_grouping, load_interactions, load_triples)
 
 log = logging.getLogger(__name__)
 

@@ -61,8 +61,7 @@ def gates_from_dense(dense, group="A", attrs=None):
         cols.append(row)
         indptr[t + 1] = indptr[t] + row.size
     indices = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    return GateMatrix(group, np.asarray(attrs, dtype=np.int64), n_e, indptr,
-                      indices.astype(np.int64))
+    return GateMatrix(group, np.asarray(attrs, dtype=np.int64), indptr, indices.astype(np.int64))
 
 
 def random_gates(rng, n_entities, n_cols, density=0.4, group="A"):

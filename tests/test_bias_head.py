@@ -17,10 +17,9 @@ from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  save_patientnode, train_head, train_patientnode)
 from gatedbias.config import load_config
 from gatedbias.errors import CheckpointError
-from gatedbias.kg_store import (GROUP_TAGS, build_gates, build_universe, load_grouping,
-                                load_triples)
+from gatedbias.kg_store import (GROUP_TAGS, build_gates, build_profile, build_universe,
+                                load_grouping, load_interactions, load_triples)
 from gatedbias.pipeline import task_train_store
-from gatedbias.profile_builder import build_profile, load_interactions
 from gatedbias.synth import SynthParams, generate
 from helpers import (central_difference, gates_from_dense, make_features, make_head,
                      random_gates, random_store, random_table, store_from_labels)

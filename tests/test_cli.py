@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -336,7 +337,12 @@ def test_backbone_beyond_float32_range_fails_after_its_last_epoch(data_dir, tmp_
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
+def _files(directory):
+    """Each file of a directory by name, as bytes."""
+    return {path.name: path.read_bytes() for path in pathlib.Path(directory).iterdir()}
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "eval"])
 @pytest.mark.parametrize("log,reason", [
     pytest.param(None, "No such file or directory", id="missing"),
     pytest.param("u0\n", "log.tsv:1: expected 2 tab-separated fields, got 1", id="malformed"),
@@ -345,8 +351,9 @@ def test_backbone_beyond_float32_range_fails_after_its_last_epoch(data_dir, tmp_
     pytest.param("u0\tITEM-1\nu1\tITEM-2\n", "log.tsv: no interaction names an item of the "
                  "graph (2 lines with unknown items)", id="unknown-items")])
 def test_unreadable_log_fails_at_profiles_before_training(command, log, reason, cfg_path,
-                                                          tmp_path, capsys):
-    # the profiles are built before the backbone trains, so nothing is written
+                                                          run_out, tmp_path, capsys):
+    # the profiles are built before the backbone trains or loads, so run and
+    # compare write nothing, and eval leaves the run it reads as it was
     with open(cfg_path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     raw["data"]["interactions_path"] = str(tmp_path / "log.tsv")
@@ -354,11 +361,14 @@ def test_unreadable_log_fails_at_profiles_before_training(command, log, reason, 
         (tmp_path / "log.tsv").write_text(log, encoding="utf-8")
     path = str(tmp_path / "config.yaml")
     save_config(raw, path)
-    out = tmp_path / "out"
-    assert main([command, path, "--out", str(out)]) == 1
+    out = run_out if command == "eval" else str(tmp_path / "out")
+    before = _files(run_out)
+    assert {"report.json", "ranks.tsv", "backbone.kge", "head_seed0.json"} <= set(before)
+    assert main([command, path, "--out", out]) == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: [profiles] ") and reason in last
-    assert not out.exists()
+    assert _files(run_out) == before
+    assert command == "eval" or not os.path.exists(out)
 
 
 @pytest.mark.parametrize("method,checkpoint", [("gatedbias", "head_seed0.json"),

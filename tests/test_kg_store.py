@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from gatedbias.errors import ConfigError
 from gatedbias.kg_store import (GROUP_TAGS, GateMatrix, build_gates, build_universe,
-                                load_grouping, load_triples, make_grouping, pair_csr)
-from gatedbias.profile_builder import load_interactions
+                                load_grouping, load_interactions, load_triples, make_grouping,
+                                pair_csr)
 from helpers import gates_from_dense, random_store, store_from_labels
 from oracles import query_filters, to_dense, universe_attrs
 
@@ -447,7 +447,7 @@ def test_gather_rows_matches_a_list_oracle(lengths, picks, dtype):
     shows in the columns."""
     indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(dtype)
     n_cells = int(indptr[-1])
-    gates = GateMatrix("A", np.arange(n_cells), len(lengths), indptr, np.arange(n_cells))
+    gates = GateMatrix("A", np.arange(n_cells), indptr, np.arange(n_cells))
     tails = np.array([p % len(lengths) for p in picks], dtype=dtype)
     owners, cols = gates.gather_rows(tails)
     assert owners.dtype == cols.dtype == np.int64
@@ -455,6 +455,17 @@ def test_gather_rows_matches_a_list_oracle(lengths, picks, dtype):
             for cell in range(indptr[t], indptr[t + 1])]
     assert owners.tolist() == [k for k, _ in want]
     assert cols.tolist() == [cell for _, cell in want]
+
+
+def test_gate_matrix_takes_its_shape_from_its_csr():
+    """Empty rows at the end still count: the entity count is the CSR's, and
+    matvec gives each empty row an exact zero."""
+    indptr = np.array([0, 2, 3, 3, 3, 3])
+    gates = GateMatrix("A", np.array([7, 9]), indptr, np.array([0, 1, 1]))
+    assert gates.num_entities == len(indptr) - 1 == 5
+    out = gates.matvec(np.array([0.5, 2.25]))
+    assert out.shape == (5,)
+    assert out.tolist() == [2.75, 2.25, 0.0, 0.0, 0.0]
 
 
 @given(pairs=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5)), max_size=40),

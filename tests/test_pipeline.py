@@ -12,8 +12,7 @@ from gatedbias import evaluator
 from gatedbias.config import METHODS, config_from_dict
 from gatedbias.errors import PipelineError
 from gatedbias.evaluator import query_set
-from gatedbias.kg_store import load_grouping, load_triples, make_grouping
-from gatedbias.profile_builder import load_interactions
+from gatedbias.kg_store import load_grouping, load_interactions, load_triples, make_grouping
 from gatedbias.pipeline import (_write_report, format_comparison, run_compare,
                                 run_eval, run_pipeline, task_train_store)
 from gatedbias.synth import REL_LIKES, SynthParams, generate

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gatedbias.profile_builder import build_profile, load_interactions, shuffle_features
+from gatedbias.evaluator import shuffle_features
+from gatedbias.kg_store import build_profile, load_interactions
 from helpers import gates_from_dense, make_features, store_from_labels
 
 
