@@ -9,30 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError
+from .config import BackboneTrainConfig, CheckpointError
 from .fileio import atomic_write
 from .kg_store import TripleStore
 
 MAGIC = b"KGE1"
 _HEADER = struct.Struct("<4sQQQ")
-
-
-@dataclass
-class BackboneTrainConfig:
-    """Backbone trainer settings, checked by config_from_dict. batch_size counts
-    train triples, so a batch holds batch_size * negatives_per_positive pairs."""
-
-    dim: int = 32
-    epochs: int = 200
-    learning_rate: float = 0.05
-    batch_size: int = 256
-    negatives_per_positive: int = 1
-    margin: float = 1.0
-    seed: int = 0
 
 
 class EmbeddingTable:
@@ -217,4 +202,7 @@ def load_embeddings(path: str, expected_entities: int, expected_relations: int
     if nR != expected_relations:
         raise CheckpointError(f"{path}: file has {nR} relations, vocabulary has {expected_relations}")
     floats = np.frombuffer(data, dtype="<f4", offset=_HEADER.size)
-    return EmbeddingTable(floats.reshape(nE + nR, d), nE)
+    try:
+        return EmbeddingTable(floats.reshape(nE + nR, d), nE)
+    except ValueError as exc:  # a non-finite payload
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import EmbeddingTable, corrupt_pairs, score_pairs
-from .errors import CheckpointError
+from .config import CheckpointError, HeadTrainConfig
 from .fileio import write_json
 from .kg_store import GROUP_TAGS, GateMatrix, TripleStore
 
@@ -31,19 +31,6 @@ class BiasHead:
     w_b: np.ndarray
     alpha_a: float = 1.0
     alpha_b: float = 1.0
-
-
-@dataclass
-class HeadTrainConfig:
-    """Head trainer settings, checked by config_from_dict; batch_size counts pairs."""
-
-    batch_size: int = 4096
-    learning_rate: float = 1e-3
-    epochs: int = 5
-    lambda1: float = 1e-4
-    lambda2: float = 1e-4
-    negatives_per_positive: int = 1
-    seed: int = 0
 
 
 def new_head(gates: tuple[GateMatrix, GateMatrix]) -> BiasHead:

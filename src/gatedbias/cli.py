@@ -14,9 +14,9 @@ from functools import partial
 # per process, and no BLAS call in an op is large enough to pay for it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import METHODS, SECTIONS, load_config, synth_params
+from .config import METHODS, SECTIONS, SynthParams, load_config, synth_params
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
-from .synth import SynthParams, generate
+from .synth import generate
 
 
 def _int_list(text: str) -> list[int]:

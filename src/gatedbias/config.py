@@ -3,7 +3,9 @@
 The schema is closed and typed: each section's keys and types are the fields
 of its dataclass, every range rule sits in RANGES, and unknown keys are
 rejected, so typos fail loudly at load. Every default is materialized then and
-echoed into run reports, which makes any report re-runnable as-is.
+echoed into run reports, which makes any report re-runnable as-is. Every
+section's dataclass and the package's error types live here, so this module
+imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -14,12 +16,39 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .backbone import BackboneTrainConfig
-from .bias_head import HeadTrainConfig
-from .errors import ConfigError
-from .synth import N_COMMUNITIES, SynthParams
-
 METHODS = ("base", "patientnode", "gatedbias")
+
+# synth's item communities; data.synthetic.n_items must cover each of them
+N_COMMUNITIES = 10
+
+
+class ConfigError(ValueError):
+    """Invalid configuration: bad value, unknown key, or unusable dataset layout."""
+
+
+class CheckpointError(ValueError):
+    """A saved artifact (embeddings, head checkpoint) is corrupt or mismatched."""
+
+
+class PipelineError(RuntimeError):
+    """A pipeline stage failed; the message carries a [stage] tag."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(f"[{stage}] {message}")
+        self.stage = stage
+
+
+@dataclass
+class SynthParams:
+    n_items: int = 200
+    n_attrs_per_group: int = 20
+    n_users: int = 100
+    preference_skew: float = 1.0
+    seed: int = 0
+
+    @property
+    def n_planted_attrs(self) -> int:
+        return max(2, self.n_attrs_per_group // 10)
 
 
 @dataclass
@@ -28,6 +57,33 @@ class DataConfig:
     interactions_path: str | None = None
     grouping_path: str | None = None
     synthetic: dict | None = None
+
+
+@dataclass
+class BackboneTrainConfig:
+    """Backbone trainer settings. batch_size counts train triples, so a batch
+    holds batch_size * negatives_per_positive pairs."""
+
+    dim: int = 32
+    epochs: int = 200
+    learning_rate: float = 0.05
+    batch_size: int = 256
+    negatives_per_positive: int = 1
+    margin: float = 1.0
+    seed: int = 0
+
+
+@dataclass
+class HeadTrainConfig:
+    """Head trainer settings; batch_size counts pairs."""
+
+    batch_size: int = 4096
+    learning_rate: float = 1e-3
+    epochs: int = 5
+    lambda1: float = 1e-4
+    lambda2: float = 1e-4
+    negatives_per_positive: int = 1
+    seed: int = 0
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .config import ConfigError
 from .fileio import read_tsv
 
 logger = logging.getLogger(__name__)

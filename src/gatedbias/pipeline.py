@@ -24,8 +24,7 @@ import numpy as np
 
 from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
-from .config import METHODS, DataConfig, PipelineConfig
-from .errors import ConfigError, PipelineError
+from .config import METHODS, ConfigError, DataConfig, PipelineConfig, PipelineError, SynthParams
 from .fileio import atomic_write, write_json
 from .kg_store import (GROUP_TAGS, TripleStore, build_gates, build_profile, build_universe,
                        load_grouping, load_interactions, load_triples)
@@ -60,7 +59,7 @@ def materialize_data(cfg: PipelineConfig, out_dir: str, write: bool = True) -> D
     if cfg.data.synthetic is None:
         return cfg.data
     dataset_dir = os.path.join(out_dir, "dataset")
-    params = synth.SynthParams(**cfg.data.synthetic)
+    params = SynthParams(**cfg.data.synthetic)
     if write:
         synth.generate(params, dataset_dir)
     else:
@@ -84,8 +83,9 @@ def _obtain_backbone(cfg: PipelineConfig, store: TripleStore, out_dir: str,
         table = train_backbone(store, cfg.backbone)
         save_embeddings(table, path)
         return table
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no backbone checkpoint at {path}; run the pipeline first")
+    if not os.path.exists(path):  # a configured path is the user's to fix
+        raise FileNotFoundError(f"backbone.load: no checkpoint at {path}" if cfg.backbone_load
+                                else f"no backbone checkpoint at {path}; run the pipeline first")
     return load_embeddings(path, expected_entities=store.num_entities,
                            expected_relations=store.num_relations)
 

@@ -24,11 +24,13 @@ Byte-deterministic given the seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 import yaml
 
+from .config import (N_COMMUNITIES, BackboneTrainConfig, EvalSettings, HeadTrainConfig,
+                     ProfileConfig, SynthParams)
 from .fileio import atomic_write, write_json
 from .kg_store import SPLIT_FILES
 
@@ -36,7 +38,6 @@ REL_LIKES = "likes"
 REL_A = "pref_attr_of"
 REL_B = "meta_attr_of"
 
-N_COMMUNITIES = 10
 HUBS_PER_COMMUNITY = 3
 PLANTED_ITEM_FRAC = 0.3
 ATTRS_PER_ITEM_A = 2
@@ -51,19 +52,6 @@ DATA_LAYOUT = {"triples_dir": "triples", "interactions_path": "interactions.tsv"
 MANIFEST = "manifest.json"
 
 
-@dataclass
-class SynthParams:
-    n_items: int = 200
-    n_attrs_per_group: int = 20
-    n_users: int = 100
-    preference_skew: float = 1.0
-    seed: int = 0
-
-    @property
-    def n_planted_attrs(self) -> int:
-        return max(2, self.n_attrs_per_group // 10)
-
-
 def _item(i: int) -> str:
     return f"item_{i}"
 
@@ -74,29 +62,6 @@ def _hub(c: int, j: int) -> str:
 
 def _attr(group: str, a: int) -> str:
     return f"attr_{group}_{a}"
-
-
-# Training settings sized for these graphs (a few hundred entities); the
-# stock defaults target much larger corpora and barely move at this scale.
-DESK_BACKBONE = {
-    "dim": 32,
-    "epochs": 400,
-    "learning_rate": 2.0,
-    "batch_size": 256,
-    "negatives_per_positive": 1,
-    "margin": 0.5,
-    "seed": 0,
-}
-
-DESK_HEAD = {
-    "batch_size": 256,
-    "learning_rate": 0.3,
-    "epochs": 60,
-    "lambda1": 2.0e-3,
-    "lambda2": 1.0e-4,
-    "negatives_per_positive": 1,
-    "seed": 0,
-}
 
 
 def save_config(cfg_dict: dict, path: str) -> None:
@@ -213,13 +178,15 @@ def generate(params: SynthParams, out_dir: str) -> dict:
     with atomic_write(paths["grouping_path"]) as fh:
         fh.write(f"group_a: [{REL_A}]\ngroup_b: [{REL_B}]\n")
 
+    # the config's defaults, but trainers sized for these graphs (a few hundred
+    # entities): the stock ones target much larger corpora and barely move here
     save_config({
         "data": dict(DATA_LAYOUT),
-        "backbone": dict(DESK_BACKBONE),
-        "head": dict(DESK_HEAD),
-        "profile": {"scale_alpha": 0.1, "cap_tau": 0.5},
-        "eval": {"ks": [1, 3, 10], "percentile_p": 70, "epsilon": 0.1,
-                 "n_shuffles": 20, "seeds": [0, 1, 2]},
+        "backbone": asdict(BackboneTrainConfig(epochs=400, learning_rate=2.0, margin=0.5)),
+        "head": asdict(HeadTrainConfig(batch_size=256, learning_rate=0.3, epochs=60,
+                                       lambda1=2.0e-3)),
+        "profile": asdict(ProfileConfig()),
+        "eval": asdict(EvalSettings()),
         "method": "gatedbias",
     }, os.path.join(out_dir, "config.yaml"))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import re
 import struct
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from gatedbias.backbone import (MAGIC, BackboneTrainConfig, EmbeddingTable, _train_float64,
                                 corrupt_pairs, load_embeddings, save_embeddings,
                                 score_pairs, train_backbone)
-from gatedbias.errors import CheckpointError
+from gatedbias.config import CheckpointError
 from gatedbias.evaluator import compute_rank_table, query_set, ranking_metrics
 from gatedbias.kg_store import load_triples
 from gatedbias.synth import SynthParams, generate
@@ -411,6 +412,18 @@ def test_load_zero_dim_header_raises(tmp_path):
     path.write_bytes(struct.pack("<4sQQQ", MAGIC, 1, 1, 0))
     with pytest.raises(CheckpointError, match="invalid header"):
         load_embeddings(str(path), 1, 1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_non_finite_payload_raises(tmp_path, value):
+    rng = np.random.default_rng(7)
+    path = str(tmp_path / "emb.kge")
+    save_embeddings(random_table(rng, 4, 2, 4), path)
+    with open(path, "r+b") as f:
+        f.seek(-4, os.SEEK_END)  # the last float of the payload
+        f.write(np.array([value], dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match=f"^{re.escape(path)}: .*non-finite"):
+        load_embeddings(path, 4, 2)
 
 
 def test_load_vocab_mismatch_raises(tmp_path):

@@ -15,8 +15,7 @@ from gatedbias.bias_head import (HeadTrainConfig, compute_bias,
                                  load_head, load_patientnode, new_head, new_patientnode,
                                  param_count, patientnode_loss_and_grad, save_head,
                                  save_patientnode, train_head, train_patientnode)
-from gatedbias.config import load_config
-from gatedbias.errors import CheckpointError
+from gatedbias.config import CheckpointError, load_config
 from gatedbias.kg_store import (GROUP_TAGS, build_gates, build_profile, build_universe,
                                 load_grouping, load_interactions, load_triples)
 from gatedbias.pipeline import task_train_store

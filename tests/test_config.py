@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatedbias.config import METHODS, RANGES, SECTIONS, config_from_dict, load_config
+from gatedbias.config import (METHODS, RANGES, SECTIONS, ConfigError, config_from_dict,
+                              load_config)
 from gatedbias.synth import save_config
-from gatedbias.errors import ConfigError
 
 MINIMAL = {"data": {"triples_dir": "triples"}}
 

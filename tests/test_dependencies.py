@@ -1,11 +1,13 @@
 """numpy and pyyaml are the package's only runtime dependencies: every import
 under src/gatedbias is one of them, the standard library or the package
-itself, and pyproject.toml declares exactly those two."""
+itself, and pyproject.toml declares exactly those two. Within the package,
+config is the leaf that every other module may import."""
 
 import ast
 import glob
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -39,3 +41,14 @@ def test_pyproject_declares_exactly_numpy_and_pyyaml():
         deps = tomllib.load(fh)["project"]["dependencies"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in deps]
     assert sorted(names) == ["numpy", "pyyaml"]
+
+
+def test_config_imports_no_other_package_module():
+    """config holds the whole schema and the error types, so every module can
+    import it and it imports none of them."""
+    code = ("import sys, gatedbias.config; "
+            "print(sorted(m for m in sys.modules if m.startswith('gatedbias')))")
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "['gatedbias', 'gatedbias.config']"

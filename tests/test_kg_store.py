@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gatedbias.errors import ConfigError
+from gatedbias.config import ConfigError
 from gatedbias.kg_store import (GROUP_TAGS, GateMatrix, build_gates, build_universe,
                                 load_grouping, load_interactions, load_triples, make_grouping,
                                 pair_csr)

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from gatedbias import evaluator
-from gatedbias.config import METHODS, config_from_dict
-from gatedbias.errors import PipelineError
+from gatedbias.config import METHODS, PipelineError, config_from_dict
 from gatedbias.evaluator import query_set
 from gatedbias.kg_store import load_grouping, load_interactions, load_triples, make_grouping
 from gatedbias.pipeline import (_write_report, format_comparison, run_compare,
@@ -452,10 +451,13 @@ def test_patientnode_runs_with_an_empty_group(data_dir, tmp_path):
 
 
 def test_missing_backbone_checkpoint_tags_backbone_stage(data_dir, tmp_path):
-    cfg = tiny_cfg(data_dir, backbone={"load": str(tmp_path / "absent.kge")})
+    path = str(tmp_path / "absent.kge")
+    cfg = tiny_cfg(data_dir, backbone={"load": path})
     with pytest.raises(PipelineError) as exc:
         run_pipeline(cfg, str(tmp_path / "out"))
     assert exc.value.stage == "backbone"
+    # a configured path is named by its key; no run could create it
+    assert str(exc.value) == f"[backbone] backbone.load: no checkpoint at {path}"
 
 
 def test_run_compare_over_synthetic_dataset(tmp_path):
