@@ -13,8 +13,7 @@ import struct
 import numpy as np
 
 from .config import BackboneTrainConfig, CheckpointError
-from .fileio import atomic_write
-from .kg_store import TripleStore
+from .kg_store import TripleStore, atomic_write
 
 MAGIC = b"KGE1"
 _HEADER = struct.Struct("<4sQQQ")

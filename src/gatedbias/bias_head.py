@@ -19,8 +19,7 @@ import numpy as np
 
 from .backbone import EmbeddingTable, corrupt_pairs, score_pairs
 from .config import CheckpointError, HeadTrainConfig
-from .fileio import write_json
-from .kg_store import GROUP_TAGS, GateMatrix, TripleStore
+from .kg_store import GROUP_TAGS, GateMatrix, TripleStore, write_json
 
 
 @dataclass

@@ -246,7 +246,7 @@ def load_config(path: str, overrides: dict | None = None) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config: {path} is not valid YAML: {exc}") from exc

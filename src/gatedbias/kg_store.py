@@ -1,6 +1,14 @@
-"""The dataset's readers (triple store, relation grouping, user interaction
-histories), the binary gate matrices over attribute universes, and the
-profiles read through them.
+"""Storage: the dataset's readers (triple store, relation grouping, user
+interaction histories), the gate matrices and profiles built from them, and
+the atomic writer that every artifact goes through.
+
+A TSV is read as UTF-8, a leading BOM ignored: blank lines and lines starting
+with '#' are skipped, and every other line must hold the file's number of
+tab-separated fields. A file is written to a temporary sibling and moved over
+its path in one os.replace, so a reader sees the old file or the new one,
+never a torn one, and a failed write leaves the old file and no temporary
+behind. Its directory is created at its first write, so a run refused before
+it writes anything leaves no directory behind.
 
 Gates are built from training triples only: the bit pattern of a GateMatrix
 never depends on the contents of the valid/test splits. A profile sums each
@@ -11,20 +19,63 @@ scales and clips the sum into [0, cap_tau].
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import yaml
 
 from .config import ConfigError
-from .fileio import read_tsv
 
 logger = logging.getLogger(__name__)
 
 GROUP_TAGS = ("A", "B")
 SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
+
+
+def read_tsv(path: str, n_fields: int):
+    """Yield the fields of each data line of the TSV at path. A line with
+    another number of fields raises ValueError naming path:lineno, and a
+    byte that is not UTF-8 raises one naming path."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                if len(fields) != n_fields:
+                    raise ValueError(f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
+                                     f"got {len(fields)}")
+                yield fields
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+@contextmanager
+def atomic_write(path: str, mode: str = "w"):
+    """Yield a file object opened with mode on a sibling of path; on a clean
+    exit it replaces path, on an error it is removed. Missing parent
+    directories are created first."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(path: str, payload: dict) -> None:
+    """payload as indented, key-sorted JSON with a trailing newline."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @dataclass
@@ -128,8 +179,11 @@ def make_grouping(store: TripleStore, group_a: list[str], group_b: list[str]
 
 def load_grouping(path: str, store: TripleStore) -> dict[str, list[int]]:
     """make_grouping of a file whose keys ``group_a`` and ``group_b`` list relation labels."""
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: grouping file must be a mapping")
     unknown = set(raw) - {"group_a", "group_b"}

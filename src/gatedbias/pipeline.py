@@ -25,9 +25,9 @@ import numpy as np
 from . import bias_head, evaluator, synth
 from .backbone import EmbeddingTable, load_embeddings, save_embeddings, train_backbone
 from .config import METHODS, ConfigError, DataConfig, PipelineConfig, PipelineError, SynthParams
-from .fileio import atomic_write, write_json
-from .kg_store import (GROUP_TAGS, TripleStore, build_gates, build_profile, build_universe,
-                       load_grouping, load_interactions, load_triples)
+from .kg_store import (GROUP_TAGS, TripleStore, atomic_write, build_gates, build_profile,
+                       build_universe, load_grouping, load_interactions, load_triples,
+                       write_json)
 
 log = logging.getLogger(__name__)
 
@@ -67,8 +67,11 @@ def materialize_data(cfg: PipelineConfig, out_dir: str, write: bool = True) -> D
         if not os.path.exists(manifest):
             raise FileNotFoundError(f"no synthetic dataset at {dataset_dir}; "
                                     "run the pipeline first")
-        with open(manifest, encoding="utf-8") as fh:
-            written = json.load(fh)["params"]
+        try:
+            with open(manifest, encoding="utf-8") as fh:
+                written = json.load(fh)["params"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{manifest} is damaged ({type(exc).__name__}: {exc})") from exc
         if written != vars(params):
             raise ValueError(f"{dataset_dir} was generated with {written}, "
                              f"not with data.synthetic {vars(params)}")

@@ -31,8 +31,7 @@ import yaml
 
 from .config import (N_COMMUNITIES, BackboneTrainConfig, EvalSettings, HeadTrainConfig,
                      ProfileConfig, SynthParams)
-from .fileio import atomic_write, write_json
-from .kg_store import SPLIT_FILES
+from .kg_store import SPLIT_FILES, atomic_write, write_json
 
 REL_LIKES = "likes"
 REL_A = "pref_attr_of"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,12 @@ def test_load_config_errors(tmp_path):
 
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "absent.yaml"))
+
+    latin = tmp_path / "latin.yaml"
+    latin.write_bytes(b"method: base\n# caf\xe9\n")  # Latin-1, not UTF-8
+    with pytest.raises(ConfigError, match=f"^config: cannot read {re.escape(str(latin))}: "
+                                          "'utf-8' codec can't decode byte 0xe9"):
+        load_config(str(latin))
 
 
 def test_yaml_infinity_refused(tmp_path):

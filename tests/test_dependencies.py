@@ -1,7 +1,8 @@
 """numpy and pyyaml are the package's only runtime dependencies: every import
 under src/gatedbias is one of them, the standard library or the package
 itself, and pyproject.toml declares exactly those two. Within the package,
-config is the leaf that every other module may import."""
+config is the leaf that every other module may import, and kg_store, which
+reads every dataset file and writes every artifact, imports config alone."""
 
 import ast
 import glob
@@ -43,12 +44,23 @@ def test_pyproject_declares_exactly_numpy_and_pyyaml():
     assert sorted(names) == ["numpy", "pyyaml"]
 
 
+def package_modules_after_import(module):
+    """The gatedbias modules a fresh interpreter holds after importing module."""
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.startswith('gatedbias')))")
+    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def test_config_imports_no_other_package_module():
     """config holds the whole schema and the error types, so every module can
     import it and it imports none of them."""
-    code = ("import sys, gatedbias.config; "
-            "print(sorted(m for m in sys.modules if m.startswith('gatedbias')))")
-    env = {**os.environ, "PYTHONPATH": os.path.join(REPO, "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "['gatedbias', 'gatedbias.config']"
+    assert package_modules_after_import("gatedbias.config") == "['gatedbias', 'gatedbias.config']"
+
+
+def test_kg_store_imports_only_config():
+    """kg_store is the storage layer: it reads the dataset and writes artifacts
+    for the modules above it, and needs none of them."""
+    assert package_modules_after_import("gatedbias.kg_store") == \
+        "['gatedbias', 'gatedbias.config', 'gatedbias.kg_store']"

@@ -274,6 +274,17 @@ def test_run_eval_reads_the_synthetic_dataset_of_the_run(tmp_path):
     assert exc.value.stage == "data" and "generated with" in str(exc.value)
     assert snapshot() == before
 
+    manifest = os.path.join(dataset, "manifest.json")
+    with open(manifest, encoding="utf-8") as fh:
+        text = fh.read()
+    no_params = {k: v for k, v in json.loads(text).items() if k != "params"}
+    for damaged in (text[:2], json.dumps(no_params)):  # truncated, then without params
+        with open(manifest, "w", encoding="utf-8") as fh:
+            fh.write(damaged)
+        with pytest.raises(PipelineError) as exc:
+            run_eval(synthetic_cfg(), out)
+        assert str(exc.value).startswith(f"[data] {manifest} is damaged (")
+
     shutil.rmtree(dataset)
     with pytest.raises(PipelineError) as exc:
         run_eval(synthetic_cfg(), out)
@@ -305,26 +316,35 @@ def test_failed_dataset_write_leaves_no_manifest(tmp_path, monkeypatch):
     assert exc.value.stage == "data" and "run the pipeline first" in str(exc.value)
 
 
-def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
-    crlf = str(tmp_path / "crlf")
-    shutil.copytree(data_dir, crlf)
+def copy_that_loads_alike(data_dir, dest, rewrite):
+    """A copy of data_dir whose TSV files hold rewrite(their bytes); it loads
+    the same vocabularies, splits and histories as data_dir."""
+    shutil.copytree(data_dir, dest)
     for rel in ("triples/train.tsv", "triples/valid.tsv", "triples/test.tsv",
                 "interactions.tsv"):
-        path = os.path.join(crlf, rel)
+        path = os.path.join(dest, rel)
         with open(path, "rb") as fh:
             data = fh.read()
-        assert b"\r" not in data
         with open(path, "wb") as fh:
-            fh.write(data.replace(b"\n", b"\r\n"))
+            fh.write(rewrite(data))
 
-    lf_store = load_triples(os.path.join(data_dir, "triples"))
-    crlf_store = load_triples(os.path.join(crlf, "triples"))
-    assert list(crlf_store.entity_vocab) == list(lf_store.entity_vocab)
-    assert list(crlf_store.relation_vocab) == list(lf_store.relation_vocab)
-    lf_histories = load_interactions(os.path.join(data_dir, "interactions.tsv"), lf_store)
-    crlf_histories = load_interactions(os.path.join(crlf, "interactions.tsv"), crlf_store)
-    assert [h.tolist() for h in crlf_histories] == [h.tolist() for h in lf_histories]
+    base, copy = (load_triples(os.path.join(d, "triples")) for d in (data_dir, dest))
+    assert list(copy.entity_vocab) == list(base.entity_vocab)
+    assert list(copy.relation_vocab) == list(base.relation_vocab)
+    for split in ("train", "valid", "test"):
+        assert np.array_equal(copy.split(split), base.split(split))
+    histories = [[h.tolist() for h in load_interactions(os.path.join(d, "interactions.tsv"), s)]
+                 for d, s in ((data_dir, base), (dest, copy))]
+    assert histories[1] == histories[0]
+    return str(dest)
 
+
+def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
+    def crlf_lines(data):
+        assert b"\r" not in data
+        return data.replace(b"\n", b"\r\n")
+
+    crlf = copy_that_loads_alike(data_dir, tmp_path / "crlf", crlf_lines)
     _, report, _, ranks_bytes = gated_run
     again = run_pipeline(tiny_cfg(crlf), str(tmp_path / "out"))
     drop = ("timestamp", "config")
@@ -334,6 +354,24 @@ def test_crlf_dataset_gives_the_same_run(data_dir, gated_run, tmp_path):
            {k: v for k, v in report["config"].items() if k != "data"}
     with open(str(tmp_path / "out" / "ranks.tsv"), "rb") as fh:
         assert fh.read() == ranks_bytes
+
+
+def test_bom_prefixed_inputs_load_as_without(data_dir, tmp_path):
+    """A UTF-8 BOM on a split or on the log is not part of its first label."""
+    copy_that_loads_alike(data_dir, tmp_path / "bom", lambda data: b"\xef\xbb\xbf" + data)
+
+
+@pytest.mark.parametrize("rel, stage", [("triples/train.tsv", "data"), ("grouping.yaml", "data"),
+                                        ("interactions.tsv", "profiles")])
+def test_non_utf8_input_fails_naming_its_file(data_dir, tmp_path, rel, stage):
+    copy = str(tmp_path / "data")
+    shutil.copytree(data_dir, copy)
+    path = os.path.join(copy, rel)
+    with open(path, "ab") as fh:
+        fh.write(b"# caf\xe9\n")  # Latin-1, not UTF-8
+    with pytest.raises(PipelineError) as exc:
+        run_pipeline(tiny_cfg(copy), str(tmp_path / "out"))
+    assert str(exc.value).startswith(f"[{stage}] {path}: not UTF-8 text ('utf-8' codec ")
 
 
 def test_failed_report_write_keeps_the_previous_report(gated_run, tmp_path):
