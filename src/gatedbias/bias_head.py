@@ -348,7 +348,7 @@ def _read_checkpoint(path: str, template, cfg: HeadTrainConfig, table: Embedding
         return type(template)(**fields)
     except FileNotFoundError:
         raise FileNotFoundError(f"no {kind} checkpoint at {path}; run the pipeline first") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"{path}: {exc}") from exc
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing key {exc}") from exc

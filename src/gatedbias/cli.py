@@ -7,14 +7,13 @@ import logging
 import os
 import sys
 import traceback
-from dataclasses import fields
 from functools import partial
 
 # Set before numpy loads: a second OpenBLAS thread busy-waits ~0.13 s of CPU
 # per process, and no BLAS call in an op is large enough to pay for it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .config import METHODS, SECTIONS, SynthParams, load_config, synth_params
+from .config import METHODS, SECTIONS, load_config, synth_params
 from .pipeline import format_comparison, run_compare, run_eval, run_pipeline
 from .synth import generate
 
@@ -26,26 +25,26 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_eval_overrides(p: argparse.ArgumentParser, method: bool) -> None:
-    if method:  # compare runs every method
-        p.add_argument("--method", choices=METHODS, help="override the configured method")
-    for key, kind in SECTIONS["eval"].items():  # --ks, ..., --seeds, typed by the annotation
-        flag = "--" + key.replace("_", "-")
-        if kind == "list[int]":
-            letter = key[0].upper()
-            p.add_argument(flag, type=_int_list, metavar=f"{letter}1,{letter}2,...",
-                           help=f"override eval.{key} (comma separated)")
-        else:
-            p.add_argument(flag, type={"int": int, "float": float}[kind],
-                           help=f"override eval.{key}")
+def _add_section_flags(p: argparse.ArgumentParser, section: str) -> None:
+    """A flag for each key of the config section, typed by its annotation and
+    defaulting to None, so only the flags given reach the config."""
+    for key, kind in SECTIONS[section].items():  # --n-shuffles for n_shuffles, ...
+        listed, letter = kind == "list[int]", key[0].upper()
+        p.add_argument("--" + key.replace("_", "-"),
+                       type=_int_list if listed else {"int": int, "float": float}[kind],
+                       metavar=f"{letter}1,{letter}2,..." if listed else None,
+                       help=f"override {section}.{key}" + " (comma separated)" * listed)
+
+
+def _given(args, section: str) -> dict:
+    """The section's flags that are set, by key."""
+    return {key: value for key in SECTIONS[section] if (value := getattr(args, key)) is not None}
 
 
 def _load_config(args):
     """The config file with the override flags that are set merged in, then
     validated once by the config parser."""
-    evals = {key: getattr(args, key) for key in SECTIONS["eval"]
-             if getattr(args, key) is not None}
-    overrides = {"eval": evals} if evals else {}
+    overrides = {"eval": _given(args, "eval")}
     if getattr(args, "method", None) is not None:
         overrides["method"] = args.method
     return load_config(args.config, overrides)
@@ -74,7 +73,7 @@ def cmd_report(args, stage) -> int:
 
 
 def cmd_synth(args) -> int:
-    params = synth_params({key: getattr(args, key) for key in SECTIONS["data.synthetic"]})
+    params = synth_params(_given(args, "data.synthetic"))
     manifest = generate(params, args.out)
     counts = manifest["counts"]
     print(f"dataset written to {args.out}")
@@ -86,8 +85,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    comparison = run_compare(cfg, args.out)
+    comparison = run_compare(_load_config(args), args.out)
     print(format_comparison(comparison), end="")
     print(f"comparison written to {args.out}/compare.json")
     return 0
@@ -103,31 +101,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the traceback of a failure above its error line")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the full pipeline from a config file")
-    p_run.add_argument("config", help="path to the YAML config")
-    p_run.add_argument("--out", default="out", help="output directory (default: out)")
-    _add_eval_overrides(p_run, method=True)
-    p_run.set_defaults(func=partial(cmd_report, stage=run_pipeline))
-
     p_synth = sub.add_parser("synth", help="generate a synthetic planted-signal dataset")
     p_synth.add_argument("--out", required=True, help="dataset output directory")
-    for f in fields(SynthParams):  # --n-items, ..., --seed, defaulting as SynthParams does
-        p_synth.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                             default=f.default)
+    _add_section_flags(p_synth, "data.synthetic")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_cmp = sub.add_parser("compare", help="run base, patientnode and gatedbias side by side")
-    p_cmp.add_argument("config", help="path to the YAML config")
-    p_cmp.add_argument("--out", default="out", help="output directory (default: out)")
-    _add_eval_overrides(p_cmp, method=False)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_eval = sub.add_parser("eval", help="re-evaluate from checkpoints without retraining")
-    p_eval.add_argument("config", help="path to the YAML config")
-    p_eval.add_argument("--out", default="out",
-                        help="run directory holding the checkpoints (default: out)")
-    _add_eval_overrides(p_eval, method=True)
-    p_eval.set_defaults(func=partial(cmd_report, stage=run_eval))
+    for name, help_text, out_dir, func in [
+        ("run", "run the full pipeline from a config file", "output directory",
+         partial(cmd_report, stage=run_pipeline)),
+        ("compare", "run base, patientnode and gatedbias side by side", "output directory",
+         cmd_compare),
+        ("eval", "re-evaluate from checkpoints without retraining",
+         "run directory holding the checkpoints", partial(cmd_report, stage=run_eval)),
+    ]:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("config", help="path to the YAML config")
+        p.add_argument("--out", default="out", help=f"{out_dir} (default: out)")
+        if name != "compare":  # compare runs every method
+            p.add_argument("--method", choices=METHODS, help="override the configured method")
+        _add_section_flags(p, "eval")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -140,7 +133,7 @@ def main(argv=None) -> int:
     # the package's own error types subclass ValueError or RuntimeError
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError, KeyError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         if args.verbose:
             traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -38,8 +39,8 @@ SPLIT_FILES = {"train": "train.tsv", "valid": "valid.tsv", "test": "test.tsv"}
 
 def read_tsv(path: str, n_fields: int):
     """Yield the fields of each data line of the TSV at path. A line with
-    another number of fields raises ValueError naming path:lineno, and a
-    byte that is not UTF-8 raises one naming path."""
+    another number of fields, or a byte that is not UTF-8, raises ValueError
+    naming path:lineno."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -51,8 +52,11 @@ def read_tsv(path: str, n_fields: int):
                     raise ValueError(f"{path}:{lineno}: expected {n_fields} tab-separated fields, "
                                      f"got {len(fields)}")
                 yield fields
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
+    except UnicodeDecodeError as exc:  # its position counts within a decode chunk
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+            lineno = next(n for n, line in enumerate(fh, start=1)
+                          if re.search("[\udc80-\udcff]", line))
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
 
 
 @contextmanager

@@ -223,7 +223,8 @@ def _run(runs: list[tuple[PipelineConfig, str]], train: bool) -> list[dict]:
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "report": evaluator.eval_report(list(c.eval.seeds), per_seed),
         }
-        _write_report(report, labels, seed_ranks, out)
+        with _stage("report"):
+            _write_report(report, labels, seed_ranks, out)
         reports.append(report)
     return reports
 
@@ -273,9 +274,10 @@ def run_compare(cfg: PipelineConfig, out_dir: str) -> dict:
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    write_json(os.path.join(out_dir, "compare.json"), comparison)
-    with atomic_write(os.path.join(out_dir, "compare.tsv")) as fh:
-        fh.write(format_comparison(comparison))
+    with _stage("report"):
+        write_json(os.path.join(out_dir, "compare.json"), comparison)
+        with atomic_write(os.path.join(out_dir, "compare.tsv")) as fh:
+            fh.write(format_comparison(comparison))
     return comparison
 
 

@@ -640,6 +640,18 @@ def test_checkpoint_faults_name_the_file(kind, key, fault, tmp_path):
         assert "backbone_checksum mismatch" in message
 
 
+@pytest.mark.parametrize("kind", ["head", "patientnode"])
+def test_checkpoint_not_utf8_names_the_file(kind, tmp_path):
+    gates, table = checkpoint_setup(11)
+    path = str(tmp_path / f"{kind}.json")
+    save_zero_checkpoint(kind, path, table, gates)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff")
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(kind, path, table, gates)
+    assert str(exc.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff ")
+
+
 @pytest.mark.parametrize("kind,key,value,fragment", [
     ("patientnode", "b1", [0.0], f"b1 has shape (1,); {SHAPED_BY} (4,)"),
     ("patientnode", "w1", [[0.0] * 6] * 3, f"w1 has shape (3, 6); {SHAPED_BY} (4, 6)"),

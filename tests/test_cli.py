@@ -118,10 +118,14 @@ def test_print_aggregate_marks_an_entry_without_a_mean_absent(capsys):
         "placebo_ratio: absent", "cr_A: -1.5"]
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "eval"])
-def test_every_eval_key_has_an_override_flag(command):
-    args = build_parser().parse_args([command, "config.yaml"])
-    assert all(getattr(args, key) is None for key in SECTIONS["eval"])
+@pytest.mark.parametrize("command,section", [
+    ("run", "eval"), ("compare", "eval"), ("eval", "eval"), ("synth", "data.synthetic"),
+], ids=["run", "compare", "eval", "synth"])
+def test_every_eval_key_has_an_override_flag(command, section):
+    # every key of the section has a flag, and one not given reaches no config
+    args = build_parser().parse_args([command] + (["--out", "data"] if command == "synth"
+                                                  else ["config.yaml"]))
+    assert all(getattr(args, key) is None for key in SECTIONS[section])
 
 
 def test_eval_reuses_run_directory(cfg_path, run_out, capsys):

@@ -113,6 +113,19 @@ def test_tsv_input_malformed_line_reports_path_and_lineno(tmp_path, kind):
         load(tmp_path)
 
 
+@pytest.mark.parametrize("kind", list(TSV_INPUTS))
+@pytest.mark.parametrize("head,lineno", [("{0}\n" * 1499, 1500), ("{0}\r{0}\n", 3)],
+                         ids=["past-8-KiB", "lone-cr"])
+def test_tsv_input_not_utf8_reports_path_and_lineno(tmp_path, kind, head, lineno):
+    # the decoder's own position counts within its 8 KiB chunk, not the file
+    name, line, load = TSV_INPUTS[kind]
+    path = tmp_path / name
+    path.write_bytes(head.format(line).encode() + f"\xff{line}\n{line}\n".encode("latin-1"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: not UTF-8 text "
+                                         r"\(invalid start byte\)$"):
+        load(tmp_path)
+
+
 def test_load_triples_missing_train_raises(tmp_path):
     write_split(tmp_path, "valid", [("a", "r", "b")])
     with pytest.raises(ConfigError, match="train.tsv"):

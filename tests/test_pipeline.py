@@ -369,9 +369,13 @@ def test_non_utf8_input_fails_naming_its_file(data_dir, tmp_path, rel, stage):
     path = os.path.join(copy, rel)
     with open(path, "ab") as fh:
         fh.write(b"# caf\xe9\n")  # Latin-1, not UTF-8
+    with open(path, "rb") as fh:
+        lineno = fh.read().count(b"\n")  # the appended line's
+    where = (f"{path}:{lineno}: not UTF-8 text (" if rel.endswith(".tsv")
+             else f"{path}: not UTF-8 text ('utf-8' codec ")
     with pytest.raises(PipelineError) as exc:
         run_pipeline(tiny_cfg(copy), str(tmp_path / "out"))
-    assert str(exc.value).startswith(f"[{stage}] {path}: not UTF-8 text ('utf-8' codec ")
+    assert str(exc.value).startswith(f"[{stage}] {where}")
 
 
 def test_failed_report_write_keeps_the_previous_report(gated_run, tmp_path):
@@ -387,6 +391,21 @@ def test_failed_report_write_keeps_the_previous_report(gated_run, tmp_path):
         assert fh.read() == before
     assert sorted(os.listdir(out)) == listing
     assert not [name for name in listing if name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("stage,blocked", [
+    pytest.param(run_eval, "report.json", id="eval"),
+    pytest.param(run_compare, "compare.json", id="compare")])
+def test_failed_report_write_fails_at_the_report_stage(stage, blocked, data_dir, gated_run,
+                                                       tmp_path):
+    # a directory where the report goes: os.replace cannot move a file over it
+    out = str(tmp_path / "run")
+    shutil.copytree(gated_run[0], out, ignore=shutil.ignore_patterns(blocked))
+    os.mkdir(os.path.join(out, blocked))
+    with pytest.raises(PipelineError) as exc:
+        stage(tiny_cfg(data_dir), out)
+    assert exc.value.stage == "report"
+    assert str(exc.value).startswith("[report] ") and blocked in str(exc.value)
 
 
 def test_run_eval_without_checkpoints(data_dir, tmp_path):
